@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--eps", type=float)
         p.add_argument("--regime", choices=list(regimes))
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--format", choices=["json", "csv"])
         p.add_argument("--lambda", dest="lam", type=float,
@@ -122,7 +121,6 @@ _DEFAULTS = {
     "eps": 0.1,
     "regime": "b2",
     "seed": 0,
-    "threads": None,
     "output": None,
     "format": "json",
     "lam": 0.25,
@@ -150,8 +148,46 @@ _DEFAULTS = {
 _CONFIG_ALIASES = {"lambda": "lam"}
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file fields, and explicit flags (flags win)."""
+def _flag_actions(parser: argparse.ArgumentParser) -> dict:
+    """Destination -> argparse action, over the flags of every subcommand."""
+    actions = {}
+    for sub in parser._actions:
+        if isinstance(sub, argparse._SubParsersAction):
+            for p in sub.choices.values():
+                for action in p._actions:
+                    actions.setdefault(action.dest, action)
+    return actions
+
+
+def _config_value(name: str, value, action: argparse.Action):
+    """Check and coerce one config-file field as its flag would be."""
+    if value is None and _DEFAULTS[action.dest] is None:
+        return None
+    if action.nargs == 0:  # on/off flags take JSON booleans
+        ok = isinstance(value, bool)
+    elif isinstance(value, (bool, list, dict)):
+        ok = False
+    elif action.type is not None:
+        # the flag's own type, applied to the text a command line would hold
+        try:
+            value, ok = action.type(str(value)), True
+        except ValueError:
+            ok = False
+    else:
+        ok = isinstance(value, str)
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise _UsageError(f"config field {name!r}: {value!r} is not a valid "
+                          f"value for {action.option_strings[0]}")
+    return value
+
+
+def _resolve_config(args: argparse.Namespace, actions: dict) -> dict:
+    """Merge defaults, config-file fields, and explicit flags (flags win).
+
+    ``actions`` maps each field to its flag (see ``_flag_actions``); a
+    config-file field is checked and coerced with that flag's type and
+    choices, so a bad value is a usage error, not a crash.
+    """
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -161,11 +197,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 raise _UsageError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise _UsageError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            key = _CONFIG_ALIASES.get(key, key)
+        for name, value in loaded.items():
+            key = _CONFIG_ALIASES.get(name, name)
             if key not in cfg:
                 raise _UsageError(f"unknown config field {key!r}")
-            cfg[key] = value
+            cfg[key] = _config_value(name, value, actions[key])
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -254,7 +290,7 @@ def cmd_run(cfg: dict) -> int:
         obs = identity_observable()
     if cfg["table"] and obs.kind != "scalar":
         raise _UsageError("--table requires a scalar observable")
-    out = estimate(model, plan, x0, obs, cfg["seed"], n_threads=cfg["threads"])
+    out = estimate(model, plan, x0, obs, cfg["seed"])
     if cfg["table"]:
         lines = [f"{'level':>5}  {'iterations':>12}  {'cumulative':>18}"]
         cumulative = 0.0
@@ -269,19 +305,26 @@ def cmd_run(cfg: dict) -> int:
     return EXIT_OK
 
 
+# The plans each bench suite can run: bench_ou always tunes b2.
+_BENCH_REGIMES = {"ou": ("b2",), "logistic": ("b2", "aggressive")}
+
+
 def cmd_bench(cfg: dict) -> int:
     if cfg["runs"] < 1:
         raise _UsageError(f"--runs must be >= 1, got {cfg['runs']}")
+    regimes = _BENCH_REGIMES[cfg["suite"]]
+    if cfg["regime"] not in regimes:
+        raise _UsageError(
+            f"bench --suite {cfg['suite']} supports --regime "
+            f"{' or '.join(regimes)}, not {cfg['regime']!r}")
     if cfg["suite"] == "ou":
         report = bench_ou(cfg["d"], cfg["eps"], cfg["runs"],
-                          x0_mode=cfg["x0"], seed=cfg["seed"],
-                          n_threads=cfg["threads"])
+                          x0_mode=cfg["x0"], seed=cfg["seed"])
     else:
         report = bench_logistic(
             cfg["d"], cfg["lam"], cfg["a"], cfg["eps"], cfg["runs"],
             seed=cfg["seed"], covariate_seed=cfg["covariate_seed"],
-            regime=cfg["regime"] if cfg["regime"] != "b1" else "b2",
-            n_threads=cfg["threads"])
+            regime=cfg["regime"])
     _emit(report.to_json(), report.csv_rows(), cfg)
     return EXIT_OK
 
@@ -352,12 +395,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(args, _flag_actions(parser))
         return _COMMANDS[args.command](cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalFailureError as exc:

@@ -45,7 +45,7 @@ from .model import (
     make_langevin_model,
     ou_reference_value,
 )
-from .sde import NoiseStream, PathState, euler_step, n_gamma
+from .sde import _INV_SQRT2, NoiseStream, _chains, _chunk_steps, n_gamma
 from .tuning import TuningPlan, plan_aggressive, plan_b2
 from .warmstart import warm_start
 
@@ -176,7 +176,6 @@ def bench_ou(
     n_runs: int,
     x0_mode: str = "zero",
     seed: int = 0,
-    n_threads: int | None = None,
 ) -> BenchReport:
     """RMSE benchmark of f(x) = |x| under the quadratic potential.
 
@@ -192,7 +191,6 @@ def bench_ou(
             (descent from the ones vector; a no-op region check for this
             model).
         seed: Master seed for the replication harness.
-        n_threads: Worker threads across levels.
 
     Returns:
         BenchReport (bit-reproducible given identical inputs, apart from
@@ -204,8 +202,7 @@ def bench_ou(
     x0 = _resolve_x0(potential, x0_mode)
     reference = ou_reference_value(d)
     t0 = time.perf_counter()
-    outs = estimate_repeated(model, plan, x0, norm_observable(), seed, n_runs,
-                             n_threads=n_threads)
+    outs = estimate_repeated(model, plan, x0, norm_observable(), seed, n_runs)
     wall = time.perf_counter() - t0
     estimates = [o.estimate for o in outs]
     rmse, _ = _rmse(estimates, reference, d)
@@ -262,7 +259,6 @@ def logistic_reference_run(
     eps_ref: float = 0.01,
     covariate_seed: int = DEFAULT_COVARIATE_SEED,
     master_seed: int = REFERENCE_MASTER_SEED,
-    n_threads: int | None = None,
 ) -> EstimatorOutput:
     """High-precision posterior-mean run used to produce reference values.
 
@@ -276,8 +272,7 @@ def logistic_reference_run(
     model = make_langevin_model(potential, "auto")
     plan = plan_b2(model, eps_ref, include_log2=False)
     x0 = warm_start(potential, np.zeros(d)).x0
-    return estimate(model, plan, x0, identity_observable(), master_seed,
-                    n_threads=n_threads)
+    return estimate(model, plan, x0, identity_observable(), master_seed)
 
 
 def bench_logistic(
@@ -290,7 +285,6 @@ def bench_logistic(
     covariate_seed: int = DEFAULT_COVARIATE_SEED,
     regime: str = "b2",
     reference_mode: str = "auto",
-    n_threads: int | None = None,
 ) -> BenchReport:
     """Posterior-mean benchmark for the logistic-perturbed potential.
 
@@ -317,7 +311,6 @@ def bench_logistic(
         regime: ``"b2"`` (tuned plan) or ``"aggressive"`` (enlarged base
             step).
         reference_mode: ``"auto"`` or ``"live"`` (see above).
-        n_threads: Worker threads across levels.
 
     Returns:
         BenchReport.
@@ -335,7 +328,7 @@ def bench_logistic(
 
     if reference_mode == "live":
         ref_out = logistic_reference_run(
-            d, lam, a, covariate_seed=covariate_seed, n_threads=n_threads)
+            d, lam, a, covariate_seed=covariate_seed)
         reference = np.asarray(ref_out.estimate, dtype=float)
         reference_source = "live estimate(eps=0.01)"
     elif reference_mode == "auto":
@@ -354,7 +347,7 @@ def bench_logistic(
 
     t0 = time.perf_counter()
     outs = estimate_repeated(model, plan, x0, identity_observable(), seed,
-                             n_runs, n_threads=n_threads)
+                             n_runs)
     wall = time.perf_counter() - t0
     estimates = [o.estimate for o in outs]
     rmse, _ = _rmse(estimates, reference, d)
@@ -444,60 +437,57 @@ def contraction_probe(
             f"alpha_eff/(2 l_eff^2) = {model.alpha_eff / (2.0 * model.l_eff ** 2)}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    rows = np.array([x, y], dtype=float)
+    d = model.dim
+    if rows.shape != (2, d):
+        raise ValueError(f"x and y must have shape ({d},), got {rows.shape[1:]}")
     stream = NoiseStream(seed, 0)
-    sx = PathState(np.asarray(x, dtype=float), 0, float(gamma))
-    sy = PathState(np.asarray(y, dtype=float), 0, float(gamma))
-    distances = [float(np.linalg.norm(sx.position - sy.position))]
-    for _ in range(n_steps):
-        g = stream.standard_normal(model.dim)
-        sx = euler_step(model, sx, g)
-        sy = euler_step(model, sy, g)
-        distances.append(float(np.linalg.norm(sx.position - sy.position)))
+    cn = model.noise_scale * math.sqrt(gamma)
+
+    def draw(n):
+        # one draw per step, shared by both rows
+        g = stream.standard_normal((n, 1, 1, d))
+        g *= cn
+        return g, None
+
+    distances = []
+    for _, (hist,) in _chains(model, rows, float(gamma), n_steps, draw,
+                              _chunk_steps(2, d), pair=False):
+        gaps = hist[:, 0] - hist[:, 1]
+        distances.extend(float(np.linalg.norm(v)) for v in gaps)
     return distances
 
 
 def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
-                n_paths: int, stream: NoiseStream, x0=None,
-                step_ratio: int = 2) -> float:
+                n_paths: int, stream: NoiseStream, x0=None) -> float:
     """Monte-Carlo sup over coarse grid times of E|fine - coarse|^2."""
-    gamma_f = gamma_coarse / step_ratio
+    gamma_f = gamma_coarse / 2.0
     d = model.dim
     cn_f = model.noise_scale * math.sqrt(gamma_f)
     cn_c = model.noise_scale * math.sqrt(gamma_coarse)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    n_steps = n_gamma(horizon, gamma_coarse)
     if x0 is None:
         start = np.zeros((n_paths, d))
     else:
         start = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
-    xf = start.copy()
-    xc = start.copy()
-    sup = 0.0
-    chunk = max(1, min(2048, 2_000_000 // (n_paths * d)))
-    done = 0
-    while done < n_steps:
-        n = min(chunk, n_steps - done)
+
+    def draw(n):
         noise = stream.standard_normal((n, 2, n_paths, d))
         coarse = noise[:, 0] + noise[:, 1]
-        coarse *= inv_sqrt2 * cn_c
+        coarse *= _INV_SQRT2 * cn_c
         noise *= cn_f
-        for j in range(n):
-            if step_ratio == 1:
-                # degenerate hook: same step, same increment -> same chain
-                xf += gamma_coarse * model.drift(xf)
-                xf += coarse[j]
-            else:
-                xf += gamma_f * model.drift(xf)
-                xf += noise[j, 0]
-                xf += gamma_f * model.drift(xf)
-                xf += noise[j, 1]
-            xc += gamma_coarse * model.drift(xc)
-            xc += coarse[j]
-            diff = xf - xc
-            msq = float(np.mean(np.sum(diff * diff, axis=-1)))
-            if msq > sup:
-                sup = msq
-        done += n
+        return noise, coarse
+
+    # besides the three increment arrays a chunk holds both histories; a
+    # quarter of the estimator's chunk keeps that below 3 (n, n_paths, d)
+    # arrays at the full chunk, what drawing alone would take
+    chunk = _chunk_steps(4 * n_paths, d)
+    sup = 0.0
+    for _, (fine, coarse) in _chains(model, start, gamma_f,
+                                     n_gamma(horizon, gamma_coarse), draw,
+                                     chunk, pair=True):
+        gap = fine - coarse
+        gap *= gap
+        sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))
     return sup
 
 
@@ -508,7 +498,6 @@ def confluence_probe(
     n_paths: int,
     seed: int = 0,
     x0=None,
-    step_ratio: int = 2,
 ) -> ConfluenceProbeResult:
     """Estimate the step-confluence order of coupled fine/coarse chains.
 
@@ -519,7 +508,8 @@ def confluence_probe(
         order_estimate = log2( gap(gamma) / gap(gamma / 2) ),
 
     which is ~2 in the second-order (additive noise, smooth drift) regime:
-    halving the step divides the squared gap by ~4.
+    halving the step divides the squared gap by ~4.  A zero gap (e.g. no
+    noise and a start at the fixed point) gives an undefined order (nan).
 
     Args:
         model: LangevinModel with gamma <= alpha_eff / (2 l_eff^2).
@@ -528,9 +518,6 @@ def confluence_probe(
         n_paths: Monte-Carlo paths (a few thousand for a stable order).
         seed: Noise seed (the two pairs use independent child streams).
         x0: Shared starting point (default: the origin).
-        step_ratio: Coarse-to-fine step ratio, 2 (default) or 1.  Ratio 1 is
-            a degeneracy hook: both chains take identical steps, so the gap
-            is exactly zero and the order is undefined (nan).
 
     Returns:
         ConfluenceProbeResult(sup_gap_sq={gamma: ..., gamma/2: ...},
@@ -542,16 +529,14 @@ def confluence_probe(
             f"{model.alpha_eff / (2.0 * model.l_eff ** 2)}")
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    if step_ratio not in (1, 2):
-        raise ValueError(f"step_ratio must be 1 or 2, got {step_ratio}")
     if n_paths < 100:
         warnings.warn(
             "confluence_probe with fewer than 100 paths is noise-dominated",
             RuntimeWarning)
     gap1 = _sup_gap_sq(model, gamma, horizon, n_paths, NoiseStream(seed, 0),
-                       x0=x0, step_ratio=step_ratio)
+                       x0=x0)
     gap2 = _sup_gap_sq(model, gamma / 2.0, horizon, n_paths,
-                       NoiseStream(seed, 1), x0=x0, step_ratio=step_ratio)
+                       NoiseStream(seed, 1), x0=x0)
     if gap1 <= 0.0 or gap2 <= 0.0:
         order = float("nan")
     else:

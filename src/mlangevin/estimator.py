@@ -3,10 +3,12 @@
 The estimator combines the level-0 occupation average at step gamma0 with R
 correcting levels, each the averaged difference between a fine (gamma_r) and
 coarse (gamma_{r-1} = 2 gamma_r) Euler chain driven by the same Brownian
-increments.  The R + 1 levels use independent noise streams derived from one
-master seed and may execute concurrently; all randomness is pre-assigned by
-seed derivation, never drawn from a shared stream, so results are independent
-of thread count and scheduling.
+increments.  Each level is one call into the Euler engine of ``sde``: level 0
+runs a single chain, and level r >= 1 runs a coupled fine/coarse pair.  The
+R + 1 levels share no state: level r reads only ``NoiseStream(seed, r, run)``
+and the starting point, so its contribution equals the standalone
+``run_level0`` / ``run_coupled_level`` call on that stream byte for byte, and
+no order or schedule of the levels can change the result.
 
 Repeated runs for RMSE harnesses advance as rows of one batched simulation
 (bit-identical to running them one at a time) with the run index mixed into
@@ -18,8 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
@@ -42,9 +42,6 @@ __all__ = [
     "identity_observable",
     "norm_observable",
 ]
-
-THREADS_ENV_VAR = "MLANGEVIN_THREADS"
-
 
 @dataclass
 class Observable:
@@ -171,16 +168,6 @@ class EstimatorOutput:
         return buf.getvalue()
 
 
-def _resolve_threads(n_threads: int | None) -> int:
-    if n_threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            n_threads = int(raw)
-        except ValueError:
-            n_threads = 1
-    return max(1, int(n_threads))
-
-
 def _estimate_batch(
     model: LangevinModel,
     plan: TuningPlan,
@@ -188,7 +175,6 @@ def _estimate_batch(
     f: Observable,
     master_seed: int,
     run_indices: Sequence[int],
-    n_threads: int | None = None,
     level_seeds: dict | None = None,
 ) -> List[EstimatorOutput]:
     """Run all levels for a batch of replications and split per-run outputs."""
@@ -226,18 +212,10 @@ def _estimate_batch(
                 f, streams)
         except NumericalFailureError as err:
             err.level_index = r
+            err.args = (f"level {r}: {err}",)
             raise
 
-    workers = _resolve_threads(n_threads)
-    results: List[tuple] = [None] * (plan.R + 1)
-    if workers > 1 and plan.R > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {r: pool.submit(level_job, r) for r in range(plan.R + 1)}
-            for r in range(plan.R + 1):
-                results[r] = futures[r].result()
-    else:
-        for r in range(plan.R + 1):
-            results[r] = level_job(r)
+    results = [level_job(r) for r in range(plan.R + 1)]
 
     level_iterations = [int(res[1]) for res in results]
     total = int(sum(level_iterations))
@@ -277,7 +255,6 @@ def estimate(
     x0: np.ndarray,
     f: Observable,
     master_seed: int,
-    n_threads: int | None = None,
     level_seeds: dict | None = None,
 ) -> EstimatorOutput:
     """Run the multilevel estimator once.
@@ -294,9 +271,6 @@ def estimate(
         x0: Starting point for every level, shape (d,), finite.
         f: Observable (scalar or vector kind).
         master_seed: Seed of the noise-stream tree.
-        n_threads: Worker threads across levels (default: the
-            MLANGEVIN_THREADS environment variable, else 1).  The result is
-            bit-identical for any thread count.
         level_seeds: Optional test hook {level: replacement_master_seed}
             re-seeding individual levels in isolation.
 
@@ -304,7 +278,7 @@ def estimate(
         EstimatorOutput.
     """
     return _estimate_batch(model, plan, x0, f, master_seed, run_indices=[0],
-                           n_threads=n_threads, level_seeds=level_seeds)[0]
+                           level_seeds=level_seeds)[0]
 
 
 def estimate_repeated(
@@ -314,7 +288,6 @@ def estimate_repeated(
     f: Observable,
     master_seed: int,
     n_runs: int,
-    n_threads: int | None = None,
 ) -> List[EstimatorOutput]:
     """Run the estimator n_runs times with independent run-indexed streams.
 
@@ -336,5 +309,4 @@ def estimate_repeated(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     return _estimate_batch(model, plan, x0, f, master_seed,
-                           run_indices=list(range(n_runs)),
-                           n_threads=n_threads)
+                           run_indices=list(range(n_runs)))

@@ -1,13 +1,18 @@
 """Constant-step Euler-Maruyama engine with synchronously coupled pairs.
 
-Implements the two path-simulation primitives behind the multilevel
-estimator:
+One chunked engine, ``_chains``, advances a (batch, d) array as a single
+chain or as a synchronously coupled fine/coarse pair; its tick loop also
+replays a failed chunk to name the first non-finite step and row.  Every
+path simulation reads the engine's chunk histories:
 
 * ``run_level0``: one chain at step gamma0, returning the occupation
   (pathwise time) average of an observable over a burn-in-trimmed window.
 * ``run_coupled_level``: a fine chain (step gamma) and a coarse chain (step
-  2*gamma) driven by the *same* Brownian increments, returning the averaged
-  difference of the observable read at coarse grid times only.
+  2*gamma), returning the averaged difference of the observable read at
+  coarse grid times only.
+* the contraction and confluence probes in ``diagnostics``.
+
+``euler_step`` is the single-step reference the engine matches bit for bit.
 
 Sampling windows use the grid-index rule ``n_gamma(t) = max{k : k*gamma <= t}``
 with the average taken over indices ``k in [n_gamma(tau), n_gamma(T) - 1]``;
@@ -16,10 +21,10 @@ no interpolation or border-weight modification is applied at window edges.
 Randomness comes from ``NoiseStream``, a counter-based (Philox) generator
 keyed by ``(master_seed, level_index, run_index)`` through a fixed, documented
 mixing rule, so every trajectory is bit-reproducible across platforms, chunk
-sizes, thread counts, and batch layouts.  Internally, batches of independent
-runs advance together as rows of ``(batch, d)`` arrays; every per-run
-operation acts elementwise or along the last axis only, so batched
-trajectories are bit-identical to one-run-at-a-time execution.
+sizes, and batch layouts.  Internally, batches of independent runs advance
+together as rows of ``(batch, d)`` arrays; every per-run operation acts
+elementwise or along the last axis only, so batched trajectories are
+bit-identical to one-run-at-a-time execution.
 
 Window sums are accumulated chunkwise, with a contiguous per-run pairwise
 reduction inside each chunk and a Neumaier-compensated merge across chunks,
@@ -121,9 +126,6 @@ class NoiseStream:
     def standard_normal(self, shape) -> np.ndarray:
         """Draw standard normals; mirrors ``numpy.random.Generator``."""
         return self._gen.standard_normal(shape)
-
-    # Convenience alias used in a few call sites / docs.
-    normals = standard_normal
 
 
 @dataclass
@@ -294,26 +296,124 @@ def _check_window(tau: float, t: float, gamma: float) -> tuple[int, int]:
 
 
 @_quiet_overflow
-def _locate_nonfinite_level0(model, x_entry, gamma, scaled_noise, k_entry):
-    """Replay a failed chunk stepwise to name the first bad step and run."""
-    x = x_entry.copy()
-    for j in range(scaled_noise.shape[0]):
-        x += gamma * model.drift(x)
-        x += scaled_noise[j]
-        bad = ~np.isfinite(x).all(axis=-1)
-        if bad.any():
-            run = int(np.argmax(bad))
-            k = k_entry + j + 1
+def _ticks(model, xs, gamma, fine, coarse, hists=None):
+    """The Euler tick loop: advance the chains ``xs`` in place.
+
+    Per tick j, ``xs[0]`` takes a step of ``gamma`` per increment in
+    ``fine[j]``, and ``xs[1]``, if ``coarse`` is given, one step of
+    ``2 * gamma`` with ``coarse[j]``; each is euler_step's arithmetic.  With
+    ``hists``, chain c's state on entry to tick j goes to ``hists[c][j]``.
+    Without, this is the failure replay: it returns ``(j, row)`` for the
+    first tick that leaves a non-finite row.
+    """
+    drift = model.drift
+    steps = [(xs[0], gamma, fine[:, s]) for s in range(fine.shape[1])]
+    if coarse is not None:
+        steps.append((xs[1], 2.0 * gamma, coarse))
+    record = [] if hists is None else list(zip(hists, xs))
+    for j in range(len(fine)):
+        for hist, x in record:
+            hist[j] = x
+        for x, step, inc in steps:
+            x += step * drift(x)
+            x += inc[j]
+        if hists is None:
+            finite = np.logical_and.reduce(
+                [np.isfinite(x).all(axis=-1) for x in xs])
+            if not finite.all():
+                return j, int(np.argmin(finite))
+    return None
+
+
+def _chains(model, x, gamma, n_ticks, draw, chunk, pair):
+    """The Euler engine: advance a (B, d) batch in place for ``n_ticks``.
+
+    A single chain takes one step of ``gamma`` per tick; a coupled pair
+    starts both chains at ``x`` and per tick takes two fine steps of
+    ``gamma`` and one coarse step of ``2 * gamma``.  ``draw(n)`` returns the
+    scaled increments of n ticks as ``(fine, coarse)``: fine is
+    (n, 1 or 2, B, d) or broadcastable to it, coarse (n, B, d) or None.
+
+    Yields ``(k, hists)`` per chunk of at most ``chunk`` ticks, with
+    ``hists[c][j]`` chain c at grid index k + j, then ``(n_ticks, finals)``,
+    the final states as one-row histories.  The history buffers are reused,
+    so a chunk's histories are valid until the next one is requested.  A
+    non-finite state raises NumericalFailureError naming the first bad step
+    and row.
+    """
+    xs = [x, x.copy()] if pair else [x]
+    bufs = [np.empty((min(chunk, n_ticks),) + x.shape) for x in xs]
+    for k in range(0, n_ticks, chunk):
+        n = min(chunk, n_ticks - k)
+        hists = [buf[:n] for buf in bufs]
+        fine, coarse = draw(n)
+        _ticks(model, xs, gamma, fine, coarse, hists)
+        if not all(np.isfinite(x).all() for x in xs):
+            entry = [hist[0].copy() for hist in hists]
+            j, row = _ticks(model, entry, gamma, fine, coarse)
+            step = k + j + 1
             raise NumericalFailureError(
-                f"non-finite position at step {k} (run {run}, gamma={gamma}); "
-                f"the step size is likely too large for this model",
-                step_index=k, run_index=run)
-    raise NumericalFailureError(  # pragma: no cover - defensive
-        "non-finite state detected but not reproduced in replay",
-        step_index=k_entry)
+                f"non-finite position at {'coarse ' if pair else ''}step "
+                f"{step} (run {row}, {'gamma_fine' if pair else 'gamma'}="
+                f"{gamma}); the step size is likely too large for this model",
+                step_index=step, run_index=row)
+        del fine, coarse  # free the increments before the next draw
+        yield k, hists
+    yield n_ticks, [x[None] for x in xs]
+
+
+def _stream_draw(model, streams, gamma, d, pair):
+    """``draw`` for ``_chains`` with row b on ``streams[b]``; per tick a pair
+    draws g1, g2 and gives the coarse chain (g1 + g2)/sqrt(2)."""
+    k = 2 if pair else 1
+    cn = model.noise_scale * math.sqrt(gamma)
+    cn_c = model.noise_scale * math.sqrt(2.0 * gamma)
+
+    def draw(n):
+        noise = np.empty((n, k, len(streams), d))
+        for b, st in enumerate(streams):
+            noise[:, :, b, :] = st.standard_normal((n, k, d))
+        coarse = None
+        if pair:
+            coarse = noise[:, 0] + noise[:, 1]
+            coarse *= _INV_SQRT2
+            coarse *= cn_c
+        noise *= cn
+        return noise, coarse
+
+    return draw
 
 
 @_quiet_overflow
+def _window_average(model, x0, gamma, k0, k1, f, streams, pair):
+    """Compensated mean over grid indices [k0, k1 - 1], one value per row.
+
+    Row b runs on ``streams[b]``.  The averaged value is f of the chain for
+    a single chain, and f(fine) - f(coarse) on the coarse grid for a pair.
+    """
+    bsz = len(streams)
+    x = np.array(x0, dtype=float).reshape(bsz, -1)
+    d = x.shape[1]
+    if d != model.dim:
+        raise ValueError(f"x0 dimension {d} does not match model dim {model.dim}")
+    fb = _batch_apply_fn(f)
+    draw = _stream_draw(model, streams, gamma, d, pair)
+    acc = None
+    for first, hists in _chains(model, x, gamma, k1 - 1, draw,
+                                _chunk_steps(bsz, d), pair):
+        lo = max(k0 - first, 0)
+        if lo >= len(hists[0]):
+            continue
+        vals = _eval_window(fb, hists[0][lo:])
+        if pair:
+            vals = vals - _eval_window(fb, hists[1][lo:])
+        _check_values_finite(vals, first + lo)
+        if acc is None:
+            acc = _CompensatedSum(vals.shape[1:])
+        acc.add(_reduce_window(vals))
+    return acc.total() / (k1 - k0)
+
+
 def _run_level0_batch(
     model,
     x0: np.ndarray,
@@ -331,50 +431,11 @@ def _run_level0_batch(
     if gamma0 <= 0:
         raise ValueError(f"gamma0 must be positive, got {gamma0}")
     k0, k1 = _check_window(tau, t0, gamma0)
-    bsz = len(streams)
-    x = np.array(x0, dtype=float).reshape(bsz, -1)
-    d = x.shape[1]
-    if d != model.dim:
-        raise ValueError(f"x0 dimension {d} does not match model dim {model.dim}")
-
-    fb = _batch_apply_fn(f)
-    probe = _eval_window(fb, x[:1].reshape(1, 1, d))
-    acc = _CompensatedSum((bsz,) if probe.ndim == 2 else (bsz, probe.shape[-1]))
-
-    gamma = float(gamma0)
-    cn = model.noise_scale * math.sqrt(gamma)
-    steps_needed = k1 - 1
-    chunk = _chunk_steps(bsz, d)
-    done = 0
-    while done < steps_needed:
-        n = min(chunk, steps_needed - done)
-        noise = np.empty((n, bsz, d))
-        for b, st in enumerate(streams):
-            noise[:, b, :] = st.standard_normal((n, d))
-        noise *= cn
-        hist = np.empty((n, bsz, d))
-        for j in range(n):
-            hist[j] = x
-            x += gamma * model.drift(x)
-            x += noise[j]
-        if not np.isfinite(x).all():
-            _locate_nonfinite_level0(model, hist[0], gamma, noise, done)
-        lo = max(k0 - done, 0)
-        if lo < n:
-            vals = _eval_window(fb, hist[lo:])
-            _check_values_finite(vals, done + lo)
-            acc.add(_reduce_window(vals))
-        done += n
-    # final window index k1-1 (the state after all steps)
-    if k1 - 1 >= k0:
-        vals = _eval_window(fb, x.reshape(1, bsz, d))
-        _check_values_finite(vals, k1 - 1)
-        acc.add(vals[0])
-    avg = acc.total() / (k1 - k0)
+    avg = _window_average(model, x0, float(gamma0), k0, k1, f, streams,
+                          pair=False)
     return avg, k1
 
 
-@_quiet_overflow
 def _run_coupled_batch(
     model,
     x0: np.ndarray,
@@ -400,85 +461,8 @@ def _run_coupled_batch(
     gamma_f = float(gamma_fine)
     gamma_c = 2.0 * gamma_f
     k0, k1 = _check_window(tau, t, gamma_c)
-    bsz = len(streams)
-    xf = np.array(x0, dtype=float).reshape(bsz, -1)
-    d = xf.shape[1]
-    if d != model.dim:
-        raise ValueError(f"x0 dimension {d} does not match model dim {model.dim}")
-    xc = xf.copy()
-
-    fb = _batch_apply_fn(f)
-    probe = _eval_window(fb, xf[:1].reshape(1, 1, d))
-    acc = _CompensatedSum((bsz,) if probe.ndim == 2 else (bsz, probe.shape[-1]))
-
-    cn_f = model.noise_scale * math.sqrt(gamma_f)
-    cn_c = model.noise_scale * math.sqrt(gamma_c)
-    steps_needed = k1 - 1  # coarse steps
-    chunk = _chunk_steps(bsz, d)
-    done = 0
-    while done < steps_needed:
-        n = min(chunk, steps_needed - done)
-        noise = np.empty((n, 2, bsz, d))
-        for b, st in enumerate(streams):
-            noise[:, :, b, :] = st.standard_normal((n, 2, d))
-        # coarse increments from the same draws: (g1+g2)/sqrt(2), then scaled
-        coarse = noise[:, 0] + noise[:, 1]
-        coarse *= _INV_SQRT2
-        coarse *= cn_c
-        noise *= cn_f
-        hist_f = np.empty((n, bsz, d))
-        hist_c = np.empty((n, bsz, d))
-        for j in range(n):
-            hist_f[j] = xf
-            hist_c[j] = xc
-            xf += gamma_f * model.drift(xf)
-            xf += noise[j, 0]
-            xf += gamma_f * model.drift(xf)
-            xf += noise[j, 1]
-            xc += gamma_c * model.drift(xc)
-            xc += coarse[j]
-        if not (np.isfinite(xf).all() and np.isfinite(xc).all()):
-            _locate_nonfinite_coupled(model, hist_f[0], hist_c[0], gamma_f,
-                                      gamma_c, noise, coarse, done)
-        lo = max(k0 - done, 0)
-        if lo < n:
-            vals = _eval_window(fb, hist_f[lo:]) - _eval_window(fb, hist_c[lo:])
-            _check_values_finite(vals, done + lo)
-            acc.add(_reduce_window(vals))
-        done += n
-    if k1 - 1 >= k0:
-        vals = (_eval_window(fb, xf.reshape(1, bsz, d))
-                - _eval_window(fb, xc.reshape(1, bsz, d)))
-        _check_values_finite(vals, k1 - 1)
-        acc.add(vals[0])
-    avg = acc.total() / (k1 - k0)
-    iterations = n_gamma(t, gamma_f) + n_gamma(t, gamma_c)
-    return avg, iterations
-
-
-@_quiet_overflow
-def _locate_nonfinite_coupled(model, xf_entry, xc_entry, gamma_f, gamma_c,
-                              noise, coarse, k_entry):
-    xf = xf_entry.copy()
-    xc = xc_entry.copy()
-    for j in range(noise.shape[0]):
-        xf += gamma_f * model.drift(xf)
-        xf += noise[j, 0]
-        xf += gamma_f * model.drift(xf)
-        xf += noise[j, 1]
-        xc += gamma_c * model.drift(xc)
-        xc += coarse[j]
-        bad = ~(np.isfinite(xf).all(axis=-1) & np.isfinite(xc).all(axis=-1))
-        if bad.any():
-            run = int(np.argmax(bad))
-            k = k_entry + j + 1
-            raise NumericalFailureError(
-                f"non-finite position at coarse step {k} (run {run}, "
-                f"gamma_fine={gamma_f}); the step size is likely too large",
-                step_index=k, run_index=run)
-    raise NumericalFailureError(  # pragma: no cover - defensive
-        "non-finite state detected but not reproduced in replay",
-        step_index=k_entry)
+    avg = _window_average(model, x0, gamma_f, k0, k1, f, streams, pair=True)
+    return avg, n_gamma(t, gamma_f) + n_gamma(t, gamma_c)
 
 
 def run_level0(model, x0: np.ndarray, gamma0: float, tau: float, t0: float,

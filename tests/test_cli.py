@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -126,11 +127,12 @@ def test_run_is_byte_identical_across_invocations(capsys):
     assert first == second
 
 
-def test_run_output_is_independent_of_thread_count(capsys):
-    base = ["run", *FLAGSHIP, "--force", "--seed", "4"]
-    _, serial, _ = run_cli([*base, "--threads", "1"], capsys)
-    _, threaded, _ = run_cli([*base, "--threads", "8"], capsys)
-    assert serial == threaded
+def test_run_rejects_the_removed_threads_flag(capsys):
+    code, out, err = run_cli(
+        ["run", *FLAGSHIP, "--force", "--threads", "2"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--threads" in err
 
 
 def test_run_seed_changes_the_estimate(capsys):
@@ -171,7 +173,9 @@ def test_run_numerical_failure_maps_to_exit_three(tmp_path, capsys):
         ["run", "--model", "ou", "--d", "2", "--eps", "0.45", "--force",
          "--x-init", str(point)], capsys)
     assert code == EXIT_NUMERICAL
-    assert "numerical failure" in err
+    assert re.match(r"numerical failure: level 0: non-finite \w+( value)? "
+                    r"at step \d+ \(run 0", err)
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------- bench
@@ -206,12 +210,16 @@ def test_bench_logistic_aggressive_regime(capsys):
     assert payload["plan_echo"]["gamma"][0] == pytest.approx(20.25)
 
 
-def test_bench_logistic_b1_regime_falls_back_to_b2(capsys):
-    code, out, _ = run_cli(
-        ["bench", "--suite", "logistic", "--d", "4", "--eps", "0.45",
-         "--runs", "1", "--regime", "b1", "--covariate-seed", "3"], capsys)
-    assert code == EXIT_OK
-    assert json.loads(out)["plan_echo"]["regime"] == "b2"
+@pytest.mark.parametrize("suite, regime", [
+    ("ou", "aggressive"), ("ou", "b1"), ("logistic", "b1")])
+def test_bench_rejects_a_regime_its_suite_cannot_run(suite, regime, capsys):
+    code, out, err = run_cli(
+        ["bench", "--suite", suite, "--d", "4", "--eps", "0.45",
+         "--runs", "1", "--regime", regime], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"not {regime!r}" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------- probe
@@ -286,6 +294,34 @@ def test_config_file_errors(tmp_path, capsys):
 
     assert run_cli(["tune", "--config", str(tmp_path / "nope.json")],
                    capsys)[0] == EXIT_USAGE
+
+
+def test_config_values_take_the_types_of_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": "10", "eps": "0.1", "seed": 3}))
+    code, out, _ = run_cli(["tune", "--config", str(cfg)], capsys)
+    assert code == EXIT_INFEASIBLE
+    assert json.loads(out)["dim"] == 10
+    for field, value in [("d", "ten"), ("d", 2.5), ("d", True), ("eps", [0.1]),
+                         ("regime", "b3"), ("force", "yes"), ("seed", None),
+                         ("x_init", 3)]:
+        cfg.write_text(json.dumps({field: value}))
+        code, out, err = run_cli(["tune", "--config", str(cfg)], capsys)
+        assert code == EXIT_USAGE, (field, value)
+        assert out == ""
+        assert err.startswith(f"error: config field {field!r}")
+        assert len(err.strip().splitlines()) == 1
+    cfg.write_text(json.dumps({"gamma": None, "include_log2": True}))
+    assert run_cli(["tune", "--config", str(cfg)], capsys)[0] \
+        == EXIT_INFEASIBLE
+
+
+def test_output_to_a_directory_is_a_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(["tune", *FLAGSHIP, "--output", str(tmp_path)],
+                           capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_output_files_json_and_csv(tmp_path, capsys):

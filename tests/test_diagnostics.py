@@ -140,10 +140,11 @@ def test_confluence_zero_noise_ratio_tends_to_four_from_above():
     assert ratios[2] == pytest.approx(4.0, abs=0.1)
 
 
-def test_confluence_step_ratio_one_hook_gives_zero_gap():
-    model = make_langevin_model(QuadraticPotential(2), "auto")
-    res = confluence_probe(model, gamma=0.25, horizon=10.0, n_paths=200,
-                           step_ratio=1)
+def test_confluence_zero_gap_gives_an_undefined_order():
+    # no noise and a start at the fixed point: both chains stay at the
+    # origin, so the gap is exactly zero and the order is nan
+    res = confluence_probe(zero_noise_ou(2), gamma=0.25, horizon=10.0,
+                           n_paths=200)
     assert res.sup_gap_sq[0.25] == 0.0
     assert res.sup_gap_sq[0.125] == 0.0
     assert math.isnan(res.order_estimate)
@@ -155,9 +156,6 @@ def test_confluence_probe_validation_and_path_warning():
         confluence_probe(model, gamma=0.6, horizon=5.0, n_paths=200)
     with pytest.raises(ValueError, match="n_paths"):
         confluence_probe(model, gamma=0.25, horizon=5.0, n_paths=1)
-    with pytest.raises(ValueError, match="step_ratio"):
-        confluence_probe(model, gamma=0.25, horizon=5.0, n_paths=200,
-                         step_ratio=3)
     with pytest.warns(RuntimeWarning, match="paths"):
         confluence_probe(model, gamma=0.25, horizon=5.0, n_paths=50)
 

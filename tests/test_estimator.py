@@ -20,7 +20,7 @@ from mlangevin import (
     run_coupled_level,
     run_level0,
 )
-from mlangevin.estimator import THREADS_ENV_VAR, _estimate_batch
+from mlangevin.estimator import _estimate_batch
 
 OU3 = make_langevin_model(QuadraticPotential(3), "auto")
 
@@ -136,24 +136,6 @@ def test_same_seed_reproduces_bitwise_and_seeds_differ():
     assert a.estimate != c.estimate
 
 
-def test_thread_count_does_not_change_a_single_bit():
-    kwargs = dict(model=OU3, plan=small_plan(), x0=X0, f=norm_observable(),
-                  master_seed=77)
-    serial = estimate(n_threads=1, **kwargs)
-    threaded = estimate(n_threads=8, **kwargs)
-    assert serial.to_json() == threaded.to_json()
-
-
-def test_threads_default_comes_from_the_environment(monkeypatch):
-    kwargs = dict(model=OU3, plan=small_plan(), x0=X0, f=norm_observable(),
-                  master_seed=78)
-    baseline = estimate(n_threads=1, **kwargs)
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    assert estimate(**kwargs).to_json() == baseline.to_json()
-    monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-    assert estimate(**kwargs).to_json() == baseline.to_json()
-
-
 def test_reseeding_one_level_changes_only_that_contribution():
     base = estimate(OU3, small_plan(), X0, norm_observable(), master_seed=31)
     poked = estimate(OU3, small_plan(), X0, norm_observable(), master_seed=31,
@@ -247,10 +229,39 @@ def test_numerical_failure_is_annotated_with_level_and_run():
         estimate(OU3, blowup, x_far, norm_observable(), master_seed=1)
     assert exc.value.level_index == 0
     assert exc.value.step_index >= 1
+    assert str(exc.value).startswith(
+        f"level 0: non-finite position at step {exc.value.step_index} "
+        "(run 0, gamma=3.0)")
     with pytest.raises(NumericalFailureError) as exc:
         estimate_repeated(OU3, blowup, x_far, norm_observable(),
                           master_seed=1, n_runs=2)
     assert exc.value.run_index == 0
+
+    # with the expanding drift b(x) = x and no noise, a step-gamma chain
+    # grows by (1 + gamma)^(1/gamma) per unit time, faster for the smaller
+    # step: level 0 (gamma 4, 329 steps) ends near 5^329 ~ 1e230, while the
+    # level-1 fine chain (gamma 2) passes 3^647 > 1e308 in coarse step 324
+    grow = TuningPlan(regime="b2", R=1, gamma=[4.0, 2.0],
+                      horizons=[1320.0, 1316.0], tau=4.0, r0=1.0,
+                      big_t=1320.0, predicted_complexity=0, feasible=True,
+                      tau_clamped=False, dim=3)
+    with pytest.raises(NumericalFailureError) as exc:
+        estimate_repeated(_Expanding(), grow, np.ones(3),
+                          identity_observable(), master_seed=1, n_runs=2)
+    assert exc.value.level_index == 1
+    assert str(exc.value).startswith(
+        "level 1: non-finite position at coarse step 324 (run 0, "
+        "gamma_fine=2.0)")
+
+
+class _Expanding:
+    """Duck-typed model with drift b(x) = x and no noise."""
+
+    dim = 3
+    noise_scale = 0.0
+
+    def drift(self, x):
+        return x.copy()
 
 
 # ------------------------------------------------------------ serialization
