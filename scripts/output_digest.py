@@ -1,27 +1,55 @@
-"""Print SHA-256 digests of estimator and probe outputs.
+"""Print SHA-256 digests of tuned plans, estimator outputs and probe outputs.
 
-A refactor of the engine that promises the same bytes can be checked by
-running this script on both checkouts and diffing the output:
+A refactor that promises the same bytes can be checked by running this
+script on both checkouts and diffing the output:
 
     PYTHONPATH=<old>/src python3 scripts/output_digest.py > old.txt
     PYTHONPATH=<new>/src python3 scripts/output_digest.py > new.txt
     diff old.txt new.txt
 
-It covers ``estimate(...).to_json()`` and ``estimate_repeated(...)`` (3 and
-60 runs, so both sides of the batch-width chunk rule) on the OU and
-logistic models in d=10, for R in {0, 2, 4} and both observables, once with
-the default chunk cap and once with a cap of 7 steps so that every level
-crosses many chunk boundaries.  Then the ``contraction_probe`` list (d=4,
-100,000 steps) and ``confluence_probe(...).sup_gap_sq`` (d=2, horizon 500,
-2000 paths).  Takes about 15 s.
+It covers, in order:
+
+* ``TuningPlan.to_dict()`` of tuned plans, one digest per (model, rule):
+  the OU and logistic models in d in {2, 10, 100, 1000} at eps in {0.5, 0.3,
+  0.2, 0.1, 0.05, 0.03, 0.01} under ``plan_b2`` with and without
+  ``include_log2``, ``plan_b1`` and ``plan_aggressive``, and three
+  ``plan_general`` constant sets at the same eps values.
+* ``estimate(...).to_json()`` and ``estimate_repeated(...)`` (3 and 60 runs,
+  so both sides of the batch-width chunk rule) on the OU and logistic
+  models in d=10, for R in {0, 2, 4} and both observables, with hand-built
+  plans, once with the default chunk cap and once with a cap of 7 steps so
+  that every level crosses many chunk boundaries; the second set's short
+  horizons clamp the burn-in at R=4.
+* the ``contraction_probe`` list (d=4, 100,000 steps) and
+  ``confluence_probe(...).sup_gap_sq`` (d=2, horizon 500, 2000 paths).
+
+Takes about 15 s.
 """
 
 import hashlib
+import json
+import math
 
 import numpy as np
 
 import mlangevin as ml
 import mlangevin.sde as sde
+
+PLAN_DIMS = (2, 10, 100, 1000)
+PLAN_EPS = (0.5, 0.3, 0.2, 0.1, 0.05, 0.03, 0.01)
+
+# (label, constants, gamma0) for plan_general: the b2 shape of OU d=10, the
+# first-order shape, and an intermediate order whose horizon scale comes
+# from the c2 (confluence) term
+GENERAL_SETS = (
+    ("b2-like", dict(alpha=1.0, b_exponent=2.0, delta=1.0, c2=0.0,
+                     c3=2.0 * math.sqrt(10.0), c4=math.sqrt(10.0),
+                     eta0=0.5), 0.5),
+    ("b1-like", dict(alpha=1.0, b_exponent=1.0, delta=0.5, c2=0.0,
+                     c3=2.0 * math.sqrt(2.0), c4=1.0, eta0=0.5), 0.5),
+    ("b1.5", dict(alpha=0.5, b_exponent=1.5, delta=0.7, c2=4.0, c3=3.0,
+                  c4=0.5, eta0=0.5), 0.25),
+)
 
 
 def digest(text: str) -> str:
@@ -29,24 +57,47 @@ def digest(text: str) -> str:
 
 
 def plan(d, R, gamma0, t0, tau):
-    horizons = [t0 * 2.0 ** (-1.5 * r) for r in range(R + 1)]
-    clamped = tau > horizons[-1] / 2.0
-    return ml.TuningPlan(regime="b2", R=R,
-                         gamma=[gamma0 * 2.0 ** -r for r in range(R + 1)],
-                         horizons=horizons, tau=tau, r0=1.0, big_t=t0,
-                         predicted_complexity=0, feasible=not clamped,
-                         tau_clamped=clamped, dim=d)
+    return ml.TuningPlan(regime="b2", gamma0=gamma0,
+                         horizons=[t0 * 2.0 ** (-1.5 * r) for r in range(R + 1)],
+                         tau=tau, r0=1.0, big_t=t0, dim=d)
+
+
+def logistic(d):
+    cov = ml.logistic_covariate(d, 2.0, ml.NoiseStream(7, 0))
+    return ml.make_langevin_model(
+        ml.LogisticPerturbedPotential(d, 0.25, cov), "auto")
 
 
 def models():
     yield "ou", 0.5, ml.make_langevin_model(ml.QuadraticPotential(10), "auto")
-    cov = ml.logistic_covariate(10, 2.0, ml.NoiseStream(7, 0))
-    yield "logistic", 0.1, ml.make_langevin_model(
-        ml.LogisticPerturbedPotential(10, 0.25, cov), "auto")
+    yield "logistic", 0.1, logistic(10)
+
+
+def plan_lines():
+    rules = (
+        ("plan_b2", lambda m, eps: ml.plan_b2(m, eps)),
+        ("plan_b2+log2", lambda m, eps: ml.plan_b2(m, eps, include_log2=True)),
+        ("plan_b1", ml.plan_b1),
+        ("plan_aggressive", ml.plan_aggressive),
+    )
+    lines = []
+    for name, build in (("ou", lambda d: ml.make_langevin_model(
+            ml.QuadraticPotential(d), "auto")), ("logistic", logistic)):
+        built = [build(d) for d in PLAN_DIMS]
+        for rule, tune in rules:
+            blob = [tune(m, eps).to_dict() for m in built for eps in PLAN_EPS]
+            lines.append(f"plans {name} {rule} n={len(blob)} "
+                         f"{digest(json.dumps(blob, sort_keys=True))}")
+    for label, constants, gamma0 in GENERAL_SETS:
+        c = ml.GeneralAssumptionConstants(**constants)
+        blob = [ml.plan_general(c, gamma0, eps).to_dict() for eps in PLAN_EPS]
+        lines.append(f"plans general {label} n={len(blob)} "
+                     f"{digest(json.dumps(blob, sort_keys=True))}")
+    return lines
 
 
 def main():
-    lines = []
+    lines = plan_lines()
     default_cap = sde._CHUNK_STEP_CAP
     for cap, t0 in ((default_cap, 300.0), (7, 40.0)):
         sde._CHUNK_STEP_CAP = cap

@@ -41,7 +41,6 @@ from .tuning import (
     plan_b1,
     plan_b2,
     plan_general,
-    predicted_complexity,
 )
 from .warmstart import WarmStartResult, warm_start
 from .diagnostics import (
@@ -55,7 +54,6 @@ from .diagnostics import (
     contraction_probe,
     euler_invariant_moment_oracle,
     logistic_posterior_mean,
-    logistic_reference_run,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +87,6 @@ __all__ = [
     "identity_observable",
     "logistic_covariate",
     "logistic_posterior_mean",
-    "logistic_reference_run",
     "make_langevin_model",
     "n_gamma",
     "norm_observable",
@@ -98,7 +95,6 @@ __all__ = [
     "plan_b1",
     "plan_b2",
     "plan_general",
-    "predicted_complexity",
     "run_coupled_level",
     "run_level0",
     "warm_start",

@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--a", type=float, help="logistic covariate scale")
         p.add_argument("--covariate-seed", type=int)
         p.add_argument("--include-log2", action="store_true", default=None,
-                       help="keep the log 2 factor in b2 horizons")
+                       help="keep the log 2 factor in b1/b2 horizons")
 
     p_tune = sub.add_parser("tune", help="print a tuning plan")
     add_common(p_tune, ("b1", "b2", "aggressive"))
@@ -225,8 +225,12 @@ def _build_plan(model, cfg: dict):
     if regime == "b2":
         return plan_b2(model, cfg["eps"], include_log2=cfg["include_log2"])
     if regime == "b1":
-        return plan_b1(model, cfg["eps"])
+        return plan_b1(model, cfg["eps"], include_log2=cfg["include_log2"])
     if regime == "aggressive":
+        if cfg["include_log2"]:
+            raise _UsageError(
+                "--include-log2 applies to the b1 and b2 regimes only; the "
+                "aggressive plan drops the log 2 factor")
         return plan_aggressive(model, cfg["eps"])
     raise _UsageError(f"unknown regime {regime!r}")
 

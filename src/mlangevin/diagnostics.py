@@ -31,8 +31,6 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .estimator import (
-    EstimatorOutput,
-    estimate,
     estimate_repeated,
     identity_observable,
     norm_observable,
@@ -60,7 +58,6 @@ __all__ = [
     "contraction_probe",
     "euler_invariant_moment_oracle",
     "logistic_posterior_mean",
-    "logistic_reference_run",
 ]
 
 # Pinned seeds for the shipped logistic benchmark configuration.  The
@@ -252,29 +249,6 @@ def _load_pinned_reference(d, lam, a, covariate_seed, covariate) -> dict | None:
     return data
 
 
-def logistic_reference_run(
-    d: int,
-    lam: float,
-    a: float,
-    eps_ref: float = 0.01,
-    covariate_seed: int = DEFAULT_COVARIATE_SEED,
-    master_seed: int = REFERENCE_MASTER_SEED,
-) -> EstimatorOutput:
-    """High-precision posterior-mean run used to produce reference values.
-
-    Deterministic given its arguments: the covariate comes from
-    ``NoiseStream(covariate_seed, 0)``, the start from the zero-initialized
-    warm start, and the run from ``master_seed``.  Expensive (complexity
-    scales as eps_ref^-2); the packaged d=10 result is frozen under data/.
-    """
-    covariate = logistic_covariate(d, a, NoiseStream(covariate_seed, 0))
-    potential = LogisticPerturbedPotential(d, lam, covariate)
-    model = make_langevin_model(potential, "auto")
-    plan = plan_b2(model, eps_ref, include_log2=False)
-    x0 = warm_start(potential, np.zeros(d)).x0
-    return estimate(model, plan, x0, identity_observable(), master_seed)
-
-
 def bench_logistic(
     d: int,
     lam: float,
@@ -284,7 +258,6 @@ def bench_logistic(
     seed: int = 0,
     covariate_seed: int = DEFAULT_COVARIATE_SEED,
     regime: str = "b2",
-    reference_mode: str = "auto",
 ) -> BenchReport:
     """Posterior-mean benchmark for the logistic-perturbed potential.
 
@@ -292,13 +265,13 @@ def bench_logistic(
     reports the normalized L2 RMSE d^(-1/2)|est - ref|_2 against a reference
     posterior mean.
 
-    Reference policy (``reference_mode="auto"``): the shipped configuration
-    (d=10, lam=1/4, a=2, default covariate seed) loads the frozen in-repo
-    high-precision run (eps = 0.01, pinned seed); any other configuration
-    uses the exact posterior mean from one-dimensional quadrature (the
-    posterior factorizes along the covariate direction, so this is the same
-    quantity the expensive run approximates).  ``reference_mode="live"``
-    forces a fresh eps=0.01 estimator run (slow).
+    Reference policy: the shipped configuration (d=10, lam=1/4, a=2,
+    default covariate seed) loads the frozen in-repo high-precision run
+    (eps = 0.01, pinned seed; ``scripts/make_logistic_reference.py``
+    regenerates it); any other configuration uses the exact posterior mean
+    from one-dimensional quadrature (the posterior factorizes along the
+    covariate direction, so this is the same quantity the expensive run
+    approximates).
 
     Args:
         d: Dimension.
@@ -310,7 +283,6 @@ def bench_logistic(
         covariate_seed: Seed of the covariate draw.
         regime: ``"b2"`` (tuned plan) or ``"aggressive"`` (enlarged base
             step).
-        reference_mode: ``"auto"`` or ``"live"`` (see above).
 
     Returns:
         BenchReport.
@@ -326,24 +298,15 @@ def bench_logistic(
         raise ValueError(f"unknown regime {regime!r} (use 'b2' or 'aggressive')")
     x0 = warm_start(potential, np.zeros(d)).x0
 
-    if reference_mode == "live":
-        ref_out = logistic_reference_run(
-            d, lam, a, covariate_seed=covariate_seed)
-        reference = np.asarray(ref_out.estimate, dtype=float)
-        reference_source = "live estimate(eps=0.01)"
-    elif reference_mode == "auto":
-        data = _load_pinned_reference(d, lam, a, covariate_seed, covariate)
-        if data is not None:
-            reference = np.asarray(data["estimate"], dtype=float)
-            reference_source = (
-                f"frozen estimate(eps={data['eps_ref']}, "
-                f"master_seed={data['master_seed']})")
-        else:
-            reference = logistic_posterior_mean(lam, covariate)
-            reference_source = "exact quadrature posterior mean"
+    data = _load_pinned_reference(d, lam, a, covariate_seed, covariate)
+    if data is not None:
+        reference = np.asarray(data["estimate"], dtype=float)
+        reference_source = (
+            f"frozen estimate(eps={data['eps_ref']}, "
+            f"master_seed={data['master_seed']})")
     else:
-        raise ValueError(
-            f"unknown reference_mode {reference_mode!r} (use 'auto' or 'live')")
+        reference = logistic_posterior_mean(lam, covariate)
+        reference_source = "exact quadrature posterior mean"
 
     t0 = time.perf_counter()
     outs = estimate_repeated(model, plan, x0, identity_observable(), seed,

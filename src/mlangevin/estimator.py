@@ -175,7 +175,6 @@ def _estimate_batch(
     f: Observable,
     master_seed: int,
     run_indices: Sequence[int],
-    level_seeds: dict | None = None,
 ) -> List[EstimatorOutput]:
     """Run all levels for a batch of replications and split per-run outputs."""
     x0 = np.asarray(x0, dtype=float)
@@ -197,11 +196,10 @@ def _estimate_batch(
 
     bsz = len(run_indices)
     x0_batch = np.tile(x0, (bsz, 1))
-    seeds = level_seeds or {}
 
     def level_job(r: int):
-        seed_r = seeds.get(r, master_seed)
-        streams = [NoiseStream(seed_r, r, run_index=idx) for idx in run_indices]
+        streams = [NoiseStream(master_seed, r, run_index=idx)
+                   for idx in run_indices]
         try:
             if r == 0:
                 return _run_level0_batch(
@@ -255,30 +253,36 @@ def estimate(
     x0: np.ndarray,
     f: Observable,
     master_seed: int,
-    level_seeds: dict | None = None,
 ) -> EstimatorOutput:
     """Run the multilevel estimator once.
 
-    Level 0 simulates the occupation average at step gamma0; each level
-    r = 1..R adds the averaged fine-minus-coarse difference at step gamma_r,
-    with level r driven by ``NoiseStream(master_seed, r)``.  The estimate is
-    the left-to-right sum of the level contributions.  The plan's raw burn-in
-    is clamped to min(tau, T_R / 2) before use; a warning is recorded in the
-    output when clamping fires.
+    Level 0 simulates the occupation average at step ``plan.gamma[0]`` up to
+    ``plan.horizons[0]``; each level r = 1..``plan.R`` adds the averaged
+    fine-minus-coarse difference at step ``plan.gamma[r]`` up to
+    ``plan.horizons[r]``, with level r driven by
+    ``NoiseStream(master_seed, r)``.  The estimate is the left-to-right sum
+    of the level contributions, and ``total_complexity`` equals
+    ``plan.predicted_complexity``.  Every level averages from
+    ``plan.tau_effective`` = min(tau, T_R / 2); a warning is recorded in the
+    output when the plan's raw burn-in is clamped (``plan.tau_clamped``).
 
     Args:
         model: LangevinModel (dimension must match the plan).
+        plan: TuningPlan, tuned (``plan_b2`` etc.) or built by hand from
+            gamma0, the horizons and tau.
         x0: Starting point for every level, shape (d,), finite.
         f: Observable (scalar or vector kind).
         master_seed: Seed of the noise-stream tree.
-        level_seeds: Optional test hook {level: replacement_master_seed}
-            re-seeding individual levels in isolation.
 
     Returns:
         EstimatorOutput.
+
+    Raises:
+        NumericalFailureError: A trajectory left the finite range; the
+            error names the level, the run and the step.
     """
-    return _estimate_batch(model, plan, x0, f, master_seed, run_indices=[0],
-                           level_seeds=level_seeds)[0]
+    return _estimate_batch(model, plan, x0, f, master_seed,
+                           run_indices=[0])[0]
 
 
 def estimate_repeated(

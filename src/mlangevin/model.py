@@ -49,8 +49,6 @@ class Potential:
             Callers never re-clip.
         l_u: Lipschitz constant of ``grad`` (upper bound on the Hessian
             spectrum).
-        third_deriv_ok: True when U is C^3 with third derivatives bounded
-            compatibly with ``(alpha_u, l_u, dim)``; both built-ins qualify.
         grad_u1_sup: Sup-norm bound on the gradient of the non-quadratic part
             when U decomposes as ``U(x) = U1(x) + lam*|x|^2/2``, or None when
             no such decomposition is declared.  Consumed by the
@@ -60,7 +58,6 @@ class Potential:
     dim: int
     alpha_u: float
     l_u: float
-    third_deriv_ok: bool = False
     grad_u1_sup: float | None = None
 
     def eval(self, x: np.ndarray) -> np.ndarray:
@@ -94,7 +91,6 @@ class QuadraticPotential(Potential):
         self.dim = int(dim)
         self.alpha_u = 1.0
         self.l_u = 1.0
-        self.third_deriv_ok = True
         self.grad_u1_sup = 0.0
         self._check_constants()
 
@@ -137,7 +133,6 @@ class LogisticPerturbedPotential(Potential):
         norm_sq = float(np.dot(covariate, covariate))
         self.alpha_u = min(self.lam, 1.0)
         self.l_u = self.lam + norm_sq / 5.0
-        self.third_deriv_ok = True
         self.grad_u1_sup = math.sqrt(norm_sq)
         self._check_constants()
 

@@ -72,7 +72,8 @@ class NumericalFailureError(RuntimeError):
 
     Attributes:
         step_index: Grid index k of the first non-finite state.
-        run_index: Batch row of the failing trajectory.
+        run_index: Run index of the failing trajectory (its stream's
+            ``run_index`` in the estimator, else its batch row).
         level_index: Estimator level, when known (set by callers).
     """
 
@@ -255,17 +256,20 @@ def _reduce_window(vals: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(vals.transpose(1, 2, 0)), axis=-1)
 
 
-def _check_values_finite(vals: np.ndarray, first_index: int) -> None:
-    """Raise with the offending grid index when observable values blow up."""
+def _check_values_finite(vals: np.ndarray, first_index: int,
+                         runs: Sequence[int]) -> None:
+    """Raise with the offending grid index and run (``runs[row]``) when
+    observable values blow up."""
     finite = np.isfinite(vals)
     if vals.ndim == 3:
         finite = finite.all(axis=-1)
     if not finite.all():
-        j, run = np.argwhere(~finite)[0]
+        j, row = np.argwhere(~finite)[0]
+        run = runs[row]
         raise NumericalFailureError(
             f"non-finite observable value at step {first_index + int(j)} "
-            f"(run {int(run)}); the trajectory left the observable's finite "
-            f"range", step_index=first_index + int(j), run_index=int(run))
+            f"(run {run}); the trajectory left the observable's finite "
+            f"range", step_index=first_index + int(j), run_index=run)
 
 
 def _chunk_steps(batch: int, dim: int) -> int:
@@ -325,7 +329,7 @@ def _ticks(model, xs, gamma, fine, coarse, hists=None):
     return None
 
 
-def _chains(model, x, gamma, n_ticks, draw, chunk, pair):
+def _chains(model, x, gamma, n_ticks, draw, chunk, pair, runs=None):
     """The Euler engine: advance a (B, d) batch in place for ``n_ticks``.
 
     A single chain takes one step of ``gamma`` per tick; a coupled pair
@@ -339,7 +343,7 @@ def _chains(model, x, gamma, n_ticks, draw, chunk, pair):
     the final states as one-row histories.  The history buffers are reused,
     so a chunk's histories are valid until the next one is requested.  A
     non-finite state raises NumericalFailureError naming the first bad step
-    and row.
+    and run, ``runs[row]`` (the row itself when ``runs`` is None).
     """
     xs = [x, x.copy()] if pair else [x]
     bufs = [np.empty((min(chunk, n_ticks),) + x.shape) for x in xs]
@@ -352,11 +356,12 @@ def _chains(model, x, gamma, n_ticks, draw, chunk, pair):
             entry = [hist[0].copy() for hist in hists]
             j, row = _ticks(model, entry, gamma, fine, coarse)
             step = k + j + 1
+            run = row if runs is None else runs[row]
             raise NumericalFailureError(
                 f"non-finite position at {'coarse ' if pair else ''}step "
-                f"{step} (run {row}, {'gamma_fine' if pair else 'gamma'}="
+                f"{step} (run {run}, {'gamma_fine' if pair else 'gamma'}="
                 f"{gamma}); the step size is likely too large for this model",
-                step_index=step, run_index=row)
+                step_index=step, run_index=run)
         del fine, coarse  # free the increments before the next draw
         yield k, hists
     yield n_ticks, [x[None] for x in xs]
@@ -388,7 +393,8 @@ def _stream_draw(model, streams, gamma, d, pair):
 def _window_average(model, x0, gamma, k0, k1, f, streams, pair):
     """Compensated mean over grid indices [k0, k1 - 1], one value per row.
 
-    Row b runs on ``streams[b]``.  The averaged value is f of the chain for
+    Row b runs on ``streams[b]``, and a failure in it names that stream's
+    ``run_index``.  The averaged value is f of the chain for
     a single chain, and f(fine) - f(coarse) on the coarse grid for a pair.
     """
     bsz = len(streams)
@@ -398,16 +404,17 @@ def _window_average(model, x0, gamma, k0, k1, f, streams, pair):
         raise ValueError(f"x0 dimension {d} does not match model dim {model.dim}")
     fb = _batch_apply_fn(f)
     draw = _stream_draw(model, streams, gamma, d, pair)
+    runs = [st.run_index for st in streams]
     acc = None
     for first, hists in _chains(model, x, gamma, k1 - 1, draw,
-                                _chunk_steps(bsz, d), pair):
+                                _chunk_steps(bsz, d), pair, runs):
         lo = max(k0 - first, 0)
         if lo >= len(hists[0]):
             continue
         vals = _eval_window(fb, hists[0][lo:])
         if pair:
             vals = vals - _eval_window(fb, hists[1][lo:])
-        _check_values_finite(vals, first + lo)
+        _check_values_finite(vals, first + lo, runs)
         if acc is None:
             acc = _CompensatedSum(vals.shape[1:])
         acc.add(_reduce_window(vals))

@@ -1,8 +1,10 @@
 """Parameter-tuning rules for the multilevel pathwise-average estimator.
 
-Given a target accuracy eps in (0, 1), a plan fixes the number of correcting
-levels R, the halving step sequence gamma_r = gamma0 * 2^-r, the per-level
-horizons T_r, and the burn-in tau, and predicts the total step complexity.
+Given a target accuracy eps in (0, 1), a rule picks the base step gamma0,
+the horizons T_0 > ... > T_R and the burn-in tau.  A ``TuningPlan`` holds
+just those inputs (plus labels saying how they were tuned) and derives the
+rest: the level count R = len(horizons) - 1, the halving steps
+gamma_r = gamma0 * 2^-r, the total step count, and feasibility tau <= T_R / 2.
 
 Three concrete regimes are provided for strongly convex potentials:
 
@@ -28,7 +30,7 @@ which the estimator applies with a recorded warning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from .model import LangevinModel
@@ -42,7 +44,6 @@ __all__ = [
     "plan_b1",
     "plan_b2",
     "plan_general",
-    "predicted_complexity",
 ]
 
 _AUTO_MODE_RTOL = 1e-9
@@ -52,56 +53,82 @@ _AUTO_MODE_RTOL = 1e-9
 class TuningPlan:
     """Complete parameter set for one estimator run.
 
+    A plan is fixed by its base step ``gamma0``, its ``horizons`` and its
+    burn-in ``tau``; ``regime``, ``r0``, ``big_t``, ``dim`` and
+    ``experimental`` record how it was tuned.  These eight are the only
+    inputs.  Derived from them, and read-only: the level count
+    ``R = len(horizons) - 1``, the steps ``gamma[r] = gamma0 * 2**-r``, the
+    step count ``predicted_complexity``, the flags ``tau_clamped`` /
+    ``feasible``, and ``tau_effective``.
+
     Attributes:
         regime: One of ``"b1"``, ``"b2"``, ``"general"``.
-        R: Number of correcting levels (level 0 plus levels 1..R run).
-        gamma: Step sizes per level, ``gamma[r] = gamma[0] * 2**-r``,
-            length R + 1.
-        horizons: Horizons T_r per level, strictly decreasing, length R + 1.
+        gamma0: Base step of level 0, > 0.
+        horizons: Horizons T_r per level, strictly decreasing and positive,
+            at least one.
         tau: Raw burn-in tau1 * |log eps| + tau2 (not clamped; see
             ``tau_effective``).
         r0: Initial-distance scale entering the level count R.
         big_t: Base horizon scale (T_0 = big_t * eps^-2, times R^2 in the
             b1 regime).
-        predicted_complexity: Total discrete step count over all levels.
-        feasible: True when the raw tau fits the last level (tau <= T_R / 2).
-        tau_clamped: Negation of ``feasible``; consumers must use
-            ``tau_effective``.
-        dim: State dimension the plan was built for.
+        dim: State dimension the plan was built for (0: any).
         experimental: True for the aggressive-step variant.
     """
 
     regime: str
-    R: int
-    gamma: List[float]
+    gamma0: float
     horizons: List[float]
     tau: float
     r0: float
     big_t: float
-    predicted_complexity: int
-    feasible: bool
-    tau_clamped: bool
     dim: int
     experimental: bool = False
 
     def __post_init__(self):
         if self.regime not in ("b1", "b2", "general"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.R < 0:
-            raise ValueError(f"R must be nonnegative, got {self.R}")
-        if len(self.gamma) != self.R + 1 or len(self.horizons) != self.R + 1:
-            raise ValueError("gamma and horizons must have length R + 1")
-        for r in range(self.R):
-            if self.gamma[r + 1] != self.gamma[r] / 2.0:
-                raise ValueError("gamma must halve exactly from level to level")
+        if not self.horizons:
+            raise ValueError("horizons must hold at least one level")
+        if not self.gamma0 > 0:
+            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
+        for r in range(len(self.horizons) - 1):
             if not self.horizons[r + 1] < self.horizons[r]:
                 raise ValueError("horizons must be strictly decreasing")
-        if any(g <= 0 for g in self.gamma) or any(t <= 0 for t in self.horizons):
-            raise ValueError("gamma and horizons must be positive")
+        if not self.horizons[-1] > 0:
+            raise ValueError("horizons must be positive")
 
     @property
-    def gamma0(self) -> float:
-        return self.gamma[0]
+    def R(self) -> int:
+        """Number of correcting levels (levels 0..R run)."""
+        return len(self.horizons) - 1
+
+    @property
+    def gamma(self) -> List[float]:
+        """Step per level, ``gamma0 * 2**-r``, length R + 1."""
+        return [self.gamma0 * 2.0 ** -r for r in range(len(self.horizons))]
+
+    @property
+    def predicted_complexity(self) -> int:
+        """Total discrete step count: n_gamma0(T0) for the base level plus
+        n_gamma_r(T_r) + n_gamma_{r-1}(T_r) (fine plus coarse chain) for
+        each correcting level."""
+        gamma, horizons = self.gamma, self.horizons
+        total = n_gamma(horizons[0], gamma[0])
+        for r in range(1, len(gamma)):
+            total += (n_gamma(horizons[r], gamma[r])
+                      + n_gamma(horizons[r], gamma[r - 1]))
+        return total
+
+    @property
+    def tau_clamped(self) -> bool:
+        """True when the raw tau exceeds T_R / 2; consumers then use
+        ``tau_effective``."""
+        return self.tau > self.horizons[-1] / 2.0
+
+    @property
+    def feasible(self) -> bool:
+        """True when the raw tau fits the last level (tau <= T_R / 2)."""
+        return not self.tau_clamped
 
     @property
     def tau_effective(self) -> float:
@@ -134,8 +161,8 @@ class GeneralAssumptionConstants:
     (``alpha``), the L2-confluence order of coupled fine/coarse schemes
     (``b_exponent``, written b below, with gap bounded by c2 * gamma^(b/2)),
     the start-distance decay order ``delta`` and scale ``c3``, the asymptotic
-    occupation-variance scale ``c4``, the initial-condition scale ``c1_x0``,
-    and the largest admissible base step ``eta0``.
+    occupation-variance scale ``c4``, and the largest admissible base step
+    ``eta0``.
 
     Built-in regimes correspond to (b=2, delta=1) and (b=1, delta=1/2).
     """
@@ -143,7 +170,6 @@ class GeneralAssumptionConstants:
     alpha: float
     b_exponent: float
     delta: float
-    c1_x0: float
     c2: float
     c3: float
     c4: float
@@ -161,7 +187,7 @@ class GeneralAssumptionConstants:
             raise ValueError(
                 f"delta must exceed (1 + b)/4 when b > 1; "
                 f"got delta={self.delta}, b={self.b_exponent}")
-        for name in ("c1_x0", "c2", "c3"):
+        for name in ("c2", "c3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.c4 <= 0:
@@ -186,33 +212,6 @@ def _check_auto_mode(model: LangevinModel) -> None:
 def _level_count(r0: float, eps: float, inv_delta: float) -> int:
     # round before ceiling so exact powers of two are not bumped a level
     return int(math.ceil(round(inv_delta * math.log2(r0 / eps), 12)))
-
-
-def _count_plan_steps(gamma: List[float], horizons: List[float]) -> int:
-    total = n_gamma(horizons[0], gamma[0])
-    for r in range(1, len(gamma)):
-        total += n_gamma(horizons[r], gamma[r]) + n_gamma(horizons[r], gamma[r - 1])
-    return total
-
-
-def _finalize(regime: str, big_r: int, gamma: List[float], horizons: List[float],
-              tau: float, r0: float, big_t: float, dim: int,
-              experimental: bool = False) -> TuningPlan:
-    clamped = tau > horizons[-1] / 2.0
-    return TuningPlan(
-        regime=regime,
-        R=big_r,
-        gamma=gamma,
-        horizons=horizons,
-        tau=tau,
-        r0=r0,
-        big_t=big_t,
-        predicted_complexity=_count_plan_steps(gamma, horizons),
-        feasible=not clamped,
-        tau_clamped=clamped,
-        dim=dim,
-        experimental=experimental,
-    )
 
 
 def plan_b2(model: LangevinModel, eps: float,
@@ -247,11 +246,10 @@ def plan_b2(model: LangevinModel, eps: float,
     factor = math.log(2.0) if include_log2 else 1.0
     big_t = d * l_u ** 2 / alpha ** 3 * factor
     eps_m2 = eps ** -2.0
-    gamma = [0.5 * 2.0 ** -r for r in range(big_r + 1)]
     horizons = [big_t * eps_m2 * 2.0 ** (-1.5 * r) for r in range(big_r + 1)]
     ratio_sq = (l_u / alpha) ** 2
     tau = ratio_sq * abs(math.log(eps)) + ratio_sq / 2.0 * math.log(d / alpha)
-    return _finalize("b2", big_r, gamma, horizons, tau, r0, big_t, d)
+    return TuningPlan("b2", 0.5, horizons, tau, r0, big_t, d)
 
 
 def plan_b1(model: LangevinModel, eps: float,
@@ -277,11 +275,10 @@ def plan_b1(model: LangevinModel, eps: float,
     factor = math.log(2.0) if include_log2 else 1.0
     big_t = upsilon1_sq * factor / model.alpha_eff
     eps_m2 = eps ** -2.0
-    gamma = [0.5 * 2.0 ** -r for r in range(big_r + 1)]
     horizons = [big_t * eps_m2 * big_r ** 2 * 2.0 ** -r for r in range(big_r + 1)]
     tau = (2.0 / model.alpha_eff) * abs(math.log(eps)) \
         + 0.5 / model.alpha_eff * math.log(upsilon1_sq)
-    return _finalize("b1", big_r, gamma, horizons, tau, r0, big_t, d)
+    return TuningPlan("b1", 0.5, horizons, tau, r0, big_t, d)
 
 
 def plan_general(constants: GeneralAssumptionConstants, gamma0: float,
@@ -325,7 +322,6 @@ def plan_general(constants: GeneralAssumptionConstants, gamma0: float,
             "horizon scale is nonpositive; check c2/c4 and gamma0 < 1")
     big_r = max(1, _level_count(r0, eps, 1.0 / delta))
     eps_m2 = eps ** -2.0
-    gamma = [gamma0 * 2.0 ** -r for r in range(big_r + 1)]
     if b > 1.0:
         horizons = [big_t * eps_m2 * 2.0 ** (-(1.0 + b) * r / 2.0)
                     for r in range(big_r + 1)]
@@ -336,7 +332,7 @@ def plan_general(constants: GeneralAssumptionConstants, gamma0: float,
     tau2 = max(0.0, (1.0 / alpha) * math.log(
         r0 ** ((1.0 + b) / (2.0 * delta)) / (d_b * constants.c4)))
     tau = tau1 * abs(math.log(eps)) + tau2
-    return _finalize("general", big_r, gamma, horizons, tau, r0, big_t, dim=0)
+    return TuningPlan("general", gamma0, horizons, tau, r0, big_t, dim=0)
 
 
 def plan_aggressive(model: LangevinModel, eps: float) -> TuningPlan:
@@ -377,20 +373,9 @@ def plan_aggressive(model: LangevinModel, eps: float) -> TuningPlan:
     alpha = model.potential.alpha_u
     l_u = model.potential.l_u
     scale = (alpha / l_u) ** 2 * (gamma0 / 0.5)
-    gamma = [gamma0 * 2.0 ** -r for r in range(base.R + 1)]
     horizons = [t * scale for t in base.horizons]
-    return _finalize("b2", base.R, gamma, horizons, base.tau, base.r0,
-                     base.big_t * scale, model.dim, experimental=True)
-
-
-def predicted_complexity(plan: TuningPlan) -> int:
-    """Total discrete step count of a plan.
-
-    Sums the per-level iteration counts n_gamma0(T0) for the base level and
-    n_gammar(Tr) + n_gamma(r-1)(Tr) for each correcting level (fine plus
-    coarse chain).
-    """
-    return _count_plan_steps(plan.gamma, plan.horizons)
+    return TuningPlan("b2", gamma0, horizons, base.tau, base.r0,
+                      base.big_t * scale, model.dim, experimental=True)
 
 
 def complexity_bound(plan: TuningPlan) -> float:

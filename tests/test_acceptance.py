@@ -44,12 +44,11 @@ def logistic_model(d, lam=0.25, a=2.0, seed=7):
 
 
 def feasible_plan(dim, R, gamma0, t0, tau):
-    gamma = [gamma0 * 2.0 ** -r for r in range(R + 1)]
-    horizons = [t0 * 2.0 ** -r for r in range(R + 1)]
-    assert tau <= horizons[-1] / 2.0
-    return TuningPlan(regime="b2", R=R, gamma=gamma, horizons=horizons,
-                      tau=tau, r0=1.0, big_t=t0, predicted_complexity=0,
-                      feasible=True, tau_clamped=False, dim=dim)
+    plan = TuningPlan(regime="b2", gamma0=gamma0,
+                      horizons=[t0 * 2.0 ** -r for r in range(R + 1)],
+                      tau=tau, r0=1.0, big_t=t0, dim=dim)
+    assert plan.feasible
+    return plan
 
 
 # 1. Flagship plan (d=10, eps=0.1): exact level count, starting horizon,

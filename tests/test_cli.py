@@ -70,6 +70,25 @@ def test_tune_include_log2_keeps_the_log_factor(capsys):
                                                 rel=1e-9)
 
 
+def test_tune_include_log2_reaches_the_b1_plan(capsys):
+    b1 = ["tune", "--model", "logistic", "--regime", "b1"]
+    plain = json.loads(run_cli(b1, capsys)[1])
+    logged = json.loads(run_cli([*b1, "--include-log2"], capsys)[1])
+    assert plain["horizons"][0] == pytest.approx(39204000.0, rel=1e-12)
+    assert logged["R"] == plain["R"]
+    assert logged["horizons"][0] == pytest.approx(
+        plain["horizons"][0] * math.log(2.0), rel=1e-12)
+
+
+def test_include_log2_with_the_aggressive_regime_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        ["tune", "--model", "logistic", "--regime", "aggressive",
+         "--include-log2"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "--include-log2" in err
+
+
 # ----------------------------------------------------------------------- run
 
 

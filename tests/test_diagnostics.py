@@ -302,9 +302,6 @@ def test_bench_logistic_aggressive_regime_uses_the_enlarged_step():
 def test_bench_logistic_validation():
     with pytest.raises(ValueError, match="regime"):
         bench_logistic(d=4, lam=0.25, a=2.0, eps=0.45, n_runs=1, regime="b1")
-    with pytest.raises(ValueError, match="reference_mode"):
-        bench_logistic(d=4, lam=0.25, a=2.0, eps=0.45, n_runs=1,
-                       reference_mode="cached")
 
 
 def test_bench_logistic_pinned_reference_is_loaded_for_the_shipped_config():

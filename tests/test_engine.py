@@ -48,13 +48,12 @@ def make_model(kind, d):
                                "auto")
 
 
-def make_plan(d, R, t0=16.0):
-    return TuningPlan(regime="b2", R=R,
-                      gamma=[0.5 * 2.0 ** -r for r in range(R + 1)],
+def make_plan(d, R, t0=16.0, tau_share=0.25):
+    """Hand-built plan whose burn-in is ``tau_share`` of the last horizon
+    (clamped when the share exceeds 1/2)."""
+    return TuningPlan(regime="b2", gamma0=0.5,
                       horizons=[t0 * 2.0 ** -r for r in range(R + 1)],
-                      tau=t0 * 2.0 ** -R / 4.0, r0=1.0, big_t=t0,
-                      predicted_complexity=0, feasible=True,
-                      tau_clamped=False, dim=d)
+                      tau=t0 * 2.0 ** -R * tau_share, r0=1.0, big_t=t0, dim=d)
 
 
 @contextlib.contextmanager
@@ -112,16 +111,23 @@ def test_chunk_layout_changes_no_state_and_only_rounds_window_sums(
 
 
 @PROPERTY
-@given(kinds, dims, levels, caps, seeds, observables)
+@given(kinds, dims, levels, caps, seeds, observables,
+       st.sampled_from([0.25, 0.5, 0.75]))
 def test_estimate_is_the_left_to_right_sum_of_its_levels(
-        kind, d, R, cap, seed, obs):
+        kind, d, R, cap, seed, obs, tau_share):
+    plan = make_plan(d, R, tau_share=tau_share)
     with chunk_cap(cap):
-        out = estimate(make_model(kind, d), make_plan(d, R), start(d, seed),
-                       obs(), seed)
+        out = estimate(make_model(kind, d), plan, start(d, seed), obs(), seed)
     total = out.level_contributions[0]
     for c in out.level_contributions[1:]:
         total = total + c
     assert np.asarray(total).tobytes() == np.asarray(out.estimate).tobytes()
+    # a hand-built plan reports the cost and feasibility of what ran
+    assert out.total_complexity == plan.predicted_complexity
+    assert out.to_dict()["plan_echo"]["predicted_complexity"] \
+        == out.total_complexity
+    assert plan.feasible == (plan.tau <= plan.horizons[-1] / 2)
+    assert bool(out.warnings) == plan.tau_clamped
 
 
 @PROPERTY

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mlangevin import (
     make_langevin_model,
     norm_observable,
     plan_b2,
-    predicted_complexity,
     run_coupled_level,
     run_level0,
 )
@@ -26,12 +26,9 @@ OU3 = make_langevin_model(QuadraticPotential(3), "auto")
 
 
 def small_plan(R=2, gamma0=0.5, t0=40.0, tau=2.0):
-    gamma = [gamma0 * 2.0 ** -r for r in range(R + 1)]
-    horizons = [t0 * 2.0 ** -r for r in range(R + 1)]
-    clamped = tau > horizons[-1] / 2.0
-    return TuningPlan(regime="b2", R=R, gamma=gamma, horizons=horizons,
-                      tau=tau, r0=1.0, big_t=t0, predicted_complexity=0,
-                      feasible=not clamped, tau_clamped=clamped, dim=3)
+    return TuningPlan(regime="b2", gamma0=gamma0,
+                      horizons=[t0 * 2.0 ** -r for r in range(R + 1)],
+                      tau=tau, r0=1.0, big_t=t0, dim=3)
 
 
 X0 = np.zeros(3)
@@ -84,7 +81,7 @@ def test_iteration_accounting_matches_the_plan():
     plan = small_plan()
     out = estimate(OU3, plan, X0, norm_observable(), master_seed=11)
     assert out.total_complexity == sum(out.level_iterations)
-    assert out.total_complexity == predicted_complexity(plan)
+    assert out.total_complexity == plan.predicted_complexity
     continuous = plan.horizons[0] / plan.gamma[0] + sum(
         plan.horizons[r] * (1.0 / plan.gamma[r] + 1.0 / plan.gamma[r - 1])
         for r in range(1, plan.R + 1))
@@ -134,15 +131,6 @@ def test_same_seed_reproduces_bitwise_and_seeds_differ():
     c = estimate(OU3, small_plan(), X0, norm_observable(), master_seed=22)
     assert a.to_json() == b.to_json()
     assert a.estimate != c.estimate
-
-
-def test_reseeding_one_level_changes_only_that_contribution():
-    base = estimate(OU3, small_plan(), X0, norm_observable(), master_seed=31)
-    poked = estimate(OU3, small_plan(), X0, norm_observable(), master_seed=31,
-                     level_seeds={1: 9999})
-    assert poked.level_contributions[0] == base.level_contributions[0]
-    assert poked.level_contributions[1] != base.level_contributions[1]
-    assert poked.level_contributions[2] == base.level_contributions[2]
 
 
 # -------------------------------------------------------------- repetitions
@@ -220,10 +208,8 @@ def test_input_validation():
 
 
 def test_numerical_failure_is_annotated_with_level_and_run():
-    blowup = TuningPlan(regime="b2", R=1, gamma=[3.0, 1.5],
-                        horizons=[30.0, 15.0], tau=1.5, r0=1.0, big_t=30.0,
-                        predicted_complexity=0, feasible=True,
-                        tau_clamped=False, dim=3)
+    blowup = TuningPlan(regime="b2", gamma0=3.0, horizons=[30.0, 15.0],
+                        tau=1.5, r0=1.0, big_t=30.0, dim=3)
     x_far = np.full(3, 1e308)
     with pytest.raises(NumericalFailureError) as exc:
         estimate(OU3, blowup, x_far, norm_observable(), master_seed=1)
@@ -236,15 +222,21 @@ def test_numerical_failure_is_annotated_with_level_and_run():
         estimate_repeated(OU3, blowup, x_far, norm_observable(),
                           master_seed=1, n_runs=2)
     assert exc.value.run_index == 0
+    # outside estimate/estimate_repeated a batch row is not its run: the
+    # error names the run index the row's stream carries
+    for runs in ([5], [7, 5]):
+        with pytest.raises(NumericalFailureError) as exc:
+            _estimate_batch(OU3, blowup, x_far, norm_observable(),
+                            master_seed=1, run_indices=runs)
+        assert exc.value.run_index == runs[0]
+        assert f"(run {runs[0]}, gamma=3.0)" in str(exc.value)
 
     # with the expanding drift b(x) = x and no noise, a step-gamma chain
     # grows by (1 + gamma)^(1/gamma) per unit time, faster for the smaller
     # step: level 0 (gamma 4, 329 steps) ends near 5^329 ~ 1e230, while the
     # level-1 fine chain (gamma 2) passes 3^647 > 1e308 in coarse step 324
-    grow = TuningPlan(regime="b2", R=1, gamma=[4.0, 2.0],
-                      horizons=[1320.0, 1316.0], tau=4.0, r0=1.0,
-                      big_t=1320.0, predicted_complexity=0, feasible=True,
-                      tau_clamped=False, dim=3)
+    grow = TuningPlan(regime="b2", gamma0=4.0, horizons=[1320.0, 1316.0],
+                      tau=4.0, r0=1.0, big_t=1320.0, dim=3)
     with pytest.raises(NumericalFailureError) as exc:
         estimate_repeated(_Expanding(), grow, np.ones(3),
                           identity_observable(), master_seed=1, n_runs=2)
@@ -252,6 +244,17 @@ def test_numerical_failure_is_annotated_with_level_and_run():
     assert str(exc.value).startswith(
         "level 1: non-finite position at coarse step 324 (run 0, "
         "gamma_fine=2.0)")
+
+
+def test_non_finite_observable_value_names_the_run():
+    blows = Observable(kind="scalar", apply=lambda x: math.inf,
+                       apply_batch=lambda pts: np.full(len(pts), math.inf))
+    with pytest.raises(NumericalFailureError) as exc:
+        _estimate_batch(OU3, small_plan(), X0, blows, master_seed=1,
+                        run_indices=[7, 5])
+    assert exc.value.level_index == 0
+    assert exc.value.run_index == 7
+    assert "non-finite observable value at step 4 (run 7)" in str(exc.value)
 
 
 class _Expanding:

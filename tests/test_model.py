@@ -56,7 +56,6 @@ def test_quadratic_potential_values_and_constants():
     pot = QuadraticPotential(4)
     assert pot.alpha_u == 1.0
     assert pot.l_u == 1.0
-    assert pot.third_deriv_ok
     assert pot.grad_u1_sup == 0.0
     x = np.array([1.0, -2.0, 0.5, 3.0])
     assert pot.eval(x) == pytest.approx(0.5 * np.dot(x, x), rel=1e-15)

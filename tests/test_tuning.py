@@ -16,7 +16,6 @@ from mlangevin import (
     plan_b1,
     plan_b2,
     plan_general,
-    predicted_complexity,
 )
 
 # independently recomputed with 50-digit floor arithmetic before the
@@ -70,7 +69,6 @@ def test_b2_flagship_iteration_counts_match_frozen_oracle():
                       + n_gamma(plan.horizons[r], plan.gamma[r - 1]))
     assert counts == FLAGSHIP_LEVEL_ITERATIONS
     assert plan.predicted_complexity == FLAGSHIP_TOTAL
-    assert predicted_complexity(plan) == FLAGSHIP_TOTAL
 
 
 def test_b2_flagship_complexity_near_reference_count():
@@ -161,7 +159,7 @@ def test_b1_start_distance_floor_at_one():
 
 def test_general_matches_b2_shape_at_matching_constants():
     constants = GeneralAssumptionConstants(
-        alpha=1.0, b_exponent=2.0, delta=1.0, c1_x0=0.0, c2=0.0,
+        alpha=1.0, b_exponent=2.0, delta=1.0, c2=0.0,
         c3=2.0 * math.sqrt(10.0), c4=math.sqrt(10.0), eta0=0.5)
     plan = plan_general(constants, 0.5, 0.1)
     assert plan.regime == "general"
@@ -181,7 +179,7 @@ def test_general_matches_b2_shape_at_matching_constants():
 
 def test_general_first_order_regime_carries_level_count_squared():
     constants = GeneralAssumptionConstants(
-        alpha=1.0, b_exponent=1.0, delta=0.5, c1_x0=0.0, c2=0.0,
+        alpha=1.0, b_exponent=1.0, delta=0.5, c2=0.0,
         c3=2.0 * math.sqrt(2.0), c4=1.0, eta0=0.5)
     plan = plan_general(constants, 0.5, 0.5)
     assert plan.r0 == pytest.approx(2.0, rel=1e-12)
@@ -197,14 +195,14 @@ def test_general_exact_power_of_two_ratio_is_not_bumped_a_level():
     # r0 / eps = 3.2 / 0.1 carries float noise just above 32; the level count
     # must still resolve to log2 = 5 rather than ceil to 6
     constants = GeneralAssumptionConstants(
-        alpha=1.0, b_exponent=2.0, delta=1.0, c1_x0=0.0, c2=0.0,
+        alpha=1.0, b_exponent=2.0, delta=1.0, c2=0.0,
         c3=6.4, c4=1.0, eta0=0.5)
     assert plan_general(constants, 0.5, 0.1).R == 5
 
 
 def test_general_rejects_base_step_above_eta0():
     constants = GeneralAssumptionConstants(
-        alpha=1.0, b_exponent=2.0, delta=1.0, c1_x0=0.0, c2=0.0,
+        alpha=1.0, b_exponent=2.0, delta=1.0, c2=0.0,
         c3=1.0, c4=1.0, eta0=0.25)
     with pytest.raises(ValueError, match="eta0"):
         plan_general(constants, 0.5, 0.1)
@@ -213,7 +211,7 @@ def test_general_rejects_base_step_above_eta0():
 
 
 def test_general_assumption_constants_validation():
-    good = dict(alpha=1.0, b_exponent=2.0, delta=1.0, c1_x0=0.0, c2=0.0,
+    good = dict(alpha=1.0, b_exponent=2.0, delta=1.0, c2=0.0,
                 c3=1.0, c4=1.0, eta0=0.5)
     GeneralAssumptionConstants(**good)
     for overrides, fragment in (
@@ -328,23 +326,35 @@ def test_tau_effective_always_fits_the_last_level():
 
 
 def _plan_kwargs(**overrides):
-    kwargs = dict(regime="b2", R=1, gamma=[0.5, 0.25], horizons=[8.0, 2.0],
-                  tau=1.0, r0=1.0, big_t=8.0, predicted_complexity=56,
-                  feasible=True, tau_clamped=False, dim=3)
+    kwargs = dict(regime="b2", gamma0=0.5, horizons=[8.0, 2.0], tau=1.0,
+                  r0=1.0, big_t=8.0, dim=3)
     kwargs.update(overrides)
     return kwargs
+
+
+def test_plan_derives_levels_steps_cost_and_feasibility():
+    plan = TuningPlan(**_plan_kwargs())
+    assert plan.R == 1
+    assert plan.gamma == [0.5, 0.25]
+    # n_0.5(8) + n_0.25(2) + n_0.5(2)
+    assert plan.predicted_complexity == 16 + 8 + 4
+    assert plan.feasible and not plan.tau_clamped
+    assert plan.tau_effective == 1.0
+    clamped = TuningPlan(**_plan_kwargs(tau=1.5))
+    assert clamped.tau_clamped and not clamped.feasible
+    assert clamped.tau_effective == 1.0
 
 
 def test_plan_validation_rejects_malformed_inputs():
     TuningPlan(**_plan_kwargs())
     for overrides, fragment in (
         (dict(regime="b3"), "regime"),
-        (dict(R=-1), "nonnegative"),
-        (dict(gamma=[0.5]), "length"),
-        (dict(gamma=[0.5, 0.3]), "halve"),
+        (dict(horizons=[]), "at least one"),
+        (dict(gamma0=0.0), "gamma0"),
+        (dict(gamma0=-0.5), "gamma0"),
         (dict(horizons=[2.0, 8.0]), "decreasing"),
-        (dict(gamma=[-0.5, -0.25]), "halve|positive"),
-        (dict(horizons=[8.0, -2.0]), "decreasing|positive"),
+        (dict(horizons=[8.0, -2.0]), "positive"),
+        (dict(horizons=[-2.0]), "positive"),
     ):
         with pytest.raises(ValueError, match=fragment):
             TuningPlan(**_plan_kwargs(**overrides))
@@ -365,6 +375,6 @@ def test_plan_serializes_every_field():
 
 
 def test_single_level_plan_counts_a_plain_windowed_chain():
-    plan = TuningPlan(**_plan_kwargs(R=0, gamma=[0.5], horizons=[8.0],
-                                     predicted_complexity=16))
-    assert predicted_complexity(plan) == n_gamma(8.0, 0.5) == 16
+    plan = TuningPlan(**_plan_kwargs(horizons=[8.0]))
+    assert plan.R == 0
+    assert plan.predicted_complexity == n_gamma(8.0, 0.5) == 16
