@@ -22,6 +22,11 @@ It covers, in order:
   horizons clamp the burn-in at R=4.
 * the ``contraction_probe`` list (d=4, 100,000 steps) and
   ``confluence_probe(...).sup_gap_sq`` (d=2, horizon 500, 2000 paths).
+* ``bench(...).to_dict()`` without ``wall_clock_seconds`` (3 runs, seed 5,
+  eps=0.45): OU in d=2 and d=4 from the origin, from the ones vector and
+  warm-started from the ones vector, and the logistic model warm-started
+  from the origin in d=4 (quadrature reference), d=10 (frozen reference)
+  and d=100 (aggressive plan).
 
 Takes about 15 s.
 """
@@ -96,6 +101,30 @@ def plan_lines():
     return lines
 
 
+def bench_lines():
+    cases = []
+    for d in (2, 4):
+        model = ml.make_langevin_model(ml.QuadraticPotential(d), "auto")
+        ones = np.ones(d)
+        warm = ml.warm_start(model.potential, ones).x0
+        for start, x0 in (("zeros", np.zeros(d)), ("ones", ones),
+                          ("warm-ones", warm)):
+            cases.append((f"ou d={d} x0={start}", model, ml.plan_b2, x0))
+    for d, rule in ((4, ml.plan_b2), (10, ml.plan_b2),
+                    (100, ml.plan_aggressive)):
+        model = logistic(d)
+        x0 = ml.warm_start(model.potential, np.zeros(d)).x0
+        cases.append((f"logistic d={d} {rule.__name__} x0=warm-zeros",
+                      model, rule, x0))
+    lines = []
+    for label, model, rule, x0 in cases:
+        report = ml.bench(model, rule(model, 0.45), x0, 3, seed=5).to_dict()
+        report.pop("wall_clock_seconds")
+        lines.append(f"bench {label} "
+                     f"{digest(json.dumps(report, sort_keys=True))}")
+    return lines
+
+
 def main():
     lines = plan_lines()
     default_cap = sde._CHUNK_STEP_CAP
@@ -126,6 +155,7 @@ def main():
         lines.append(f"confluence seed={seed} {res.sup_gap_sq!r}")
     res = ml.confluence_probe(m2, 0.25, 50.0, 300, seed=2, x0=[1.0, -2.0])
     lines.append(f"confluence x0=[1,-2] {res.sup_gap_sq!r}")
+    lines += bench_lines()
     print("\n".join(lines))
     print("total", digest("\n".join(lines)))
 

@@ -48,8 +48,7 @@ from .diagnostics import (
     REFERENCE_MASTER_SEED,
     BenchReport,
     ConfluenceProbeResult,
-    bench_logistic,
-    bench_ou,
+    bench,
     confluence_probe,
     contraction_probe,
     euler_invariant_moment_oracle,
@@ -75,8 +74,7 @@ __all__ = [
     "REFERENCE_MASTER_SEED",
     "TuningPlan",
     "WarmStartResult",
-    "bench_logistic",
-    "bench_ou",
+    "bench",
     "complexity_bound",
     "confluence_probe",
     "contraction_probe",

@@ -20,8 +20,7 @@ import numpy as np
 
 from .diagnostics import (
     DEFAULT_COVARIATE_SEED,
-    bench_logistic,
-    bench_ou,
+    bench,
     confluence_probe,
     contraction_probe,
     euler_invariant_moment_oracle,
@@ -62,45 +61,54 @@ def _build_parser() -> _Parser:
                      description="Multilevel pathwise-average Langevin estimator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser, regimes: Sequence[str]):
+    # each subcommand declares only the flags it reads
+    def add_common(p: _Parser):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--model", choices=["ou", "logistic"])
         p.add_argument("--d", type=int)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--regime", choices=list(regimes))
-        p.add_argument("--seed", type=int)
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--format", choices=["json", "csv"])
         p.add_argument("--lambda", dest="lam", type=float,
                        help="logistic ridge weight")
         p.add_argument("--a", type=float, help="logistic covariate scale")
         p.add_argument("--covariate-seed", type=int)
+
+    def add_plan(p: _Parser):
+        p.add_argument("--eps", type=float)
+        p.add_argument("--regime", choices=["b1", "b2", "aggressive"])
         p.add_argument("--include-log2", action="store_true", default=None,
                        help="keep the log 2 factor in b1/b2 horizons")
 
+    def add_estimator(p: _Parser):
+        p.add_argument("--seed", type=int)
+        p.add_argument("--warm-start", action="store_true", default=None,
+                       help="gradient-descent preprocess from --x-init")
+        p.add_argument("--x-init",
+                       help="starting point: zeros | ones | JSON file")
+
     p_tune = sub.add_parser("tune", help="print a tuning plan")
-    add_common(p_tune, ("b1", "b2", "aggressive"))
+    add_common(p_tune)
+    add_plan(p_tune)
 
     p_run = sub.add_parser("run", help="run the estimator once")
-    add_common(p_run, ("b1", "b2", "aggressive"))
+    add_common(p_run)
+    add_plan(p_run)
+    add_estimator(p_run)
     p_run.add_argument("--observable", choices=["norm", "identity"])
     p_run.add_argument("--table", action="store_true", default=None,
                        help="print the per-level evolution table")
     p_run.add_argument("--force", action="store_true", default=None,
                        help="run even if the plan is infeasible")
-    p_run.add_argument("--warm-start", action="store_true", default=None,
-                       help="gradient-descent preprocess from --x-init")
-    p_run.add_argument("--x-init",
-                       help="starting point: zeros | ones | JSON file")
 
     p_bench = sub.add_parser("bench", help="RMSE benchmark over repeated runs")
-    add_common(p_bench, ("b1", "b2", "aggressive"))
-    p_bench.add_argument("--suite", choices=["ou", "logistic"])
+    add_common(p_bench)
+    add_plan(p_bench)
+    add_estimator(p_bench)
     p_bench.add_argument("--runs", type=int)
-    p_bench.add_argument("--x0", choices=["zero", "ones", "warmstart"])
 
     p_probe = sub.add_parser("probe", help="assumption probes")
-    add_common(p_probe, ("b1", "b2", "aggressive"))
+    add_common(p_probe)
+    p_probe.add_argument("--seed", type=int)
     p_probe.add_argument("--probe",
                          choices=["confluence", "contraction",
                                   "invariant-moment"])
@@ -133,9 +141,7 @@ _DEFAULTS = {
     "warm_start": False,
     "x_init": None,
     "y_init": None,
-    "suite": "ou",
     "runs": 50,
-    "x0": "zero",
     "probe": "invariant-moment",
     "gamma": None,
     "horizon": None,
@@ -249,6 +255,13 @@ def _resolve_point(source: str, d: int) -> np.ndarray:
     return x
 
 
+def _start_point(cfg: dict, potential) -> np.ndarray:
+    x_init = _resolve_point(cfg["x_init"] or "zeros", cfg["d"])
+    if cfg["warm_start"]:
+        return warm_start(potential, x_init).x0
+    return x_init
+
+
 def _emit(json_text: str, rows, cfg: dict, quiet: bool = False) -> None:
     if not quiet:
         print(json_text)
@@ -283,11 +296,7 @@ def cmd_run(cfg: dict) -> int:
             f"T_R/2={plan.horizons[-1] / 2.0:.6g}; rerun with --force to "
             "proceed with the clamped burn-in", file=sys.stderr)
         return EXIT_INFEASIBLE
-    x_init = _resolve_point(cfg["x_init"] or "zeros", cfg["d"])
-    if cfg["warm_start"]:
-        x0 = warm_start(potential, x_init).x0
-    else:
-        x0 = x_init
+    x0 = _start_point(cfg, potential)
     if cfg["observable"] == "norm":
         obs = norm_observable()
     else:
@@ -309,26 +318,13 @@ def cmd_run(cfg: dict) -> int:
     return EXIT_OK
 
 
-# The plans each bench suite can run: bench_ou always tunes b2.
-_BENCH_REGIMES = {"ou": ("b2",), "logistic": ("b2", "aggressive")}
-
-
 def cmd_bench(cfg: dict) -> int:
     if cfg["runs"] < 1:
         raise _UsageError(f"--runs must be >= 1, got {cfg['runs']}")
-    regimes = _BENCH_REGIMES[cfg["suite"]]
-    if cfg["regime"] not in regimes:
-        raise _UsageError(
-            f"bench --suite {cfg['suite']} supports --regime "
-            f"{' or '.join(regimes)}, not {cfg['regime']!r}")
-    if cfg["suite"] == "ou":
-        report = bench_ou(cfg["d"], cfg["eps"], cfg["runs"],
-                          x0_mode=cfg["x0"], seed=cfg["seed"])
-    else:
-        report = bench_logistic(
-            cfg["d"], cfg["lam"], cfg["a"], cfg["eps"], cfg["runs"],
-            seed=cfg["seed"], covariate_seed=cfg["covariate_seed"],
-            regime=cfg["regime"])
+    model, potential = _build_model(cfg)
+    plan = _build_plan(model, cfg)
+    report = bench(model, plan, _start_point(cfg, potential), cfg["runs"],
+                   seed=cfg["seed"])
     _emit(report.to_json(), report.csv_rows(), cfg)
     return EXIT_OK
 
@@ -362,6 +358,10 @@ def cmd_probe(cfg: dict) -> int:
         }
         rows = [{"step": i, "distance": v} for i, v in enumerate(distances)]
     elif name == "invariant-moment":
+        if cfg["model"] != "ou":
+            raise _UsageError(
+                "the invariant-moment probe needs --model ou: its oracle "
+                "2/(2 - gamma) is the quadratic model's")
         gamma = cfg["gamma"] if cfg["gamma"] is not None else 0.5
         oracle = euler_invariant_moment_oracle(gamma)
         payload = {"probe": "invariant-moment", "gamma": gamma,

@@ -1,9 +1,11 @@
 """Benchmark harness and assumption probes.
 
-Benchmarks rerun the estimator N times and report the empirical RMSE against
-a reference value: the exact Gaussian-norm expectation for the quadratic
-(Ornstein-Uhlenbeck) benchmark, and a high-precision in-repo reference (or
-the exact quadrature posterior mean) for the logistic benchmark.
+``bench(model, plan, x0, n_runs)`` reruns the estimator n_runs times and
+reports the empirical RMSE against the reference its potential determines:
+the exact Gaussian-norm expectation of |x| for the quadratic
+(Ornstein-Uhlenbeck) potential, and for the logistic potential the frozen
+high-precision in-repo run when it was made for that potential, otherwise
+the exact quadrature posterior mean.
 
 Probes check the structural assumptions the tuning rules rest on:
 
@@ -25,7 +27,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple
 
 import numpy as np
@@ -40,20 +42,17 @@ from .model import (
     LogisticPerturbedPotential,
     QuadraticPotential,
     logistic_covariate,
-    make_langevin_model,
     ou_reference_value,
 )
 from .sde import _INV_SQRT2, NoiseStream, _chains, _chunk_steps, n_gamma
-from .tuning import TuningPlan, plan_aggressive, plan_b2
-from .warmstart import warm_start
+from .tuning import TuningPlan
 
 __all__ = [
     "BenchReport",
     "ConfluenceProbeResult",
     "DEFAULT_COVARIATE_SEED",
     "REFERENCE_MASTER_SEED",
-    "bench_logistic",
-    "bench_ou",
+    "bench",
     "confluence_probe",
     "contraction_probe",
     "euler_invariant_moment_oracle",
@@ -155,171 +154,89 @@ class ConfluenceProbeResult(NamedTuple):
     order_estimate: float
 
 
-def _rmse(estimates: List[object], reference, dim: int) -> tuple[float, list]:
-    errs = []
+def _rmse(estimates: List[object], reference, dim: int) -> float:
     ref = np.asarray(reference, dtype=float)
+    sq = 0.0
     for est in estimates:
         e = np.asarray(est, dtype=float)
         if e.ndim == 0:
-            errs.append(abs(float(e) - float(ref)))
+            err = abs(float(e) - float(ref))
         else:
-            errs.append(float(np.linalg.norm(e - ref)) / math.sqrt(dim))
-    return math.sqrt(sum(x * x for x in errs) / len(errs)), errs
+            err = float(np.linalg.norm(e - ref)) / math.sqrt(dim)
+        sq += err * err
+    return math.sqrt(sq / len(estimates))
 
 
-def bench_ou(
-    d: int,
-    eps: float,
+def bench(
+    model: LangevinModel,
+    plan: TuningPlan,
+    x0: np.ndarray,
     n_runs: int,
-    x0_mode: str = "zero",
     seed: int = 0,
 ) -> BenchReport:
-    """RMSE benchmark of f(x) = |x| under the quadratic potential.
+    """RMSE of n_runs repeated estimator runs against the model's reference.
 
-    Builds the quadratic model with the auto noise scale, tunes a b2 plan at
-    accuracy eps, runs the estimator n_runs times, and compares against the
-    exact Gaussian-norm expectation.
+    The observable and the reference follow from ``model.potential``:
+
+    * ``QuadraticPotential``: f(x) = |x| against the exact Gaussian-norm
+      expectation ``ou_reference_value(d)``.
+    * ``LogisticPerturbedPotential``: the identity (posterior mean) against
+      the frozen in-repo high-precision run when that file was made for this
+      potential (same d, lambda and covariate;
+      ``scripts/make_logistic_reference.py`` regenerates it), otherwise the
+      exact posterior mean by one-dimensional quadrature (the posterior
+      factorizes along the covariate direction, so this is the same quantity
+      the expensive run approximates).
 
     Args:
-        d: Even dimension.
-        eps: Target accuracy in (0, 1).
+        model: LangevinModel over one of the two built-in potentials.
+        plan: Tuning plan of every run.
+        x0: Starting point of every run, shape (d,).
         n_runs: Replications (>= 1).
-        x0_mode: Starting point: ``"zero"``, ``"ones"``, or ``"warmstart"``
-            (descent from the ones vector; a no-op region check for this
-            model).
         seed: Master seed for the replication harness.
 
     Returns:
         BenchReport (bit-reproducible given identical inputs, apart from
         wall_clock_seconds).
+
+    Raises:
+        ValueError: for any other potential, which has no known reference.
     """
-    potential = QuadraticPotential(d)
-    model = make_langevin_model(potential, "auto")
-    plan = plan_b2(model, eps, include_log2=False)
-    x0 = _resolve_x0(potential, x0_mode)
-    reference = ou_reference_value(d)
-    t0 = time.perf_counter()
-    outs = estimate_repeated(model, plan, x0, norm_observable(), seed, n_runs)
-    wall = time.perf_counter() - t0
-    estimates = [o.estimate for o in outs]
-    rmse, _ = _rmse(estimates, reference, d)
-    return BenchReport(
-        model_label=f"ou(d={d})",
-        plan_echo=plan,
-        n_runs=n_runs,
-        reference_value=reference,
-        rmse=rmse,
-        per_run_estimates=estimates,
-        mean_complexity=int(round(
-            sum(o.total_complexity for o in outs) / len(outs))),
-        wall_clock_seconds=wall,
-        seed=seed,
-        reference_source="exact Gaussian-norm expectation",
-    )
-
-
-def _resolve_x0(potential, x0_mode: str) -> np.ndarray:
+    potential = model.potential
     d = potential.dim
-    if x0_mode == "zero":
-        return np.zeros(d)
-    if x0_mode == "ones":
-        return np.ones(d)
-    if x0_mode == "warmstart":
-        return warm_start(potential, np.ones(d)).x0
-    raise ValueError(f"unknown x0_mode {x0_mode!r}")
-
-
-def _load_pinned_reference(d, lam, a, covariate_seed, covariate) -> dict | None:
-    if (d, float(lam), float(a), covariate_seed) != (
-            10, 0.25, 2.0, DEFAULT_COVARIATE_SEED):
-        return None
-    try:
-        path = importlib.resources.files("mlangevin").joinpath(
-            "data", _REFERENCE_DATA)
-        data = json.loads(path.read_text())
-    except (FileNotFoundError, OSError):
-        return None
-    stored_cov = np.asarray(data["covariate"], dtype=float)
-    if stored_cov.shape != covariate.shape or not np.allclose(
-            stored_cov, covariate, rtol=0.0, atol=1e-12):
-        warnings.warn(
-            "frozen logistic reference does not match the requested "
-            "covariate; ignoring it", RuntimeWarning)
-        return None
-    return data
-
-
-def bench_logistic(
-    d: int,
-    lam: float,
-    a: float,
-    eps: float,
-    n_runs: int,
-    seed: int = 0,
-    covariate_seed: int = DEFAULT_COVARIATE_SEED,
-    regime: str = "b2",
-) -> BenchReport:
-    """Posterior-mean benchmark for the logistic-perturbed potential.
-
-    Runs the vector (identity) observable n_runs times from a warm start and
-    reports the normalized L2 RMSE d^(-1/2)|est - ref|_2 against a reference
-    posterior mean.
-
-    Reference policy: the shipped configuration (d=10, lam=1/4, a=2,
-    default covariate seed) loads the frozen in-repo high-precision run
-    (eps = 0.01, pinned seed; ``scripts/make_logistic_reference.py``
-    regenerates it); any other configuration uses the exact posterior mean
-    from one-dimensional quadrature (the posterior factorizes along the
-    covariate direction, so this is the same quantity the expensive run
-    approximates).
-
-    Args:
-        d: Dimension.
-        lam: Ridge weight of the quadratic part.
-        a: Covariate scale (|covariate|^2 = 5a).
-        eps: Target accuracy of the benchmarked runs.
-        n_runs: Replications (>= 1).
-        seed: Master seed for the replication harness.
-        covariate_seed: Seed of the covariate draw.
-        regime: ``"b2"`` (tuned plan) or ``"aggressive"`` (enlarged base
-            step).
-
-    Returns:
-        BenchReport.
-    """
-    covariate = logistic_covariate(d, a, NoiseStream(covariate_seed, 0))
-    potential = LogisticPerturbedPotential(d, lam, covariate)
-    model = make_langevin_model(potential, "auto")
-    if regime == "b2":
-        plan = plan_b2(model, eps, include_log2=False)
-    elif regime == "aggressive":
-        plan = plan_aggressive(model, eps)
+    if isinstance(potential, QuadraticPotential):
+        label = f"ou(d={d})"
+        observable = norm_observable()
+        reference = ou_reference_value(d)
+        reference_source = "exact Gaussian-norm expectation"
+    elif isinstance(potential, LogisticPerturbedPotential):
+        label = f"logistic(d={d}, lam={potential.lam})"
+        observable = identity_observable()
+        data = _frozen_reference(potential)
+        if data is not None:
+            reference = np.asarray(data["estimate"], dtype=float)
+            reference_source = (
+                f"frozen estimate(eps={data['eps_ref']}, "
+                f"master_seed={data['master_seed']})")
+        else:
+            reference = logistic_posterior_mean(potential.lam,
+                                                potential.covariate)
+            reference_source = "exact quadrature posterior mean"
     else:
-        raise ValueError(f"unknown regime {regime!r} (use 'b2' or 'aggressive')")
-    x0 = warm_start(potential, np.zeros(d)).x0
-
-    data = _load_pinned_reference(d, lam, a, covariate_seed, covariate)
-    if data is not None:
-        reference = np.asarray(data["estimate"], dtype=float)
-        reference_source = (
-            f"frozen estimate(eps={data['eps_ref']}, "
-            f"master_seed={data['master_seed']})")
-    else:
-        reference = logistic_posterior_mean(lam, covariate)
-        reference_source = "exact quadrature posterior mean"
+        raise ValueError(
+            f"bench has no reference for {type(potential).__name__}; use "
+            "QuadraticPotential or LogisticPerturbedPotential")
 
     t0 = time.perf_counter()
-    outs = estimate_repeated(model, plan, x0, identity_observable(), seed,
-                             n_runs)
+    outs = estimate_repeated(model, plan, x0, observable, seed, n_runs)
     wall = time.perf_counter() - t0
     estimates = [o.estimate for o in outs]
-    rmse, _ = _rmse(estimates, reference, d)
     return BenchReport(
-        model_label=f"logistic(d={d}, lam={lam}, a={a})",
+        model_label=label,
         plan_echo=plan,
         n_runs=n_runs,
         reference_value=reference,
-        rmse=rmse,
+        rmse=_rmse(estimates, reference, d),
         per_run_estimates=estimates,
         mean_complexity=int(round(
             sum(o.total_complexity for o in outs) / len(outs))),
@@ -327,6 +244,29 @@ def bench_logistic(
         seed=seed,
         reference_source=reference_source,
     )
+
+
+def _frozen_reference(potential: LogisticPerturbedPotential) -> dict | None:
+    """The shipped reference run, if it was made for this potential."""
+    try:
+        path = importlib.resources.files("mlangevin").joinpath(
+            "data", _REFERENCE_DATA)
+        data = json.loads(path.read_text())
+    except OSError:
+        return None
+    if (data["d"], data["lambda"]) != (potential.dim, potential.lam):
+        return None
+    stored_cov = np.asarray(data["covariate"], dtype=float)
+    drawn = logistic_covariate(data["d"], data["a"],
+                               NoiseStream(data["covariate_seed"], 0))
+    if not np.allclose(stored_cov, drawn, rtol=0.0, atol=1e-12):
+        warnings.warn(
+            "frozen logistic reference: its covariate no longer follows from "
+            "its a and covariate_seed; ignoring it", RuntimeWarning)
+        return None
+    if not np.allclose(stored_cov, potential.covariate, rtol=0.0, atol=1e-12):
+        return None
+    return data
 
 
 def logistic_posterior_mean(lam: float, covariate: np.ndarray) -> np.ndarray:

@@ -17,8 +17,6 @@ the child seeds, so the outputs are independent across runs and reproducible.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
@@ -157,15 +155,6 @@ class EstimatorOutput:
                 "iterations": int(self.level_iterations[r]),
             })
         return rows
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["level", "gamma", "T", "contribution", "iterations"])
-        writer.writeheader()
-        for row in self.csv_rows():
-            writer.writerow(row)
-        return buf.getvalue()
 
 
 def _estimate_batch(

@@ -20,14 +20,14 @@ from mlangevin import (
     Observable,
     QuadraticPotential,
     TuningPlan,
-    bench_logistic,
-    bench_ou,
+    bench,
     estimate,
     make_langevin_model,
     norm_observable,
     identity_observable,
     plan_aggressive,
     plan_b2,
+    warm_start,
 )
 from mlangevin.diagnostics import confluence_probe, contraction_probe
 from mlangevin.model import LogisticPerturbedPotential, logistic_covariate
@@ -41,6 +41,10 @@ def ou_model(d):
 def logistic_model(d, lam=0.25, a=2.0, seed=7):
     cov = logistic_covariate(d, a, NoiseStream(seed, 0))
     return make_langevin_model(LogisticPerturbedPotential(d, lam, cov), "auto")
+
+
+def warm_origin(model):
+    return warm_start(model.potential, np.zeros(model.dim)).x0
 
 
 def feasible_plan(dim, R, gamma0, t0, tau):
@@ -82,16 +86,19 @@ def test_c02_flagship_complexity_accounting():
 # 3. Gaussian benchmark, d=10, eps=0.1, 50 repetitions: RMSE within the
 #    reported band and no worse than the target accuracy.
 def test_c03_ou_d10_rmse_band():
-    report = bench_ou(d=10, eps=0.1, n_runs=50, seed=0)
+    model = ou_model(10)
+    report = bench(model, plan_b2(model, 0.1), np.zeros(10), 50, seed=0)
     assert 0.005 <= report.rmse <= 0.08
     assert report.rmse <= 0.1
 
 
 # 4. Gaussian benchmark, d=100, eps=0.1, 50 repetitions, both start points.
 def test_c04_ou_d100_rmse_band_both_starts():
-    for x0_mode in ("zero", "ones"):
-        report = bench_ou(d=100, eps=0.1, n_runs=50, x0_mode=x0_mode, seed=0)
-        assert 0.003 <= report.rmse <= 0.06, x0_mode
+    model = ou_model(100)
+    plan = plan_b2(model, 0.1)
+    for start in (np.zeros(100), np.ones(100)):
+        report = bench(model, plan, start, 50, seed=0)
+        assert 0.003 <= report.rmse <= 0.06, start[0]
 
 
 # 5. Level counts across the reference grid match the reported table to
@@ -106,8 +113,8 @@ def test_c05_level_count_table():
 # 6. Logistic benchmark, d=10, eps=0.1, 20 repetitions, scored against the
 #    frozen eps=0.01 reference estimate shipped with the package.
 def test_c06_logistic_d10_vs_frozen_reference():
-    report = bench_logistic(d=10, lam=0.25, a=2.0, eps=0.1, n_runs=20,
-                            seed=0)
+    model = logistic_model(10)
+    report = bench(model, plan_b2(model, 0.1), warm_origin(model), 20, seed=0)
     assert report.reference_source.startswith("frozen estimate"), \
         "frozen reference file missing; run scripts/make_logistic_reference.py"
     assert 0.01 <= report.rmse <= 0.09
@@ -120,8 +127,8 @@ def test_c07_aggressive_step_cost_and_accuracy():
     ratio = (plan_b2(model, 0.1).predicted_complexity
              / plan_aggressive(model, 0.1).predicted_complexity)
     assert ratio == pytest.approx(81.0, rel=0.05)
-    report = bench_logistic(d=100, lam=0.25, a=2.0, eps=0.1, n_runs=20,
-                            regime="aggressive", seed=0)
+    report = bench(model, plan_aggressive(model, 0.1), warm_origin(model), 20,
+                   seed=0)
     normalized = report.rmse / np.linalg.norm(report.reference_value)
     assert normalized <= 0.1
 

@@ -7,7 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from mlangevin import bench_ou
+from mlangevin import (
+    LogisticPerturbedPotential,
+    NoiseStream,
+    QuadraticPotential,
+    bench,
+    logistic_covariate,
+    make_langevin_model,
+    plan_aggressive,
+    plan_b2,
+    warm_start,
+)
 from mlangevin.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -202,43 +212,88 @@ def test_run_numerical_failure_maps_to_exit_three(tmp_path, capsys):
 
 def test_bench_ou_report_matches_the_library(capsys):
     code, out, _ = run_cli(
-        ["bench", "--suite", "ou", "--d", "2", "--eps", "0.45",
+        ["bench", "--model", "ou", "--d", "2", "--eps", "0.45",
          "--runs", "3", "--seed", "5"], capsys)
     assert code == EXIT_OK
     payload = json.loads(out)
-    direct = bench_ou(d=2, eps=0.45, n_runs=3, seed=5)
+    model = make_langevin_model(QuadraticPotential(2), "auto")
+    direct = bench(model, plan_b2(model, 0.45), np.zeros(2), 3, seed=5)
     assert payload["per_run_estimates"] == direct.per_run_estimates
     assert payload["rmse"] == direct.rmse
     assert payload["reference_source"] == "exact Gaussian-norm expectation"
 
 
+def test_bench_reads_the_model_and_the_start_point(capsys):
+    argv = ["bench", "--model", "logistic", "--d", "4", "--eps", "0.5",
+            "--regime", "aggressive", "--runs", "2", "--x-init", "ones"]
+    code, out, _ = run_cli([*argv, "--warm-start"], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["model_label"] == "logistic(d=4, lam=0.25)"
+    potential = LogisticPerturbedPotential(
+        4, 0.25, logistic_covariate(4, 2.0, NoiseStream(7, 0)))
+    model = make_langevin_model(potential, "auto")
+    direct = bench(model, plan_aggressive(model, 0.5),
+                   warm_start(potential, np.ones(4)).x0, 2)
+    assert payload["per_run_estimates"] == \
+        [list(e) for e in direct.per_run_estimates]
+    cold = json.loads(run_cli(argv, capsys)[1])
+    assert cold["per_run_estimates"] != payload["per_run_estimates"]
+
+
+def test_bench_include_log2_keeps_the_log_factor(capsys):
+    argv = ["bench", "--model", "ou", "--d", "2", "--eps", "0.5", "--runs", "1"]
+    plain = json.loads(run_cli(argv, capsys)[1])
+    logged = json.loads(run_cli([*argv, "--include-log2"], capsys)[1])
+    assert plain["plan_echo"]["horizons"][0] == 8.0
+    assert logged["plan_echo"]["horizons"][0] == pytest.approx(
+        8.0 * math.log(2.0), rel=1e-12)
+
+
 def test_bench_rejects_nonpositive_run_counts(capsys):
     code, _, err = run_cli(
-        ["bench", "--suite", "ou", "--runs", "0"], capsys)
+        ["bench", "--model", "ou", "--runs", "0"], capsys)
     assert code == EXIT_USAGE
     assert "--runs" in err
 
 
 def test_bench_logistic_aggressive_regime(capsys):
     code, out, _ = run_cli(
-        ["bench", "--suite", "logistic", "--d", "100", "--eps", "0.45",
-         "--runs", "1", "--regime", "aggressive"], capsys)
+        ["bench", "--model", "logistic", "--warm-start", "--d", "100",
+         "--eps", "0.45", "--runs", "1", "--regime", "aggressive"], capsys)
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["plan_echo"]["experimental"] is True
     assert payload["plan_echo"]["gamma"][0] == pytest.approx(20.25)
 
 
-@pytest.mark.parametrize("suite, regime", [
-    ("ou", "aggressive"), ("ou", "b1"), ("logistic", "b1")])
-def test_bench_rejects_a_regime_its_suite_cannot_run(suite, regime, capsys):
-    code, out, err = run_cli(
-        ["bench", "--suite", suite, "--d", "4", "--eps", "0.45",
-         "--runs", "1", "--regime", regime], capsys)
+@pytest.mark.parametrize("model, regime, d, eps", [
+    ("ou", "aggressive", "2", "0.5"), ("ou", "b1", "2", "0.5"),
+    ("logistic", "b1", "1", "0.8")], ids=["ou-aggressive", "ou-b1",
+                                          "logistic-b1"])
+def test_bench_runs_the_plan_tune_prints(model, regime, d, eps, capsys):
+    flags = ["--model", model, "--d", d, "--eps", eps, "--regime", regime]
+    plan = json.loads(run_cli(["tune", *flags], capsys)[1])
+    code, out, _ = run_cli(["bench", *flags, "--runs", "1"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["plan_echo"] == plan
+    if (model, regime) == ("ou", "b1"):
+        assert plan["predicted_complexity"] == 256
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune", "--seed", "5"],
+    ["probe", "--eps", "0.3"],
+    ["probe", "--regime", "aggressive"],
+    ["probe", "--include-log2"],
+    ["bench", "--suite", "ou"],
+    ["bench", "--x0", "ones"],
+], ids=lambda argv: argv[0] + argv[1])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"not {regime!r}" in err
-    assert len(err.strip().splitlines()) == 1
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 # ---------------------------------------------------------------------- probe
@@ -253,6 +308,15 @@ def test_probe_invariant_moment_oracle_and_empirical(capsys):
     assert payload["oracle_moment"] == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert payload["iterations"] == 4000
     assert payload["abs_error"] <= 0.15
+
+
+def test_probe_invariant_moment_needs_the_ou_model(capsys):
+    code, out, err = run_cli(
+        ["probe", "--probe", "invariant-moment", "--model", "logistic",
+         "--d", "2", "--gamma", "0.5", "--horizon", "2000"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "--model ou" in err
 
 
 def test_probe_contraction_is_exactly_geometric_for_ou(capsys):
@@ -358,8 +422,15 @@ def test_output_files_json_and_csv(tmp_path, capsys):
     assert lines[0] == "level,gamma,horizon"
     assert len(lines) == 7
 
+    run_csv = tmp_path / "run.csv"
+    run_cli(["run", *FLAGSHIP, "--force", "--output", str(run_csv),
+             "--format", "csv"], capsys)
+    lines = run_csv.read_text().strip().splitlines()
+    assert lines[0] == "level,gamma,T,contribution,iterations"
+    assert len(lines) == 7
+
     bench_csv = tmp_path / "bench.csv"
-    run_cli(["bench", "--suite", "ou", "--d", "2", "--eps", "0.45",
+    run_cli(["bench", "--model", "ou", "--d", "2", "--eps", "0.45",
              "--runs", "2", "--output", str(bench_csv), "--format", "csv"],
             capsys)
     lines = bench_csv.read_text().strip().splitlines()

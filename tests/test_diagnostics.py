@@ -11,9 +11,9 @@ from mlangevin import (
     LangevinModel,
     LogisticPerturbedPotential,
     NoiseStream,
+    Potential,
     QuadraticPotential,
-    bench_logistic,
-    bench_ou,
+    bench,
     confluence_probe,
     contraction_probe,
     euler_invariant_moment_oracle,
@@ -21,8 +21,11 @@ from mlangevin import (
     logistic_posterior_mean,
     make_langevin_model,
     ou_reference_value,
+    plan_aggressive,
+    plan_b2,
+    warm_start,
 )
-from mlangevin.diagnostics import _load_pinned_reference
+import mlangevin.diagnostics as diagnostics
 
 PINNED_POSTERIOR_SCALE = 1.5351828597224253
 
@@ -36,6 +39,19 @@ def logistic_ou_pair(d=10, lam=0.25, a=2.0, seed=7):
     cov = logistic_covariate(d, a, NoiseStream(seed, 0))
     model = make_langevin_model(LogisticPerturbedPotential(d, lam, cov), "auto")
     return model, cov
+
+
+def ou_report(d, eps, n_runs, seed=0, x0=None):
+    model = make_langevin_model(QuadraticPotential(d), "auto")
+    start = np.zeros(d) if x0 is None else x0
+    return bench(model, plan_b2(model, eps), start, n_runs, seed=seed)
+
+
+def logistic_report(d, eps, n_runs, seed=0, covariate_seed=7, plan=plan_b2):
+    """The logistic benchmark from a warm start at the origin."""
+    model, _ = logistic_ou_pair(d, seed=covariate_seed)
+    x0 = warm_start(model.potential, np.zeros(d)).x0
+    return bench(model, plan(model, eps), x0, n_runs, seed=seed)
 
 
 # -------------------------------------------------- invariant-moment oracle
@@ -206,11 +222,11 @@ def test_posterior_mean_validation():
         logistic_posterior_mean(0.5, np.zeros(3))
 
 
-# ------------------------------------------------------------------ bench_ou
+# --------------------------------------------------------------------- bench
 
 
 def test_bench_ou_report_contents():
-    rep = bench_ou(d=2, eps=0.45, n_runs=3, seed=5)
+    rep = ou_report(d=2, eps=0.45, n_runs=3, seed=5)
     assert isinstance(rep, BenchReport)
     assert rep.model_label == "ou(d=2)"
     assert rep.n_runs == 3
@@ -224,36 +240,37 @@ def test_bench_ou_report_contents():
 
 
 def test_bench_ou_single_run_rmse_is_the_absolute_error():
-    rep = bench_ou(d=2, eps=0.45, n_runs=1, seed=9)
+    rep = ou_report(d=2, eps=0.45, n_runs=1, seed=9)
     assert rep.rmse == abs(rep.per_run_estimates[0] - rep.reference_value)
 
 
 def test_bench_ou_is_reproducible_apart_from_wall_clock():
-    a = bench_ou(d=2, eps=0.45, n_runs=2, seed=3).to_dict()
-    b = bench_ou(d=2, eps=0.45, n_runs=2, seed=3).to_dict()
+    a = ou_report(d=2, eps=0.45, n_runs=2, seed=3).to_dict()
+    b = ou_report(d=2, eps=0.45, n_runs=2, seed=3).to_dict()
     a.pop("wall_clock_seconds"), b.pop("wall_clock_seconds")
     assert a == b
 
 
 def test_bench_ou_start_modes():
-    zero = bench_ou(d=2, eps=0.45, n_runs=1, x0_mode="zero", seed=1)
-    ones = bench_ou(d=2, eps=0.45, n_runs=1, x0_mode="ones", seed=1)
-    warm = bench_ou(d=2, eps=0.45, n_runs=1, x0_mode="warmstart", seed=1)
+    zero = ou_report(d=2, eps=0.45, n_runs=1, seed=1)
+    ones = ou_report(d=2, eps=0.45, n_runs=1, seed=1, x0=np.ones(2))
+    warm = ou_report(d=2, eps=0.45, n_runs=1, seed=1,
+                    x0=warm_start(QuadraticPotential(2), np.ones(2)).x0)
     assert zero.per_run_estimates != ones.per_run_estimates
     # |grad U(ones)|^2 = d meets the alpha_u * d threshold: descent is a no-op
     assert warm.per_run_estimates == ones.per_run_estimates
-    with pytest.raises(ValueError, match="x0_mode"):
-        bench_ou(d=2, eps=0.45, n_runs=1, x0_mode="center")
+    with pytest.raises(ValueError, match="x0 must have shape"):
+        ou_report(d=2, eps=0.45, n_runs=1, x0=np.ones(3))
 
 
 def test_bench_ou_flagship_smoke_accuracy():
-    rep = bench_ou(d=10, eps=0.1, n_runs=5, seed=0)
+    rep = ou_report(d=10, eps=0.1, n_runs=5, seed=0)
     assert 0.0 < rep.rmse <= 0.2
     assert rep.plan_echo.R == 5
 
 
 def test_bench_report_csv_scalar_and_json():
-    rep = bench_ou(d=2, eps=0.45, n_runs=2, seed=3)
+    rep = ou_report(d=2, eps=0.45, n_runs=2, seed=3)
     rows = rep.csv_rows()
     assert [row["run"] for row in rows] == [0, 1]
     assert set(rows[0]) == {"run", "estimate", "complexity", "seconds"}
@@ -267,24 +284,35 @@ def test_bench_report_csv_scalar_and_json():
     }
 
 
-# ------------------------------------------------------------ bench_logistic
+class Bowl(Potential):
+    """|x|^2 / 2 again, but not one of the built-in potentials."""
+
+    def __init__(self, dim):
+        self.dim, self.alpha_u, self.l_u = dim, 1.0, 1.0
+
+    def grad(self, x):
+        return np.asarray(x, dtype=float).copy()
+
+
+def test_bench_rejects_a_potential_without_a_reference():
+    model = make_langevin_model(Bowl(2), "auto")
+    with pytest.raises(ValueError, match="no reference for Bowl"):
+        bench(model, plan_b2(model, 0.45), np.zeros(2), 1)
 
 
 def test_bench_logistic_quadrature_fallback_for_unpinned_configs():
-    rep = bench_logistic(d=4, lam=0.25, a=2.0, eps=0.45, n_runs=2,
-                         covariate_seed=3)
+    rep = logistic_report(d=4, eps=0.45, n_runs=2, covariate_seed=3)
     assert rep.reference_source == "exact quadrature posterior mean"
     cov = logistic_covariate(4, 2.0, NoiseStream(3, 0))
     np.testing.assert_array_equal(
         rep.reference_value, logistic_posterior_mean(0.25, cov))
-    assert rep.model_label == "logistic(d=4, lam=0.25, a=2.0)"
+    assert rep.model_label == "logistic(d=4, lam=0.25)"
     assert len(rep.per_run_estimates) == 2
     assert rep.rmse < 1.0
 
 
 def test_bench_logistic_csv_expands_vector_estimates():
-    rep = bench_logistic(d=4, lam=0.25, a=2.0, eps=0.45, n_runs=2,
-                         covariate_seed=3)
+    rep = logistic_report(d=4, eps=0.45, n_runs=2, covariate_seed=3)
     row = rep.csv_rows()[0]
     assert set(row) == {"run", "estimate_0", "estimate_1", "estimate_2",
                         "estimate_3", "complexity", "seconds"}
@@ -292,20 +320,25 @@ def test_bench_logistic_csv_expands_vector_estimates():
 
 
 def test_bench_logistic_aggressive_regime_uses_the_enlarged_step():
-    rep = bench_logistic(d=100, lam=0.25, a=2.0, eps=0.45, n_runs=2,
-                         regime="aggressive")
+    rep = logistic_report(d=100, eps=0.45, n_runs=2, plan=plan_aggressive)
     assert rep.plan_echo.experimental
     assert rep.plan_echo.gamma0 == pytest.approx(20.25, rel=1e-12)
     assert rep.rmse < 1.0
 
 
 def test_bench_logistic_validation():
-    with pytest.raises(ValueError, match="regime"):
-        bench_logistic(d=4, lam=0.25, a=2.0, eps=0.45, n_runs=1, regime="b1")
+    model, _ = logistic_ou_pair(d=4)
+    plan = plan_b2(model, 0.45)
+    with pytest.raises(ValueError, match="n_runs"):
+        bench(model, plan, np.zeros(4), 0)
+    with pytest.raises(ValueError, match="x0 must have shape"):
+        bench(model, plan, np.zeros(3), 1)
+    with pytest.raises(ValueError, match="dim"):
+        bench(model, plan_b2(logistic_ou_pair(d=2)[0], 0.45), np.zeros(4), 1)
 
 
 def test_bench_logistic_pinned_reference_is_loaded_for_the_shipped_config():
-    rep = bench_logistic(d=10, lam=0.25, a=2.0, eps=0.45, n_runs=1, seed=2)
+    rep = logistic_report(d=10, eps=0.45, n_runs=1, seed=2)
     assert rep.reference_source.startswith("frozen estimate(eps=0.01")
     assert "master_seed=990001" in rep.reference_source
     reference = np.asarray(rep.reference_value, dtype=float)
@@ -314,9 +347,17 @@ def test_bench_logistic_pinned_reference_is_loaded_for_the_shipped_config():
     assert float(np.linalg.norm(reference - truth)) / math.sqrt(10) <= 0.03
 
 
-def test_pinned_reference_guards():
-    _, cov = logistic_ou_pair()
-    assert _load_pinned_reference(4, 0.25, 2.0, 7, cov[:4]) is None
+def test_pinned_reference_guards(monkeypatch):
+    model, cov = logistic_ou_pair()
+    assert diagnostics._frozen_reference(model.potential) is not None
+    # another dimension, ridge weight or covariate gets no frozen file
+    for other in (LogisticPerturbedPotential(4, 0.25, cov[:4]),
+                  LogisticPerturbedPotential(10, 0.5, cov),
+                  LogisticPerturbedPotential(10, 0.25, cov + 1e-6)):
+        assert diagnostics._frozen_reference(other) is None
+    # a covariate draw that no longer reproduces the shipped one
+    drawn = diagnostics.logistic_covariate
+    monkeypatch.setattr(diagnostics, "logistic_covariate",
+                        lambda *args: drawn(*args) + 1e-6)
     with pytest.warns(RuntimeWarning, match="covariate"):
-        data = _load_pinned_reference(10, 0.25, 2.0, 7, cov + 1e-6)
-    assert data is None
+        assert diagnostics._frozen_reference(model.potential) is None

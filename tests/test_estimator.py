@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mlangevin import (
-    EstimatorOutput,
     NoiseStream,
     NumericalFailureError,
     Observable,
@@ -293,9 +292,6 @@ def test_csv_rows_one_per_level():
     assert [row["T"] for row in rows] == plan.horizons
     assert rows[0]["iterations"] == out.level_iterations[0]
     assert float(rows[1]["contribution"]) == out.level_contributions[1]
-    text = out.to_csv()
-    assert text.splitlines()[0] == "level,gamma,T,contribution,iterations"
-    assert len(text.splitlines()) == 4
 
 
 def test_csv_vector_contributions_join_coordinates_with_semicolons():
