@@ -11,7 +11,6 @@ import numpy as np
 from mlangevin import (
     LogisticPerturbedPotential,
     NoiseStream,
-    Observable,
     QuadraticPotential,
     confluence_probe,
     contraction_probe,
@@ -53,11 +52,10 @@ def show_confluence():
 def show_invariant_moment():
     print("-- invariant moment: the discrete chain's bias is exactly known")
     model = make_langevin_model(QuadraticPotential(1), "auto")
-    obs = Observable(kind="scalar", apply=lambda x: float(x[0]) ** 2,
-                     label="x_squared")
     for gamma in (0.5, 0.25, 0.125):
         avg, _ = run_level0(model, np.zeros(1), gamma0=gamma, tau=50.0,
-                            t0=2e4, f=obs, stream=NoiseStream(11, 0))
+                            t0=2e4, f=lambda x: x[..., 0] ** 2,
+                            stream=NoiseStream(11, 0))
         oracle = euler_invariant_moment_oracle(gamma)
         n = n_gamma(2e4, gamma) - n_gamma(50.0, gamma)
         print(f"gamma={gamma:<6} occupation average {float(avg):.4f}"

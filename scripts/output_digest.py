@@ -134,8 +134,9 @@ def main():
             x0 = np.full(10, 0.3)
             for R in (0, 2, 4):
                 p = plan(10, R, gamma0, t0, 2.0)
-                for obs in (ml.norm_observable(), ml.identity_observable()):
-                    tag = f"cap={cap} {name} R={R} {obs.label}"
+                for label, obs in (("norm", ml.norm_observable()),
+                                   ("identity", ml.identity_observable())):
+                    tag = f"cap={cap} {name} R={R} {label}"
                     one = ml.estimate(model, p, x0, obs, master_seed=5 + R)
                     lines.append(f"{tag} estimate {digest(one.to_json())}")
                     for n_runs in (3, 60):

@@ -27,7 +27,6 @@ from .sde import (
 )
 from .estimator import (
     EstimatorOutput,
-    Observable,
     estimate,
     estimate_repeated,
     identity_observable,
@@ -67,7 +66,6 @@ __all__ = [
     "LogisticPerturbedPotential",
     "NoiseStream",
     "NumericalFailureError",
-    "Observable",
     "PathState",
     "Potential",
     "QuadraticPotential",

@@ -25,7 +25,7 @@ from .diagnostics import (
     contraction_probe,
     euler_invariant_moment_oracle,
 )
-from .estimator import Observable, estimate, norm_observable, identity_observable
+from .estimator import estimate, identity_observable, norm_observable
 from .model import (
     LogisticPerturbedPotential,
     QuadraticPotential,
@@ -117,7 +117,8 @@ def _build_parser() -> _Parser:
     p_probe.add_argument("--paths", type=int)
     p_probe.add_argument("--n-steps", type=int)
     p_probe.add_argument("--x-init",
-                         help="first probe point: zeros | ones | JSON file")
+                         help="start point (confluence) or first point "
+                              "(contraction): zeros | ones | JSON file")
     p_probe.add_argument("--y-init",
                          help="second probe point: zeros | ones | JSON file")
     return parser
@@ -216,6 +217,34 @@ def _resolve_config(args: argparse.Namespace, actions: dict) -> dict:
     return cfg
 
 
+# flags only some probe kinds read, and the flags only the logistic model
+# reads; any other flag a subcommand declares is read by that subcommand
+_PROBE_FLAGS = {
+    "confluence": {"gamma", "horizon", "paths", "x_init"},
+    "contraction": {"gamma", "n_steps", "x_init", "y_init"},
+    "invariant-moment": {"gamma", "horizon"},
+}
+_LOGISTIC_FLAGS = ("lam", "a", "covariate_seed")
+
+
+def _check_flags_read(cfg: dict, args: argparse.Namespace,
+                      actions: dict) -> None:
+    """A command-line flag that the resolved command does not read is a
+    usage error.  Config-file fields are not checked here, so that one file
+    can serve several commands."""
+    checks = []
+    if cfg["model"] == "ou":
+        checks.append((_LOGISTIC_FLAGS, "applies to --model logistic only"))
+    if cfg["command"] == "probe":
+        kind = cfg["probe"]
+        others = set().union(*_PROBE_FLAGS.values()) - _PROBE_FLAGS[kind]
+        checks.append((sorted(others), f"is not read by the {kind} probe"))
+    for dests, why in checks:
+        for dest in dests:
+            if getattr(args, dest, None) is not None:
+                raise _UsageError(f"{actions[dest].option_strings[0]} {why}")
+
+
 def _build_model(cfg: dict):
     if cfg["model"] == "ou":
         potential = QuadraticPotential(cfg["d"])
@@ -296,13 +325,13 @@ def cmd_run(cfg: dict) -> int:
             f"T_R/2={plan.horizons[-1] / 2.0:.6g}; rerun with --force to "
             "proceed with the clamped burn-in", file=sys.stderr)
         return EXIT_INFEASIBLE
+    if cfg["table"] and cfg["observable"] != "norm":
+        raise _UsageError("--table requires a scalar observable (norm)")
     x0 = _start_point(cfg, potential)
     if cfg["observable"] == "norm":
         obs = norm_observable()
     else:
         obs = identity_observable()
-    if cfg["table"] and obs.kind != "scalar":
-        raise _UsageError("--table requires a scalar observable")
     out = estimate(model, plan, x0, obs, cfg["seed"])
     if cfg["table"]:
         lines = [f"{'level':>5}  {'iterations':>12}  {'cumulative':>18}"]
@@ -335,8 +364,9 @@ def cmd_probe(cfg: dict) -> int:
     if name == "confluence":
         gamma = cfg["gamma"] if cfg["gamma"] is not None else 0.25
         horizon = cfg["horizon"] if cfg["horizon"] is not None else 50.0
+        x0 = _resolve_point(cfg["x_init"] or "zeros", cfg["d"])
         result = confluence_probe(model, gamma, horizon, cfg["paths"],
-                                  seed=cfg["seed"])
+                                  seed=cfg["seed"], x0=x0)
         payload = {
             "probe": "confluence",
             "sup_gap_sq": {repr(g): v for g, v in result.sup_gap_sq.items()},
@@ -357,7 +387,7 @@ def cmd_probe(cfg: dict) -> int:
             "distances": distances,
         }
         rows = [{"step": i, "distance": v} for i, v in enumerate(distances)]
-    elif name == "invariant-moment":
+    else:  # invariant-moment
         if cfg["model"] != "ou":
             raise _UsageError(
                 "the invariant-moment probe needs --model ou: its oracle "
@@ -367,22 +397,14 @@ def cmd_probe(cfg: dict) -> int:
         payload = {"probe": "invariant-moment", "gamma": gamma,
                    "oracle_moment": oracle}
         if cfg["horizon"] is not None:
-            first_sq = Observable(
-                kind="scalar",
-                apply=lambda x: float(x[0] ** 2),
-                label="first_coordinate_squared",
-                apply_batch=lambda xs: xs[..., 0] ** 2,
-            )
             tau = min(100.0, cfg["horizon"] / 10.0)
             avg, iters = run_level0(model, np.zeros(cfg["d"]), gamma, tau,
-                                    cfg["horizon"], first_sq,
+                                    cfg["horizon"], lambda x: x[..., 0] ** 2,
                                     NoiseStream(cfg["seed"], 0))
             payload["empirical_moment"] = avg
             payload["iterations"] = iters
             payload["abs_error"] = abs(avg - oracle)
         rows = [{k: v for k, v in payload.items() if k != "probe"}]
-    else:
-        raise _UsageError(f"unknown probe {name!r}")
     _emit(json.dumps(payload, indent=2, sort_keys=True), rows, cfg)
     return EXIT_OK
 
@@ -399,7 +421,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve_config(args, _flag_actions(parser))
+        actions = _flag_actions(parser)
+        cfg = _resolve_config(args, actions)
+        _check_flags_read(cfg, args, actions)
         return _COMMANDS[args.command](cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

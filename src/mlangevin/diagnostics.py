@@ -309,6 +309,15 @@ def logistic_posterior_mean(lam: float, covariate: np.ndarray) -> np.ndarray:
     return (m / s) * covariate
 
 
+def _check_probe_step(model: LangevinModel, gamma: float) -> None:
+    """Both probes need 0 < gamma <= alpha_eff / (2 l_eff^2)."""
+    bound = model.alpha_eff / (2.0 * model.l_eff ** 2)
+    if not 0.0 < gamma <= bound:
+        raise ValueError(
+            f"gamma must satisfy 0 < gamma <= alpha_eff/(2 l_eff^2) = "
+            f"{bound}, got {gamma}")
+
+
 def contraction_probe(
     model: LangevinModel,
     x: np.ndarray,
@@ -325,7 +334,7 @@ def contraction_probe(
     strongly convex potential it contracts at least geometrically.
 
     Args:
-        model: LangevinModel with gamma <= alpha_eff / (2 l_eff^2).
+        model: LangevinModel with 0 < gamma <= alpha_eff / (2 l_eff^2).
         x, y: Starting points, shape (d,).
         gamma: Step size.
         n_steps: Number of steps.
@@ -334,10 +343,7 @@ def contraction_probe(
     Returns:
         List of length n_steps + 1: |x_n - y_n| for n = 0..n_steps.
     """
-    if gamma > model.alpha_eff / (2.0 * model.l_eff ** 2):
-        raise ValueError(
-            f"gamma={gamma} exceeds the contraction step bound "
-            f"alpha_eff/(2 l_eff^2) = {model.alpha_eff / (2.0 * model.l_eff ** 2)}")
+    _check_probe_step(model, gamma)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rows = np.array([x, y], dtype=float)
@@ -406,7 +412,7 @@ def confluence_probe(
 
     For step gamma and for gamma/2, estimates the sup over coarse grid times
     of E|X_fine - X_coarse|^2 by Monte Carlo over n_paths coupled pairs
-    started at the origin, and reports
+    started at x0, and reports
 
         order_estimate = log2( gap(gamma) / gap(gamma / 2) ),
 
@@ -415,9 +421,9 @@ def confluence_probe(
     noise and a start at the fixed point) gives an undefined order (nan).
 
     Args:
-        model: LangevinModel with gamma <= alpha_eff / (2 l_eff^2).
+        model: LangevinModel with 0 < gamma <= alpha_eff / (2 l_eff^2).
         gamma: Coarse step of the first pair.
-        horizon: Time horizon of each pair.
+        horizon: Time horizon of each pair (>= gamma).
         n_paths: Monte-Carlo paths (a few thousand for a stable order).
         seed: Noise seed (the two pairs use independent child streams).
         x0: Shared starting point (default: the origin).
@@ -426,10 +432,10 @@ def confluence_probe(
         ConfluenceProbeResult(sup_gap_sq={gamma: ..., gamma/2: ...},
         order_estimate).
     """
-    if gamma > model.alpha_eff / (2.0 * model.l_eff ** 2):
+    _check_probe_step(model, gamma)
+    if horizon < gamma:
         raise ValueError(
-            f"gamma={gamma} exceeds the step bound alpha_eff/(2 l_eff^2) = "
-            f"{model.alpha_eff / (2.0 * model.l_eff ** 2)}")
+            f"horizon={horizon} is shorter than one coarse step gamma={gamma}")
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     if n_paths < 100:

@@ -10,6 +10,11 @@ and the starting point, so its contribution equals the standalone
 ``run_level0`` / ``run_coupled_level`` call on that stream byte for byte, and
 no order or schedule of the levels can change the result.
 
+An observable is a plain function along the last axis, points (N, d) to
+values (N,) or (N, m); ``norm_observable`` and ``identity_observable`` build
+the two the package uses.  A scalar observable gives float contributions and
+estimates, a vector one (m,) arrays.
+
 Repeated runs for RMSE harnesses advance as rows of one batched simulation
 (bit-identical to running them one at a time) with the run index mixed into
 the child seeds, so the outputs are independent across runs and reproducible.
@@ -29,64 +34,27 @@ from .sde import (
     NumericalFailureError,
     _run_coupled_batch,
     _run_level0_batch,
+    _run_value,
 )
 from .tuning import TuningPlan
 
 __all__ = [
     "EstimatorOutput",
-    "Observable",
     "estimate",
     "estimate_repeated",
     "identity_observable",
     "norm_observable",
 ]
 
-@dataclass
-class Observable:
-    """A Lipschitz test function f read along the simulated paths.
 
-    Attributes:
-        kind: ``"scalar"`` for f: R^d -> R, ``"vector"`` for f: R^d -> R^m
-            (vector observables are averaged coordinatewise along the same
-            paths).
-        apply: Point-wise evaluation, point of shape (d,) -> float or (m,).
-        label: Short name; built-ins use ``"norm"`` and ``"identity"``.
-        apply_batch: Optional vectorized form, (N, d) -> (N,) or (N, m).
-            When omitted, a row loop over ``apply`` is used.  The caller
-            declares Lipschitz intent; it is not checked.
-    """
-
-    kind: str
-    apply: Callable[[np.ndarray], object]
-    label: str = "custom"
-    apply_batch: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("scalar", "vector"):
-            raise ValueError(f"kind must be 'scalar' or 'vector', got {self.kind!r}")
-
-    def __call__(self, x):
-        return self.apply(x)
-
-
-def norm_observable() -> Observable:
+def norm_observable() -> Callable[[np.ndarray], np.ndarray]:
     """f(x) = |x| (Euclidean norm), Lipschitz constant 1."""
-    return Observable(
-        kind="scalar",
-        apply=lambda x: float(np.linalg.norm(np.asarray(x, dtype=float))),
-        label="norm",
-        apply_batch=lambda pts: np.linalg.norm(pts, axis=-1),
-    )
+    return lambda pts: np.linalg.norm(pts, axis=-1)
 
 
-def identity_observable() -> Observable:
+def identity_observable() -> Callable[[np.ndarray], np.ndarray]:
     """f(x) = x, coordinatewise 1-Lipschitz."""
-    return Observable(
-        kind="vector",
-        apply=lambda x: np.asarray(x, dtype=float).copy(),
-        label="identity",
-        apply_batch=lambda pts: np.array(pts, dtype=float, copy=True),
-    )
+    return lambda pts: np.array(pts, dtype=float, copy=True)
 
 
 @dataclass
@@ -161,7 +129,7 @@ def _estimate_batch(
     model: LangevinModel,
     plan: TuningPlan,
     x0: np.ndarray,
-    f: Observable,
+    f: Callable[[np.ndarray], np.ndarray],
     master_seed: int,
     run_indices: Sequence[int],
 ) -> List[EstimatorOutput]:
@@ -208,23 +176,14 @@ def _estimate_batch(
     total = int(sum(level_iterations))
 
     outputs = []
-    scalar = f.kind == "scalar" if isinstance(f, Observable) else None
     for b, idx in enumerate(run_indices):
-        contribs = []
-        for r in range(plan.R + 1):
-            row = results[r][0][b]
-            if np.ndim(row) == 0:
-                contribs.append(float(row))
-            else:
-                contribs.append(np.array(row, dtype=float))
+        contribs = [_run_value(avg[b]) for avg, _ in results]
         # fixed left-to-right summation so additivity is exact by construction
         total_est = contribs[0]
         for c in contribs[1:]:
             total_est = total_est + c
-        if scalar is None:
-            scalar = np.ndim(total_est) == 0
         outputs.append(EstimatorOutput(
-            estimate=float(total_est) if scalar else total_est,
+            estimate=total_est,
             level_contributions=contribs,
             level_iterations=list(level_iterations),
             total_complexity=total,
@@ -240,7 +199,7 @@ def estimate(
     model: LangevinModel,
     plan: TuningPlan,
     x0: np.ndarray,
-    f: Observable,
+    f: Callable[[np.ndarray], np.ndarray],
     master_seed: int,
 ) -> EstimatorOutput:
     """Run the multilevel estimator once.
@@ -260,7 +219,8 @@ def estimate(
         plan: TuningPlan, tuned (``plan_b2`` etc.) or built by hand from
             gamma0, the horizons and tau.
         x0: Starting point for every level, shape (d,), finite.
-        f: Observable (scalar or vector kind).
+        f: The observable, a function mapping points (N, d) to values (N,)
+            (scalar) or (N, m) (vector), as ``sde`` describes.
         master_seed: Seed of the noise-stream tree.
 
     Returns:
@@ -278,7 +238,7 @@ def estimate_repeated(
     model: LangevinModel,
     plan: TuningPlan,
     x0: np.ndarray,
-    f: Observable,
+    f: Callable[[np.ndarray], np.ndarray],
     master_seed: int,
     n_runs: int,
 ) -> List[EstimatorOutput]:

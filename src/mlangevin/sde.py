@@ -14,6 +14,13 @@ path simulation reads the engine's chunk histories:
 
 ``euler_step`` is the single-step reference the engine matches bit for bit.
 
+An observable is any function f acting along the last axis, as
+``Potential.grad`` does: it maps a batch of path points (N, d) to values of
+shape (N,) for a scalar observable or (N, m) for a vector one.  The shape of
+its value is the only scalar/vector signal; one reduction path serves both,
+and a level returns a float per run for the first and an (m,) array for the
+second.  Any other value shape is a ValueError that names it.
+
 Sampling windows use the grid-index rule ``n_gamma(t) = max{k : k*gamma <= t}``
 with the average taken over indices ``k in [n_gamma(tau), n_gamma(T) - 1]``;
 no interpolation or border-weight modification is applied at window edges.
@@ -40,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -218,30 +225,19 @@ class _CompensatedSum:
         return self.s + self.c
 
 
-def _batch_apply_fn(f) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt an observable to a (N, d) -> (N,) or (N, m) batch function."""
-    fb = getattr(f, "apply_batch", None)
-    if fb is not None:
-        return fb
-    apply = getattr(f, "apply", None)
-    if apply is None and callable(f):
-        apply = f
-    if apply is None:
-        raise TypeError(f"cannot interpret {f!r} as an observable")
+def _eval_window(f, hist: np.ndarray) -> np.ndarray:
+    """Apply an observable to history (w, B, d) -> (w, B) + value shape.
 
-    def rowwise(points: np.ndarray) -> np.ndarray:
-        return np.asarray([apply(p) for p in points], dtype=float)
-
-    return rowwise
-
-
-def _eval_window(fb, hist: np.ndarray) -> np.ndarray:
-    """Apply a batch observable to history (w, B, d) -> (w, B) or (w, B, m)."""
+    f maps the (N, d) points to (N,) for a scalar observable or to (N, m)
+    for a vector one; any other shape is a ValueError naming it.
+    """
     w, bsz, d = hist.shape
-    vals = np.asarray(fb(hist.reshape(w * bsz, d)), dtype=float)
-    if vals.ndim == 1:
-        return vals.reshape(w, bsz)
-    return vals.reshape(w, bsz, vals.shape[-1])
+    vals = np.asarray(f(hist.reshape(w * bsz, d)), dtype=float)
+    if vals.shape[:1] != (w * bsz,) or vals.ndim > 2:
+        raise ValueError(
+            f"an observable must map points (N, d) to (N,) or (N, m); on "
+            f"N={w * bsz} points it returned shape {vals.shape}")
+    return vals.reshape((w, bsz) + vals.shape[1:])
 
 
 def _reduce_window(vals: np.ndarray) -> np.ndarray:
@@ -251,18 +247,15 @@ def _reduce_window(vals: np.ndarray) -> np.ndarray:
     same pairwise summation tree regardless of the batch width, keeping
     batched window sums bit-identical to single-run execution.
     """
-    if vals.ndim == 2:
-        return np.add.reduce(np.ascontiguousarray(vals.T), axis=-1)
-    return np.add.reduce(np.ascontiguousarray(vals.transpose(1, 2, 0)), axis=-1)
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(vals, 0, -1)),
+                         axis=-1)
 
 
 def _check_values_finite(vals: np.ndarray, first_index: int,
                          runs: Sequence[int]) -> None:
     """Raise with the offending grid index and run (``runs[row]``) when
     observable values blow up."""
-    finite = np.isfinite(vals)
-    if vals.ndim == 3:
-        finite = finite.all(axis=-1)
+    finite = np.isfinite(vals).all(axis=tuple(range(2, vals.ndim)))
     if not finite.all():
         j, row = np.argwhere(~finite)[0]
         run = runs[row]
@@ -402,7 +395,6 @@ def _window_average(model, x0, gamma, k0, k1, f, streams, pair):
     d = x.shape[1]
     if d != model.dim:
         raise ValueError(f"x0 dimension {d} does not match model dim {model.dim}")
-    fb = _batch_apply_fn(f)
     draw = _stream_draw(model, streams, gamma, d, pair)
     runs = [st.run_index for st in streams]
     acc = None
@@ -411,14 +403,20 @@ def _window_average(model, x0, gamma, k0, k1, f, streams, pair):
         lo = max(k0 - first, 0)
         if lo >= len(hists[0]):
             continue
-        vals = _eval_window(fb, hists[0][lo:])
+        vals = _eval_window(f, hists[0][lo:])
         if pair:
-            vals = vals - _eval_window(fb, hists[1][lo:])
+            vals = vals - _eval_window(f, hists[1][lo:])
         _check_values_finite(vals, first + lo, runs)
         if acc is None:
             acc = _CompensatedSum(vals.shape[1:])
         acc.add(_reduce_window(vals))
+        del vals  # free the window values before the next chunk's draw
     return acc.total() / (k1 - k0)
+
+
+def _run_value(row):
+    """One run's average: a float for a scalar observable, else an array."""
+    return float(row) if np.ndim(row) == 0 else np.array(row, dtype=float)
 
 
 def _run_level0_batch(
@@ -487,7 +485,8 @@ def run_level0(model, x0: np.ndarray, gamma0: float, tau: float, t0: float,
         gamma0: Step size.
         tau: Burn-in time (0 <= tau < T0).
         t0: Horizon.
-        f: Observable (or bare callable point -> value).
+        f: The observable, a function mapping points (N, d) to values (N,)
+            (scalar) or (N, m) (vector).
         stream: NoiseStream driving this chain.
 
     Returns:
@@ -497,8 +496,7 @@ def run_level0(model, x0: np.ndarray, gamma0: float, tau: float, t0: float,
     avg, iterations = _run_level0_batch(
         model, np.asarray(x0, dtype=float).reshape(1, -1), gamma0, tau, t0, f,
         [stream])
-    out = avg[0]
-    return (float(out) if np.ndim(out) == 0 else out), iterations
+    return _run_value(avg[0]), iterations
 
 
 def run_coupled_level(model, x0: np.ndarray, gamma_fine: float, tau: float,
@@ -516,5 +514,4 @@ def run_coupled_level(model, x0: np.ndarray, gamma_fine: float, tau: float,
     avg, iterations = _run_coupled_batch(
         model, np.asarray(x0, dtype=float).reshape(1, -1), gamma_fine, tau, t,
         f, [stream])
-    out = avg[0]
-    return (float(out) if np.ndim(out) == 0 else out), iterations
+    return _run_value(avg[0]), iterations

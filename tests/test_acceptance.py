@@ -17,7 +17,6 @@ import pytest
 
 from mlangevin import (
     NoiseStream,
-    Observable,
     QuadraticPotential,
     TuningPlan,
     bench,
@@ -145,9 +144,8 @@ def test_c08_constant_observable_exact():
         tau = float(rng.uniform(0.0, t0 * 2.0 ** -R / 2.0))
         c = float(rng.uniform(-5.0, 5.0))
         plan = feasible_plan(d, R, gamma0, t0, tau)
-        obs = Observable(kind="scalar", apply=lambda x, c=c: c,
-                         label="constant")
-        out = estimate(ou_model(d), plan, np.zeros(d), obs,
+        out = estimate(ou_model(d), plan, np.zeros(d),
+                       lambda x, c=c: np.full(x.shape[:-1], c),
                        master_seed=int(rng.integers(0, 2 ** 31)))
         assert out.estimate == pytest.approx(c, rel=1e-13, abs=1e-13)
         for contribution in out.level_contributions[1:]:
@@ -184,10 +182,9 @@ def test_c10_confluence_second_order():
 #     window mean is Var(x^2) * (1 + rho) / ((1 - rho) * n).
 def test_c11_level0_bias_within_three_stderr():
     model = ou_model(1)
-    obs = Observable(kind="scalar", apply=lambda x: float(x[0]) ** 2,
-                     label="first_coordinate_squared")
     avg, iters = run_level0(model, np.zeros(1), gamma0=0.5, tau=100.0,
-                            t0=5e4, f=obs, stream=NoiseStream(0, 0))
+                            t0=5e4, f=lambda x: x[..., 0] ** 2,
+                            stream=NoiseStream(0, 0))
     n = n_gamma(5e4, 0.5) - n_gamma(100.0, 0.5)
     assert iters == n_gamma(5e4, 0.5)
     moment = 4.0 / 3.0

@@ -12,6 +12,7 @@ from mlangevin import (
     NoiseStream,
     QuadraticPotential,
     bench,
+    confluence_probe,
     logistic_covariate,
     make_langevin_model,
     plan_aggressive,
@@ -296,6 +297,39 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["probe", "--probe", "confluence", "--d", "2", "--horizon", "10",
+      "--paths", "200", "--x-init", "ones", "--n-steps", "99"], "--n-steps"),
+    (["probe", "--probe", "contraction", "--d", "2", "--paths", "7",
+      "--horizon", "3"], "--horizon"),
+    (["probe", "--probe", "invariant-moment", "--d", "2", "--x-init", "ones",
+      "--paths", "7"], "--paths"),
+    (["tune", "--model", "ou", "--d", "4", "--eps", "0.5", "--lambda", "3",
+      "--a", "9", "--covariate-seed", "4"], "--lambda"),
+    (["run", "--d", "2", "--eps", "0.5", "--covariate-seed", "4"],
+     "--covariate-seed"),
+], ids=["confluence", "contraction", "invariant-moment", "tune-ou", "run-ou"])
+def test_a_flag_the_probe_kind_or_model_does_not_read_is_a_usage_error(
+        argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} ")
+
+
+def test_config_fields_are_not_checked_against_the_probe_kind(tmp_path,
+                                                              capsys):
+    # one file can serve several commands: its n_steps and lambda fields
+    # do not stop a confluence probe on the ou model
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 2, "n_steps": 5, "lambda": 0.3,
+                               "horizon": 2.0, "paths": 100}))
+    code, out, _ = run_cli(["probe", "--config", str(cfg), "--probe",
+                            "confluence"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["probe"] == "confluence"
+
+
 # ---------------------------------------------------------------------- probe
 
 
@@ -339,6 +373,35 @@ def test_probe_confluence_reports_both_gaps(capsys):
     payload = json.loads(out)
     assert set(payload["sup_gap_sq"]) == {"0.25", "0.125"}
     assert 1.0 <= payload["order_estimate"] <= 3.0
+
+
+def test_probe_confluence_starts_at_x_init(capsys):
+    argv = ["probe", "--probe", "confluence", "--d", "2", "--horizon", "10",
+            "--paths", "200"]
+    code, origin, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    code, ones, _ = run_cli(argv + ["--x-init", "ones"], capsys)
+    assert code == EXIT_OK
+    assert ones != origin
+    model = make_langevin_model(QuadraticPotential(2), "auto")
+    res = confluence_probe(model, 0.25, 10.0, 200, x0=np.ones(2))
+    assert json.loads(ones)["sup_gap_sq"] == {
+        repr(g): v for g, v in res.sup_gap_sq.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--probe", "contraction", "--gamma", "-0.5"],
+    ["--probe", "contraction", "--gamma", "0"],
+    ["--probe", "confluence", "--gamma", "0"],
+    ["--probe", "confluence", "--gamma", "0.25", "--horizon", "0.1"],
+], ids=["contraction-negative", "contraction-zero", "confluence-zero",
+        "confluence-short-horizon"])
+def test_probe_step_and_horizon_errors_are_one_line(argv, capsys):
+    code, out, err = run_cli(["probe", "--d", "2", *argv], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "gamma" in err and "math domain" not in err
 
 
 def test_probe_rejects_unknown_names(capsys):

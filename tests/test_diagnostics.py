@@ -117,6 +117,9 @@ def test_contraction_probe_validation():
     model = make_langevin_model(QuadraticPotential(2), "auto")
     with pytest.raises(ValueError, match="gamma"):
         contraction_probe(model, np.ones(2), np.zeros(2), gamma=0.6, n_steps=3)
+    for gamma in (0.0, -0.5):
+        with pytest.raises(ValueError, match="0 < gamma <= alpha_eff"):
+            contraction_probe(model, np.ones(2), np.zeros(2), gamma, n_steps=3)
     with pytest.raises(ValueError, match="n_steps"):
         contraction_probe(model, np.ones(2), np.zeros(2), gamma=0.5, n_steps=0)
 
@@ -170,6 +173,13 @@ def test_confluence_probe_validation_and_path_warning():
     model = make_langevin_model(QuadraticPotential(2), "auto")
     with pytest.raises(ValueError, match="gamma"):
         confluence_probe(model, gamma=0.6, horizon=5.0, n_paths=200)
+    for gamma in (0.0, -0.5):
+        with pytest.raises(ValueError, match="0 < gamma <= alpha_eff"):
+            confluence_probe(model, gamma, horizon=5.0, n_paths=200)
+    # a horizon shorter than one coarse step leaves no gap to measure
+    with pytest.raises(ValueError, match="horizon=0.1"):
+        confluence_probe(model, gamma=0.25, horizon=0.1, n_paths=200)
+    assert min(confluence_probe(model, 0.25, 0.25, 200).sup_gap_sq.values()) > 0
     with pytest.raises(ValueError, match="n_paths"):
         confluence_probe(model, gamma=0.25, horizon=5.0, n_paths=1)
     with pytest.warns(RuntimeWarning, match="paths"):

@@ -131,6 +131,24 @@ def test_estimate_is_the_left_to_right_sum_of_its_levels(
 
 
 @PROPERTY
+@given(kinds, dims, levels, st.integers(1, 4), caps, seeds)
+def test_scalar_and_vector_values_share_one_reduction(
+        kind, d, R, n_runs, cap, seed):
+    # the scalar x[..., 0] and coordinate 0 of the identity take the same
+    # window sums and the same compensated merge, so they agree bit for bit
+    model, plan, x0 = make_model(kind, d), make_plan(d, R), start(d, seed)
+    with chunk_cap(cap):
+        scalar = estimate_repeated(model, plan, x0, lambda x: x[..., 0],
+                                   seed, n_runs)
+        vector = estimate_repeated(model, plan, x0, identity_observable(),
+                                   seed, n_runs)
+    for s, v in zip(scalar, vector):
+        for cs, cv in zip(s.level_contributions, v.level_contributions):
+            assert isinstance(cs, float) and cv.shape == (d,)
+            assert np.float64(cs).tobytes() == cv[0].tobytes()
+
+
+@PROPERTY
 @given(kinds, dims, st.integers(1, 60), st.floats(0.05, 1.0), caps, seeds)
 def test_contraction_probe_equals_an_euler_step_loop(
         kind, d, n_steps, fraction, cap, seed):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from mlangevin import (
     NoiseStream,
     NumericalFailureError,
-    Observable,
     QuadraticPotential,
     TuningPlan,
     estimate,
@@ -40,8 +40,7 @@ def test_builtin_observables():
     x = np.array([3.0, 4.0, 12.0])
     norm = norm_observable()
     assert norm(x) == pytest.approx(13.0, rel=1e-15)
-    np.testing.assert_array_equal(norm.apply_batch(np.stack([x, 2 * x])),
-                                  [13.0, 26.0])
+    np.testing.assert_array_equal(norm(np.stack([x, 2 * x])), [13.0, 26.0])
     ident = identity_observable()
     out = ident(x)
     np.testing.assert_array_equal(out, x)
@@ -49,9 +48,14 @@ def test_builtin_observables():
     assert x[0] == 3.0
 
 
-def test_observable_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        Observable(kind="matrix", apply=lambda x: x)
+@pytest.mark.parametrize("f, shape", [
+    (lambda x: x[0], "(3,)"),  # a pointwise form, read on the (N, d) batch
+    (lambda x: 1.0, "()"),
+    (lambda x: x[..., None] * np.ones(2), "(9, 3, 2)"),
+], ids=["pointwise", "constant-scalar", "matrix"])
+def test_observable_of_the_wrong_shape_is_a_value_error(f, shape):
+    with pytest.raises(ValueError, match=re.escape(f"returned shape {shape}")):
+        run_level0(OU3, X0, 0.5, 0.0, 5.0, f, NoiseStream(0, 0))
 
 
 # ------------------------------------------------------- single-run output
@@ -112,9 +116,9 @@ def test_levels_reproduce_the_public_kernels():
 
 
 def test_constant_observable_is_recovered_exactly():
-    const = Observable(kind="scalar", apply=lambda x: 0.7321,
-                       apply_batch=lambda pts: np.full(pts.shape[:-1], 0.7321),
-                       label="const")
+    def const(pts):
+        return np.full(pts.shape[:-1], 0.7321)
+
     out = estimate(OU3, small_plan(), X0, const, master_seed=3)
     assert out.estimate == pytest.approx(0.7321, rel=1e-13)
     for contrib in out.level_contributions[1:]:
@@ -246,8 +250,9 @@ def test_numerical_failure_is_annotated_with_level_and_run():
 
 
 def test_non_finite_observable_value_names_the_run():
-    blows = Observable(kind="scalar", apply=lambda x: math.inf,
-                       apply_batch=lambda pts: np.full(len(pts), math.inf))
+    def blows(pts):
+        return np.full(len(pts), math.inf)
+
     with pytest.raises(NumericalFailureError) as exc:
         _estimate_batch(OU3, small_plan(), X0, blows, master_seed=1,
                         run_indices=[7, 5])

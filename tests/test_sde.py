@@ -198,7 +198,7 @@ def test_level0_batch_rows_match_independent_single_runs_bitwise():
 
 def test_level0_accepts_bare_callables():
     avg, _ = run_level0(OU3, np.ones(3), 0.5, 0.0, 0.5,
-                        lambda x: float(x[0]), NoiseStream(0, 0))
+                        lambda x: x[..., 0], NoiseStream(0, 0))
     assert avg == 1.0
 
 
@@ -230,7 +230,7 @@ def test_level0_rejects_observable_overflow():
     # average NaNs
     model = make_langevin_model(QuadraticPotential(1), "explicit", sigma0=1.0)
     x0 = np.array([1e200])
-    f = lambda x: x[0] ** 2
+    f = lambda x: x[..., 0] ** 2
     with pytest.raises(NumericalFailureError) as err:
         run_level0(model, x0, 3.0, 0.0, 30.0, f, NoiseStream(0, 0))
     assert err.value.step_index == 0  # f(x0) already overflows
