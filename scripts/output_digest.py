@@ -27,6 +27,10 @@ It covers, in order:
   warm-started from the ones vector, and the logistic model warm-started
   from the origin in d=4 (quadrature reference), d=10 (frozen reference)
   and d=100 (aggressive plan).
+* the message, step, run and level of two numerical failures, at the
+  default chunk cap and at a cap of 7 steps: level 0 of the OU model in
+  d=3 at gamma0=3 from 1e308, and level 1 (coarse step 324) of a
+  noise-free model with the expanding drift b(x) = x.
 
 Takes about 15 s.
 """
@@ -125,6 +129,45 @@ def bench_lines():
     return lines
 
 
+class Expanding:
+    """Duck-typed model with drift b(x) = x and no noise."""
+
+    dim = 3
+    noise_scale = 0.0
+
+    def drift(self, x):
+        return x.copy()
+
+
+def failure_lines():
+    far = ml.TuningPlan(regime="b2", gamma0=3.0, horizons=[30.0, 15.0],
+                        tau=1.5, r0=1.0, big_t=30.0, dim=3)
+    grow = ml.TuningPlan(regime="b2", gamma0=4.0, horizons=[1320.0, 1316.0],
+                         tau=4.0, r0=1.0, big_t=1320.0, dim=3)
+    cases = (
+        ("ou d=3 x0=1e308", ml.make_langevin_model(ml.QuadraticPotential(3),
+                                                   "auto"),
+         far, np.full(3, 1e308), ml.norm_observable()),
+        ("expanding d=3 x0=ones", Expanding(), grow, np.ones(3),
+         ml.identity_observable()),
+    )
+    lines = []
+    default_cap = sde._CHUNK_STEP_CAP
+    for cap in (default_cap, 7):
+        sde._CHUNK_STEP_CAP = cap
+        for label, model, p, x0, obs in cases:
+            try:
+                ml.estimate_repeated(model, p, x0, obs, 1, 2)
+            except ml.NumericalFailureError as exc:
+                lines.append(f"failure cap={cap} {label} level="
+                             f"{exc.level_index} step={exc.step_index} "
+                             f"run={exc.run_index} {exc}")
+            else:
+                lines.append(f"failure cap={cap} {label} did not fail")
+    sde._CHUNK_STEP_CAP = default_cap
+    return lines
+
+
 def main():
     lines = plan_lines()
     default_cap = sde._CHUNK_STEP_CAP
@@ -157,6 +200,7 @@ def main():
     res = ml.confluence_probe(m2, 0.25, 50.0, 300, seed=2, x0=[1.0, -2.0])
     lines.append(f"confluence x0=[1,-2] {res.sup_gap_sq!r}")
     lines += bench_lines()
+    lines += failure_lines()
     print("\n".join(lines))
     print("total", digest("\n".join(lines)))
 

@@ -1,8 +1,8 @@
 """Command-line front end: tune, run, bench, and probe subcommands.
 
 Configuration comes from flags, optionally layered over a JSON config file
-(``--config``); flags override file fields.  Output is JSON on stdout, with
-``--output``/``--format`` for writing JSON or CSV files.
+(``--config``); flags override file fields.  The report goes to stdout and,
+with ``--output``, to a file, as JSON or, with ``--format csv``, as CSV.
 
 Exit codes: 0 success, 1 usage or config error, 2 infeasible plan,
 3 numerical failure (non-finite trajectory).
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from typing import Sequence
@@ -218,7 +219,8 @@ def _resolve_config(args: argparse.Namespace, actions: dict) -> dict:
 
 
 # flags only some probe kinds read, and the flags only the logistic model
-# reads; any other flag a subcommand declares is read by that subcommand
+# reads; any other flag a subcommand declares is read by that subcommand,
+# except --seed, which the invariant-moment probe reads only with --horizon
 _PROBE_FLAGS = {
     "confluence": {"gamma", "horizon", "paths", "x_init"},
     "contraction": {"gamma", "n_steps", "x_init", "y_init"},
@@ -239,6 +241,9 @@ def _check_flags_read(cfg: dict, args: argparse.Namespace,
         kind = cfg["probe"]
         others = set().union(*_PROBE_FLAGS.values()) - _PROBE_FLAGS[kind]
         checks.append((sorted(others), f"is not read by the {kind} probe"))
+        if kind == "invariant-moment" and cfg["horizon"] is None:
+            checks.append((["seed"], "is read by the invariant-moment probe "
+                                     "only with --horizon"))
     for dests, why in checks:
         for dest in dests:
             if getattr(args, dest, None) is not None:
@@ -292,17 +297,21 @@ def _start_point(cfg: dict, potential) -> np.ndarray:
 
 
 def _emit(json_text: str, rows, cfg: dict, quiet: bool = False) -> None:
+    """Render the report in ``--format`` and write it to stdout (unless
+    ``quiet``) and to ``--output``."""
+    if cfg["format"] == "json":
+        text = json_text + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
     if not quiet:
-        print(json_text)
+        sys.stdout.write(text)
     if cfg["output"]:
-        if cfg["format"] == "json":
-            with open(cfg["output"], "w") as fh:
-                fh.write(json_text + "\n")
-        else:
-            with open(cfg["output"], "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
+        with open(cfg["output"], "w", newline="") as fh:
+            fh.write(text)
 
 
 def cmd_tune(cfg: dict) -> int:
@@ -341,9 +350,7 @@ def cmd_run(cfg: dict) -> int:
             lines.append(f"{r:>5}  {out.level_iterations[r]:>12}  "
                          f"{cumulative:>18.12f}")
         print("\n".join(lines))
-        _emit(out.to_json(), out.csv_rows(), cfg, quiet=True)
-    else:
-        _emit(out.to_json(), out.csv_rows(), cfg)
+    _emit(out.to_json(), out.csv_rows(), cfg, quiet=cfg["table"])
     return EXIT_OK
 
 

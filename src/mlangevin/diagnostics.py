@@ -44,7 +44,7 @@ from .model import (
     logistic_covariate,
     ou_reference_value,
 )
-from .sde import _INV_SQRT2, NoiseStream, _chains, _chunk_steps, n_gamma
+from .sde import NoiseStream, _chains, _chunk_steps, n_gamma
 from .tuning import TuningPlan
 
 __all__ = [
@@ -351,16 +351,10 @@ def contraction_probe(
     if rows.shape != (2, d):
         raise ValueError(f"x and y must have shape ({d},), got {rows.shape[1:]}")
     stream = NoiseStream(seed, 0)
-    cn = model.noise_scale * math.sqrt(gamma)
-
-    def draw(n):
-        # one draw per step, shared by both rows
-        g = stream.standard_normal((n, 1, 1, d))
-        g *= cn
-        return g, None
-
     distances = []
-    for _, (hist,) in _chains(model, rows, float(gamma), n_steps, draw,
+    # one draw per step, shared by both rows
+    for _, (hist,) in _chains(model, rows, float(gamma), n_steps,
+                              lambda n: stream.standard_normal((n, 1, 1, d)),
                               _chunk_steps(2, d), pair=False):
         gaps = hist[:, 0] - hist[:, 1]
         distances.extend(float(np.linalg.norm(v)) for v in gaps)
@@ -370,30 +364,20 @@ def contraction_probe(
 def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
                 n_paths: int, stream: NoiseStream, x0=None) -> float:
     """Monte-Carlo sup over coarse grid times of E|fine - coarse|^2."""
-    gamma_f = gamma_coarse / 2.0
     d = model.dim
-    cn_f = model.noise_scale * math.sqrt(gamma_f)
-    cn_c = model.noise_scale * math.sqrt(gamma_coarse)
     if x0 is None:
         start = np.zeros((n_paths, d))
     else:
         start = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
-
-    def draw(n):
-        noise = stream.standard_normal((n, 2, n_paths, d))
-        coarse = noise[:, 0] + noise[:, 1]
-        coarse *= _INV_SQRT2 * cn_c
-        noise *= cn_f
-        return noise, coarse
-
     # besides the three increment arrays a chunk holds both histories; a
     # quarter of the estimator's chunk keeps that below 3 (n, n_paths, d)
     # arrays at the full chunk, what drawing alone would take
     chunk = _chunk_steps(4 * n_paths, d)
     sup = 0.0
-    for _, (fine, coarse) in _chains(model, start, gamma_f,
-                                     n_gamma(horizon, gamma_coarse), draw,
-                                     chunk, pair=True):
+    for _, (fine, coarse) in _chains(
+            model, start, gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse),
+            lambda n: stream.standard_normal((n, 2, n_paths, d)), chunk,
+            pair=True):
         gap = fine - coarse
         gap *= gap
         sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))

@@ -106,11 +106,19 @@ class LogisticPerturbedPotential(Potential):
 
     U(beta) = log(1 + exp(x . beta)) + lam * |beta|^2 / 2 for a fixed
     covariate vector x and ridge weight lam > 0.  The log-likelihood part has
-    Hessian ``x x^T / ((1+e^u)(1+e^{-u}))`` with u = x . beta, so the full
-    Hessian spectrum lies in ``[lam, lam + |x|^2/5]`` using the envelope
-    (1+e^u)(1+e^{-u}) >= 5, giving
+    Hessian ``x x^T / ((1+e^u)(1+e^{-u}))`` with u = x . beta, and the
+    envelope (1+e^u)(1+e^{-u}) = 2 + e^u + e^{-u} >= 4 (equality at u = 0),
+    so the Hessian spectrum lies in ``[lam, L]`` with L = lam + |x|^2/4
+    (2.75 for the shipped models).  The constants are
 
-        alpha_u = min(lam, 1),    l_u = lam + |x|^2 / 5.
+        alpha_u = min(lam, 1),    l_u = lam + |x|^2 / 5 < L.
+
+    l_u (2.25 for the shipped models) is kept as the plans' nominal scale:
+    c07's cost ratio 81 = (2.25/0.25)^2 and the frozen d=10 reference rest
+    on it.  A true bound matters in two places: the probes' step check
+    gamma <= alpha_eff/(2 l_eff^2) (0.5 with l_u, 0.335 with L, at the
+    "auto" scale), and ``warm_start``'s step range (0, 2/l_u), which admits
+    steps up to 0.889 where descent is guaranteed only below 2/L = 0.727.
 
     The non-quadratic part has ``|grad U1| <= |x|`` everywhere, recorded in
     ``grad_u1_sup`` for the aggressive-step tuning rule.
@@ -227,7 +235,8 @@ def logistic_covariate(d: int, a: float, rng_stream) -> np.ndarray:
     """Draw the normalized covariate x = sqrt(5a) Z / |Z|, Z ~ N(0, I_d).
 
     The renormalization makes |x|^2 = 5a exactly, so the logistic potential's
-    smoothness constant is l_u = lam + a regardless of dimension.
+    nominal smoothness constant is l_u = lam + a regardless of dimension
+    (its Hessian's supremum is lam + 5a/4; see LogisticPerturbedPotential).
 
     Args:
         d: Dimension (>= 1).

@@ -1,9 +1,9 @@
 """Constant-step Euler-Maruyama engine with synchronously coupled pairs.
 
-One chunked engine, ``_chains``, advances a (batch, d) array as a single
-chain or as a synchronously coupled fine/coarse pair; its tick loop also
-replays a failed chunk to name the first non-finite step and row.  Every
-path simulation reads the engine's chunk histories:
+One chunked engine, ``_chains``, turns standard normals into the Euler
+increments of a (batch, d) array, run as a single chain or as a synchronously
+coupled fine/coarse pair, and reads the first non-finite step and row of a
+failure from its chunk histories, which every path simulation reads:
 
 * ``run_level0``: one chain at step gamma0, returning the occupation
   (pathwise time) average of an observable over a burn-in-trimmed window.
@@ -293,43 +293,38 @@ def _check_window(tau: float, t: float, gamma: float) -> tuple[int, int]:
 
 
 @_quiet_overflow
-def _ticks(model, xs, gamma, fine, coarse, hists=None):
+def _ticks(model, xs, gamma, fine, coarse, hists):
     """The Euler tick loop: advance the chains ``xs`` in place.
 
-    Per tick j, ``xs[0]`` takes a step of ``gamma`` per increment in
-    ``fine[j]``, and ``xs[1]``, if ``coarse`` is given, one step of
-    ``2 * gamma`` with ``coarse[j]``; each is euler_step's arithmetic.  With
-    ``hists``, chain c's state on entry to tick j goes to ``hists[c][j]``.
-    Without, this is the failure replay: it returns ``(j, row)`` for the
-    first tick that leaves a non-finite row.
+    Per tick j, chain c's state on entry goes to ``hists[c][j]``; then
+    ``xs[0]`` takes a step of ``gamma`` per increment in ``fine[j]``, and
+    ``xs[1]``, if ``coarse`` is given, one step of ``2 * gamma`` with
+    ``coarse[j]``; each is euler_step's arithmetic.
     """
     drift = model.drift
     steps = [(xs[0], gamma, fine[:, s]) for s in range(fine.shape[1])]
     if coarse is not None:
         steps.append((xs[1], 2.0 * gamma, coarse))
-    record = [] if hists is None else list(zip(hists, xs))
+    record = list(zip(hists, xs))
     for j in range(len(fine)):
         for hist, x in record:
             hist[j] = x
         for x, step, inc in steps:
             x += step * drift(x)
             x += inc[j]
-        if hists is None:
-            finite = np.logical_and.reduce(
-                [np.isfinite(x).all(axis=-1) for x in xs])
-            if not finite.all():
-                return j, int(np.argmin(finite))
-    return None
 
 
-def _chains(model, x, gamma, n_ticks, draw, chunk, pair, runs=None):
+def _chains(model, x, gamma, n_ticks, normals, chunk, pair, runs=None):
     """The Euler engine: advance a (B, d) batch in place for ``n_ticks``.
 
     A single chain takes one step of ``gamma`` per tick; a coupled pair
     starts both chains at ``x`` and per tick takes two fine steps of
-    ``gamma`` and one coarse step of ``2 * gamma``.  ``draw(n)`` returns the
-    scaled increments of n ticks as ``(fine, coarse)``: fine is
-    (n, 1 or 2, B, d) or broadcastable to it, coarse (n, B, d) or None.
+    ``gamma`` and one coarse step of ``2 * gamma``.  ``normals(n)`` returns
+    a fresh array g of the standard normals of n ticks, (n, 1 or 2, B, d) or
+    broadcastable to it, which the engine scales in place to
+    noise_scale * sqrt(gamma) * g[:, s] per fine step; the coarse step takes
+    noise_scale * sqrt(2 gamma) * (g[:, 0] + g[:, 1]) / sqrt(2), so both
+    chains ride one Brownian path.
 
     Yields ``(k, hists)`` per chunk of at most ``chunk`` ticks, with
     ``hists[c][j]`` chain c at grid index k + j, then ``(n_ticks, finals)``,
@@ -339,15 +334,28 @@ def _chains(model, x, gamma, n_ticks, draw, chunk, pair, runs=None):
     and run, ``runs[row]`` (the row itself when ``runs`` is None).
     """
     xs = [x, x.copy()] if pair else [x]
+    cn = model.noise_scale * math.sqrt(gamma)
+    cn_c = model.noise_scale * math.sqrt(2.0 * gamma)
     bufs = [np.empty((min(chunk, n_ticks),) + x.shape) for x in xs]
     for k in range(0, n_ticks, chunk):
         n = min(chunk, n_ticks - k)
         hists = [buf[:n] for buf in bufs]
-        fine, coarse = draw(n)
+        fine = normals(n)
+        coarse = None
+        if pair:
+            coarse = fine[:, 0] + fine[:, 1]
+            coarse *= _INV_SQRT2
+            coarse *= cn_c
+        fine *= cn
         _ticks(model, xs, gamma, fine, coarse, hists)
+        del fine, coarse  # free the increments before the next draw
         if not all(np.isfinite(x).all() for x in xs):
-            entry = [hist[0].copy() for hist in hists]
-            j, row = _ticks(model, entry, gamma, fine, coarse)
+            # chain c after tick j is hists[c][j + 1] (xs[c] after the last
+            # tick), and x += ... keeps a non-finite coordinate non-finite
+            finite = np.logical_and.reduce([
+                np.isfinite(np.concatenate((h[1:], x[None]))).all(axis=-1)
+                for h, x in zip(hists, xs)])
+            j, row = np.argwhere(~finite)[0].tolist()
             step = k + j + 1
             run = row if runs is None else runs[row]
             raise NumericalFailureError(
@@ -355,31 +363,21 @@ def _chains(model, x, gamma, n_ticks, draw, chunk, pair, runs=None):
                 f"{step} (run {run}, {'gamma_fine' if pair else 'gamma'}="
                 f"{gamma}); the step size is likely too large for this model",
                 step_index=step, run_index=run)
-        del fine, coarse  # free the increments before the next draw
         yield k, hists
     yield n_ticks, [x[None] for x in xs]
 
 
-def _stream_draw(model, streams, gamma, d, pair):
-    """``draw`` for ``_chains`` with row b on ``streams[b]``; per tick a pair
-    draws g1, g2 and gives the coarse chain (g1 + g2)/sqrt(2)."""
+def _stream_normals(streams, d, pair):
+    """``normals`` for ``_chains`` with row b drawn from ``streams[b]``."""
     k = 2 if pair else 1
-    cn = model.noise_scale * math.sqrt(gamma)
-    cn_c = model.noise_scale * math.sqrt(2.0 * gamma)
 
-    def draw(n):
-        noise = np.empty((n, k, len(streams), d))
+    def normals(n):
+        g = np.empty((n, k, len(streams), d))
         for b, st in enumerate(streams):
-            noise[:, :, b, :] = st.standard_normal((n, k, d))
-        coarse = None
-        if pair:
-            coarse = noise[:, 0] + noise[:, 1]
-            coarse *= _INV_SQRT2
-            coarse *= cn_c
-        noise *= cn
-        return noise, coarse
+            g[:, :, b, :] = st.standard_normal((n, k, d))
+        return g
 
-    return draw
+    return normals
 
 
 @_quiet_overflow
@@ -395,10 +393,10 @@ def _window_average(model, x0, gamma, k0, k1, f, streams, pair):
     d = x.shape[1]
     if d != model.dim:
         raise ValueError(f"x0 dimension {d} does not match model dim {model.dim}")
-    draw = _stream_draw(model, streams, gamma, d, pair)
+    normals = _stream_normals(streams, d, pair)
     runs = [st.run_index for st in streams]
     acc = None
-    for first, hists in _chains(model, x, gamma, k1 - 1, draw,
+    for first, hists in _chains(model, x, gamma, k1 - 1, normals,
                                 _chunk_steps(bsz, d), pair, runs):
         lo = max(k0 - first, 0)
         if lo >= len(hists[0]):

@@ -308,7 +308,10 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
       "--a", "9", "--covariate-seed", "4"], "--lambda"),
     (["run", "--d", "2", "--eps", "0.5", "--covariate-seed", "4"],
      "--covariate-seed"),
-], ids=["confluence", "contraction", "invariant-moment", "tune-ou", "run-ou"])
+    (["probe", "--probe", "invariant-moment", "--d", "2", "--seed", "9"],
+     "--seed"),
+], ids=["confluence", "contraction", "invariant-moment", "tune-ou", "run-ou",
+        "invariant-moment-seed"])
 def test_a_flag_the_probe_kind_or_model_does_not_read_is_a_usage_error(
         argv, flag, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -331,6 +334,16 @@ def test_config_fields_are_not_checked_against_the_probe_kind(tmp_path,
 
 
 # ---------------------------------------------------------------------- probe
+
+
+def test_probe_invariant_moment_reads_the_seed_with_a_horizon(capsys):
+    argv = ["probe", "--probe", "invariant-moment", "--d", "2",
+            "--horizon", "200"]
+    code, seeded, _ = run_cli(argv + ["--seed", "9"], capsys)
+    assert code == EXIT_OK
+    _, default, _ = run_cli(argv, capsys)
+    assert json.loads(seeded)["empirical_moment"] \
+        != json.loads(default)["empirical_moment"]
 
 
 def test_probe_invariant_moment_oracle_and_empirical(capsys):
@@ -468,6 +481,14 @@ def test_output_to_a_directory_is_a_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_format_csv_switches_stdout(capsys):
+    _, out, _ = run_cli(["tune", "--d", "2", "--eps", "0.5", "--format",
+                         "csv"], capsys)
+    lines = out.splitlines()
+    assert lines[0] == "level,gamma,horizon"
+    assert len(lines) == 4
 
 
 def test_output_files_json_and_csv(tmp_path, capsys):

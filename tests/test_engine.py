@@ -2,7 +2,8 @@
 
 Each property draws the dimension, the level count, the batch width and the
 chunk cap (``_CHUNK_STEP_CAP``), so a chunk boundary can fall anywhere in a
-level's window.  Examples are derandomized, so a run is reproducible.
+level's window or next to a failing step.  Examples are derandomized, so a
+run is reproducible.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import mlangevin.sde as sde
 from mlangevin import (
     LogisticPerturbedPotential,
     NoiseStream,
+    NumericalFailureError,
     PathState,
     QuadraticPotential,
     TuningPlan,
@@ -81,9 +83,9 @@ def test_batch_rows_equal_single_runs(kind, d, R, n_runs, cap, seed, obs):
 
 def final_states(model, x0, gamma, n_ticks, streams, pair, cap):
     x = np.tile(x0, (len(streams), 1))
-    draw = sde._stream_draw(model, streams, gamma, x.shape[1], pair)
+    normals = sde._stream_normals(streams, x.shape[1], pair)
     with chunk_cap(cap):
-        chunks = list(sde._chains(model, x, gamma, n_ticks, draw,
+        chunks = list(sde._chains(model, x, gamma, n_ticks, normals,
                                   sde._chunk_steps(*x.shape), pair))
     return chunks[-1][1]
 
@@ -165,3 +167,54 @@ def test_contraction_probe_equals_an_euler_step_loop(
         sx, sy = euler_step(model, sx, g), euler_step(model, sy, g)
         expected.append(float(np.linalg.norm(sx.position - sy.position)))
     assert distances == expected
+
+
+class Expanding:
+    """Duck-typed model with drift b(x) = x: a step-gamma chain grows like
+    (1 + gamma)^n, so a row started near the float limit blows up first."""
+
+    noise_scale = 1.0
+
+    def __init__(self, d):
+        self.dim = d
+
+    def drift(self, x):
+        return x.copy()
+
+
+def raised(run, cap):
+    with chunk_cap(cap), pytest.raises(NumericalFailureError) as exc:
+        run()
+    return str(exc.value), exc.value.step_index, exc.value.run_index
+
+
+@PROPERTY
+@given(dims, st.integers(1, 4), st.data(), st.integers(250, 307),
+       st.booleans(), caps, seeds)
+def test_failure_location_is_chunk_layout_invariant(
+        d, n_rows, data, exponent, pair, cap, seed):
+    # the far row needs at most 329 fine steps to pass 1e308; the rows
+    # started at ones stay below 1e80 over the horizon
+    row = data.draw(st.integers(0, n_rows - 1))
+    model, gamma = Expanding(d), 0.5
+    x0 = np.ones((n_rows, d))
+    x0[row] = 10.0 ** exponent
+    kernel = sde._run_coupled_batch if pair else sde._run_level0_batch
+
+    def run():
+        streams = [NoiseStream(seed, 1, run_index=i) for i in range(n_rows)]
+        kernel(model, x0.copy(), gamma, 1.0, 200.0, identity_observable(),
+               streams)
+
+    expected = raised(run, sde._CHUNK_STEP_CAP)
+    assert expected[2] == row
+    # caps 1 and 2 put the failing step on a chunk's first and last tick
+    for c in (1, 2, cap):
+        assert raised(run, c) == expected
+    if not pair:
+        stream = NoiseStream(seed, 1, run_index=row)
+        state = PathState(x0[row], 0, gamma)
+        with pytest.raises(NumericalFailureError) as exc:
+            while True:
+                state = euler_step(model, state, stream.standard_normal(d))
+        assert exc.value.step_index == expected[1]
