@@ -29,8 +29,12 @@ It covers, in order:
   and d=100 (aggressive plan).
 * the message, step, run and level of two numerical failures, at the
   default chunk cap and at a cap of 7 steps: level 0 of the OU model in
-  d=3 at gamma0=3 from 1e308, and level 1 (coarse step 324) of a
-  noise-free model with the expanding drift b(x) = x.
+  d=3 at gamma0=3 from 1e308 (where the norm observable overflows at step
+  0), and level 1 (coarse step 324) of a noise-free model with the
+  expanding drift b(x) = x.
+* a model with an explicit sigma0: OU in d=3 with sigma0 = 2 (drift -4x),
+  its derived constants, and ``estimate`` / ``estimate_repeated`` (3 runs)
+  on a hand-built R=2 plan at gamma0 = 1/8, with both observables.
 
 Takes about 15 s.
 """
@@ -168,6 +172,22 @@ def failure_lines():
     return lines
 
 
+def explicit_lines():
+    model = ml.make_langevin_model(ml.QuadraticPotential(3), 2.0)
+    lines = [f"explicit sigma0=2 ou d=3 constants {model.sigma0!r} "
+             f"{model.noise_scale!r} {model.alpha_eff!r} {model.l_eff!r}"]
+    p = plan(3, 2, 0.125, 40.0, 2.0)
+    for label, obs in (("norm", ml.norm_observable()),
+                       ("identity", ml.identity_observable())):
+        tag = f"explicit sigma0=2 ou d=3 R=2 {label}"
+        one = ml.estimate(model, p, np.full(3, 0.3), obs, master_seed=21)
+        lines.append(f"{tag} estimate {digest(one.to_json())}")
+        rep = ml.estimate_repeated(model, p, np.full(3, 0.3), obs, 22, 3)
+        lines.append(f"{tag} repeated3 "
+                     f"{digest(''.join(o.to_json() for o in rep))}")
+    return lines
+
+
 def main():
     lines = plan_lines()
     default_cap = sde._CHUNK_STEP_CAP
@@ -201,6 +221,7 @@ def main():
     lines.append(f"confluence x0=[1,-2] {res.sup_gap_sq!r}")
     lines += bench_lines()
     lines += failure_lines()
+    lines += explicit_lines()
     print("\n".join(lines))
     print("total", digest("\n".join(lines)))
 

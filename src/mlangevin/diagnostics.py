@@ -33,6 +33,8 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .estimator import (
+    EstimatorOutput,
+    _plain,
     estimate_repeated,
     identity_observable,
     norm_observable,
@@ -77,46 +79,59 @@ class BenchReport:
     the normalized Euclidean distance d^(-1/2) |a - b|_2 for vector ones;
     rmse^2 is the mean of squared per-run errors.
 
+    It holds the runs and the reference; read-only and derived from the
+    runs are ``plan_echo``, ``seed`` (their master seed), ``n_runs``,
+    ``per_run_estimates``, ``mean_complexity`` (the mean total step count,
+    rounded) and ``rmse``.
+
     Attributes:
         model_label: Short description of the benchmark model.
-        plan_echo: TuningPlan used for the runs.
-        n_runs: Number of replications.
-        reference_value: Reference (float or coordinate list).
-        rmse: Empirical root-mean-squared error.
-        per_run_estimates: Estimates per run (floats or coordinate lists).
-        mean_complexity: Mean total step count per run.
-        wall_clock_seconds: Wall time of the replication loop.
-        seed: Master seed of the replication harness.
+        runs: The estimator outputs, one per run, in run order (>= 1).
+        reference_value: Reference (float or coordinate array).
         reference_source: Provenance of the reference value.
+        wall_clock_seconds: Wall time of the replication loop.
     """
 
     model_label: str
-    plan_echo: TuningPlan
-    n_runs: int
+    runs: List[EstimatorOutput]
     reference_value: object
-    rmse: float
-    per_run_estimates: List[object]
-    mean_complexity: int
+    reference_source: str
     wall_clock_seconds: float
-    seed: int = 0
-    reference_source: str = ""
+
+    @property
+    def plan_echo(self) -> TuningPlan:
+        return self.runs[0].plan_echo
+
+    @property
+    def seed(self) -> int:
+        return self.runs[0].master_seed
+
+    @property
+    def n_runs(self) -> int:
+        return len(self.runs)
+
+    @property
+    def per_run_estimates(self) -> List[object]:
+        return [o.estimate for o in self.runs]
+
+    @property
+    def mean_complexity(self) -> int:
+        return int(round(
+            sum(o.total_complexity for o in self.runs) / len(self.runs)))
+
+    @property
+    def rmse(self) -> float:
+        return _rmse(self.per_run_estimates, self.reference_value)
 
     def to_dict(self) -> dict:
-        def _plain(v):
-            if isinstance(v, np.ndarray):
-                return [float(c) for c in v]
-            if isinstance(v, (list, tuple)):
-                return [float(c) for c in v]
-            return float(v)
-
         return {
             "model_label": self.model_label,
             "plan_echo": self.plan_echo.to_dict(),
-            "n_runs": int(self.n_runs),
+            "n_runs": self.n_runs,
             "reference_value": _plain(self.reference_value),
-            "rmse": float(self.rmse),
+            "rmse": self.rmse,
             "per_run_estimates": [_plain(e) for e in self.per_run_estimates],
-            "mean_complexity": int(self.mean_complexity),
+            "mean_complexity": self.mean_complexity,
             "wall_clock_seconds": float(self.wall_clock_seconds),
             "seed": int(self.seed),
             "reference_source": self.reference_source,
@@ -133,7 +148,7 @@ class BenchReport:
         (total / n_runs); replications execute as one batch.
         """
         rows = []
-        per_run_seconds = self.wall_clock_seconds / max(1, self.n_runs)
+        per_run_seconds = self.wall_clock_seconds / self.n_runs
         for i, est in enumerate(self.per_run_estimates):
             row = {"run": i}
             if isinstance(est, (np.ndarray, list, tuple)):
@@ -154,7 +169,7 @@ class ConfluenceProbeResult(NamedTuple):
     order_estimate: float
 
 
-def _rmse(estimates: List[object], reference, dim: int) -> float:
+def _rmse(estimates: List[object], reference) -> float:
     ref = np.asarray(reference, dtype=float)
     sq = 0.0
     for est in estimates:
@@ -162,7 +177,7 @@ def _rmse(estimates: List[object], reference, dim: int) -> float:
         if e.ndim == 0:
             err = abs(float(e) - float(ref))
         else:
-            err = float(np.linalg.norm(e - ref)) / math.sqrt(dim)
+            err = float(np.linalg.norm(e - ref)) / math.sqrt(ref.size)
         sq += err * err
     return math.sqrt(sq / len(estimates))
 
@@ -230,20 +245,7 @@ def bench(
     t0 = time.perf_counter()
     outs = estimate_repeated(model, plan, x0, observable, seed, n_runs)
     wall = time.perf_counter() - t0
-    estimates = [o.estimate for o in outs]
-    return BenchReport(
-        model_label=label,
-        plan_echo=plan,
-        n_runs=n_runs,
-        reference_value=reference,
-        rmse=_rmse(estimates, reference, d),
-        per_run_estimates=estimates,
-        mean_complexity=int(round(
-            sum(o.total_complexity for o in outs) / len(outs))),
-        wall_clock_seconds=wall,
-        seed=seed,
-        reference_source=reference_source,
-    )
+    return BenchReport(label, outs, reference, reference_source, wall)
 
 
 def _frozen_reference(potential: LogisticPerturbedPotential) -> dict | None:

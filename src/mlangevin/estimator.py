@@ -22,8 +22,9 @@ the child seeds, so the outputs are independent across runs and reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -57,47 +58,73 @@ def identity_observable() -> Callable[[np.ndarray], np.ndarray]:
     return lambda pts: np.array(pts, dtype=float, copy=True)
 
 
+def _plain(v):
+    """A float, or a list of floats for an array or a sequence."""
+    if isinstance(v, (np.ndarray, list, tuple)):
+        return [float(c) for c in v]
+    return float(v)
+
+
 @dataclass
 class EstimatorOutput:
     """Result of one multilevel run.
 
+    It holds the per-level results and where they came from; ``estimate``,
+    ``total_complexity`` and ``warnings`` are derived from them.  The
+    estimate is computed on first read and kept, so one assignment can
+    replace it (the benchmark's checks fake a broken sum that way); the
+    other two are read-only.
+
     Attributes:
-        estimate: Final value, float (scalar observable) or ndarray (vector).
-            Equals the left-to-right sum of ``level_contributions`` exactly.
         level_contributions: Per-level averages, length R + 1 (index 0 is the
-            base occupation average; r >= 1 are correcting differences).
+            base occupation average; r >= 1 are correcting differences),
+            floats (scalar observable) or ndarrays (vector).
         level_iterations: Reported per-level step counts.
-        total_complexity: Sum of level_iterations.
         plan_echo: The TuningPlan that produced this run.
         master_seed: Master seed of the noise-stream tree.
         run_index: Replication index (0 for single runs).
-        warnings: Recorded run warnings (e.g. burn-in clamping).
     """
 
-    estimate: object
     level_contributions: List[object]
     level_iterations: List[int]
-    total_complexity: int
     plan_echo: TuningPlan
     master_seed: int
     run_index: int = 0
-    warnings: List[str] = field(default_factory=list)
+
+    @functools.cached_property
+    def estimate(self):
+        """The left-to-right sum of ``level_contributions``; fixed order, so
+        additivity is exact by construction."""
+        total = self.level_contributions[0]
+        for c in self.level_contributions[1:]:
+            total = total + c
+        return total
+
+    @property
+    def total_complexity(self) -> int:
+        """Sum of ``level_iterations``."""
+        return int(sum(self.level_iterations))
+
+    @property
+    def warnings(self) -> List[str]:
+        """Run warnings: a note when the plan's burn-in is clamped."""
+        plan = self.plan_echo
+        if not plan.tau_clamped:
+            return []
+        return [f"burn-in clamped: tau={plan.tau:.6g} exceeds T_R/2="
+                f"{plan.horizons[-1] / 2.0:.6g}; using "
+                f"tau={plan.tau_effective:.6g}"]
 
     def to_dict(self) -> dict:
-        def _plain(v):
-            if isinstance(v, np.ndarray):
-                return [float(c) for c in v]
-            return float(v)
-
         return {
             "estimate": _plain(self.estimate),
             "level_contributions": [_plain(c) for c in self.level_contributions],
             "level_iterations": [int(n) for n in self.level_iterations],
-            "total_complexity": int(self.total_complexity),
+            "total_complexity": self.total_complexity,
             "plan_echo": self.plan_echo.to_dict(),
             "master_seed": int(self.master_seed),
             "run_index": int(self.run_index),
-            "warnings": list(self.warnings),
+            "warnings": self.warnings,
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -145,12 +172,6 @@ def _estimate_batch(
         raise ValueError("x0 must be finite")
 
     tau_eff = plan.tau_effective
-    warnings_list: List[str] = []
-    if plan.tau_clamped:
-        warnings_list.append(
-            f"burn-in clamped: tau={plan.tau:.6g} exceeds T_R/2="
-            f"{plan.horizons[-1] / 2.0:.6g}; using tau={tau_eff:.6g}")
-
     bsz = len(run_indices)
     x0_batch = np.tile(x0, (bsz, 1))
 
@@ -172,27 +193,14 @@ def _estimate_batch(
 
     results = [level_job(r) for r in range(plan.R + 1)]
 
-    level_iterations = [int(res[1]) for res in results]
-    total = int(sum(level_iterations))
-
-    outputs = []
-    for b, idx in enumerate(run_indices):
-        contribs = [_run_value(avg[b]) for avg, _ in results]
-        # fixed left-to-right summation so additivity is exact by construction
-        total_est = contribs[0]
-        for c in contribs[1:]:
-            total_est = total_est + c
-        outputs.append(EstimatorOutput(
-            estimate=total_est,
-            level_contributions=contribs,
-            level_iterations=list(level_iterations),
-            total_complexity=total,
-            plan_echo=plan,
-            master_seed=int(master_seed),
-            run_index=int(idx),
-            warnings=list(warnings_list),
-        ))
-    return outputs
+    level_iterations = [int(steps) for _, steps in results]
+    return [EstimatorOutput(
+        level_contributions=[_run_value(avg[b]) for avg, _ in results],
+        level_iterations=list(level_iterations),
+        plan_echo=plan,
+        master_seed=int(master_seed),
+        run_index=int(idx),
+    ) for b, idx in enumerate(run_indices)]
 
 
 def estimate(

@@ -163,72 +163,77 @@ class LangevinModel:
 
     The simulated dynamics are dX = -sigma0^2 grad U(X) dt + sqrt(2) sigma0 dB,
     i.e. drift ``b(x) = -sigma0^2 grad U(x)`` and additive noise with scale
-    ``sqrt(2) sigma0``.  The effective curvature constants of the drift are
-    ``alpha_eff = sigma0^2 alpha_u`` and ``l_eff = sigma0^2 l_u``.
+    ``noise_scale = sqrt(2) sigma0``.  The effective curvature constants of
+    the drift are ``alpha_eff = sigma0^2 alpha_u`` and ``l_eff = sigma0^2 l_u``.
+    The potential and sigma0 are the only inputs; the rest are read-only
+    properties derived from them.
+
+    Attributes:
+        potential: Potential with valid constants (0 < alpha_u <= l_u).
+        sigma0: Diffusion coefficient, finite and > 0.
 
     Immutable after construction; safe to share across concurrent workers.
     """
 
     potential: Potential
     sigma0: float
-    noise_scale: float
-    alpha_eff: float
-    l_eff: float
+
+    def __post_init__(self):
+        self.potential._check_constants()
+        if not 0.0 < self.sigma0 < math.inf:
+            raise ValueError(
+                f"sigma0 must be finite and positive, got {self.sigma0}")
 
     @property
     def dim(self) -> int:
         return self.potential.dim
+
+    @property
+    def noise_scale(self) -> float:
+        return math.sqrt(2.0) * self.sigma0
+
+    @property
+    def alpha_eff(self) -> float:
+        s0 = self.sigma0
+        return (s0 * s0) * self.potential.alpha_u
+
+    @property
+    def l_eff(self) -> float:
+        s0 = self.sigma0
+        return (s0 * s0) * self.potential.l_u
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """Drift b(x) = -sigma0^2 grad U(x), acting along the last axis."""
         return (-self.sigma0 ** 2) * self.potential.grad(x)
 
 
-def make_langevin_model(
-    potential: Potential,
-    sigma0_mode: str = "auto",
-    sigma0: float | None = None,
-) -> LangevinModel:
+def make_langevin_model(potential: Potential,
+                        sigma0: float | str = "auto") -> LangevinModel:
     """Build a LangevinModel, choosing sigma0 automatically or explicitly.
 
-    In ``auto`` mode, sigma0 = sqrt(alpha_u) / l_u, which normalizes the
-    effective constants so that alpha_eff / l_eff^2 = 1; this is the scaling
-    under which the base step gamma0 = 1/2 is admissible for the tuned plans.
-    In ``explicit`` mode the given sigma0 is used and the effective constants
-    are recomputed accordingly.
+    With ``sigma0="auto"``, sigma0 = sqrt(alpha_u) / l_u, which normalizes
+    the effective constants so that alpha_eff / l_eff^2 = 1; this is the
+    scaling under which the base step gamma0 = 1/2 is admissible for the
+    tuned plans.  A number is used as sigma0 itself.
 
     Args:
         potential: Potential with valid constants (0 < alpha_u <= l_u).
-        sigma0_mode: Either ``"auto"`` or ``"explicit"``.
-        sigma0: Required positive scale when mode is ``"explicit"``.
+        sigma0: ``"auto"`` or a finite positive scale.
 
     Returns:
         The immutable LangevinModel.
 
     Raises:
-        ValueError: On invalid constants, unknown mode, or nonpositive sigma0.
+        ValueError: On invalid constants, a string other than ``"auto"``, or
+            a sigma0 that is not finite and positive.
     """
-    potential._check_constants()
-    if sigma0_mode == "auto":
-        if sigma0 is not None:
-            raise ValueError("sigma0 must not be given in auto mode")
-        s0 = math.sqrt(potential.alpha_u) / potential.l_u
-    elif sigma0_mode == "explicit":
-        if sigma0 is None:
-            raise ValueError("explicit mode requires a sigma0 value")
-        s0 = float(sigma0)
-        if s0 <= 0:
-            raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    else:
-        raise ValueError(f"unknown sigma0_mode: {sigma0_mode!r}")
-    s0sq = s0 * s0
-    return LangevinModel(
-        potential=potential,
-        sigma0=s0,
-        noise_scale=math.sqrt(2.0) * s0,
-        alpha_eff=s0sq * potential.alpha_u,
-        l_eff=s0sq * potential.l_u,
-    )
+    if isinstance(sigma0, str):
+        if sigma0 != "auto":
+            raise ValueError(
+                f"sigma0 must be 'auto' or a positive number, got {sigma0!r}")
+        potential._check_constants()
+        sigma0 = math.sqrt(potential.alpha_u) / potential.l_u
+    return LangevinModel(potential, float(sigma0))
 
 
 def logistic_covariate(d: int, a: float, rng_stream) -> np.ndarray:

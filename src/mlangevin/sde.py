@@ -281,17 +281,6 @@ def _quiet_overflow(fn):
     return wrapper
 
 
-def _check_window(tau: float, t: float, gamma: float) -> tuple[int, int]:
-    if not 0.0 <= tau < t:
-        raise ValueError(f"need 0 <= tau < T, got tau={tau}, T={t}")
-    k0 = n_gamma(tau, gamma)
-    k1 = n_gamma(t, gamma)
-    if k1 - k0 < 1:
-        raise ValueError(
-            f"empty averaging window: n({t})={k1}, n({tau})={k0} at gamma={gamma}")
-    return k0, k1
-
-
 @_quiet_overflow
 def _ticks(model, xs, gamma, fine, coarse, hists):
     """The Euler tick loop: advance the chains ``xs`` in place.
@@ -331,7 +320,9 @@ def _chains(model, x, gamma, n_ticks, normals, chunk, pair, runs=None):
     the final states as one-row histories.  The history buffers are reused,
     so a chunk's histories are valid until the next one is requested.  A
     non-finite state raises NumericalFailureError naming the first bad step
-    and run, ``runs[row]`` (the row itself when ``runs`` is None).
+    and run, ``runs[row]`` (the row itself when ``runs`` is None), once the
+    finite states of its chunk before that step have been yielded; so the
+    earliest failure wins whatever the chunk layout.
     """
     xs = [x, x.copy()] if pair else [x]
     cn = model.noise_scale * math.sqrt(gamma)
@@ -358,11 +349,15 @@ def _chains(model, x, gamma, n_ticks, normals, chunk, pair, runs=None):
             j, row = np.argwhere(~finite)[0].tolist()
             step = k + j + 1
             run = row if runs is None else runs[row]
-            raise NumericalFailureError(
+            err = NumericalFailureError(
                 f"non-finite position at {'coarse ' if pair else ''}step "
                 f"{step} (run {run}, {'gamma_fine' if pair else 'gamma'}="
                 f"{gamma}); the step size is likely too large for this model",
                 step_index=step, run_index=run)
+            # the states before the failed step are finite: hand them over
+            # first, so a failure the caller finds there wins
+            yield k, [h[:j + 1] for h in hists]
+            raise err
         yield k, hists
     yield n_ticks, [x[None] for x in xs]
 
@@ -381,22 +376,35 @@ def _stream_normals(streams, d, pair):
 
 
 @_quiet_overflow
-def _window_average(model, x0, gamma, k0, k1, f, streams, pair):
-    """Compensated mean over grid indices [k0, k1 - 1], one value per row.
+def _run_level(model, x0, gamma, tau, t, f, streams, pair):
+    """One level's compensated window average per row, and its step count.
 
-    Row b runs on ``streams[b]``, and a failure in it names that stream's
-    ``run_index``.  The averaged value is f of the chain for
-    a single chain, and f(fine) - f(coarse) on the coarse grid for a pair.
+    Row b runs on ``streams[b]``; a failure names that stream's run_index.
+    A single chain averages f over grid indices [n(tau), n(T) - 1] at step
+    gamma and counts n_gamma(T) steps; a pair averages f(fine) - f(coarse)
+    over that window on the coarse grid 2 gamma and counts both chains'.
+    Averages are (B,) for a scalar observable, (B, m) for a vector one.
     """
+    if gamma <= 0:
+        raise ValueError(
+            f"{'gamma_fine' if pair else 'gamma0'} must be positive, "
+            f"got {gamma}")
+    grid = 2.0 * float(gamma) if pair else gamma
+    if not 0.0 <= tau < t:
+        raise ValueError(f"need 0 <= tau < T, got tau={tau}, T={t}")
+    k0, k1 = n_gamma(tau, grid), n_gamma(t, grid)
+    if k1 - k0 < 1:
+        raise ValueError(
+            f"empty averaging window: n({t})={k1}, n({tau})={k0} at gamma={grid}")
     bsz = len(streams)
     x = np.array(x0, dtype=float).reshape(bsz, -1)
     d = x.shape[1]
     if d != model.dim:
         raise ValueError(f"x0 dimension {d} does not match model dim {model.dim}")
-    normals = _stream_normals(streams, d, pair)
     runs = [st.run_index for st in streams]
     acc = None
-    for first, hists in _chains(model, x, gamma, k1 - 1, normals,
+    for first, hists in _chains(model, x, float(gamma), k1 - 1,
+                                _stream_normals(streams, d, pair),
                                 _chunk_steps(bsz, d), pair, runs):
         lo = max(k0 - first, 0)
         if lo >= len(hists[0]):
@@ -409,7 +417,8 @@ def _window_average(model, x0, gamma, k0, k1, f, streams, pair):
             acc = _CompensatedSum(vals.shape[1:])
         acc.add(_reduce_window(vals))
         del vals  # free the window values before the next chunk's draw
-    return acc.total() / (k1 - k0)
+    steps = n_gamma(t, gamma) + k1 if pair else k1
+    return acc.total() / (k1 - k0), steps
 
 
 def _run_value(row):
@@ -417,55 +426,14 @@ def _run_value(row):
     return float(row) if np.ndim(row) == 0 else np.array(row, dtype=float)
 
 
-def _run_level0_batch(
-    model,
-    x0: np.ndarray,
-    gamma0: float,
-    tau: float,
-    t0: float,
-    f,
-    streams: Sequence[NoiseStream],
-) -> tuple[np.ndarray, int]:
-    """Batched occupation average at step gamma0; rows are independent runs.
-
-    Returns (averages, iterations): averages has shape (B,) for scalar
-    observables or (B, m) for vector ones; iterations is n_gamma(T0).
-    """
-    if gamma0 <= 0:
-        raise ValueError(f"gamma0 must be positive, got {gamma0}")
-    k0, k1 = _check_window(tau, t0, gamma0)
-    avg = _window_average(model, x0, float(gamma0), k0, k1, f, streams,
-                          pair=False)
-    return avg, k1
+def _run_level0_batch(model, x0, gamma0, tau, t0, f, streams):
+    """Level 0 for a batch of runs: a single chain at step gamma0."""
+    return _run_level(model, x0, gamma0, tau, t0, f, streams, pair=False)
 
 
-def _run_coupled_batch(
-    model,
-    x0: np.ndarray,
-    gamma_fine: float,
-    tau: float,
-    t: float,
-    f,
-    streams: Sequence[NoiseStream],
-) -> tuple[np.ndarray, int]:
-    """Batched averaged fine-minus-coarse difference on the coarse grid.
-
-    The fine chain (step gamma_fine) takes two sub-steps per coarse step of
-    the coarse chain (step 2*gamma_fine); the coarse Gaussian increment is
-    synthesized from the two fine draws as (g1 + g2)/sqrt(2), so both chains
-    ride the same Brownian path.  The observable difference is read at coarse
-    grid indices k in [n(tau), n(T)-1] only.
-
-    Returns (avg_differences, iterations) with iterations the reported
-    complexity n_{gamma_fine}(T) + n_{gamma_coarse}(T).
-    """
-    if gamma_fine <= 0:
-        raise ValueError(f"gamma_fine must be positive, got {gamma_fine}")
-    gamma_f = float(gamma_fine)
-    gamma_c = 2.0 * gamma_f
-    k0, k1 = _check_window(tau, t, gamma_c)
-    avg = _window_average(model, x0, gamma_f, k0, k1, f, streams, pair=True)
-    return avg, n_gamma(t, gamma_f) + n_gamma(t, gamma_c)
+def _run_coupled_batch(model, x0, gamma_fine, tau, t, f, streams):
+    """Level r >= 1 for a batch of runs: a coupled pair, fine step gamma_fine."""
+    return _run_level(model, x0, gamma_fine, tau, t, f, streams, pair=True)
 
 
 def run_level0(model, x0: np.ndarray, gamma0: float, tau: float, t0: float,

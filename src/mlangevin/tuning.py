@@ -205,13 +205,26 @@ def _check_auto_mode(model: LangevinModel) -> None:
     ratio = model.alpha_eff / model.l_eff ** 2
     if abs(ratio - 1.0) > _AUTO_MODE_RTOL:
         raise ValueError(
-            "plan requires a model built in auto sigma0 mode "
+            "plan requires a model built with sigma0='auto' "
             f"(alpha_eff / l_eff^2 = 1); got ratio {ratio}")
 
 
-def _level_count(r0: float, eps: float, inv_delta: float) -> int:
+def _horizons(big_t: float, eps: float, r0: float, delta: float,
+              b: float) -> List[float]:
+    """Horizons T_0 > ... > T_R of a plan of confluence order b, with
+    R = max(1, ceil((1/delta) log2(r0 / eps))):
+
+        T_r = big_t eps^-2 2^(-(1+b) r / 2)    (b > 1)
+              big_t eps^-2 R^2 2^-r            (b = 1)
+    """
     # round before ceiling so exact powers of two are not bumped a level
-    return int(math.ceil(round(inv_delta * math.log2(r0 / eps), 12)))
+    big_r = max(1, int(math.ceil(round(
+        (1.0 / delta) * math.log2(r0 / eps), 12))))
+    eps_m2 = eps ** -2.0
+    if b > 1.0:
+        return [big_t * eps_m2 * 2.0 ** (-(1.0 + b) * r / 2.0)
+                for r in range(big_r + 1)]
+    return [big_t * eps_m2 * big_r ** 2 * 2.0 ** -r for r in range(big_r + 1)]
 
 
 def plan_b2(model: LangevinModel, eps: float,
@@ -229,7 +242,7 @@ def plan_b2(model: LangevinModel, eps: float,
         tau = (l_u/alpha_u)^2 |log eps| + (l_u^2 / (2 alpha_u^2)) log(d/alpha_u)
 
     Args:
-        model: LangevinModel built in auto sigma0 mode.
+        model: LangevinModel built with ``sigma0="auto"``.
         eps: Target accuracy in (0, 1).
         include_log2: Keep the log(2) factor in the horizons.
 
@@ -242,11 +255,9 @@ def plan_b2(model: LangevinModel, eps: float,
     alpha = model.potential.alpha_u
     l_u = model.potential.l_u
     r0 = math.sqrt(d / alpha)
-    big_r = _level_count(r0, eps, 1.0)
     factor = math.log(2.0) if include_log2 else 1.0
     big_t = d * l_u ** 2 / alpha ** 3 * factor
-    eps_m2 = eps ** -2.0
-    horizons = [big_t * eps_m2 * 2.0 ** (-1.5 * r) for r in range(big_r + 1)]
+    horizons = _horizons(big_t, eps, r0, 1.0, 2.0)
     ratio_sq = (l_u / alpha) ** 2
     tau = ratio_sq * abs(math.log(eps)) + ratio_sq / 2.0 * math.log(d / alpha)
     return TuningPlan("b2", 0.5, horizons, tau, r0, big_t, d)
@@ -270,12 +281,10 @@ def plan_b1(model: LangevinModel, eps: float,
     d = model.dim
     alpha = model.potential.alpha_u
     r0 = max(1.0, math.sqrt(d / (2.0 * alpha)))
-    big_r = _level_count(r0, eps, 2.0)
     upsilon1_sq = d / alpha
     factor = math.log(2.0) if include_log2 else 1.0
     big_t = upsilon1_sq * factor / model.alpha_eff
-    eps_m2 = eps ** -2.0
-    horizons = [big_t * eps_m2 * big_r ** 2 * 2.0 ** -r for r in range(big_r + 1)]
+    horizons = _horizons(big_t, eps, r0, 0.5, 1.0)
     tau = (2.0 / model.alpha_eff) * abs(math.log(eps)) \
         + 0.5 / model.alpha_eff * math.log(upsilon1_sq)
     return TuningPlan("b1", 0.5, horizons, tau, r0, big_t, d)
@@ -320,14 +329,7 @@ def plan_general(constants: GeneralAssumptionConstants, gamma0: float,
     if big_t <= 0:
         raise ValueError(
             "horizon scale is nonpositive; check c2/c4 and gamma0 < 1")
-    big_r = max(1, _level_count(r0, eps, 1.0 / delta))
-    eps_m2 = eps ** -2.0
-    if b > 1.0:
-        horizons = [big_t * eps_m2 * 2.0 ** (-(1.0 + b) * r / 2.0)
-                    for r in range(big_r + 1)]
-    else:
-        horizons = [big_t * eps_m2 * big_r ** 2 * 2.0 ** -r
-                    for r in range(big_r + 1)]
+    horizons = _horizons(big_t, eps, r0, delta, b)
     tau1 = (1.0 + b - 2.0 * delta) / (alpha * delta)
     tau2 = max(0.0, (1.0 / alpha) * math.log(
         r0 ** ((1.0 + b) / (2.0 * delta)) / (d_b * constants.c4)))
@@ -351,8 +353,8 @@ def plan_aggressive(model: LangevinModel, eps: float) -> TuningPlan:
     this step size, hence ``experimental=True``.
 
     Args:
-        model: LangevinModel in auto sigma0 mode whose potential exposes
-            ``grad_u1_sup``.
+        model: LangevinModel built with ``sigma0="auto"`` whose potential
+            exposes ``grad_u1_sup``.
         eps: Target accuracy in (0, 1).
 
     Raises:

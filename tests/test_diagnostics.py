@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,6 @@ import pytest
 from mlangevin import (
     BenchReport,
     ConfluenceProbeResult,
-    LangevinModel,
     LogisticPerturbedPotential,
     NoiseStream,
     Potential,
@@ -30,9 +30,19 @@ import mlangevin.diagnostics as diagnostics
 PINNED_POSTERIOR_SCALE = 1.5351828597224253
 
 
-def zero_noise_ou(d):
-    return LangevinModel(potential=QuadraticPotential(d), sigma0=1.0,
-                         noise_scale=0.0, alpha_eff=1.0, l_eff=1.0)
+class _ZeroNoiseOU:
+    """Duck-typed OU model, b(x) = -x, with the noise switched off: it
+    isolates the deterministic drift recursion."""
+
+    noise_scale = 0.0
+    alpha_eff = 1.0
+    l_eff = 1.0
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def drift(self, x):
+        return -x
 
 
 def logistic_ou_pair(d=10, lam=0.25, a=2.0, seed=7):
@@ -139,7 +149,7 @@ def test_confluence_order_is_two_on_the_quadratic_model():
 
 def test_confluence_zero_noise_gap_matches_the_closed_form():
     gamma = 1.0 / 32.0
-    res = confluence_probe(zero_noise_ou(1), gamma, horizon=20.0,
+    res = confluence_probe(_ZeroNoiseOU(1), gamma, horizon=20.0,
                            n_paths=100, x0=[1.0])
     n_steps = int(20.0 / gamma)
     expected = max(
@@ -152,7 +162,7 @@ def test_confluence_zero_noise_gap_matches_the_closed_form():
 def test_confluence_zero_noise_ratio_tends_to_four_from_above():
     ratios = []
     for gamma in (0.25, 1.0 / 16.0, 1.0 / 32.0):
-        res = confluence_probe(zero_noise_ou(1), gamma, horizon=20.0,
+        res = confluence_probe(_ZeroNoiseOU(1), gamma, horizon=20.0,
                                n_paths=100, x0=[1.0])
         ratios.append(res.sup_gap_sq[gamma] / res.sup_gap_sq[gamma / 2.0])
     assert ratios[0] > ratios[1] > ratios[2] > 4.0
@@ -162,7 +172,7 @@ def test_confluence_zero_noise_ratio_tends_to_four_from_above():
 def test_confluence_zero_gap_gives_an_undefined_order():
     # no noise and a start at the fixed point: both chains stay at the
     # origin, so the gap is exactly zero and the order is nan
-    res = confluence_probe(zero_noise_ou(2), gamma=0.25, horizon=10.0,
+    res = confluence_probe(_ZeroNoiseOU(2), gamma=0.25, horizon=10.0,
                            n_paths=200)
     assert res.sup_gap_sq[0.25] == 0.0
     assert res.sup_gap_sq[0.125] == 0.0
@@ -247,6 +257,18 @@ def test_bench_ou_report_contents():
     errs = [abs(e - rep.reference_value) for e in rep.per_run_estimates]
     assert rep.rmse == pytest.approx(
         math.sqrt(sum(e * e for e in errs) / 3), rel=1e-12)
+
+
+def test_bench_report_holds_only_its_runs_and_reference():
+    assert [f.name for f in dataclasses.fields(BenchReport)] == [
+        "model_label", "runs", "reference_value", "reference_source",
+        "wall_clock_seconds"]
+    rep = ou_report(d=2, eps=0.45, n_runs=3, seed=5)
+    assert rep.n_runs == len(rep.runs) == 3
+    assert rep.seed == 5
+    assert rep.plan_echo is rep.runs[0].plan_echo
+    assert rep.per_run_estimates == [o.estimate for o in rep.runs]
+    assert [o.run_index for o in rep.runs] == [0, 1, 2]
 
 
 def test_bench_ou_single_run_rmse_is_the_absolute_error():

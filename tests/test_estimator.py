@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlangevin import (
+    EstimatorOutput,
     NoiseStream,
     NumericalFailureError,
     QuadraticPotential,
@@ -214,23 +216,24 @@ def test_numerical_failure_is_annotated_with_level_and_run():
     blowup = TuningPlan(regime="b2", gamma0=3.0, horizons=[30.0, 15.0],
                         tau=1.5, r0=1.0, big_t=30.0, dim=3)
     x_far = np.full(3, 1e308)
+    first = lambda x: x[..., 0]  # finite at x_far, unlike its norm
     with pytest.raises(NumericalFailureError) as exc:
-        estimate(OU3, blowup, x_far, norm_observable(), master_seed=1)
+        estimate(OU3, blowup, x_far, first, master_seed=1)
     assert exc.value.level_index == 0
     assert exc.value.step_index >= 1
     assert str(exc.value).startswith(
         f"level 0: non-finite position at step {exc.value.step_index} "
         "(run 0, gamma=3.0)")
     with pytest.raises(NumericalFailureError) as exc:
-        estimate_repeated(OU3, blowup, x_far, norm_observable(),
-                          master_seed=1, n_runs=2)
+        estimate_repeated(OU3, blowup, x_far, first, master_seed=1,
+                          n_runs=2)
     assert exc.value.run_index == 0
     # outside estimate/estimate_repeated a batch row is not its run: the
     # error names the run index the row's stream carries
     for runs in ([5], [7, 5]):
         with pytest.raises(NumericalFailureError) as exc:
-            _estimate_batch(OU3, blowup, x_far, norm_observable(),
-                            master_seed=1, run_indices=runs)
+            _estimate_batch(OU3, blowup, x_far, first, master_seed=1,
+                            run_indices=runs)
         assert exc.value.run_index == runs[0]
         assert f"(run {runs[0]}, gamma=3.0)" in str(exc.value)
 
@@ -286,6 +289,21 @@ def test_json_round_trip_carries_all_fields():
     assert payload["master_seed"] == 61
     assert payload["estimate"] == out.estimate
     assert payload["level_contributions"] == out.level_contributions
+
+
+def test_output_holds_only_its_inputs():
+    assert [f.name for f in dataclasses.fields(EstimatorOutput)] == [
+        "level_contributions", "level_iterations", "plan_echo",
+        "master_seed", "run_index"]
+    clamped = small_plan(t0=8.0, tau=4.0)
+    out = EstimatorOutput([1.0, 0.5, 0.25], [3, 4, 5], clamped, 7)
+    assert out.estimate == 1.75
+    assert out.total_complexity == 12
+    assert out.warnings == [
+        "burn-in clamped: tau=4 exceeds T_R/2=1; using tau=1"]
+    with pytest.raises(AttributeError):
+        out.total_complexity = 0
+    assert EstimatorOutput([1.0], [3], small_plan(), 7).warnings == []
 
 
 def test_csv_rows_one_per_level():

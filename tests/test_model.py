@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mlangevin import (
+    LangevinModel,
     LogisticPerturbedPotential,
     QuadraticPotential,
     logistic_covariate,
@@ -160,7 +162,7 @@ def test_auto_sigma0_for_logistic_benchmark_config():
 
 
 def test_explicit_sigma0_mode():
-    model = make_langevin_model(QuadraticPotential(3), "explicit", sigma0=2.0)
+    model = make_langevin_model(QuadraticPotential(3), 2.0)
     assert model.sigma0 == 2.0
     assert model.alpha_eff == pytest.approx(4.0)
     assert model.l_eff == pytest.approx(4.0)
@@ -170,14 +172,23 @@ def test_explicit_sigma0_mode():
 
 def test_make_langevin_model_mode_errors():
     pot = QuadraticPotential(2)
-    with pytest.raises(ValueError):
-        make_langevin_model(pot, "explicit")
-    with pytest.raises(ValueError):
-        make_langevin_model(pot, "explicit", sigma0=0.0)
-    with pytest.raises(ValueError):
-        make_langevin_model(pot, "auto", sigma0=1.0)
-    with pytest.raises(ValueError):
-        make_langevin_model(pot, "adaptive")
+    for sigma0 in ("explicit", "adaptive", 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma0"):
+            make_langevin_model(pot, sigma0)
+
+
+def test_langevin_model_holds_only_potential_and_sigma0():
+    pot = QuadraticPotential(2)
+    assert [f.name for f in dataclasses.fields(LangevinModel)] == [
+        "potential", "sigma0"]
+    model = LangevinModel(pot, 0.5)
+    assert model.noise_scale == math.sqrt(2.0) * 0.5
+    assert (model.alpha_eff, model.l_eff) == (0.25, 0.25)
+    with pytest.raises(AttributeError):
+        model.noise_scale = 0.0
+    for sigma0 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma0"):
+            LangevinModel(pot, sigma0)
 
 
 def test_logistic_covariate_norm_and_determinism():

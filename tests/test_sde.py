@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mlangevin import (
-    LangevinModel,
     NoiseStream,
     NumericalFailureError,
     PathState,
@@ -17,16 +16,25 @@ from mlangevin import (
     run_coupled_level,
     run_level0,
 )
+import mlangevin.sde as sde
 from mlangevin.sde import _run_level0_batch, _run_coupled_batch
 
 OU3 = make_langevin_model(QuadraticPotential(3), "auto")
 
 
-def zero_noise_ou(d):
-    # direct construction bypasses the factory's sigma0 > 0 check on purpose:
-    # a noise-free model isolates the deterministic drift recursion
-    return LangevinModel(potential=QuadraticPotential(d), sigma0=1.0,
-                         noise_scale=0.0, alpha_eff=1.0, l_eff=1.0)
+class _ZeroNoiseOU:
+    """Duck-typed OU model, b(x) = -x, with the noise switched off: it
+    isolates the deterministic drift recursion."""
+
+    noise_scale = 0.0
+    alpha_eff = 1.0
+    l_eff = 1.0
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def drift(self, x):
+        return -x
 
 
 # ---------------------------------------------------------------- NoiseStream
@@ -170,7 +178,6 @@ def test_level0_window_average_matches_sequential_replay():
 
 
 def test_level0_spans_chunks_consistently(monkeypatch):
-    import mlangevin.sde as sde
     x0 = np.zeros(2)
     model = make_langevin_model(QuadraticPotential(2), "auto")
     args = (model, x0, 0.5, 3.0, 2500.0, norm_observable())
@@ -215,11 +222,12 @@ def test_level0_window_validation():
 
 
 def test_level0_names_the_blowup_step():
-    model = make_langevin_model(QuadraticPotential(2), "explicit", sigma0=1.0)
+    model = make_langevin_model(QuadraticPotential(2), 1.0)
     x0 = np.full(2, 1e308)
-    # gamma=3 gives |x| <- 2|x| per step: 2e308 overflows at step 1
+    # gamma=3 gives |x| <- 2|x| per step: 2e308 overflows at step 1, and
+    # the observable stays finite at step 0
     with pytest.raises(NumericalFailureError) as err:
-        run_level0(model, x0, 3.0, 0.0, 30.0, norm_observable(),
+        run_level0(model, x0, 3.0, 0.0, 30.0, lambda x: x[..., 0],
                    NoiseStream(0, 0))
     assert err.value.step_index == 1
     assert err.value.run_index == 0
@@ -228,12 +236,36 @@ def test_level0_names_the_blowup_step():
 def test_level0_rejects_observable_overflow():
     # positions stay finite while |x|^2 overflows: must fail loudly, not
     # average NaNs
-    model = make_langevin_model(QuadraticPotential(1), "explicit", sigma0=1.0)
+    model = make_langevin_model(QuadraticPotential(1), 1.0)
     x0 = np.array([1e200])
     f = lambda x: x[..., 0] ** 2
     with pytest.raises(NumericalFailureError) as err:
         run_level0(model, x0, 3.0, 0.0, 30.0, f, NoiseStream(0, 0))
     assert err.value.step_index == 0  # f(x0) already overflows
+
+
+class _Doubling:
+    """Duck-typed model with drift b(x) = x and no noise: x doubles per
+    step at gamma = 1."""
+
+    dim = 2
+    noise_scale = 0.0
+
+    def drift(self, x):
+        return x.copy()
+
+
+@pytest.mark.parametrize("cap", [sde._CHUNK_STEP_CAP, 7, 1])
+def test_earliest_failure_wins_whatever_the_chunk_layout(monkeypatch, cap):
+    # |x|^2 = 2e300 * 4^k overflows inside np.linalg.norm at step 14, long
+    # before the position 1e150 * 2^k does at step 526
+    monkeypatch.setattr(sde, "_CHUNK_STEP_CAP", cap)
+    with pytest.raises(NumericalFailureError) as err:
+        run_level0(_Doubling(), np.full(2, 1e150), 1.0, 0.0, 1000.0,
+                   lambda x: np.linalg.norm(x, axis=-1), NoiseStream(0, 0))
+    assert err.value.step_index == 14
+    assert str(err.value).startswith(
+        "non-finite observable value at step 14 (run 0)")
 
 
 # ----------------------------------------------------------- run_coupled_level
@@ -270,7 +302,7 @@ def test_coupled_increments_ride_the_same_brownian_path():
 
 
 def test_coupled_zero_noise_gap_matches_closed_form():
-    model = zero_noise_ou(4)
+    model = _ZeroNoiseOU(4)
     x0 = np.array([2.0, -1.0, 0.5, 1.0])
     gamma_f = 0.125
     gamma_c = 0.25
@@ -281,7 +313,7 @@ def test_coupled_zero_noise_gap_matches_closed_form():
 
 
 def test_coupled_zero_noise_window_average_matches_recursion():
-    model = zero_noise_ou(2)
+    model = _ZeroNoiseOU(2)
     x0 = np.array([1.0, -3.0])
     gamma_f, tau, t = 0.125, 0.5, 3.0
     gamma_c = 0.25
@@ -315,10 +347,10 @@ def test_coupled_identical_start_has_zero_initial_gap():
 
 
 def test_coupled_names_the_blowup_step():
-    model = make_langevin_model(QuadraticPotential(2), "explicit", sigma0=1.0)
+    model = make_langevin_model(QuadraticPotential(2), 1.0)
     x0 = np.full(2, 1e308)
     with pytest.raises(NumericalFailureError) as err:
-        run_coupled_level(model, x0, 3.0, 0.0, 60.0, norm_observable(),
+        run_coupled_level(model, x0, 3.0, 0.0, 60.0, lambda x: x[..., 0],
                           NoiseStream(0, 0))
     assert err.value.step_index == 1
     assert err.value.run_index == 0

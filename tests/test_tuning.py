@@ -116,8 +116,7 @@ def test_b2_rejects_eps_outside_unit_interval():
 
 
 def test_b2_requires_auto_noise_scale():
-    explicit = make_langevin_model(QuadraticPotential(4), "explicit",
-                                   sigma0=2.0)
+    explicit = make_langevin_model(QuadraticPotential(4), 2.0)
     with pytest.raises(ValueError, match="auto"):
         plan_b2(explicit, 0.1)
     with pytest.raises(ValueError, match="auto"):
