@@ -36,7 +36,14 @@ It covers, in order:
   its derived constants, and ``estimate`` / ``estimate_repeated`` (3 runs)
   on a hand-built R=2 plan at gamma0 = 1/8, with both observables.
 
-Takes about 15 s.
+Then comes the total, a digest of all the lines above it.  After it, the
+start points section prints, in clear, the exception class and message (or
+"no error") of ``run_level0``, ``run_coupled_level``, ``contraction_probe``,
+``confluence_probe``, ``estimate`` and ``warm_start`` on the OU model in d=2
+from the start points [nan, 0], [0, inf] and (0, 0, 0); it follows the
+total so that the total stays comparable with checkouts that predate it.
+
+Takes about 20 s.
 """
 
 import hashlib
@@ -188,6 +195,39 @@ def explicit_lines():
     return lines
 
 
+def start_point_lines():
+    model = ml.make_langevin_model(ml.QuadraticPotential(2), "auto")
+    p = plan(2, 1, 0.5, 16.0, 2.0)
+    entries = (
+        ("run_level0", lambda x: ml.run_level0(
+            model, x, 0.5, 0.0, 2.0, ml.norm_observable(),
+            ml.NoiseStream(0, 0))),
+        ("run_coupled_level", lambda x: ml.run_coupled_level(
+            model, x, 0.25, 0.0, 2.0, ml.norm_observable(),
+            ml.NoiseStream(0, 1))),
+        ("contraction_probe", lambda x: ml.contraction_probe(
+            model, x, np.zeros(2), 0.25, 5)),
+        ("confluence_probe", lambda x: ml.confluence_probe(
+            model, 0.25, 1.0, 200, x0=x)),
+        ("estimate", lambda x: ml.estimate(
+            model, p, x, ml.norm_observable(), 0)),
+        ("warm_start", lambda x: ml.warm_start(model.potential, x)),
+    )
+    starts = (("nan", [math.nan, 0.0]), ("inf", [0.0, math.inf]),
+              ("dim3", [0.0, 0.0, 0.0]))
+    lines = []
+    for name, call in entries:
+        for label, x in starts:
+            try:
+                call(np.array(x))
+            except Exception as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                outcome = "no error"
+            lines.append(f"start point {name} x0={label} {outcome}")
+    return lines
+
+
 def main():
     lines = plan_lines()
     default_cap = sde._CHUNK_STEP_CAP
@@ -224,6 +264,7 @@ def main():
     lines += explicit_lines()
     print("\n".join(lines))
     print("total", digest("\n".join(lines)))
+    print("\n".join(start_point_lines()))
 
 
 if __name__ == "__main__":

@@ -282,7 +282,12 @@ def _resolve_point(source: str, d: int) -> np.ndarray:
         return np.ones(d)
     with open(source) as fh:
         data = json.load(fh)
-    x = np.asarray(data, dtype=float)
+    # JSON numbers load as int or float; a bool is not a number here
+    if not (isinstance(data, list)
+            and all(type(v) in (int, float) for v in data)):
+        raise _UsageError(
+            f"point file {source!r} must hold a JSON list of numbers")
+    x = np.array(data, dtype=float)
     if x.shape != (d,):
         raise _UsageError(
             f"point file {source!r} holds shape {x.shape}, expected ({d},)")

@@ -141,14 +141,13 @@ class BenchReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def csv_rows(self) -> List[dict]:
-        """One row per run: run, estimate[, coord...], complexity, seconds.
+        """One row per run: run, estimate[, coord...], complexity.
 
         Vector estimates expand into one ``estimate_i`` column per
-        coordinate.  The seconds column is the amortized wall time
-        (total / n_runs); replications execute as one batch.
+        coordinate.  The runs execute as one batch, so there is no per-run
+        wall time; ``to_dict`` holds the total.
         """
         rows = []
-        per_run_seconds = self.wall_clock_seconds / self.n_runs
         for i, est in enumerate(self.per_run_estimates):
             row = {"run": i}
             if isinstance(est, (np.ndarray, list, tuple)):
@@ -157,7 +156,6 @@ class BenchReport:
             else:
                 row["estimate"] = float(est)
             row["complexity"] = int(self.mean_complexity)
-            row["seconds"] = per_run_seconds
             rows.append(row)
         return rows
 
@@ -348,39 +346,34 @@ def contraction_probe(
     _check_probe_step(model, gamma)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    rows = np.array([x, y], dtype=float)
     d = model.dim
-    if rows.shape != (2, d):
-        raise ValueError(f"x and y must have shape ({d},), got {rows.shape[1:]}")
     stream = NoiseStream(seed, 0)
     distances = []
-    # one draw per step, shared by both rows
-    for _, (hist,) in _chains(model, rows, float(gamma), n_steps,
-                              lambda n: stream.standard_normal((n, 1, 1, d)),
-                              _chunk_steps(2, d), pair=False):
+    # rows x and y (at least 1-d, so two numbers are never read as one
+    # (d,) point for both rows); one draw per step, shared by both rows
+    rows = (np.atleast_1d(x), np.atleast_1d(y))
+    for _, hist in _chains(model, rows, float(gamma), n_steps,
+                           lambda n: stream.standard_normal((n, 1, 1, d)),
+                           _chunk_steps(2, d), False, range(2)):
         gaps = hist[:, 0] - hist[:, 1]
         distances.extend(float(np.linalg.norm(v)) for v in gaps)
     return distances
 
 
 def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
-                n_paths: int, stream: NoiseStream, x0=None) -> float:
+                n_paths: int, stream: NoiseStream, x0) -> float:
     """Monte-Carlo sup over coarse grid times of E|fine - coarse|^2."""
-    d = model.dim
-    if x0 is None:
-        start = np.zeros((n_paths, d))
-    else:
-        start = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
-    # besides the three increment arrays a chunk holds both histories; a
-    # quarter of the estimator's chunk keeps that below 3 (n, n_paths, d)
-    # arrays at the full chunk, what drawing alone would take
-    chunk = _chunk_steps(4 * n_paths, d)
+    d, p = model.dim, n_paths
+    # besides the three increment arrays a chunk holds the (n, 2 p, d)
+    # history; a quarter of the estimator's chunk keeps that below 3
+    # (n, p, d) arrays at the full chunk, what drawing alone would take
+    chunk = _chunk_steps(4 * p, d)
     sup = 0.0
-    for _, (fine, coarse) in _chains(
-            model, start, gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse),
-            lambda n: stream.standard_normal((n, 2, n_paths, d)), chunk,
-            pair=True):
-        gap = fine - coarse
+    for _, hist in _chains(
+            model, x0, gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse),
+            lambda n: stream.standard_normal((n, 2, p, d)), chunk, True,
+            range(p)):
+        gap = hist[:, :p] - hist[:, p:]
         gap *= gap
         sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))
     return sup
@@ -428,10 +421,11 @@ def confluence_probe(
         warnings.warn(
             "confluence_probe with fewer than 100 paths is noise-dominated",
             RuntimeWarning)
+    x0 = np.zeros(model.dim) if x0 is None else x0
     gap1 = _sup_gap_sq(model, gamma, horizon, n_paths, NoiseStream(seed, 0),
-                       x0=x0)
+                       x0)
     gap2 = _sup_gap_sq(model, gamma / 2.0, horizon, n_paths,
-                       NoiseStream(seed, 1), x0=x0)
+                       NoiseStream(seed, 1), x0)
     if gap1 <= 0.0 or gap2 <= 0.0:
         order = float("nan")
     else:

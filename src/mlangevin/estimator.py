@@ -168,12 +168,8 @@ def _estimate_batch(
     if plan.dim and plan.dim != model.dim:
         raise ValueError(
             f"plan dimension {plan.dim} does not match model dimension {model.dim}")
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 must be finite")
 
     tau_eff = plan.tau_effective
-    bsz = len(run_indices)
-    x0_batch = np.tile(x0, (bsz, 1))
 
     def level_job(r: int):
         streams = [NoiseStream(master_seed, r, run_index=idx)
@@ -181,11 +177,11 @@ def _estimate_batch(
         try:
             if r == 0:
                 return _run_level0_batch(
-                    model, x0_batch, plan.gamma[0], tau_eff, plan.horizons[0],
-                    f, streams)
+                    model, x0, plan.gamma[0], tau_eff, plan.horizons[0], f,
+                    streams)
             return _run_coupled_batch(
-                model, x0_batch, plan.gamma[r], tau_eff, plan.horizons[r],
-                f, streams)
+                model, x0, plan.gamma[r], tau_eff, plan.horizons[r], f,
+                streams)
         except NumericalFailureError as err:
             err.level_index = r
             err.args = (f"level {r}: {err}",)

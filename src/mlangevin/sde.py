@@ -1,8 +1,11 @@
 """Constant-step Euler-Maruyama engine with synchronously coupled pairs.
 
-One chunked engine, ``_chains``, turns standard normals into the Euler
-increments of a (batch, d) array, run as a single chain or as a synchronously
-coupled fine/coarse pair, and reads the first non-finite step and row of a
+One chunked engine, ``_chains``, is the only way into the Euler map.  It
+checks the start point (shape (d,) or (batch, d), finite) and builds the
+state array itself: (batch, d) rows for a single chain, and for a
+synchronously coupled fine/coarse pair one (2 batch, d) array, the fine rows
+over the coarse rows, with one history buffer.  It turns standard normals
+into the Euler increments, and reads the first non-finite step and run of a
 failure from its chunk histories, which every path simulation reads:
 
 * ``run_level0``: one chain at step gamma0, returning the occupation
@@ -19,7 +22,10 @@ An observable is any function f acting along the last axis, as
 shape (N,) for a scalar observable or (N, m) for a vector one.  The shape of
 its value is the only scalar/vector signal; one reduction path serves both,
 and a level returns a float per run for the first and an (m,) array for the
-second.  Any other value shape is a ValueError that names it.
+second.  Any other value shape is a ValueError that names it.  A coupled
+level takes the fine-minus-coarse difference in place, in the array f
+returns, so f must return a writable array that it does not keep: a fresh
+one, as both built-in observables do, or a view of its input.
 
 Sampling windows use the grid-index rule ``n_gamma(t) = max{k : k*gamma <= t}``
 with the average taken over indices ``k in [n_gamma(tau), n_gamma(T) - 1]``;
@@ -282,84 +288,96 @@ def _quiet_overflow(fn):
 
 
 @_quiet_overflow
-def _ticks(model, xs, gamma, fine, coarse, hists):
-    """The Euler tick loop: advance the chains ``xs`` in place.
+def _ticks(model, x, hist, steps):
+    """The Euler tick loop: advance the state rows ``x`` in place.
 
-    Per tick j, chain c's state on entry goes to ``hists[c][j]``; then
-    ``xs[0]`` takes a step of ``gamma`` per increment in ``fine[j]``, and
-    ``xs[1]``, if ``coarse`` is given, one step of ``2 * gamma`` with
-    ``coarse[j]``; each is euler_step's arithmetic.
+    Per tick j, the state on entry goes to ``hist[j]``; then each
+    ``(rows, step, inc)`` in ``steps``, in order, takes euler_step's
+    arithmetic on its view ``rows`` of ``x``: one step of ``step`` with the
+    increment ``inc[j]``.
     """
     drift = model.drift
-    steps = [(xs[0], gamma, fine[:, s]) for s in range(fine.shape[1])]
-    if coarse is not None:
-        steps.append((xs[1], 2.0 * gamma, coarse))
-    record = list(zip(hists, xs))
-    for j in range(len(fine)):
-        for hist, x in record:
-            hist[j] = x
-        for x, step, inc in steps:
-            x += step * drift(x)
-            x += inc[j]
+    for j in range(len(hist)):
+        hist[j] = x
+        for rows, step, inc in steps:
+            rows += step * drift(rows)
+            rows += inc[j]
 
 
-def _chains(model, x, gamma, n_ticks, normals, chunk, pair, runs=None):
-    """The Euler engine: advance a (B, d) batch in place for ``n_ticks``.
+def _chains(model, x0, gamma, n_ticks, normals, chunk, pair, runs):
+    """The Euler engine: advance a batch of B = len(runs) rows for ``n_ticks``.
 
-    A single chain takes one step of ``gamma`` per tick; a coupled pair
-    starts both chains at ``x`` and per tick takes two fine steps of
-    ``gamma`` and one coarse step of ``2 * gamma``.  ``normals(n)`` returns
-    a fresh array g of the standard normals of n ticks, (n, 1 or 2, B, d) or
-    broadcastable to it, which the engine scales in place to
-    noise_scale * sqrt(gamma) * g[:, s] per fine step; the coarse step takes
-    noise_scale * sqrt(2 gamma) * (g[:, 0] + g[:, 1]) / sqrt(2), so both
-    chains ride one Brownian path.
+    The start point ``x0`` is (d,), shared by every row, or (B, d); any other
+    shape, or a non-finite value, is a ValueError, raised before any step.
+    A single chain is one (B, d) state array taking one step of ``gamma``
+    per tick.  A coupled pair is one (2B, d) array, the B fine rows over the
+    B coarse rows, both started at ``x0``; per tick the fine rows take two
+    steps of ``gamma`` and the coarse rows one of ``2 * gamma``, each a
+    drift call on its B-row view.  ``normals(n)`` returns a fresh array g of
+    the standard normals of n ticks, (n, 1 or 2, B, d) or broadcastable to
+    it, which the engine scales in place to noise_scale * sqrt(gamma) *
+    g[:, s] per fine step; the coarse step takes noise_scale * sqrt(2 gamma)
+    * (g[:, 0] + g[:, 1]) / sqrt(2), so both halves ride one Brownian path.
 
-    Yields ``(k, hists)`` per chunk of at most ``chunk`` ticks, with
-    ``hists[c][j]`` chain c at grid index k + j, then ``(n_ticks, finals)``,
-    the final states as one-row histories.  The history buffers are reused,
-    so a chunk's histories are valid until the next one is requested.  A
-    non-finite state raises NumericalFailureError naming the first bad step
-    and run, ``runs[row]`` (the row itself when ``runs`` is None), once the
-    finite states of its chunk before that step have been yielded; so the
-    earliest failure wins whatever the chunk layout.
+    Yields ``(k, hist)`` per chunk of at most ``chunk`` ticks, with
+    ``hist[j]`` the state rows at grid index k + j, then ``(n_ticks,
+    final)``, the final state as a one-tick history.  The history buffer is
+    reused, so a chunk's history is valid until the next one is requested.
+    A non-finite state raises NumericalFailureError naming the first bad
+    step and its run, ``runs[row mod B]``, once the finite states of its
+    chunk before that step have been yielded; so the earliest failure wins
+    whatever the chunk layout.
     """
-    xs = [x, x.copy()] if pair else [x]
+    d, bsz = model.dim, len(runs)
+    shape = f"({d},) or ({bsz}, {d})"
+    try:
+        x = np.array(x0, dtype=float)
+    except ValueError:
+        raise ValueError(f"the start point must have shape {shape}") from None
+    if x.shape not in ((d,), (bsz, d)):
+        raise ValueError(
+            f"the start point must have shape {shape}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("the start point must be finite")
+    # C order: a sum along the last axis of F-ordered rows rounds otherwise
+    x = np.array(np.broadcast_to(x, (2 if pair else 1, bsz, d)),
+                 order="C").reshape(-1, d)
     cn = model.noise_scale * math.sqrt(gamma)
     cn_c = model.noise_scale * math.sqrt(2.0 * gamma)
-    bufs = [np.empty((min(chunk, n_ticks),) + x.shape) for x in xs]
+    buf = np.empty((min(chunk, n_ticks),) + x.shape)
     for k in range(0, n_ticks, chunk):
         n = min(chunk, n_ticks - k)
-        hists = [buf[:n] for buf in bufs]
+        hist = buf[:n]
         fine = normals(n)
+        steps = [(x[:bsz], gamma, fine[:, s]) for s in range(fine.shape[1])]
         coarse = None
         if pair:
             coarse = fine[:, 0] + fine[:, 1]
             coarse *= _INV_SQRT2
             coarse *= cn_c
+            steps.append((x[bsz:], 2.0 * gamma, coarse))
         fine *= cn
-        _ticks(model, xs, gamma, fine, coarse, hists)
-        del fine, coarse  # free the increments before the next draw
-        if not all(np.isfinite(x).all() for x in xs):
-            # chain c after tick j is hists[c][j + 1] (xs[c] after the last
-            # tick), and x += ... keeps a non-finite coordinate non-finite
-            finite = np.logical_and.reduce([
-                np.isfinite(np.concatenate((h[1:], x[None]))).all(axis=-1)
-                for h, x in zip(hists, xs)])
+        _ticks(model, x, hist, steps)
+        del fine, coarse, steps  # free the increments before the next draw
+        if not np.isfinite(x).all():
+            # the state after tick j is hist[j + 1] (x after the last tick),
+            # and x += ... keeps a non-finite coordinate non-finite
+            finite = np.isfinite(np.concatenate((hist[1:], x[None])))
+            finite = finite.all(axis=-1).reshape(n, -1, bsz).all(axis=1)
             j, row = np.argwhere(~finite)[0].tolist()
             step = k + j + 1
-            run = row if runs is None else runs[row]
             err = NumericalFailureError(
                 f"non-finite position at {'coarse ' if pair else ''}step "
-                f"{step} (run {run}, {'gamma_fine' if pair else 'gamma'}="
-                f"{gamma}); the step size is likely too large for this model",
-                step_index=step, run_index=run)
+                f"{step} (run {runs[row]}, "
+                f"{'gamma_fine' if pair else 'gamma'}={gamma}); the step "
+                f"size is likely too large for this model",
+                step_index=step, run_index=runs[row])
             # the states before the failed step are finite: hand them over
             # first, so a failure the caller finds there wins
-            yield k, [h[:j + 1] for h in hists]
+            yield k, hist[:j + 1]
             raise err
-        yield k, hists
-    yield n_ticks, [x[None] for x in xs]
+        yield k, hist
+    yield n_ticks, x[None]
 
 
 def _stream_normals(streams, d, pair):
@@ -380,6 +398,7 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     """One level's compensated window average per row, and its step count.
 
     Row b runs on ``streams[b]``; a failure names that stream's run_index.
+    The start point ``x0`` is (d,) or (B, d), which ``_chains`` checks.
     A single chain averages f over grid indices [n(tau), n(T) - 1] at step
     gamma and counts n_gamma(T) steps; a pair averages f(fine) - f(coarse)
     over that window on the coarse grid 2 gamma and counts both chains'.
@@ -396,22 +415,19 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     if k1 - k0 < 1:
         raise ValueError(
             f"empty averaging window: n({t})={k1}, n({tau})={k0} at gamma={grid}")
-    bsz = len(streams)
-    x = np.array(x0, dtype=float).reshape(bsz, -1)
-    d = x.shape[1]
-    if d != model.dim:
-        raise ValueError(f"x0 dimension {d} does not match model dim {model.dim}")
+    bsz, d = len(streams), model.dim
     runs = [st.run_index for st in streams]
     acc = None
-    for first, hists in _chains(model, x, float(gamma), k1 - 1,
-                                _stream_normals(streams, d, pair),
-                                _chunk_steps(bsz, d), pair, runs):
+    for first, hist in _chains(model, x0, float(gamma), k1 - 1,
+                               _stream_normals(streams, d, pair),
+                               _chunk_steps(bsz, d), pair, runs):
         lo = max(k0 - first, 0)
-        if lo >= len(hists[0]):
+        if lo >= len(hist):
             continue
-        vals = _eval_window(f, hists[0][lo:])
+        vals = _eval_window(f, hist[lo:])
         if pair:
-            vals = vals - _eval_window(f, hists[1][lo:])
+            vals[:, :bsz] -= vals[:, bsz:]  # in place: no third array
+        vals = vals[:, :bsz]
         _check_values_finite(vals, first + lo, runs)
         if acc is None:
             acc = _CompensatedSum(vals.shape[1:])
@@ -459,9 +475,8 @@ def run_level0(model, x0: np.ndarray, gamma0: float, tau: float, t0: float,
         (average, iterations); average is a float for scalar observables or
         an ndarray for vector ones.
     """
-    avg, iterations = _run_level0_batch(
-        model, np.asarray(x0, dtype=float).reshape(1, -1), gamma0, tau, t0, f,
-        [stream])
+    avg, iterations = _run_level0_batch(model, x0, gamma0, tau, t0, f,
+                                        [stream])
     return _run_value(avg[0]), iterations
 
 
@@ -477,7 +492,6 @@ def run_coupled_level(model, x0: np.ndarray, gamma_fine: float, tau: float,
 
     Args follow run_level0 with gamma_fine the fine step.
     """
-    avg, iterations = _run_coupled_batch(
-        model, np.asarray(x0, dtype=float).reshape(1, -1), gamma_fine, tau, t,
-        f, [stream])
+    avg, iterations = _run_coupled_batch(model, x0, gamma_fine, tau, t, f,
+                                         [stream])
     return _run_value(avg[0]), iterations

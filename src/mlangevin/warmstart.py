@@ -2,8 +2,8 @@
 
 The tuned estimator plans assume the starting point satisfies
 |grad U(x0)|^2 <= alpha_u * d (so the initial transient is of the generic
-order the burn-in tau kills).  This module runs plain constant-step gradient
-descent until that criterion holds.
+order the burn-in tau kills).  This module runs plain gradient descent at
+step 1/l_u until that criterion holds.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .model import Potential
 
 __all__ = ["WarmStartResult", "warm_start"]
 
+_MAX_ITERS = 10_000
+
 
 class WarmStartResult(NamedTuple):
     """Outcome of the descent: final point, iterations used, |grad U|^2."""
@@ -26,25 +28,19 @@ class WarmStartResult(NamedTuple):
     grad_norm_sq: float
 
 
-def warm_start(
-    potential: Potential,
-    x_init: np.ndarray,
-    step: float | None = None,
-    max_iters: int = 10_000,
-) -> WarmStartResult:
-    """Run x <- x - step * grad U(x) until |grad U(x)|^2 <= alpha_u * d.
+def warm_start(potential: Potential, x_init: np.ndarray) -> WarmStartResult:
+    """Run x <- x - grad U(x) / l_u until |grad U(x)|^2 <= alpha_u * d.
 
-    The stopping threshold is checked before the first update, so a point
-    already in the target region is returned unchanged with iters_used = 0.
-    On a quadratic potential the iterates are exactly
-    x_k = (1 - step)^k * x_init; for any potential with step <= 1/l_u each
-    iteration does not increase U.
+    The step 1/l_u lies below 2/L for both built-in potentials, L their
+    true smoothness constant, so no iteration increases U; on the quadratic
+    potential (l_u = 1) one iteration reaches the minimum.  The budget is
+    10,000 iterations.  The stopping threshold is checked before the first
+    update, so a point already in the target region is returned unchanged
+    with iters_used = 0.
 
     Args:
         potential: Potential with valid constants.
-        x_init: Starting point, shape (dim,).
-        step: Descent step; must lie in (0, 2/l_u).  Default 1/l_u.
-        max_iters: Iteration budget (>= 1).
+        x_init: Starting point, shape (dim,), finite.
 
     Returns:
         WarmStartResult(x0, iters_used, grad_norm_sq).  Success means
@@ -53,23 +49,19 @@ def warm_start(
         losing the tuned constants' guarantees).
     """
     potential._check_constants()
-    if step is None:
-        step = 1.0 / potential.l_u
-    if not 0.0 < step < 2.0 / potential.l_u:
-        raise ValueError(
-            f"step must lie in (0, 2/l_u) = (0, {2.0 / potential.l_u}), got {step}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     x = np.array(x_init, dtype=float)
     if x.shape != (potential.dim,):
         raise ValueError(
             f"x_init must have shape ({potential.dim},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x_init must be finite")
 
+    step = 1.0 / potential.l_u
     threshold = potential.alpha_u * potential.dim
     iters = 0
     g = potential.grad(x)
     gsq = float(np.dot(g, g))
-    while gsq > threshold and iters < max_iters:
+    while gsq > threshold and iters < _MAX_ITERS:
         x = x - step * g
         iters += 1
         g = potential.grad(x)
@@ -77,7 +69,7 @@ def warm_start(
     if gsq > threshold:
         warnings.warn(
             f"warm start did not reach |grad U|^2 <= {threshold} within "
-            f"{max_iters} iterations (final value {gsq}); proceeding anyway",
+            f"{_MAX_ITERS} iterations (final value {gsq}); proceeding anyway",
             RuntimeWarning,
         )
     return WarmStartResult(x0=x, iters_used=iters, grad_norm_sq=gsq)

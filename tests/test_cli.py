@@ -417,6 +417,34 @@ def test_probe_step_and_horizon_errors_are_one_line(argv, capsys):
     assert "gamma" in err and "math domain" not in err
 
 
+@pytest.mark.parametrize("content", ['{"x": 1}', '"ones"', "3",
+                                     "[[0.0, 1.0]]", '[1, "a"]',
+                                     "[true, false]"],
+                         ids=["object", "string", "number", "nested",
+                              "mixed", "booleans"])
+def test_point_file_that_is_not_a_list_of_numbers_is_a_usage_error(
+        content, tmp_path, capsys):
+    point = tmp_path / "x.json"
+    point.write_text(content)
+    code, out, err = run_cli(["probe", "--probe", "contraction", "--d", "2",
+                              "--x-init", str(point)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: point file {str(point)!r} must hold a JSON list "
+                   f"of numbers\n")
+
+
+@pytest.mark.parametrize("kind", ["confluence", "contraction"])
+def test_probe_nonfinite_start_point_is_a_usage_error(kind, tmp_path, capsys):
+    point = tmp_path / "nan.json"
+    point.write_text("[NaN, 0.0]")
+    code, out, err = run_cli(["probe", "--probe", kind, "--d", "2",
+                              "--x-init", str(point)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: the start point must be finite\n"
+
+
 def test_probe_rejects_unknown_names(capsys):
     code, _, _ = run_cli(["probe", "--probe", "volatility"], capsys)
     assert code == EXIT_USAGE
@@ -518,7 +546,7 @@ def test_output_files_json_and_csv(tmp_path, capsys):
              "--runs", "2", "--output", str(bench_csv), "--format", "csv"],
             capsys)
     lines = bench_csv.read_text().strip().splitlines()
-    assert lines[0] == "run,estimate,complexity,seconds"
+    assert lines[0] == "run,estimate,complexity"
     assert len(lines) == 3
 
 

@@ -3,10 +3,12 @@
 Each property draws the dimension, the level count, the batch width and the
 chunk cap (``_CHUNK_STEP_CAP``), so a chunk boundary can fall anywhere in a
 level's window or next to a failing step.  Examples are derandomized, so a
-run is reproducible.
+run is reproducible.  The last test checks that every entry point rejects a
+bad start point before any step.
 """
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mlangevin import (
     PathState,
     QuadraticPotential,
     TuningPlan,
+    confluence_probe,
     contraction_probe,
     estimate,
     estimate_repeated,
@@ -29,6 +32,9 @@ from mlangevin import (
     logistic_covariate,
     make_langevin_model,
     norm_observable,
+    run_coupled_level,
+    run_level0,
+    warm_start,
 )
 from mlangevin.estimator import _estimate_batch
 
@@ -82,11 +88,11 @@ def test_batch_rows_equal_single_runs(kind, d, R, n_runs, cap, seed, obs):
 
 
 def final_states(model, x0, gamma, n_ticks, streams, pair, cap):
-    x = np.tile(x0, (len(streams), 1))
-    normals = sde._stream_normals(streams, x.shape[1], pair)
+    normals = sde._stream_normals(streams, len(x0), pair)
     with chunk_cap(cap):
-        chunks = list(sde._chains(model, x, gamma, n_ticks, normals,
-                                  sde._chunk_steps(*x.shape), pair))
+        chunks = list(sde._chains(model, x0, gamma, n_ticks, normals,
+                                  sde._chunk_steps(len(streams), len(x0)),
+                                  pair, range(len(streams))))
     return chunks[-1][1]
 
 
@@ -110,6 +116,53 @@ def test_chunk_layout_changes_no_state_and_only_rounds_window_sums(
                                t, norm_observable(), streams())[0])
     # values are O(1), so 1e-15 is a few units of float rounding
     np.testing.assert_allclose(sums[0], sums[1], rtol=1e-15, atol=1e-15)
+
+
+def coupled_reference(model, x0, gamma, tau, t, f, stream, chunk):
+    """One run's coupled window average from euler_step fine/coarse loops.
+
+    The window values f(fine) - f(coarse) on the coarse grid are summed in
+    the engine's layout: a pairwise sum per chunk of ``chunk`` ticks, the
+    final index alone, and a compensated merge across those sums.
+    """
+    k0, k1 = sde.n_gamma(tau, 2 * gamma), sde.n_gamma(t, 2 * gamma)
+    fine, coarse = PathState(x0, 0, gamma), PathState(x0, 0, 2 * gamma)
+    values = []
+    for k in range(k1):
+        values.append(f(fine.position[None])[0] - f(coarse.position[None])[0])
+        if k == k1 - 1:
+            break
+        g = stream.standard_normal((2, len(x0)))
+        fine = euler_step(model, fine, g[0])
+        fine = euler_step(model, fine, g[1])
+        coarse = euler_step(model, coarse,
+                            (g[0] + g[1]) * (1.0 / math.sqrt(2.0)))
+    values = np.array(values)
+    acc = sde._CompensatedSum(values.shape[1:])
+    edges = [*range(0, k1 - 1, chunk), k1 - 1, k1]
+    for a, b in zip(edges, edges[1:]):
+        if max(a, k0) < b:
+            block = values[max(a, k0):b]
+            acc.add(np.add.reduce(
+                np.ascontiguousarray(np.moveaxis(block, 0, -1)), axis=-1))
+    return acc.total() / (k1 - k0)
+
+
+@PROPERTY
+@given(kinds, dims, st.integers(1, 4), caps, seeds, observables)
+def test_coupled_window_average_equals_an_euler_step_loop(
+        kind, d, n_runs, cap, seed, obs):
+    model, x0 = make_model(kind, d), start(d, seed)
+    gamma, tau, t = 0.25, 1.5, 12.0
+    streams = [NoiseStream(seed, 1, run_index=i) for i in range(n_runs)]
+    with chunk_cap(cap):
+        avg, _ = sde._run_coupled_batch(model, x0, gamma, tau, t, obs(),
+                                        streams)
+        chunk = sde._chunk_steps(n_runs, d)
+    for i in range(n_runs):
+        expected = coupled_reference(model, x0, gamma, tau, t, obs(),
+                                     NoiseStream(seed, 1, run_index=i), chunk)
+        assert avg[i].tobytes() == expected.tobytes()
 
 
 @PROPERTY
@@ -218,3 +271,30 @@ def test_failure_location_is_chunk_layout_invariant(
             while True:
                 state = euler_step(model, state, stream.standard_normal(d))
         assert exc.value.step_index == expected[1]
+
+
+OU2 = make_langevin_model(QuadraticPotential(2), "auto")
+ENTRY_POINTS = {
+    "run_level0": lambda x: run_level0(
+        OU2, x, 0.5, 0.0, 2.0, norm_observable(), NoiseStream(0, 0)),
+    "run_coupled_level": lambda x: run_coupled_level(
+        OU2, x, 0.25, 0.0, 2.0, norm_observable(), NoiseStream(0, 1)),
+    "contraction_probe": lambda x: contraction_probe(
+        OU2, x, np.zeros(2), 0.25, 5),
+    "confluence_probe": lambda x: confluence_probe(
+        OU2, 0.25, 1.0, 200, x0=x),
+    "estimate": lambda x: estimate(
+        OU2, make_plan(2, 1), x, norm_observable(), 0),
+    "warm_start": lambda x: warm_start(OU2.potential, x),
+}
+BAD_STARTS = {"nan": [np.nan, 0.0], "inf": [0.0, np.inf],
+              "dim3": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("bad", BAD_STARTS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_bad_start_point_is_a_one_line_value_error(entry, bad):
+    with pytest.raises(ValueError, match="start point|x0|x_init") as exc:
+        ENTRY_POINTS[entry](np.array(BAD_STARTS[bad]))
+    assert type(exc.value) is ValueError
+    assert "\n" not in str(exc.value)

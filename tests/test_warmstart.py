@@ -39,26 +39,27 @@ def test_quadratic_boundary_point_needs_no_iterations():
     assert res.grad_norm_sq == 10.0
 
 
-def test_quadratic_iterates_follow_the_exact_geometric_recursion():
-    pot = QuadraticPotential(3)
-    x_init = np.array([100.0, -250.0, 40.0])
-    step = 0.25
-    res = warm_start(pot, x_init, step=step)
-    assert res.iters_used > 0
-    np.testing.assert_array_equal(res.x0, (1.0 - step) ** res.iters_used * x_init)
-    # one fewer iteration must still be outside the stopping region
-    previous = (1.0 - step) ** (res.iters_used - 1) * x_init
-    assert np.dot(previous, previous) > pot.alpha_u * pot.dim
-    assert res.grad_norm_sq <= pot.alpha_u * pot.dim
+def test_quadratic_descent_reaches_the_minimum_in_one_iteration():
+    # the step 1/l_u = 1 takes x - grad U(x) = x - x to the origin
+    res = warm_start(QuadraticPotential(3), np.array([100.0, -250.0, 40.0]))
+    assert res.iters_used == 1
+    np.testing.assert_array_equal(res.x0, np.zeros(3))
+    assert res.grad_norm_sq == 0.0
+
+
+def descend(pot, x, n):
+    """n plain descent iterations at step 1/l_u."""
+    for _ in range(n):
+        x = x - (1.0 / pot.l_u) * pot.grad(x)
+    return x
 
 
 def test_default_step_is_the_inverse_smoothness_constant():
     pot = logistic_potential()
     far = np.full(10, 30.0)
-    default = warm_start(pot, far)
-    explicit = warm_start(pot, far, step=1.0 / pot.l_u)
-    np.testing.assert_array_equal(default.x0, explicit.x0)
-    assert default.iters_used == explicit.iters_used
+    res = warm_start(pot, far)
+    assert res.iters_used > 0
+    np.testing.assert_array_equal(res.x0, descend(pot, far, res.iters_used))
 
 
 def test_logistic_descent_terminates_quickly_inside_the_region():
@@ -82,30 +83,24 @@ def test_descent_never_increases_the_potential():
         values.append(pot.eval(x))
     for before, after in zip(values, values[1:]):
         assert after <= before + 1e-12 * (1.0 + abs(before))
-    res = warm_start(pot, np.full(10, 50.0), step=step)
+    res = warm_start(pot, np.full(10, 50.0))
     assert pot.eval(res.x0) == pytest.approx(values[-1], rel=1e-12)
 
 
 def test_budget_exhaustion_warns_and_returns_the_last_iterate():
-    pot = QuadraticPotential(2)
-    x_init = np.array([1000.0, 1000.0])
-    step = 1e-6
+    # lam = 1e-4 makes the descent from 1000 crawl: 10,000 iterations do not
+    # reach the region
+    pot = logistic_potential(d=2, lam=1e-4)
+    x_init = np.full(2, 1000.0)
     with pytest.warns(RuntimeWarning, match="warm start"):
-        res = warm_start(pot, x_init, step=step, max_iters=3)
-    assert res.iters_used == 3
-    # x - step*x and (1-step)*x round differently for non-dyadic steps
-    np.testing.assert_allclose(res.x0, (1.0 - step) ** 3 * x_init, rtol=1e-14)
+        res = warm_start(pot, x_init)
+    assert res.iters_used == 10_000
+    np.testing.assert_array_equal(res.x0, descend(pot, x_init, 10_000))
     assert res.grad_norm_sq > pot.alpha_u * pot.dim
 
 
 def test_parameter_validation():
     pot = QuadraticPotential(3)
-    with pytest.raises(ValueError, match="step"):
-        warm_start(pot, np.zeros(3), step=0.0)
-    with pytest.raises(ValueError, match="step"):
-        warm_start(pot, np.zeros(3), step=2.0 / pot.l_u)
-    with pytest.raises(ValueError, match="max_iters"):
-        warm_start(pot, np.zeros(3), max_iters=0)
     with pytest.raises(ValueError, match="shape"):
         warm_start(pot, np.zeros(4))
 
