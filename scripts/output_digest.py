@@ -11,9 +11,9 @@ It covers, in order:
 
 * ``TuningPlan.to_dict()`` of tuned plans, one digest per (model, rule):
   the OU and logistic models in d in {2, 10, 100, 1000} at eps in {0.5, 0.3,
-  0.2, 0.1, 0.05, 0.03, 0.01} under ``plan_b2`` with and without
-  ``include_log2``, ``plan_b1`` and ``plan_aggressive``, and three
-  ``plan_general`` constant sets at the same eps values.
+  0.2, 0.1, 0.05, 0.03, 0.01} under ``plan_b2``, ``plan_b1`` and
+  ``plan_aggressive``, and three ``plan_general`` constant sets at the same
+  eps values.
 * ``estimate(...).to_json()`` and ``estimate_repeated(...)`` (3 and 60 runs,
   so both sides of the batch-width chunk rule) on the OU and logistic
   models in d=10, for R in {0, 2, 4} and both observables, with hand-built
@@ -25,8 +25,8 @@ It covers, in order:
 * ``bench(...).to_dict()`` without ``wall_clock_seconds`` (3 runs, seed 5,
   eps=0.45): OU in d=2 and d=4 from the origin, from the ones vector and
   warm-started from the ones vector, and the logistic model warm-started
-  from the origin in d=4 (quadrature reference), d=10 (frozen reference)
-  and d=100 (aggressive plan).
+  from the origin in d=4 and d=10 (``plan_b2``) and d=100 (aggressive
+  plan), all three against the quadrature reference.
 * the message, step, run and level of two numerical failures, at the
   default chunk cap and at a cap of 7 steps: level 0 of the OU model in
   d=3 at gamma0=3 from 1e308 (where the norm observable overflows at step
@@ -40,8 +40,11 @@ Then comes the total, a digest of all the lines above it.  After it, the
 start points section prints, in clear, the exception class and message (or
 "no error") of ``run_level0``, ``run_coupled_level``, ``contraction_probe``,
 ``confluence_probe``, ``estimate`` and ``warm_start`` on the OU model in d=2
-from the start points [nan, 0], [0, inf] and (0, 0, 0); it follows the
-total so that the total stays comparable with checkouts that predate it.
+from the start points [nan, 0], [0, inf] and (0, 0, 0).  The non-finite
+inputs section then prints the same for non-finite times, plan inputs and
+logistic inputs, and for an eps so small that the horizons overflow.  Both
+sections follow the total so that the total stays comparable with
+checkouts that predate them.
 
 Takes about 20 s.
 """
@@ -95,8 +98,7 @@ def models():
 
 def plan_lines():
     rules = (
-        ("plan_b2", lambda m, eps: ml.plan_b2(m, eps)),
-        ("plan_b2+log2", lambda m, eps: ml.plan_b2(m, eps, include_log2=True)),
+        ("plan_b2", ml.plan_b2),
         ("plan_b1", ml.plan_b1),
         ("plan_aggressive", ml.plan_aggressive),
     )
@@ -195,6 +197,15 @@ def explicit_lines():
     return lines
 
 
+def outcome(call) -> str:
+    """The exception class and message a call raises, or "no error"."""
+    try:
+        call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "no error"
+
+
 def start_point_lines():
     model = ml.make_langevin_model(ml.QuadraticPotential(2), "auto")
     p = plan(2, 1, 0.5, 16.0, 2.0)
@@ -215,17 +226,45 @@ def start_point_lines():
     )
     starts = (("nan", [math.nan, 0.0]), ("inf", [0.0, math.inf]),
               ("dim3", [0.0, 0.0, 0.0]))
-    lines = []
-    for name, call in entries:
-        for label, x in starts:
-            try:
-                call(np.array(x))
-            except Exception as exc:
-                outcome = f"{type(exc).__name__}: {exc}"
-            else:
-                outcome = "no error"
-            lines.append(f"start point {name} x0={label} {outcome}")
-    return lines
+    return [f"start point {name} x0={label} "
+            f"{outcome(lambda: call(np.array(x)))}"
+            for name, call in entries for label, x in starts]
+
+
+def nonfinite_lines():
+    inf, nan = math.inf, math.nan
+    m2 = ml.make_langevin_model(ml.QuadraticPotential(2), "auto")
+    cov = ml.logistic_covariate(2, 2.0, ml.NoiseStream(7, 0))
+    kwargs = dict(regime="b2", gamma0=0.5, horizons=[8.0, 2.0], tau=1.0,
+                  r0=1.0, big_t=8.0, dim=2)
+    cases = (
+        ("n_gamma t=inf", lambda: ml.n_gamma(inf, 0.25)),
+        ("n_gamma t=nan", lambda: ml.n_gamma(nan, 0.25)),
+        ("confluence_probe horizon=inf",
+         lambda: ml.confluence_probe(m2, 0.25, inf, 200)),
+        ("confluence_probe horizon=nan",
+         lambda: ml.confluence_probe(m2, 0.25, nan, 200)),
+        ("run_level0 horizon=inf", lambda: ml.run_level0(
+            m2, np.zeros(2), 0.5, 100.0, inf, lambda x: x[..., 0] ** 2,
+            ml.NoiseStream(0, 0))),
+        ("plan_b2 eps=1e-300", lambda: ml.plan_b2(m2, 1e-300)),
+        ("plan_b1 eps=1e-300", lambda: ml.plan_b1(m2, 1e-300)),
+        ("TuningPlan horizons=[inf]",
+         lambda: ml.TuningPlan(**{**kwargs, "horizons": [inf]})),
+        ("TuningPlan gamma0=inf",
+         lambda: ml.TuningPlan(**{**kwargs, "gamma0": inf})),
+        ("TuningPlan tau=nan",
+         lambda: ml.TuningPlan(**{**kwargs, "tau": nan})),
+        ("LogisticPerturbedPotential lam=inf",
+         lambda: ml.LogisticPerturbedPotential(2, inf, cov)),
+        ("LogisticPerturbedPotential lam=nan",
+         lambda: ml.LogisticPerturbedPotential(2, nan, cov)),
+        ("logistic_covariate a=inf",
+         lambda: ml.logistic_covariate(2, inf, ml.NoiseStream(7, 0))),
+        ("logistic_covariate a=nan",
+         lambda: ml.logistic_covariate(2, nan, ml.NoiseStream(7, 0))),
+    )
+    return [f"non-finite {label} {outcome(call)}" for label, call in cases]
 
 
 def main():
@@ -265,6 +304,7 @@ def main():
     print("\n".join(lines))
     print("total", digest("\n".join(lines)))
     print("\n".join(start_point_lines()))
+    print("\n".join(nonfinite_lines()))
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .tuning import (
 from .warmstart import WarmStartResult, warm_start
 from .diagnostics import (
     DEFAULT_COVARIATE_SEED,
-    REFERENCE_MASTER_SEED,
     BenchReport,
     ConfluenceProbeResult,
     bench,
@@ -69,7 +68,6 @@ __all__ = [
     "PathState",
     "Potential",
     "QuadraticPotential",
-    "REFERENCE_MASTER_SEED",
     "TuningPlan",
     "WarmStartResult",
     "bench",

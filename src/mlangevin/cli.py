@@ -77,8 +77,6 @@ def _build_parser() -> _Parser:
     def add_plan(p: _Parser):
         p.add_argument("--eps", type=float)
         p.add_argument("--regime", choices=["b1", "b2", "aggressive"])
-        p.add_argument("--include-log2", action="store_true", default=None,
-                       help="keep the log 2 factor in b1/b2 horizons")
 
     def add_estimator(p: _Parser):
         p.add_argument("--seed", type=int)
@@ -136,7 +134,6 @@ _DEFAULTS = {
     "lam": 0.25,
     "a": 2.0,
     "covariate_seed": DEFAULT_COVARIATE_SEED,
-    "include_log2": False,
     "observable": "norm",
     "table": False,
     "force": False,
@@ -263,14 +260,10 @@ def _build_model(cfg: dict):
 def _build_plan(model, cfg: dict):
     regime = cfg["regime"]
     if regime == "b2":
-        return plan_b2(model, cfg["eps"], include_log2=cfg["include_log2"])
+        return plan_b2(model, cfg["eps"])
     if regime == "b1":
-        return plan_b1(model, cfg["eps"], include_log2=cfg["include_log2"])
+        return plan_b1(model, cfg["eps"])
     if regime == "aggressive":
-        if cfg["include_log2"]:
-            raise _UsageError(
-                "--include-log2 applies to the b1 and b2 regimes only; the "
-                "aggressive plan drops the log 2 factor")
         return plan_aggressive(model, cfg["eps"])
     raise _UsageError(f"unknown regime {regime!r}")
 

@@ -3,9 +3,8 @@
 ``bench(model, plan, x0, n_runs)`` reruns the estimator n_runs times and
 reports the empirical RMSE against the reference its potential determines:
 the exact Gaussian-norm expectation of |x| for the quadratic
-(Ornstein-Uhlenbeck) potential, and for the logistic potential the frozen
-high-precision in-repo run when it was made for that potential, otherwise
-the exact quadrature posterior mean.
+(Ornstein-Uhlenbeck) potential, and the exact quadrature posterior mean for
+the logistic potential.
 
 Probes check the structural assumptions the tuning rules rest on:
 
@@ -22,7 +21,6 @@ Probes check the structural assumptions the tuning rules rest on:
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import time
@@ -43,7 +41,7 @@ from .model import (
     LangevinModel,
     LogisticPerturbedPotential,
     QuadraticPotential,
-    logistic_covariate,
+    _sigmoid,
     ou_reference_value,
 )
 from .sde import NoiseStream, _chains, _chunk_steps, n_gamma
@@ -53,7 +51,6 @@ __all__ = [
     "BenchReport",
     "ConfluenceProbeResult",
     "DEFAULT_COVARIATE_SEED",
-    "REFERENCE_MASTER_SEED",
     "bench",
     "confluence_probe",
     "contraction_probe",
@@ -61,14 +58,9 @@ __all__ = [
     "logistic_posterior_mean",
 ]
 
-# Pinned seeds for the shipped logistic benchmark configuration.  The
-# covariate draw and the high-precision reference run are both deterministic
-# functions of these, so the frozen reference in data/ can be regenerated
-# exactly (see scripts/make_logistic_reference.py).
+# Covariate seed of the shipped logistic benchmark configuration (the CLI
+# default of --covariate-seed).
 DEFAULT_COVARIATE_SEED = 7
-REFERENCE_MASTER_SEED = 990001
-
-_REFERENCE_DATA = "logistic_reference_d10.json"
 
 
 @dataclass
@@ -194,12 +186,9 @@ def bench(
     * ``QuadraticPotential``: f(x) = |x| against the exact Gaussian-norm
       expectation ``ou_reference_value(d)``.
     * ``LogisticPerturbedPotential``: the identity (posterior mean) against
-      the frozen in-repo high-precision run when that file was made for this
-      potential (same d, lambda and covariate;
-      ``scripts/make_logistic_reference.py`` regenerates it), otherwise the
-      exact posterior mean by one-dimensional quadrature (the posterior
-      factorizes along the covariate direction, so this is the same quantity
-      the expensive run approximates).
+      the exact posterior mean ``logistic_posterior_mean``, by
+      one-dimensional quadrature (the posterior factorizes along the
+      covariate direction).
 
     Args:
         model: LangevinModel over one of the two built-in potentials.
@@ -225,16 +214,8 @@ def bench(
     elif isinstance(potential, LogisticPerturbedPotential):
         label = f"logistic(d={d}, lam={potential.lam})"
         observable = identity_observable()
-        data = _frozen_reference(potential)
-        if data is not None:
-            reference = np.asarray(data["estimate"], dtype=float)
-            reference_source = (
-                f"frozen estimate(eps={data['eps_ref']}, "
-                f"master_seed={data['master_seed']})")
-        else:
-            reference = logistic_posterior_mean(potential.lam,
-                                                potential.covariate)
-            reference_source = "exact quadrature posterior mean"
+        reference = logistic_posterior_mean(potential.lam, potential.covariate)
+        reference_source = "exact quadrature posterior mean"
     else:
         raise ValueError(
             f"bench has no reference for {type(potential).__name__}; use "
@@ -244,29 +225,6 @@ def bench(
     outs = estimate_repeated(model, plan, x0, observable, seed, n_runs)
     wall = time.perf_counter() - t0
     return BenchReport(label, outs, reference, reference_source, wall)
-
-
-def _frozen_reference(potential: LogisticPerturbedPotential) -> dict | None:
-    """The shipped reference run, if it was made for this potential."""
-    try:
-        path = importlib.resources.files("mlangevin").joinpath(
-            "data", _REFERENCE_DATA)
-        data = json.loads(path.read_text())
-    except OSError:
-        return None
-    if (data["d"], data["lambda"]) != (potential.dim, potential.lam):
-        return None
-    stored_cov = np.asarray(data["covariate"], dtype=float)
-    drawn = logistic_covariate(data["d"], data["a"],
-                               NoiseStream(data["covariate_seed"], 0))
-    if not np.allclose(stored_cov, drawn, rtol=0.0, atol=1e-12):
-        warnings.warn(
-            "frozen logistic reference: its covariate no longer follows from "
-            "its a and covariate_seed; ignoring it", RuntimeWarning)
-        return None
-    if not np.allclose(stored_cov, potential.covariate, rtol=0.0, atol=1e-12):
-        return None
-    return data
 
 
 def logistic_posterior_mean(lam: float, covariate: np.ndarray) -> np.ndarray:
@@ -284,14 +242,14 @@ def logistic_posterior_mean(lam: float, covariate: np.ndarray) -> np.ndarray:
     reaches machine precision (cross-checked against 50-digit arithmetic).
 
     Args:
-        lam: Ridge weight (> 0).
+        lam: Ridge weight (finite, > 0).
         covariate: Covariate vector x (nonzero).
 
     Returns:
         Posterior mean vector, shape like ``covariate``.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     covariate = np.asarray(covariate, dtype=float)
     s = float(np.linalg.norm(covariate))
     if s == 0:
@@ -301,10 +259,7 @@ def logistic_posterior_mean(lam: float, covariate: np.ndarray) -> np.ndarray:
     z_max = 9.0
     n = int(math.ceil(2.0 * z_max / h)) + 1
     z = np.linspace(-z_max, z_max, n)
-    arg = -slope * z
-    e = np.exp(-np.abs(arg))
-    sig = np.where(arg >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    w = np.exp(-0.5 * z * z) * sig
+    w = np.exp(-0.5 * z * z) * _sigmoid(-slope * z)
     m = float(np.sum(w * z) / np.sum(w)) / math.sqrt(lam)
     return (m / s) * covariate
 

@@ -46,8 +46,8 @@ class Potential:
         alpha_u: Strong-convexity constant (lower bound on the Hessian
             spectrum), stored already clipped at 1: ``alpha_u = min(lam_min, 1)``.
             Callers never re-clip.
-        l_u: Lipschitz constant of ``grad`` (upper bound on the Hessian
-            spectrum).
+        l_u: Lipschitz constant of ``grad`` (finite upper bound on the
+            Hessian spectrum).
         grad_u1_sup: Sup-norm bound on the gradient of the non-quadratic part
             when U decomposes as ``U(x) = U1(x) + lam*|x|^2/2``, or None when
             no such decomposition is declared.  Consumed by the
@@ -68,9 +68,9 @@ class Potential:
         raise NotImplementedError
 
     def _check_constants(self) -> None:
-        if not (0.0 < self.alpha_u <= self.l_u):
+        if not (0.0 < self.alpha_u <= self.l_u < math.inf):
             raise ValueError(
-                f"potential constants must satisfy 0 < alpha_u <= l_u, "
+                f"potential constants must satisfy 0 < alpha_u <= l_u < inf, "
                 f"got alpha_u={self.alpha_u}, l_u={self.l_u}"
             )
 
@@ -114,11 +114,11 @@ class LogisticPerturbedPotential(Potential):
         alpha_u = min(lam, 1),    l_u = lam + |x|^2 / 5 < L.
 
     l_u (2.25 for the shipped models) is kept as the plans' nominal scale:
-    c07's cost ratio 81 = (2.25/0.25)^2 and the frozen d=10 reference rest
-    on it.  A true bound matters in two places: the probes' step check
+    c07's cost ratio 81 = (2.25/0.25)^2 and c06's frozen d=10 run rest on
+    it.  A true bound matters in one place: the probes' step check
     gamma <= alpha_eff/(2 l_eff^2) (0.5 with l_u, 0.335 with L, at the
-    "auto" scale), and ``warm_start``'s step range (0, 2/l_u), which admits
-    steps up to 0.889 where descent is guaranteed only below 2/L = 0.727.
+    "auto" scale).  ``warm_start``'s fixed step 1/l_u (0.444) lies below
+    2/L = 0.727, where descent is guaranteed.
 
     The non-quadratic part has ``|grad U1| <= |x|`` everywhere, recorded in
     ``grad_u1_sup`` for the aggressive-step tuning rule.
@@ -127,8 +127,8 @@ class LogisticPerturbedPotential(Potential):
     def __init__(self, dim: int, lam: float, covariate: np.ndarray):
         if dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim}")
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {lam}")
         covariate = np.asarray(covariate, dtype=float)
         if covariate.shape != (dim,):
             raise ValueError(
@@ -151,10 +151,13 @@ class LogisticPerturbedPotential(Potential):
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         t = np.sum(x * self.covariate, axis=-1)
-        # numerically stable sigmoid(t) = 1/(1+e^{-t})
-        e = np.exp(-np.abs(t))
-        sig = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return sig[..., None] * self.covariate + self.lam * x
+        return _sigmoid(t)[..., None] * self.covariate + self.lam * x
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """Numerically stable sigmoid(t) = 1/(1+e^{-t}), elementwise."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ class LangevinModel:
     properties derived from them.
 
     Attributes:
-        potential: Potential with valid constants (0 < alpha_u <= l_u).
+        potential: Potential with valid constants (0 < alpha_u <= l_u < inf).
         sigma0: Diffusion coefficient, finite and > 0.
 
     Immutable after construction; safe to share across concurrent workers.
@@ -217,7 +220,7 @@ def make_langevin_model(potential: Potential,
     tuned plans.  A number is used as sigma0 itself.
 
     Args:
-        potential: Potential with valid constants (0 < alpha_u <= l_u).
+        potential: Potential with valid constants (0 < alpha_u <= l_u < inf).
         sigma0: ``"auto"`` or a finite positive scale.
 
     Returns:
@@ -245,7 +248,7 @@ def logistic_covariate(d: int, a: float, rng_stream) -> np.ndarray:
 
     Args:
         d: Dimension (>= 1).
-        a: Positive scale parameter; the covariate gets squared norm 5a.
+        a: Finite positive scale parameter; the covariate gets squared norm 5a.
         rng_stream: Any object with a ``standard_normal(shape)`` method
             (e.g. ``mlangevin.sde.NoiseStream`` or ``numpy.random.Generator``).
 
@@ -254,8 +257,8 @@ def logistic_covariate(d: int, a: float, rng_stream) -> np.ndarray:
     """
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"a must be finite and positive, got {a}")
     z = np.asarray(rng_stream.standard_normal(d), dtype=float)
     norm = float(np.linalg.norm(z))
     while norm == 0.0:  # probability-zero degenerate draw: retry

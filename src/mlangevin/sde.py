@@ -208,8 +208,8 @@ def n_gamma(t: float, gamma: float) -> int:
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     q = t / gamma
     return int(math.floor(q + 1e-9 * (q + 1.0)))
 

@@ -63,10 +63,10 @@ class TuningPlan:
 
     Attributes:
         regime: One of ``"b1"``, ``"b2"``, ``"general"``.
-        gamma0: Base step of level 0, > 0.
-        horizons: Horizons T_r per level, strictly decreasing and positive,
-            at least one.
-        tau: Raw burn-in tau1 * |log eps| + tau2 (not clamped; see
+        gamma0: Base step of level 0, finite and > 0.
+        horizons: Horizons T_r per level, finite, strictly decreasing and
+            positive, at least one.
+        tau: Raw burn-in tau1 * |log eps| + tau2, finite (not clamped; see
             ``tau_effective``).
         r0: Initial-distance scale entering the level count R.
         big_t: Base horizon scale (T_0 = big_t * eps^-2, times R^2 in the
@@ -89,13 +89,19 @@ class TuningPlan:
             raise ValueError(f"unknown regime {self.regime!r}")
         if not self.horizons:
             raise ValueError("horizons must hold at least one level")
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
+        if not 0.0 < self.gamma0 < math.inf:
+            raise ValueError(
+                f"gamma0 must be finite and positive, got {self.gamma0}")
+        if not math.isfinite(self.horizons[0]):
+            raise ValueError(
+                f"horizons must be finite, got T_0={self.horizons[0]}")
         for r in range(len(self.horizons) - 1):
             if not self.horizons[r + 1] < self.horizons[r]:
                 raise ValueError("horizons must be strictly decreasing")
         if not self.horizons[-1] > 0:
             raise ValueError("horizons must be positive")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
 
     @property
     def R(self) -> int:
@@ -220,15 +226,21 @@ def _horizons(big_t: float, eps: float, r0: float, delta: float,
     # round before ceiling so exact powers of two are not bumped a level
     big_r = max(1, int(math.ceil(round(
         (1.0 / delta) * math.log2(r0 / eps), 12))))
-    eps_m2 = eps ** -2.0
+    try:
+        scale = big_t * eps ** -2.0
+    except OverflowError:
+        scale = math.inf
     if b > 1.0:
-        return [big_t * eps_m2 * 2.0 ** (-(1.0 + b) * r / 2.0)
-                for r in range(big_r + 1)]
-    return [big_t * eps_m2 * big_r ** 2 * 2.0 ** -r for r in range(big_r + 1)]
+        horizons = [scale * 2.0 ** (-(1.0 + b) * r / 2.0)
+                    for r in range(big_r + 1)]
+    else:
+        horizons = [scale * big_r ** 2 * 2.0 ** -r for r in range(big_r + 1)]
+    if not math.isfinite(horizons[0]):
+        raise ValueError(f"eps={eps} is too small: the horizon T_0 overflows")
+    return horizons
 
 
-def plan_b2(model: LangevinModel, eps: float,
-            include_log2: bool = False) -> TuningPlan:
+def plan_b2(model: LangevinModel, eps: float) -> TuningPlan:
     """Tuned plan for the second-order-confluence regime (C^3 potentials).
 
     With the auto noise scale (sigma0^2 = alpha_u / l_u^2) and base step
@@ -236,15 +248,15 @@ def plan_b2(model: LangevinModel, eps: float,
 
         r0  = sqrt(d / alpha_u)
         R   = ceil(log2(r0 / eps))
-        T_r = (d l_u^2 / alpha_u^3) * eps^-2 * 2^(-3r/2)   [times log 2 when
-              include_log2 is set; the default drops it, trading the covered
-              worst case for a log(2) cost saving]
+        T_r = (d l_u^2 / alpha_u^3) * eps^-2 * 2^(-3r/2)
         tau = (l_u/alpha_u)^2 |log eps| + (l_u^2 / (2 alpha_u^2)) log(d/alpha_u)
+
+    On the OU flagship (d=10, eps=0.1) this gives T_0 = 1000 and 7,960
+    steps, the paper's 7,958 to within its rounding.
 
     Args:
         model: LangevinModel built with ``sigma0="auto"``.
         eps: Target accuracy in (0, 1).
-        include_log2: Keep the log(2) factor in the horizons.
 
     Returns:
         TuningPlan with regime ``"b2"``.
@@ -255,16 +267,14 @@ def plan_b2(model: LangevinModel, eps: float,
     alpha = model.potential.alpha_u
     l_u = model.potential.l_u
     r0 = math.sqrt(d / alpha)
-    factor = math.log(2.0) if include_log2 else 1.0
-    big_t = d * l_u ** 2 / alpha ** 3 * factor
+    big_t = d * l_u ** 2 / alpha ** 3
     horizons = _horizons(big_t, eps, r0, 1.0, 2.0)
     ratio_sq = (l_u / alpha) ** 2
     tau = ratio_sq * abs(math.log(eps)) + ratio_sq / 2.0 * math.log(d / alpha)
     return TuningPlan("b2", 0.5, horizons, tau, r0, big_t, d)
 
 
-def plan_b1(model: LangevinModel, eps: float,
-            include_log2: bool = False) -> TuningPlan:
+def plan_b1(model: LangevinModel, eps: float) -> TuningPlan:
     """Tuned plan for the first-order-confluence regime (C^2 potentials).
 
     Same shape as ``plan_b2`` but with twice the level count and horizons
@@ -273,7 +283,7 @@ def plan_b1(model: LangevinModel, eps: float,
         r0  = max(1, sqrt(d / (2 alpha_u)))
         R   = ceil(2 log2(r0 / eps))
         T_r = (upsilon1_sq / alpha_eff) * eps^-2 * R^2 * 2^-r,
-              upsilon1_sq = d / alpha_u   [times log 2 when include_log2]
+              upsilon1_sq = d / alpha_u
         tau = (2 / alpha_eff) |log eps| + (1 / alpha_eff) log(upsilon1)
     """
     _check_eps(eps)
@@ -282,8 +292,7 @@ def plan_b1(model: LangevinModel, eps: float,
     alpha = model.potential.alpha_u
     r0 = max(1.0, math.sqrt(d / (2.0 * alpha)))
     upsilon1_sq = d / alpha
-    factor = math.log(2.0) if include_log2 else 1.0
-    big_t = upsilon1_sq * factor / model.alpha_eff
+    big_t = upsilon1_sq / model.alpha_eff
     horizons = _horizons(big_t, eps, r0, 0.5, 1.0)
     tau = (2.0 / model.alpha_eff) * abs(math.log(eps)) \
         + 0.5 / model.alpha_eff * math.log(upsilon1_sq)
@@ -365,7 +374,7 @@ def plan_aggressive(model: LangevinModel, eps: float) -> TuningPlan:
         raise ValueError(
             "plan_aggressive requires potential.grad_u1_sup (a sup-norm bound "
             "on the gradient of the non-quadratic part)")
-    base = plan_b2(model, eps, include_log2=False)
+    base = plan_b2(model, eps)
     branch_stab = 1.0 / (4.0 * model.alpha_eff)
     if sup == 0.0:
         gamma0 = branch_stab

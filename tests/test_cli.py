@@ -1,8 +1,9 @@
 import json
-import math
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,32 +73,6 @@ def test_tune_aggressive_logistic_echoes_the_enlarged_step(capsys):
     assert plan["gamma"][0] == pytest.approx(20.25, rel=1e-12)
     assert plan["experimental"] is True
     assert plan["regime"] == "b2"
-
-
-def test_tune_include_log2_keeps_the_log_factor(capsys):
-    _, out, _ = run_cli(["tune", *FLAGSHIP, "--include-log2"], capsys)
-    plan = json.loads(out)
-    assert plan["horizons"][0] == pytest.approx(1000.0 * math.log(2.0),
-                                                rel=1e-9)
-
-
-def test_tune_include_log2_reaches_the_b1_plan(capsys):
-    b1 = ["tune", "--model", "logistic", "--regime", "b1"]
-    plain = json.loads(run_cli(b1, capsys)[1])
-    logged = json.loads(run_cli([*b1, "--include-log2"], capsys)[1])
-    assert plain["horizons"][0] == pytest.approx(39204000.0, rel=1e-12)
-    assert logged["R"] == plain["R"]
-    assert logged["horizons"][0] == pytest.approx(
-        plain["horizons"][0] * math.log(2.0), rel=1e-12)
-
-
-def test_include_log2_with_the_aggressive_regime_is_a_usage_error(capsys):
-    code, out, err = run_cli(
-        ["tune", "--model", "logistic", "--regime", "aggressive",
-         "--include-log2"], capsys)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.count("\n") == 1 and "--include-log2" in err
 
 
 # ----------------------------------------------------------------------- run
@@ -242,15 +217,6 @@ def test_bench_reads_the_model_and_the_start_point(capsys):
     assert cold["per_run_estimates"] != payload["per_run_estimates"]
 
 
-def test_bench_include_log2_keeps_the_log_factor(capsys):
-    argv = ["bench", "--model", "ou", "--d", "2", "--eps", "0.5", "--runs", "1"]
-    plain = json.loads(run_cli(argv, capsys)[1])
-    logged = json.loads(run_cli([*argv, "--include-log2"], capsys)[1])
-    assert plain["plan_echo"]["horizons"][0] == 8.0
-    assert logged["plan_echo"]["horizons"][0] == pytest.approx(
-        8.0 * math.log(2.0), rel=1e-12)
-
-
 def test_bench_rejects_nonpositive_run_counts(capsys):
     code, _, err = run_cli(
         ["bench", "--model", "ou", "--runs", "0"], capsys)
@@ -287,6 +253,7 @@ def test_bench_runs_the_plan_tune_prints(model, regime, d, eps, capsys):
     ["probe", "--eps", "0.3"],
     ["probe", "--regime", "aggressive"],
     ["probe", "--include-log2"],
+    ["tune", "--include-log2"],
     ["bench", "--suite", "ou"],
     ["bench", "--x0", "ones"],
 ], ids=lambda argv: argv[0] + argv[1])
@@ -445,6 +412,32 @@ def test_probe_nonfinite_start_point_is_a_usage_error(kind, tmp_path, capsys):
     assert err == "error: the start point must be finite\n"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["probe", "--probe", "confluence", "--d", "2", "--horizon", "inf",
+      "--paths", "200"], "t must be finite and nonnegative, got inf"),
+    (["probe", "--probe", "confluence", "--d", "2", "--horizon", "nan",
+      "--paths", "200"], "t must be finite and nonnegative, got nan"),
+    (["probe", "--probe", "invariant-moment", "--horizon", "inf"],
+     "t must be finite and nonnegative, got inf"),
+    (["tune", "--d", "2", "--eps", "1e-300"], "eps=1e-300 is too small"),
+    (["run", "--d", "2", "--eps", "1e-300"], "eps=1e-300 is too small"),
+    (["tune", "--model", "logistic", "--lambda", "inf"],
+     "lam must be finite and positive, got inf"),
+    (["tune", "--model", "logistic", "--lambda", "nan"],
+     "lam must be finite and positive, got nan"),
+    (["tune", "--model", "logistic", "--a", "inf"],
+     "a must be finite and positive, got inf"),
+], ids=["confluence-horizon-inf", "confluence-horizon-nan",
+        "invariant-moment-horizon-inf", "tune-tiny-eps", "run-tiny-eps",
+        "lambda-inf", "lambda-nan", "a-inf"])
+def test_nonfinite_inputs_are_one_line_errors(argv, expected, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
 def test_probe_rejects_unknown_names(capsys):
     code, _, _ = run_cli(["probe", "--probe", "volatility"], capsys)
     assert code == EXIT_USAGE
@@ -498,7 +491,7 @@ def test_config_values_take_the_types_of_their_flags(tmp_path, capsys):
         assert out == ""
         assert err.startswith(f"error: config field {field!r}")
         assert len(err.strip().splitlines()) == 1
-    cfg.write_text(json.dumps({"gamma": None, "include_log2": True}))
+    cfg.write_text(json.dumps({"gamma": None, "warm_start": True}))
     assert run_cli(["tune", "--config", str(cfg)], capsys)[0] \
         == EXIT_INFEASIBLE
 
@@ -562,3 +555,33 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     code, _, err = run_cli([], capsys)
     assert code == EXIT_USAGE
     assert "usage" in err
+
+
+# ----------------------------------------------------------- README examples
+
+
+def _readme_section(title):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```", 2)[1]
+
+
+def test_readme_command_line_examples_run(capsys):
+    block = _readme_section("Command line")
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines()
+                if line.startswith("mlangevin ")]
+    assert len(commands) == 4
+    for argv in commands:
+        # the flagship plan's burn-in does not fit its last level
+        expected = EXIT_INFEASIBLE if argv[1] == "tune" else EXIT_OK
+        assert main(argv[1:]) == expected, argv
+    capsys.readouterr()
+
+
+def test_readme_quickstart_runs(capsys):
+    snippet = _readme_section("Quickstart")
+    assert snippet.startswith("python\n")
+    exec(snippet[len("python\n"):], {})
+    _, complexity = capsys.readouterr().out.split()
+    assert int(complexity) == 7960

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -25,7 +26,6 @@ from mlangevin import (
     plan_b2,
     warm_start,
 )
-import mlangevin.diagnostics as diagnostics
 
 PINNED_POSTERIOR_SCALE = 1.5351828597224253
 
@@ -239,8 +239,9 @@ def test_posterior_mean_depends_only_on_the_covariate_norm():
 
 
 def test_posterior_mean_validation():
-    with pytest.raises(ValueError, match="lam"):
-        logistic_posterior_mean(0.0, np.ones(2))
+    for lam in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam"):
+            logistic_posterior_mean(lam, np.ones(2))
     with pytest.raises(ValueError, match="covariate"):
         logistic_posterior_mean(0.5, np.zeros(3))
 
@@ -371,27 +372,24 @@ def test_bench_logistic_validation():
         bench(model, plan_b2(logistic_ou_pair(d=2)[0], 0.45), np.zeros(4), 1)
 
 
-def test_bench_logistic_pinned_reference_is_loaded_for_the_shipped_config():
+def test_bench_logistic_pinned_config_uses_quadrature():
     rep = logistic_report(d=10, eps=0.45, n_runs=1, seed=2)
-    assert rep.reference_source.startswith("frozen estimate(eps=0.01")
-    assert "master_seed=990001" in rep.reference_source
-    reference = np.asarray(rep.reference_value, dtype=float)
     _, cov = logistic_ou_pair()
-    truth = logistic_posterior_mean(0.25, cov)
-    assert float(np.linalg.norm(reference - truth)) / math.sqrt(10) <= 0.03
+    assert rep.reference_source == "exact quadrature posterior mean"
+    np.testing.assert_array_equal(
+        rep.reference_value, logistic_posterior_mean(0.25, cov))
 
 
-def test_pinned_reference_guards(monkeypatch):
-    model, cov = logistic_ou_pair()
-    assert diagnostics._frozen_reference(model.potential) is not None
-    # another dimension, ridge weight or covariate gets no frozen file
-    for other in (LogisticPerturbedPotential(4, 0.25, cov[:4]),
-                  LogisticPerturbedPotential(10, 0.5, cov),
-                  LogisticPerturbedPotential(10, 0.25, cov + 1e-6)):
-        assert diagnostics._frozen_reference(other) is None
-    # a covariate draw that no longer reproduces the shipped one
-    drawn = diagnostics.logistic_covariate
-    monkeypatch.setattr(diagnostics, "logistic_covariate",
-                        lambda *args: drawn(*args) + 1e-6)
-    with pytest.warns(RuntimeWarning, match="covariate"):
-        assert diagnostics._frozen_reference(model.potential) is None
+def test_pinned_reference_guards():
+    """The frozen d=10 run that acceptance test c06 scores against: its
+    covariate follows from its a and covariate seed, and its estimate lies
+    within 0.03 (normalized) of the exact posterior mean."""
+    data = Path(__file__).resolve().parent / "data"
+    frozen = json.loads((data / "logistic_reference_d10.json").read_text())
+    drawn = logistic_covariate(frozen["d"], frozen["a"],
+                               NoiseStream(frozen["covariate_seed"], 0))
+    np.testing.assert_array_equal(frozen["covariate"], drawn)
+    truth = logistic_posterior_mean(frozen["lambda"], drawn)
+    estimate = np.asarray(frozen["estimate"], dtype=float)
+    assert float(np.linalg.norm(estimate - truth)) / math.sqrt(frozen["d"]) \
+        <= 0.03

@@ -137,6 +137,13 @@ def test_logistic_validation_errors():
         LogisticPerturbedPotential(3, 0.0, cov)
     with pytest.raises(ValueError):
         LogisticPerturbedPotential(3, -1.0, cov)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            LogisticPerturbedPotential(3, lam, cov)
+    # |x|^2 overflows, so l_u = lam + |x|^2/5 is infinite
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match=r"l_u < inf, got .*l_u=inf"):
+        LogisticPerturbedPotential(2, 0.25, np.array([1e200, 0.0]))
     with pytest.raises(ValueError):
         LogisticPerturbedPotential(4, 0.5, cov)
     with pytest.raises(ValueError):
@@ -210,3 +217,6 @@ def test_logistic_covariate_validation():
         logistic_covariate(0, 1.0, NoiseStream(0, 0))
     with pytest.raises(ValueError):
         logistic_covariate(3, 0.0, NoiseStream(0, 0))
+    for a in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="a must be finite"):
+            logistic_covariate(3, a, NoiseStream(0, 0))

@@ -131,8 +131,9 @@ def test_n_gamma_absorbs_float_division_noise():
 def test_n_gamma_validation():
     with pytest.raises(ValueError):
         n_gamma(1.0, 0.0)
-    with pytest.raises(ValueError):
-        n_gamma(-1.0, 0.5)
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t must be finite"):
+            n_gamma(t, 0.5)
 
 
 # ------------------------------------------------------------------ run_level0

@@ -99,16 +99,6 @@ def test_b2_level_count_on_larger_problems():
     assert plan_b2(ou_model(100), 0.1).R == 7
 
 
-def test_b2_include_log2_scales_horizons_only():
-    base = plan_b2(ou_model(10), 0.1)
-    logged = plan_b2(ou_model(10), 0.1, include_log2=True)
-    assert logged.R == base.R
-    assert logged.gamma == base.gamma
-    for t_logged, t_base in zip(logged.horizons, base.horizons):
-        assert t_logged == pytest.approx(t_base * math.log(2.0), rel=1e-12)
-    assert logged.predicted_complexity < base.predicted_complexity
-
-
 def test_b2_rejects_eps_outside_unit_interval():
     for eps in (1.0, 1.5, 0.0, -0.1):
         with pytest.raises(ValueError, match="eps"):
@@ -354,9 +344,31 @@ def test_plan_validation_rejects_malformed_inputs():
         (dict(horizons=[2.0, 8.0]), "decreasing"),
         (dict(horizons=[8.0, -2.0]), "positive"),
         (dict(horizons=[-2.0]), "positive"),
+        (dict(gamma0=math.inf), "gamma0 must be finite"),
+        (dict(gamma0=math.nan), "gamma0 must be finite"),
+        (dict(horizons=[math.inf]), "horizons must be finite"),
+        (dict(horizons=[math.inf, 2.0]), "horizons must be finite"),
+        (dict(horizons=[math.nan]), "horizons must be finite"),
+        (dict(tau=math.nan), "tau must be finite"),
+        (dict(tau=math.inf), "tau must be finite"),
     ):
         with pytest.raises(ValueError, match=fragment):
             TuningPlan(**_plan_kwargs(**overrides))
+
+
+@pytest.mark.parametrize("rule", ["b2", "b1", "aggressive", "general"])
+def test_an_eps_whose_horizons_overflow_is_a_value_error(rule):
+    tune = {
+        "b2": lambda eps: plan_b2(ou_model(2), eps),
+        "b1": lambda eps: plan_b1(ou_model(2), eps),
+        "aggressive": lambda eps: plan_aggressive(logistic_model(2), eps),
+        "general": lambda eps: plan_general(GeneralAssumptionConstants(
+            alpha=1.0, b_exponent=1.0, delta=0.5, c2=0.0, c3=1.0, c4=1.0,
+            eta0=0.5), 0.5, eps),
+    }[rule]
+    for eps in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match=f"eps={eps} is too small"):
+            tune(eps)
 
 
 def test_plan_serializes_every_field():
