@@ -148,8 +148,8 @@ class Expanding:
     dim = 3
     noise_scale = 0.0
 
-    def drift(self, x):
-        return x.copy()
+    def advance(self, x, step):
+        x += step * x
 
 
 def failure_lines():

@@ -9,7 +9,10 @@ which admits pi as its unique invariant law for any sigma0 > 0.  This module
 defines the potential interface (value, gradient, curvature constants), the
 two built-in benchmark potentials (isotropic quadratic, and a quadratic
 perturbed by a Bayesian logistic-regression likelihood), and the
-``LangevinModel`` wrapper holding the induced drift and noise scale.
+``LangevinModel`` wrapper holding the induced drift and noise scale.  The
+Euler engine moves points through ``LangevinModel.advance``, the in-place
+map x <- x + step * b(x), which is ``Potential.descend`` at
+h = step * sigma0^2.
 
 All value/gradient callables accept a single point of shape ``(d,)`` or a
 batch of points of shape ``(..., d)`` and act along the last axis.
@@ -41,6 +44,14 @@ class Potential:
     potentials must supply constants explicitly (no automatic estimation is
     attempted).
 
+    The Euler engine moves points only through :meth:`descend`, the
+    in-place gradient step x <- x - h grad U(x).  Its default calls
+    :meth:`grad`, so defining ``grad`` is enough; a subclass may override
+    ``descend`` for speed, with two rules: it must act row by row along the
+    last axis (no BLAS ``x @ c``, whose grouping can depend on the batch
+    width), so that a batch moves like its rows one by one, and it must
+    accept a single ``(d,)`` point as well as ``(..., d)`` rows.
+
     Attributes:
         dim: Dimension d of the state space.
         alpha_u: Strong-convexity constant (lower bound on the Hessian
@@ -66,6 +77,13 @@ class Potential:
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Return grad U(x), same shape as ``x``."""
         raise NotImplementedError
+
+    def descend(self, x: np.ndarray, h: float) -> None:
+        """Take the gradient step x <- x - h grad U(x) in place.
+
+        ``x`` is a writable float array of shape ``(d,)`` or ``(..., d)``.
+        """
+        x -= h * self.grad(x)
 
     def _check_constants(self) -> None:
         if not (0.0 < self.alpha_u <= self.l_u < math.inf):
@@ -100,6 +118,9 @@ class QuadraticPotential(Potential):
     def grad(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).copy()
 
+    def descend(self, x: np.ndarray, h: float) -> None:
+        x *= 1.0 - h
+
 
 class LogisticPerturbedPotential(Potential):
     """Bayesian logistic-regression posterior potential.
@@ -122,6 +143,9 @@ class LogisticPerturbedPotential(Potential):
 
     The non-quadratic part has ``|grad U1| <= |x|`` everywhere, recorded in
     ``grad_u1_sup`` for the aggressive-step tuning rule.
+
+    ``descend`` takes the sigmoid as (1 + tanh(t/2))/2, which saturates to
+    0 or 1 without overflow, in fewer numpy calls than ``grad``.
     """
 
     def __init__(self, dim: int, lam: float, covariate: np.ndarray):
@@ -134,6 +158,8 @@ class LogisticPerturbedPotential(Potential):
             raise ValueError(
                 f"covariate must have shape ({dim},), got {covariate.shape}"
             )
+        if not np.isfinite(covariate).all():
+            raise ValueError("covariate must be finite")
         self.dim = int(dim)
         self.lam = float(lam)
         self.covariate = covariate
@@ -152,6 +178,17 @@ class LogisticPerturbedPotential(Potential):
         x = np.asarray(x, dtype=float)
         t = np.sum(x * self.covariate, axis=-1)
         return _sigmoid(t)[..., None] * self.covariate + self.lam * x
+
+    def descend(self, x: np.ndarray, h: float) -> None:
+        c = self.covariate
+        # keepdims: t stays an array, a valid out= target, for a (d,) point
+        t = np.add.reduce(x * c, axis=-1, keepdims=True)
+        t *= 0.5
+        np.tanh(t, out=t)
+        t += 1.0
+        t *= 0.5 * h  # h * sigmoid(c . x)
+        x *= 1.0 - h * self.lam
+        x -= t * c
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -208,6 +245,14 @@ class LangevinModel:
     def drift(self, x: np.ndarray) -> np.ndarray:
         """Drift b(x) = -sigma0^2 grad U(x), acting along the last axis."""
         return (-self.sigma0 ** 2) * self.potential.grad(x)
+
+    def advance(self, x: np.ndarray, step: float) -> None:
+        """The noise-free Euler map x <- x + step * b(x), in place.
+
+        This is ``potential.descend(x, step * sigma0^2)``; the Euler engine
+        and ``euler_step`` move points only through it.
+        """
+        self.potential.descend(x, step * self.sigma0 ** 2)
 
 
 def make_langevin_model(potential: Potential,

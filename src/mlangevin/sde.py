@@ -1,6 +1,6 @@
 """Constant-step Euler-Maruyama engine with synchronously coupled pairs.
 
-One chunked engine, ``_chains``, is the only way into the Euler map.  It
+One chunked engine, ``_chains``, is the only stepping loop.  It
 checks the start point (shape (d,) or (batch, d), finite) and builds the
 state array itself: (batch, d) rows for a single chain, and for a
 synchronously coupled fine/coarse pair one (2 batch, d) array, the fine rows
@@ -15,7 +15,15 @@ failure from its chunk histories, which every path simulation reads:
   coarse grid times only.
 * the contraction and confluence probes in ``diagnostics``.
 
-``euler_step`` is the single-step reference the engine matches bit for bit.
+The drift enters only through the model's in-place Euler map
+``model.advance(x, step)``, x <- x + step * b(x); with ``dim`` and
+``noise_scale`` it is all the engine asks of a model.  ``LangevinModel``
+maps through ``Potential.descend``, which each built-in potential
+overrides with a few row-wise numpy calls and which falls back to
+``Potential.grad`` for a user potential.
+
+``euler_step`` is the single-step reference the engine matches bit for bit:
+it takes the same map, then adds the same scaled increment.
 
 An observable is any function f acting along the last axis, as
 ``Potential.grad`` does: it maps a batch of path points (N, d) to values of
@@ -162,14 +170,17 @@ def euler_step(model, state: PathState, gaussian: np.ndarray) -> PathState:
     """Advance one Euler-Maruyama step.
 
     position <- position + gamma * b(position) + noise_scale * sqrt(gamma) * g
-    with drift b(x) = -sigma0^2 grad U(x).
+    with drift b(x) = -sigma0^2 grad U(x).  A copy of the position takes the
+    model's in-place map ``model.advance(x, gamma)``, then the scaled draw
+    is added.
 
     This is the reference single-step operation; the batched engine performs
-    the identical arithmetic (same operation order, hence bit-identical
-    trajectories for the same draws).
+    the identical arithmetic (the same map and the same addition, hence
+    bit-identical trajectories for the same draws).
 
     Args:
-        model: LangevinModel supplying drift and noise scale.
+        model: LangevinModel (or any model with ``advance`` and
+            ``noise_scale``).
         state: Current PathState.
         gaussian: Standard-normal draw of shape (d,).
 
@@ -187,8 +198,9 @@ def euler_step(model, state: PathState, gaussian: np.ndarray) -> PathState:
             f"gaussian shape {g.shape} does not match position shape {pos.shape}")
     gamma = float(state.step_size)
     cn = model.noise_scale * math.sqrt(gamma)
+    new_pos = pos.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        new_pos = pos + gamma * model.drift(pos)
+        model.advance(new_pos, gamma)
         new_pos += cn * g
     if not np.isfinite(new_pos).all():
         raise NumericalFailureError(
@@ -293,14 +305,14 @@ def _ticks(model, x, hist, steps):
 
     Per tick j, the state on entry goes to ``hist[j]``; then each
     ``(rows, step, inc)`` in ``steps``, in order, takes euler_step's
-    arithmetic on its view ``rows`` of ``x``: one step of ``step`` with the
-    increment ``inc[j]``.
+    arithmetic on its view ``rows`` of ``x``: the in-place map
+    ``model.advance(rows, step)``, then the increment ``inc[j]`` added.
     """
-    drift = model.drift
+    advance = model.advance
     for j in range(len(hist)):
         hist[j] = x
         for rows, step, inc in steps:
-            rows += step * drift(rows)
+            advance(rows, step)
             rows += inc[j]
 
 
@@ -313,11 +325,13 @@ def _chains(model, x0, gamma, n_ticks, normals, chunk, pair, runs):
     per tick.  A coupled pair is one (2B, d) array, the B fine rows over the
     B coarse rows, both started at ``x0``; per tick the fine rows take two
     steps of ``gamma`` and the coarse rows one of ``2 * gamma``, each a
-    drift call on its B-row view.  ``normals(n)`` returns a fresh array g of
-    the standard normals of n ticks, (n, 1 or 2, B, d) or broadcastable to
-    it, which the engine scales in place to noise_scale * sqrt(gamma) *
-    g[:, s] per fine step; the coarse step takes noise_scale * sqrt(2 gamma)
-    * (g[:, 0] + g[:, 1]) / sqrt(2), so both halves ride one Brownian path.
+    ``model.advance`` call on its B-row view.  The model needs only
+    ``dim``, ``noise_scale`` and ``advance``.  ``normals(n)`` returns a
+    fresh array g of the standard normals of n ticks, (n, 1 or 2, B, d) or
+    broadcastable to it, which the engine scales in place to
+    noise_scale * sqrt(gamma) * g[:, s] per fine step; the coarse step
+    takes noise_scale * sqrt(2 gamma) * (g[:, 0] + g[:, 1]) / sqrt(2), so
+    both halves ride one Brownian path.
 
     Yields ``(k, hist)`` per chunk of at most ``chunk`` ticks, with
     ``hist[j]`` the state rows at grid index k + j, then ``(n_ticks,

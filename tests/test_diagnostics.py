@@ -41,8 +41,8 @@ class _ZeroNoiseOU:
     def __init__(self, dim):
         self.dim = dim
 
-    def drift(self, x):
-        return -x
+    def advance(self, x, step):
+        x -= step * x
 
 
 def logistic_ou_pair(d=10, lam=0.25, a=2.0, seed=7):

@@ -231,8 +231,8 @@ class Expanding:
     def __init__(self, d):
         self.dim = d
 
-    def drift(self, x):
-        return x.copy()
+    def advance(self, x, step):
+        x += step * x
 
 
 def raised(run, cap):

@@ -270,8 +270,8 @@ class _Expanding:
     dim = 3
     noise_scale = 0.0
 
-    def drift(self, x):
-        return x.copy()
+    def advance(self, x, step):
+        x += step * x
 
 
 # ------------------------------------------------------------ serialization

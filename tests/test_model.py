@@ -1,16 +1,23 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlangevin import (
     LangevinModel,
     LogisticPerturbedPotential,
+    Potential,
     QuadraticPotential,
+    identity_observable,
     logistic_covariate,
     make_langevin_model,
     ou_reference_value,
+    run_coupled_level,
+    run_level0,
 )
 from mlangevin.sde import NoiseStream
 
@@ -144,6 +151,9 @@ def test_logistic_validation_errors():
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match=r"l_u < inf, got .*l_u=inf"):
         LogisticPerturbedPotential(2, 0.25, np.array([1e200, 0.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^covariate must be finite$"):
+            LogisticPerturbedPotential(2, 0.25, np.array([bad, 0.0]))
     with pytest.raises(ValueError):
         LogisticPerturbedPotential(4, 0.5, cov)
     with pytest.raises(ValueError):
@@ -220,3 +230,102 @@ def test_logistic_covariate_validation():
     for a in (math.inf, math.nan):
         with pytest.raises(ValueError, match="a must be finite"):
             logistic_covariate(3, a, NoiseStream(0, 0))
+
+
+# -------------------------------------------------------------- the Euler map
+
+MAP = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def map_model(kind, d, sigma0):
+    if kind == "ou":
+        return make_langevin_model(QuadraticPotential(d), sigma0)
+    cov = logistic_covariate(d, 2.0, NoiseStream(7, 0))
+    return make_langevin_model(LogisticPerturbedPotential(d, 0.25, cov),
+                               sigma0)
+
+
+@st.composite
+def map_cases(draw):
+    """A model, a step and a (B, d) batch; a few rows sit far along the
+    covariate, where |c . x| reaches 1e3..1e6 and tanh saturates."""
+    kind = draw(st.sampled_from(["ou", "logistic"]))
+    d = draw(st.integers(1, 12))
+    sigma0 = draw(st.sampled_from(["auto", 0.3, 2.0]))
+    step = draw(st.one_of(st.sampled_from([2.0 ** -k for k in range(8)]),
+                          st.floats(1e-3, 1.0)))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    x = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 30.0])),
+                   size=(n, d))
+    model = map_model(kind, d, sigma0)
+    if kind == "logistic":
+        c = model.potential.covariate
+        for row in range(n):
+            if draw(st.booleans()):
+                x[row] = draw(st.sampled_from([-1.0, 1.0])) \
+                    * 10.0 ** draw(st.integers(3, 6)) * c / np.dot(c, c)
+    return model, step, x
+
+
+@MAP
+@given(map_cases())
+def test_advance_on_a_batch_equals_advance_row_by_row(case):
+    model, step, x = case
+    batch = x.copy()
+    model.advance(batch, step)
+    for row in range(len(x)):
+        point = x[row].copy()  # a single (d,) point
+        model.advance(point, step)
+        np.testing.assert_array_equal(batch[row], point)
+
+
+@MAP
+@given(map_cases())
+def test_advance_agrees_with_the_drift_to_a_few_ulps(case):
+    model, step, x = case
+    got = x.copy()
+    with warnings.catch_warnings(), \
+            np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        model.advance(got, step)
+    assert np.isfinite(got).all()
+    with np.errstate(under="ignore"):
+        want = x + step * model.drift(x)
+    # ulps of the terms' scale |x| + h |grad U(x)|, h = step sigma0^2:
+    # where the logistic sigmoid is ~0, its tanh form rounds to 0
+    pot, h = model.potential, step * model.sigma0 ** 2
+    scale = np.abs(x) + h * (np.abs(getattr(pot, "covariate", 0.0))
+                             + np.abs(x))
+    assert (np.abs(got - want) <= 4 * np.finfo(float).eps * scale).all()
+
+
+class _Bowl(Potential):
+    """A user potential that defines only eval and grad: U(x) = |x|^2/2."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.alpha_u = self.l_u = 1.0
+
+    def eval(self, x):
+        return 0.5 * np.sum(x * x, axis=-1)
+
+    def grad(self, x):
+        return np.array(x, dtype=float)
+
+
+def test_a_potential_that_defines_only_grad_gets_the_default_map():
+    bowl, quad = _Bowl(3), QuadraticPotential(3)
+    assert type(bowl).descend is Potential.descend
+    model = make_langevin_model(bowl, 0.5)
+    x = np.array([[1.0, -2.0, 0.3], [4.0, 0.0, -1e-3]])
+    got = x.copy()
+    model.advance(got, 0.3)
+    np.testing.assert_array_equal(got, x - (0.3 * 0.25) * bowl.grad(x))
+    # at a power-of-two step x - h x and the quadratic's x (1 - h) are both
+    # x (1 - h) correctly rounded, so the engine gives the same bits
+    x0, f = np.array([1.0, -2.0, 0.5]), identity_observable()
+    for run in (run_level0, run_coupled_level):
+        same = [run(make_langevin_model(p, "auto"), x0, 0.25, 1.0, 8.0, f,
+                    NoiseStream(3, 1)) for p in (bowl, quad)]
+        np.testing.assert_array_equal(same[0][0], same[1][0])

@@ -33,8 +33,8 @@ class _ZeroNoiseOU:
     def __init__(self, dim):
         self.dim = dim
 
-    def drift(self, x):
-        return -x
+    def advance(self, x, step):
+        x -= step * x
 
 
 # ---------------------------------------------------------------- NoiseStream
@@ -252,8 +252,8 @@ class _Doubling:
     dim = 2
     noise_scale = 0.0
 
-    def drift(self, x):
-        return x.copy()
+    def advance(self, x, step):
+        x += step * x
 
 
 @pytest.mark.parametrize("cap", [sde._CHUNK_STEP_CAP, 7, 1])
