@@ -42,21 +42,34 @@ start points section prints, in clear, the exception class and message (or
 ``confluence_probe``, ``estimate`` and ``warm_start`` on the OU model in d=2
 from the start points [nan, 0], [0, inf] and (0, 0, 0).  The non-finite
 inputs section then prints the same for non-finite times, plan inputs and
-logistic inputs, and for an eps so small that the horizons overflow.  Both
-sections follow the total so that the total stays comparable with
-checkouts that predate them.
+logistic inputs, for an eps so small that the horizons overflow, and for a
+NaN or subnormal step.  Last, the CLI section prints the exit code and
+digests of stdout, stderr and the ``--output`` file of ``mlangevin.cli.main``
+on small ``tune``/``run``/``bench``/``probe`` reports in JSON and CSV,
+``--table``, config-file runs, and the bad command lines and config files of
+``tests/test_cli.py`` (input files live in a temporary directory that reads
+as TMP; bench's ``wall_clock_seconds`` is blanked).  These sections follow
+the total so that the total stays comparable with checkouts that predate
+them.
 
 Takes about 20 s.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 import mlangevin as ml
 import mlangevin.sde as sde
+from mlangevin.cli import main as cli_main
 
 PLAN_DIMS = (2, 10, 100, 1000)
 PLAN_EPS = (0.5, 0.3, 0.2, 0.1, 0.05, 0.03, 0.01)
@@ -240,6 +253,11 @@ def nonfinite_lines():
     cases = (
         ("n_gamma t=inf", lambda: ml.n_gamma(inf, 0.25)),
         ("n_gamma t=nan", lambda: ml.n_gamma(nan, 0.25)),
+        ("n_gamma gamma=nan", lambda: ml.n_gamma(1.0, nan)),
+        ("n_gamma gamma=1e-320", lambda: ml.n_gamma(10.0, 1e-320)),
+        ("run_level0 gamma=nan", lambda: ml.run_level0(
+            m2, np.zeros(2), nan, 1.0, 10.0, lambda x: x[..., 0] ** 2,
+            ml.NoiseStream(0, 0))),
         ("confluence_probe horizon=inf",
          lambda: ml.confluence_probe(m2, 0.25, inf, 200)),
         ("confluence_probe horizon=nan",
@@ -265,6 +283,226 @@ def nonfinite_lines():
          lambda: ml.logistic_covariate(2, nan, ml.NoiseStream(7, 0))),
     )
     return [f"non-finite {label} {outcome(call)}" for label, call in cases]
+
+
+FLAGSHIP = ["--model", "ou", "--d", "10", "--eps", "0.1", "--regime", "b2"]
+
+# input files of the CLI cases, written under one temporary directory whose
+# path reads as TMP in the digests
+CLI_FILES = {
+    "x.json": "[" + ", ".join(["2.0"] * 10) + "]",
+    "short.json": "[2.0, 2.0, 2.0]",
+    "far.json": "[1e+308, 1e+308]",
+    "nan.json": "[NaN, 0.0]",
+    "malformed.json": "[1.0, 2.0",
+    "pt-object.json": '{"x": 1}', "pt-string.json": '"ones"',
+    "pt-number.json": "3", "pt-nested.json": "[[0.0, 1.0]]",
+    "pt-mixed.json": '[1, "a"]', "pt-booleans.json": "[true, false]",
+    "cfg-tune.json": '{"model": "ou", "d": 2, "eps": 0.45, "lambda": 0.3}',
+    "cfg-probe.json": ('{"d": 2, "n_steps": 5, "lambda": 0.3, "horizon": 2.0, '
+                       '"paths": 100}'),
+    "cfg-strings.json": '{"d": "10", "eps": "0.1", "seed": 3}',
+    "cfg-nulls.json": '{"gamma": null, "warm_start": true}',
+    "cfg-lam.json": '{"lam": 0.3}',
+    "cfg-both.json": ('{"model": "logistic", "d": 2, "eps": 0.5, '
+                      '"lambda": 0.3, "lam": 0.9}'),
+    "cfg-paths-null.json": '{"d": 2, "horizon": 2.0, "paths": null}',
+    "cfg-n-steps-null.json": '{"d": 2, "n_steps": null}',
+    "cfg-unknown.json": '{"stepsize": 0.5}',
+    "cfg-broken.json": "{not json",
+    "cfg-listy.json": "[1, 2]",
+    "keep.json": "old\n",
+    **{f"cfg-bad-{field}-{i}.json": json.dumps({field: value})
+       for i, (field, value) in enumerate(
+           [("d", "ten"), ("d", 2.5), ("d", True), ("eps", [0.1]),
+            ("regime", "b3"), ("force", "yes"), ("seed", None),
+            ("x_init", 3)])},
+}
+
+
+def cli_cases():
+    """(label, argv) per CLI case."""
+    logistic4 = ["--model", "logistic", "--d", "4", "--eps", "0.45"]
+    conf = ["probe", "--probe", "confluence", "--d", "2"]
+    return [
+        ("tune json", ["tune", "--d", "2", "--eps", "0.5"]),
+        ("tune csv", ["tune", "--d", "2", "--eps", "0.5", "--format", "csv"]),
+        ("tune flagship", ["tune", *FLAGSHIP]),
+        ("tune logistic aggressive",
+         ["tune", "--model", "logistic", "--lambda", "0.25", "--a", "2",
+          "--d", "100", "--regime", "aggressive"]),
+        ("run json", ["run", "--d", "2", "--eps", "0.45", "--force",
+                      "--seed", "3"]),
+        ("run csv", ["run", "--d", "2", "--eps", "0.45", "--force",
+                     "--format", "csv"]),
+        ("run identity", ["run", *logistic4, "--observable", "identity",
+                          "--force"]),
+        ("run table", ["run", *FLAGSHIP, "--table", "--force"]),
+        ("run x-init file", ["run", *FLAGSHIP, "--force", "--x-init",
+                             "TMP/x.json"]),
+        ("run warm-start", ["run", *logistic4, "--force", "--warm-start",
+                            "--x-init", "ones"]),
+        ("bench json", ["bench", "--d", "2", "--eps", "0.45", "--runs", "3",
+                        "--seed", "5"]),
+        ("bench csv", ["bench", "--d", "2", "--eps", "0.45", "--runs", "2",
+                       "--format", "csv"]),
+        ("bench logistic", ["bench", "--model", "logistic", "--d", "4",
+                            "--eps", "0.5", "--regime", "aggressive",
+                            "--runs", "2", "--x-init", "ones",
+                            "--warm-start"]),
+        ("probe default", ["probe"]),
+        ("probe confluence", [*conf, "--gamma", "0.25", "--horizon", "10",
+                              "--paths", "300"]),
+        ("probe confluence csv", [*conf, "--horizon", "10", "--paths", "200",
+                                  "--x-init", "ones", "--format", "csv"]),
+        ("probe contraction", ["probe", "--probe", "contraction", "--d", "4",
+                               "--gamma", "0.5", "--n-steps", "12"]),
+        ("probe contraction default",
+         ["probe", "--probe", "contraction", "--d", "2", "--format", "csv"]),
+        ("probe invariant-moment",
+         ["probe", "--probe", "invariant-moment", "--d", "2", "--horizon",
+          "200", "--seed", "9"]),
+        ("probe invariant-moment csv",
+         ["probe", "--probe", "invariant-moment", "--gamma", "0.25",
+          "--format", "csv"]),
+        ("tune output json", ["tune", *FLAGSHIP, "--output", "TMP/o.json"]),
+        ("run output csv", ["run", *FLAGSHIP, "--force", "--format", "csv",
+                            "--output", "TMP/o.csv"]),
+        ("run output infeasible", ["run", *FLAGSHIP, "--output",
+                                   "TMP/o.json"]),
+        ("config tune", ["tune", "--config", "TMP/cfg-tune.json"]),
+        ("config tune flag wins", ["tune", "--config", "TMP/cfg-tune.json",
+                                   "--d", "4"]),
+        ("config probe", ["probe", "--config", "TMP/cfg-probe.json",
+                          "--probe", "confluence"]),
+        ("config strings", ["tune", "--config", "TMP/cfg-strings.json"]),
+        ("config nulls", ["tune", "--config", "TMP/cfg-nulls.json"]),
+        ("config lam", ["tune", "--config", "TMP/cfg-lam.json"]),
+        ("config lambda and lam", ["tune", "--config", "TMP/cfg-both.json"]),
+        ("config paths null", ["probe", "--config", "TMP/cfg-paths-null.json",
+                               "--probe", "confluence"]),
+        ("config n_steps null", ["probe", "--config",
+                                 "TMP/cfg-n-steps-null.json", "--probe",
+                                 "contraction"]),
+        ("bad tune eps", ["tune", "--eps", "1.5"]),
+        ("bad run infeasible", ["run", *FLAGSHIP]),
+        ("bad run table identity", ["run", *logistic4, "--observable",
+                                    "identity", "--table", "--force"]),
+        ("bad run threads", ["run", *FLAGSHIP, "--force", "--threads", "2"]),
+        ("bad run point shape", ["run", *FLAGSHIP, "--force", "--x-init",
+                                 "TMP/short.json"]),
+        ("bad run numerical", ["run", "--model", "ou", "--d", "2", "--eps",
+                               "0.45", "--force", "--x-init",
+                               "TMP/far.json"]),
+        ("bad bench runs", ["bench", "--model", "ou", "--runs", "0"]),
+        *[(f"bad unrecognized {' '.join(argv)}", argv) for argv in (
+            ["tune", "--seed", "5"], ["probe", "--eps", "0.3"],
+            ["probe", "--regime", "aggressive"], ["probe", "--include-log2"],
+            ["tune", "--include-log2"], ["bench", "--suite", "ou"],
+            ["bench", "--x0", "ones"])],
+        ("bad unread confluence", [*conf, "--horizon", "10", "--paths", "200",
+                                   "--x-init", "ones", "--n-steps", "99"]),
+        ("bad unread contraction", ["probe", "--probe", "contraction", "--d",
+                                    "2", "--paths", "7", "--horizon", "3"]),
+        ("bad unread invariant-moment",
+         ["probe", "--probe", "invariant-moment", "--d", "2", "--x-init",
+          "ones", "--paths", "7"]),
+        ("bad unread tune-ou", ["tune", "--model", "ou", "--d", "4", "--eps",
+                                "0.5", "--lambda", "3", "--a", "9",
+                                "--covariate-seed", "4"]),
+        ("bad unread run-ou", ["run", "--d", "2", "--eps", "0.5",
+                               "--covariate-seed", "4"]),
+        ("bad unread invariant-moment-seed",
+         ["probe", "--probe", "invariant-moment", "--d", "2", "--seed", "9"]),
+        ("bad invariant-moment logistic",
+         ["probe", "--probe", "invariant-moment", "--model", "logistic",
+          "--d", "2", "--gamma", "0.5", "--horizon", "2000"]),
+        *[(f"bad probe step {' '.join(argv)}", ["probe", "--d", "2", *argv])
+          for argv in (["--probe", "contraction", "--gamma", "-0.5"],
+                       ["--probe", "contraction", "--gamma", "0"],
+                       ["--probe", "confluence", "--gamma", "0"],
+                       ["--probe", "confluence", "--gamma", "0.25",
+                        "--horizon", "0.1"])],
+        *[(f"bad point file {kind}", ["probe", "--probe", "contraction",
+                                      "--d", "2", "--x-init",
+                                      f"TMP/pt-{kind}.json"])
+          for kind in ("object", "string", "number", "nested", "mixed",
+                       "booleans")],
+        *[(f"bad point file nan {kind}", ["probe", "--probe", kind, "--d",
+                                          "2", "--x-init", "TMP/nan.json"])
+          for kind in ("confluence", "contraction")],
+        ("bad point file malformed", ["run", *FLAGSHIP, "--force",
+                                      "--x-init", "TMP/malformed.json"]),
+        *[(f"bad non-finite {' '.join(argv)}", argv) for argv in (
+            [*conf, "--horizon", "inf", "--paths", "200"],
+            [*conf, "--horizon", "nan", "--paths", "200"],
+            ["probe", "--probe", "invariant-moment", "--horizon", "inf"],
+            ["tune", "--d", "2", "--eps", "1e-300"],
+            ["run", "--d", "2", "--eps", "1e-300"],
+            ["tune", "--model", "logistic", "--lambda", "inf"],
+            ["tune", "--model", "logistic", "--lambda", "nan"],
+            ["tune", "--model", "logistic", "--a", "inf"])],
+        ("bad subnormal gamma invariant-moment",
+         ["probe", "--probe", "invariant-moment", "--gamma", "1e-320",
+          "--horizon", "10"]),
+        ("bad subnormal gamma confluence",
+         [*conf, "--gamma", "1e-320", "--horizon", "1", "--paths", "100"]),
+        ("bad probe name", ["probe", "--probe", "volatility"]),
+        *[(f"bad config {name}", ["tune", "--config", f"TMP/{name}"])
+          for name in CLI_FILES if name.startswith(("cfg-unknown",
+                                                    "cfg-broken",
+                                                    "cfg-listy",
+                                                    "cfg-bad-"))],
+        ("bad config missing", ["tune", "--config", "TMP/nope.json"]),
+        *[(f"bad output directory {cmd}",
+           [cmd, "--d", "2", "--eps", "0.45", *extra, "--output", "TMP"])
+          for cmd, extra in (("tune", []), ("run", ["--force"]),
+                             ("bench", ["--runs", "2"]))],
+        ("bad output missing directory",
+         ["tune", "--d", "2", "--eps", "0.5", "--output", "TMP/no/o.json"]),
+        ("bad missing subcommand", []),
+        ("bad bench runs keeps the output file",
+         ["bench", "--runs", "0", "--output", "TMP/keep.json"]),
+    ]
+
+
+def cli_digest(text, tmp) -> str:
+    if text is None:
+        return "none"
+    text = re.sub(r'"wall_clock_seconds": [^,\n]+', '"wall_clock_seconds": 0',
+                  text.replace(tmp, "TMP"))
+    return digest(text)[:16]
+
+
+def cli_lines():
+    """Exit code and digests of stdout, stderr and the --output file of
+    each CLI case, with the temporary directory's path read as TMP and
+    bench's wall clock blanked."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in CLI_FILES.items():
+            Path(tmp, name).write_text(content)
+        for label, argv in cli_cases():
+            argv = [a.replace("TMP", tmp) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("always")
+                try:
+                    code = cli_main(argv)
+                except Exception as exc:  # a traceback, not an exit code
+                    code = f"raised {type(exc).__name__}: {exc}"
+            written = None
+            if "--output" in argv:
+                target = Path(argv[argv.index("--output") + 1])
+                if target.is_file():
+                    written = target.read_text()
+                    target.unlink()
+            o, e, f = (cli_digest(t, tmp) for t in
+                       (out.getvalue(), err.getvalue(), written))
+            lines.append(f"cli {label} exit={code} out={o} err={e} file={f}")
+    return lines
 
 
 def main():
@@ -305,6 +543,7 @@ def main():
     print("total", digest("\n".join(lines)))
     print("\n".join(start_point_lines()))
     print("\n".join(nonfinite_lines()))
+    print("\n".join(cli_lines()))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -57,194 +58,171 @@ class _UsageError(Exception):
     pass
 
 
+_ALL = ("tune", "run", "bench", "probe")
+_PLANNING = ("tune", "run", "bench")
+_SIMULATING = ("run", "bench", "probe")
+_PLANS = {"b1": plan_b1, "b2": plan_b2, "aggressive": plan_aggressive}
+_OBSERVABLES = {"norm": norm_observable, "identity": identity_observable}
+
+# Every setting, once: name -> (argparse options, default, subcommands that
+# take it).  A config-file field has the setting's name; its flag is that
+# name with "-" for "_".  The order is the flags' order in a usage line.  A
+# default of None is filled in by the chosen model or probe kind (_KINDS),
+# or left unset, and only such a setting accepts a null config field.
+_SETTINGS = {
+    "model": (dict(choices=["ou", "logistic"]), "ou", _ALL),
+    "d": (dict(type=int), 10, _ALL),
+    "output": (dict(help="write the report to this path"), None, _ALL),
+    "format": (dict(choices=["json", "csv"]), "json", _ALL),
+    "lambda": (dict(type=float, metavar="LAM", help="logistic ridge weight"),
+               None, _ALL),
+    "a": (dict(type=float, help="logistic covariate scale"), None, _ALL),
+    "covariate_seed": (dict(type=int), None, _ALL),
+    "eps": (dict(type=float), 0.1, _PLANNING),
+    "regime": (dict(choices=list(_PLANS)), "b2", _PLANNING),
+    "seed": (dict(type=int), 0, _SIMULATING),
+    "warm_start": (dict(action="store_true",
+                        help="gradient-descent preprocess from --x-init"),
+                   False, ("run", "bench")),
+    "probe": (dict(choices=["confluence", "contraction", "invariant-moment"]),
+              "invariant-moment", ("probe",)),
+    "gamma": (dict(type=float), None, ("probe",)),
+    "horizon": (dict(type=float), None, ("probe",)),
+    "paths": (dict(type=int), None, ("probe",)),
+    "n_steps": (dict(type=int), None, ("probe",)),
+    "x_init": (dict(help="start point: zeros | ones | JSON file"), None,
+               _SIMULATING),
+    "y_init": (dict(help="second probe point: zeros | ones | JSON file"),
+               None, ("probe",)),
+    "observable": (dict(choices=list(_OBSERVABLES)), "norm", ("run",)),
+    "table": (dict(action="store_true",
+                   help="print the per-level evolution table"),
+              False, ("run",)),
+    "force": (dict(action="store_true",
+                   help="run even if the plan is infeasible"),
+              False, ("run",)),
+    "runs": (dict(type=int), 50, ("bench",)),
+}
+
+# The settings that only one --model or --probe value reads, with the
+# defaults that value gives them.  On the command line, a setting that only
+# another value reads is a usage error.
+_KINDS = {
+    "logistic": {"lambda": 0.25, "a": 2.0,
+                 "covariate_seed": DEFAULT_COVARIATE_SEED},
+    "confluence": {"gamma": 0.25, "horizon": 50.0, "paths": 2000,
+                   "x_init": "zeros"},
+    "contraction": {"gamma": 0.5, "n_steps": 12, "x_init": "ones",
+                    "y_init": "zeros"},
+    "invariant-moment": {"gamma": 0.5, "horizon": None},
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mlangevin",
                      description="Multilevel pathwise-average Langevin estimator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # each subcommand declares only the flags it reads
-    def add_common(p: _Parser):
+    for command, (_, text) in _COMMANDS.items():
+        # a flag left out is absent from the namespace, not None
+        p = sub.add_parser(command, help=text,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--model", choices=["ou", "logistic"])
-        p.add_argument("--d", type=int)
-        p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--format", choices=["json", "csv"])
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="logistic ridge weight")
-        p.add_argument("--a", type=float, help="logistic covariate scale")
-        p.add_argument("--covariate-seed", type=int)
-
-    def add_plan(p: _Parser):
-        p.add_argument("--eps", type=float)
-        p.add_argument("--regime", choices=["b1", "b2", "aggressive"])
-
-    def add_estimator(p: _Parser):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--warm-start", action="store_true", default=None,
-                       help="gradient-descent preprocess from --x-init")
-        p.add_argument("--x-init",
-                       help="starting point: zeros | ones | JSON file")
-
-    p_tune = sub.add_parser("tune", help="print a tuning plan")
-    add_common(p_tune)
-    add_plan(p_tune)
-
-    p_run = sub.add_parser("run", help="run the estimator once")
-    add_common(p_run)
-    add_plan(p_run)
-    add_estimator(p_run)
-    p_run.add_argument("--observable", choices=["norm", "identity"])
-    p_run.add_argument("--table", action="store_true", default=None,
-                       help="print the per-level evolution table")
-    p_run.add_argument("--force", action="store_true", default=None,
-                       help="run even if the plan is infeasible")
-
-    p_bench = sub.add_parser("bench", help="RMSE benchmark over repeated runs")
-    add_common(p_bench)
-    add_plan(p_bench)
-    add_estimator(p_bench)
-    p_bench.add_argument("--runs", type=int)
-
-    p_probe = sub.add_parser("probe", help="assumption probes")
-    add_common(p_probe)
-    p_probe.add_argument("--seed", type=int)
-    p_probe.add_argument("--probe",
-                         choices=["confluence", "contraction",
-                                  "invariant-moment"])
-    p_probe.add_argument("--gamma", type=float)
-    p_probe.add_argument("--horizon", type=float)
-    p_probe.add_argument("--paths", type=int)
-    p_probe.add_argument("--n-steps", type=int)
-    p_probe.add_argument("--x-init",
-                         help="start point (confluence) or first point "
-                              "(contraction): zeros | ones | JSON file")
-    p_probe.add_argument("--y-init",
-                         help="second probe point: zeros | ones | JSON file")
+        for name, (options, _, commands) in _SETTINGS.items():
+            if command in commands:
+                p.add_argument(_flag(name), **options)
     return parser
 
 
-_DEFAULTS = {
-    "model": "ou",
-    "d": 10,
-    "eps": 0.1,
-    "regime": "b2",
-    "seed": 0,
-    "output": None,
-    "format": "json",
-    "lam": 0.25,
-    "a": 2.0,
-    "covariate_seed": DEFAULT_COVARIATE_SEED,
-    "observable": "norm",
-    "table": False,
-    "force": False,
-    "warm_start": False,
-    "x_init": None,
-    "y_init": None,
-    "runs": 50,
-    "probe": "invariant-moment",
-    "gamma": None,
-    "horizon": None,
-    "paths": 2000,
-    "n_steps": 12,
-}
-
-# JSON config files use the domain field names; "lambda" is the one name
-# that differs from the argparse destination.
-_CONFIG_ALIASES = {"lambda": "lam"}
+def _load_json(path: str, label: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _UsageError(f"{label} is not valid JSON: {exc}")
 
 
-def _flag_actions(parser: argparse.ArgumentParser) -> dict:
-    """Destination -> argparse action, over the flags of every subcommand."""
-    actions = {}
-    for sub in parser._actions:
-        if isinstance(sub, argparse._SubParsersAction):
-            for p in sub.choices.values():
-                for action in p._actions:
-                    actions.setdefault(action.dest, action)
-    return actions
-
-
-def _config_value(name: str, value, action: argparse.Action):
+def _config_value(name: str, value):
     """Check and coerce one config-file field as its flag would be."""
-    if value is None and _DEFAULTS[action.dest] is None:
-        return None
-    if action.nargs == 0:  # on/off flags take JSON booleans
+    options = _SETTINGS[name][0]
+    if options.get("action") == "store_true":  # on/off flags take booleans
         ok = isinstance(value, bool)
     elif isinstance(value, (bool, list, dict)):
         ok = False
-    elif action.type is not None:
+    elif "type" in options:
         # the flag's own type, applied to the text a command line would hold
         try:
-            value, ok = action.type(str(value)), True
+            value, ok = options["type"](str(value)), True
         except ValueError:
             ok = False
     else:
         ok = isinstance(value, str)
-    if not ok or (action.choices is not None and value not in action.choices):
+    if not ok or ("choices" in options
+                  and value not in options["choices"]):
         raise _UsageError(f"config field {name!r}: {value!r} is not a valid "
-                          f"value for {action.option_strings[0]}")
+                          f"value for {_flag(name)}")
     return value
 
 
-def _resolve_config(args: argparse.Namespace, actions: dict) -> dict:
-    """Merge defaults, config-file fields, and explicit flags (flags win).
+def _resolve_config(command: str, path, given: dict) -> dict:
+    """Merge defaults, config-file fields and explicit flags (flags win).
 
-    ``actions`` maps each field to its flag (see ``_flag_actions``); a
-    config-file field is checked and coerced with that flag's type and
-    choices, so a bad value is a usage error, not a crash.
+    A config-file field is checked and coerced with its flag's type and
+    choices, so a bad value is a usage error, not a crash; a null field
+    keeps the default where that is None.  A setting left unset takes the
+    default of the chosen model or probe kind, if it gives one.
     """
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise _UsageError(f"config file is not valid JSON: {exc}")
+    chosen = {}
+    if path:
+        loaded = _load_json(path, "config file")
         if not isinstance(loaded, dict):
             raise _UsageError("config file must hold a JSON object")
         for name, value in loaded.items():
-            key = _CONFIG_ALIASES.get(name, name)
-            if key not in cfg:
-                raise _UsageError(f"unknown config field {key!r}")
-            cfg[key] = _config_value(name, value, actions[key])
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    cfg["command"] = args.command
+            if name not in _SETTINGS:
+                raise _UsageError(f"unknown config field {name!r}")
+            if value is not None or _SETTINGS[name][1] is not None:
+                chosen[name] = _config_value(name, value)
+    chosen.update(given)
+    cfg = {name: spec[1] for name, spec in _SETTINGS.items()} | chosen
+    for chooser in ("model", "probe"):
+        if command in _SETTINGS[chooser][2]:
+            kind = _KINDS.get(cfg[chooser], {})
+            cfg.update({k: v for k, v in kind.items() if k not in chosen})
+    cfg["command"] = command
     return cfg
 
 
-# flags only some probe kinds read, and the flags only the logistic model
-# reads; any other flag a subcommand declares is read by that subcommand,
-# except --seed, which the invariant-moment probe reads only with --horizon
-_PROBE_FLAGS = {
-    "confluence": {"gamma", "horizon", "paths", "x_init"},
-    "contraction": {"gamma", "n_steps", "x_init", "y_init"},
-    "invariant-moment": {"gamma", "horizon"},
-}
-_LOGISTIC_FLAGS = ("lam", "a", "covariate_seed")
-
-
-def _check_flags_read(cfg: dict, args: argparse.Namespace,
-                      actions: dict) -> None:
+def _check_flags_read(cfg: dict, given: dict) -> None:
     """A command-line flag that the resolved command does not read is a
     usage error.  Config-file fields are not checked here, so that one file
     can serve several commands."""
-    checks = []
+    unread = []
     if cfg["model"] == "ou":
-        checks.append((_LOGISTIC_FLAGS, "applies to --model logistic only"))
+        unread += [(name, "applies to --model logistic only")
+                   for name in _KINDS["logistic"]]
     if cfg["command"] == "probe":
         kind = cfg["probe"]
-        others = set().union(*_PROBE_FLAGS.values()) - _PROBE_FLAGS[kind]
-        checks.append((sorted(others), f"is not read by the {kind} probe"))
+        unread += [(name, f"is not read by the {kind} probe")
+                   for other in _SETTINGS["probe"][0]["choices"]
+                   for name in _KINDS[other] if name not in _KINDS[kind]]
         if kind == "invariant-moment" and cfg["horizon"] is None:
-            checks.append((["seed"], "is read by the invariant-moment probe "
-                                     "only with --horizon"))
-    for dests, why in checks:
-        for dest in dests:
-            if getattr(args, dest, None) is not None:
-                raise _UsageError(f"{actions[dest].option_strings[0]} {why}")
+            unread.append(("seed", "is read by the invariant-moment probe "
+                                   "only with --horizon"))
+    for name, why in unread:
+        if name in given:
+            raise _UsageError(f"{_flag(name)} {why}")
+
+
+def _check_output(path: str) -> None:
+    """Open ``--output`` for appending before any work, so an unusable path
+    fails first; a file that was not there is removed again."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _build_model(cfg: dict):
@@ -253,19 +231,9 @@ def _build_model(cfg: dict):
     else:
         covariate = logistic_covariate(
             cfg["d"], cfg["a"], NoiseStream(cfg["covariate_seed"], 0))
-        potential = LogisticPerturbedPotential(cfg["d"], cfg["lam"], covariate)
+        potential = LogisticPerturbedPotential(cfg["d"], cfg["lambda"],
+                                               covariate)
     return make_langevin_model(potential, "auto"), potential
-
-
-def _build_plan(model, cfg: dict):
-    regime = cfg["regime"]
-    if regime == "b2":
-        return plan_b2(model, cfg["eps"])
-    if regime == "b1":
-        return plan_b1(model, cfg["eps"])
-    if regime == "aggressive":
-        return plan_aggressive(model, cfg["eps"])
-    raise _UsageError(f"unknown regime {regime!r}")
 
 
 def _resolve_point(source: str, d: int) -> np.ndarray:
@@ -273,8 +241,7 @@ def _resolve_point(source: str, d: int) -> np.ndarray:
         return np.zeros(d)
     if source == "ones":
         return np.ones(d)
-    with open(source) as fh:
-        data = json.load(fh)
+    data = _load_json(source, f"point file {source!r}")
     # JSON numbers load as int or float; a bool is not a number here
     if not (isinstance(data, list)
             and all(type(v) in (int, float) for v in data)):
@@ -314,7 +281,7 @@ def _emit(json_text: str, rows, cfg: dict, quiet: bool = False) -> None:
 
 def cmd_tune(cfg: dict) -> int:
     model, _ = _build_model(cfg)
-    plan = _build_plan(model, cfg)
+    plan = _PLANS[cfg["regime"]](model, cfg["eps"])
     rows = [
         {"level": r, "gamma": plan.gamma[r], "horizon": plan.horizons[r]}
         for r in range(plan.R + 1)
@@ -325,7 +292,7 @@ def cmd_tune(cfg: dict) -> int:
 
 def cmd_run(cfg: dict) -> int:
     model, potential = _build_model(cfg)
-    plan = _build_plan(model, cfg)
+    plan = _PLANS[cfg["regime"]](model, cfg["eps"])
     if not plan.feasible and not cfg["force"]:
         print(
             f"plan infeasible: burn-in tau={plan.tau:.6g} exceeds "
@@ -335,10 +302,7 @@ def cmd_run(cfg: dict) -> int:
     if cfg["table"] and cfg["observable"] != "norm":
         raise _UsageError("--table requires a scalar observable (norm)")
     x0 = _start_point(cfg, potential)
-    if cfg["observable"] == "norm":
-        obs = norm_observable()
-    else:
-        obs = identity_observable()
+    obs = _OBSERVABLES[cfg["observable"]]()
     out = estimate(model, plan, x0, obs, cfg["seed"])
     if cfg["table"]:
         lines = [f"{'level':>5}  {'iterations':>12}  {'cumulative':>18}"]
@@ -356,7 +320,7 @@ def cmd_bench(cfg: dict) -> int:
     if cfg["runs"] < 1:
         raise _UsageError(f"--runs must be >= 1, got {cfg['runs']}")
     model, potential = _build_model(cfg)
-    plan = _build_plan(model, cfg)
+    plan = _PLANS[cfg["regime"]](model, cfg["eps"])
     report = bench(model, plan, _start_point(cfg, potential), cfg["runs"],
                    seed=cfg["seed"])
     _emit(report.to_json(), report.csv_rows(), cfg)
@@ -365,13 +329,11 @@ def cmd_bench(cfg: dict) -> int:
 
 def cmd_probe(cfg: dict) -> int:
     model, _ = _build_model(cfg)
-    name = cfg["probe"]
+    name, gamma, d = cfg["probe"], cfg["gamma"], cfg["d"]
     if name == "confluence":
-        gamma = cfg["gamma"] if cfg["gamma"] is not None else 0.25
-        horizon = cfg["horizon"] if cfg["horizon"] is not None else 50.0
-        x0 = _resolve_point(cfg["x_init"] or "zeros", cfg["d"])
-        result = confluence_probe(model, gamma, horizon, cfg["paths"],
-                                  seed=cfg["seed"], x0=x0)
+        result = confluence_probe(model, gamma, cfg["horizon"], cfg["paths"],
+                                  seed=cfg["seed"],
+                                  x0=_resolve_point(cfg["x_init"], d))
         payload = {
             "probe": "confluence",
             "sup_gap_sq": {repr(g): v for g, v in result.sup_gap_sq.items()},
@@ -380,9 +342,8 @@ def cmd_probe(cfg: dict) -> int:
         rows = [{"gamma": g, "sup_gap_sq": v}
                 for g, v in result.sup_gap_sq.items()]
     elif name == "contraction":
-        gamma = cfg["gamma"] if cfg["gamma"] is not None else 0.5
-        x = _resolve_point(cfg["x_init"] or "ones", cfg["d"])
-        y = _resolve_point(cfg["y_init"] or "zeros", cfg["d"])
+        x = _resolve_point(cfg["x_init"], d)
+        y = _resolve_point(cfg["y_init"], d)
         distances = contraction_probe(model, x, y, gamma, cfg["n_steps"],
                                       seed=cfg["seed"])
         payload = {
@@ -397,13 +358,12 @@ def cmd_probe(cfg: dict) -> int:
             raise _UsageError(
                 "the invariant-moment probe needs --model ou: its oracle "
                 "2/(2 - gamma) is the quadratic model's")
-        gamma = cfg["gamma"] if cfg["gamma"] is not None else 0.5
         oracle = euler_invariant_moment_oracle(gamma)
         payload = {"probe": "invariant-moment", "gamma": gamma,
                    "oracle_moment": oracle}
         if cfg["horizon"] is not None:
             tau = min(100.0, cfg["horizon"] / 10.0)
-            avg, iters = run_level0(model, np.zeros(cfg["d"]), gamma, tau,
+            avg, iters = run_level0(model, np.zeros(d), gamma, tau,
                                     cfg["horizon"], lambda x: x[..., 0] ** 2,
                                     NoiseStream(cfg["seed"], 0))
             payload["empirical_moment"] = avg
@@ -415,25 +375,24 @@ def cmd_probe(cfg: dict) -> int:
 
 
 _COMMANDS = {
-    "tune": cmd_tune,
-    "run": cmd_run,
-    "bench": cmd_bench,
-    "probe": cmd_probe,
+    "tune": (cmd_tune, "print a tuning plan"),
+    "run": (cmd_run, "run the estimator once"),
+    "bench": (cmd_bench, "RMSE benchmark over repeated runs"),
+    "probe": (cmd_probe, "assumption probes"),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        actions = _flag_actions(parser)
-        cfg = _resolve_config(args, actions)
-        _check_flags_read(cfg, args, actions)
-        return _COMMANDS[args.command](cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        given = {k: v for k, v in vars(args).items() if k in _SETTINGS}
+        cfg = _resolve_config(args.command, getattr(args, "config", None),
+                              given)
+        _check_flags_read(cfg, given)
+        if cfg["output"]:
+            _check_output(cfg["output"])
+        return _COMMANDS[args.command][0](cfg)
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalFailureError as exc:

@@ -215,15 +215,21 @@ def euler_step(model, state: PathState, gaussian: np.ndarray) -> PathState:
 def n_gamma(t: float, gamma: float) -> int:
     """Largest k with k*gamma <= t (number of grid points in (0, t]).
 
-    A relative guard absorbs float-division noise when t is an exact multiple
-    of gamma (e.g. horizons built from eps**-2).
+    The one check of a time grid: t must be finite and nonnegative, gamma
+    finite and positive, and t/gamma finite.  A guard of four ulps of the
+    quotient absorbs float-division noise when t is an exact multiple of
+    gamma (e.g. horizons built from eps**-2).
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     q = t / gamma
-    return int(math.floor(q + 1e-9 * (q + 1.0)))
+    q += 4.0 * 2.0 ** -52 * (q + 1.0)
+    if q == math.inf:
+        raise ValueError(
+            f"t/gamma must be finite, got t={t} and gamma={gamma}")
+    return math.floor(q)
 
 
 class _CompensatedSum:
@@ -418,10 +424,7 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     over that window on the coarse grid 2 gamma and counts both chains'.
     Averages are (B,) for a scalar observable, (B, m) for a vector one.
     """
-    if gamma <= 0:
-        raise ValueError(
-            f"{'gamma_fine' if pair else 'gamma0'} must be positive, "
-            f"got {gamma}")
+    fine = n_gamma(t, gamma)  # checks t and gamma
     grid = 2.0 * float(gamma) if pair else gamma
     if not 0.0 <= tau < t:
         raise ValueError(f"need 0 <= tau < T, got tau={tau}, T={t}")
@@ -447,7 +450,7 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
             acc = _CompensatedSum(vals.shape[1:])
         acc.add(_reduce_window(vals))
         del vals  # free the window values before the next chunk's draw
-    steps = n_gamma(t, gamma) + k1 if pair else k1
+    steps = fine + k1 if pair else k1
     return acc.total() / (k1 - k0), steps
 
 

@@ -25,6 +25,8 @@ from mlangevin.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _KINDS,
+    _SETTINGS,
     main,
 )
 
@@ -401,6 +403,19 @@ def test_point_file_that_is_not_a_list_of_numbers_is_a_usage_error(
                    f"of numbers\n")
 
 
+def test_point_file_that_is_not_json_is_named_in_the_error(tmp_path,
+                                                          capsys):
+    point = tmp_path / "x.json"
+    point.write_text("[1.0, 2.0")
+    code, out, err = run_cli(["run", *FLAGSHIP, "--force", "--x-init",
+                              str(point)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: point file {str(point)!r} is not valid "
+                          f"JSON: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("kind", ["confluence", "contraction"])
 def test_probe_nonfinite_start_point_is_a_usage_error(kind, tmp_path, capsys):
     point = tmp_path / "nan.json"
@@ -427,9 +442,14 @@ def test_probe_nonfinite_start_point_is_a_usage_error(kind, tmp_path, capsys):
      "lam must be finite and positive, got nan"),
     (["tune", "--model", "logistic", "--a", "inf"],
      "a must be finite and positive, got inf"),
+    (["probe", "--probe", "invariant-moment", "--gamma", "1e-320",
+      "--horizon", "10"], "t/gamma must be finite"),
+    (["probe", "--probe", "confluence", "--d", "2", "--gamma", "1e-320",
+      "--horizon", "1", "--paths", "100"], "t/gamma must be finite"),
 ], ids=["confluence-horizon-inf", "confluence-horizon-nan",
         "invariant-moment-horizon-inf", "tune-tiny-eps", "run-tiny-eps",
-        "lambda-inf", "lambda-nan", "a-inf"])
+        "lambda-inf", "lambda-nan", "a-inf",
+        "invariant-moment-subnormal-gamma", "confluence-subnormal-gamma"])
 def test_nonfinite_inputs_are_one_line_errors(argv, expected, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE
@@ -496,12 +516,68 @@ def test_config_values_take_the_types_of_their_flags(tmp_path, capsys):
         == EXIT_INFEASIBLE
 
 
+def test_config_fields_are_named_as_their_flags(tmp_path, capsys):
+    # a field is its flag's name with "_" for "-"; "lam" is no alias of
+    # "lambda", and a later key does not silently replace an earlier one
+    cfg = tmp_path / "cfg.json"
+    for fields in ({"lam": 0.3}, {"lambda": 0.3, "lam": 0.9}):
+        cfg.write_text(json.dumps({"model": "logistic", "d": 2, **fields}))
+        code, out, err = run_cli(["tune", "--config", str(cfg)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: unknown config field 'lam'\n"
+    cfg.write_text(json.dumps({"model": "logistic", "d": 2, "eps": 0.5,
+                               "covariate_seed": 3, "lambda": 0.9}))
+    _, from_file, _ = run_cli(["tune", "--config", str(cfg)], capsys)
+    _, from_flags, _ = run_cli(
+        ["tune", "--model", "logistic", "--d", "2", "--eps", "0.5",
+         "--covariate-seed", "3", "--lambda", "0.9"], capsys)
+    assert from_file == from_flags
+
+
+@pytest.mark.parametrize("field, kind, flags", [
+    ("paths", "confluence", ["--horizon", "2", "--paths", "2000"]),
+    ("n_steps", "contraction", ["--n-steps", "12"]),
+], ids=["paths", "n_steps"])
+def test_a_null_config_field_keeps_the_probe_kind_default(field, kind, flags,
+                                                          tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 2, "horizon": 2.0, field: None}))
+    code, from_file, _ = run_cli(
+        ["probe", "--config", str(cfg), "--probe", kind], capsys)
+    assert code == EXIT_OK
+    _, explicit, _ = run_cli(["probe", "--probe", kind, "--d", "2", *flags],
+                             capsys)
+    assert from_file == explicit
+
+
 def test_output_to_a_directory_is_a_usage_error(tmp_path, capsys):
-    code, _, err = run_cli(["tune", *FLAGSHIP, "--output", str(tmp_path)],
-                           capsys)
-    assert code == EXIT_USAGE
-    assert err.startswith("error: ")
-    assert len(err.strip().splitlines()) == 1
+    # checked before any work: nothing reaches stdout
+    for argv in (["tune", *FLAGSHIP], ["run", *FLAGSHIP, "--force"],
+                 ["bench", *FLAGSHIP, "--runs", "2"]):
+        code, out, err = run_cli([*argv, "--output", str(tmp_path)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_output_is_neither_created_nor_truncated_by_a_failed_command(
+        tmp_path, capsys):
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(["run", *FLAGSHIP, "--output", str(fresh)],
+                   capsys)[0] == EXIT_INFEASIBLE
+    assert not fresh.exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    assert run_cli(["bench", "--runs", "0", "--output", str(kept)],
+                   capsys)[0] == EXIT_USAGE
+    assert kept.read_text() == "old\n"
+    missing = tmp_path / "no" / "plan.json"
+    code, out, err = run_cli(["tune", *FLAGSHIP, "--output", str(missing)],
+                             capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert str(missing) in err
 
 
 def test_format_csv_switches_stdout(capsys):
@@ -577,6 +653,38 @@ def test_readme_command_line_examples_run(capsys):
         expected = EXIT_INFEASIBLE if argv[1] == "tune" else EXIT_OK
         assert main(argv[1:]) == expected, argv
     capsys.readouterr()
+
+
+def test_readme_flag_tables_match_the_settings():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w-]+)` +\| (.+?) \|$", section, re.M))
+    common = re.search(r"Every subcommand takes (.+?)\. On top", section,
+                       re.S).group(1)
+
+    def flags(text):
+        return set(re.findall(r"`(--[\w-]+)", text))
+
+    def shown(v):
+        return "none" if v is None else f"{v:g}" if isinstance(v, float) \
+            else str(v)
+
+    kinds = _SETTINGS["probe"][0]["choices"]
+    for command in ("tune", "run", "bench", "probe"):
+        documented = flags(common) | flags(rows[command])
+        if "the `tune` flags" in rows[command]:
+            documented |= flags(rows["tune"])
+        if command == "probe":
+            documented |= set().union(*(flags(rows[k]) for k in kinds))
+        assert documented == {"--config"} | {
+            "--" + name.replace("_", "-")
+            for name, (_, _, commands) in _SETTINGS.items()
+            if command in commands}, command
+    for kind in kinds:
+        defaults = dict(re.findall(r"`(--[\w-]+)`[^(`]*\(`?([^,:)`]+)",
+                                   rows[kind]))
+        assert defaults == {"--" + name.replace("_", "-"): shown(v)
+                            for name, v in _KINDS[kind].items()}, kind
 
 
 def test_readme_quickstart_runs(capsys):

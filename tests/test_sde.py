@@ -1,7 +1,11 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlangevin import (
     NoiseStream,
@@ -134,6 +138,44 @@ def test_n_gamma_validation():
     for t in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="t must be finite"):
             n_gamma(t, 0.5)
+
+
+def test_n_gamma_counts_large_quotients_exactly():
+    # a relative guard of 1e-9 once added whole steps beyond t/gamma ~ 1e9
+    assert n_gamma(1658880000.0, 0.5) == 3_317_760_000
+    assert n_gamma(1e8 - 0.05, 1.0) == 99_999_999
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1e15), st.floats(1e-6, 1e3))
+def test_n_gamma_is_the_last_grid_point_up_to_a_few_ulps(t, gamma):
+    k = n_gamma(t, gamma)
+    # exact arithmetic: k*gamma <= t, up to the guard's four ulps of t/gamma
+    slack = Fraction(1, 2 ** 49)
+    assert k * Fraction(gamma) <= Fraction(t) * (1 + slack) + gamma * slack
+    assert (k + 1) * Fraction(gamma) > Fraction(t)
+
+
+@pytest.mark.parametrize("t, gamma, message", [
+    (1.0, math.nan, "gamma must be finite and positive, got nan"),
+    (1.0, math.inf, "gamma must be finite and positive, got inf"),
+    (1.0, -0.5, "gamma must be finite and positive, got -0.5"),
+    (10.0, 1e-320, "t/gamma must be finite, got t=10.0 and gamma=1e-320"),
+    (1e300, 1e-10, "t/gamma must be finite, got t=1e+300 and gamma=1e-10"),
+], ids=["gamma-nan", "gamma-inf", "gamma-negative", "gamma-subnormal",
+        "quotient-overflow"])
+def test_n_gamma_rejects_a_grid_it_cannot_count(t, gamma, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        n_gamma(t, gamma)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, 1e-320, -0.5],
+                         ids=["nan", "subnormal", "negative"])
+@pytest.mark.parametrize("run", [run_level0, run_coupled_level])
+def test_a_level_rejects_a_step_it_cannot_count(run, gamma):
+    with pytest.raises(ValueError, match=r"^(t/)?gamma must be finite"):
+        run(OU3, np.zeros(3), gamma, 1.0, 10.0, norm_observable(),
+            NoiseStream(0, 0))
 
 
 # ------------------------------------------------------------------ run_level0

@@ -270,14 +270,30 @@ GRID_EPS = (0.5, 0.1, 0.05, 0.01)
 @pytest.mark.parametrize("d", GRID_DIMS)
 @pytest.mark.parametrize("eps", GRID_EPS)
 def test_discrete_count_stays_below_closed_form_bound(d, eps):
-    # the window count lifts T/gamma by a relative 1e-9 guard (so float noise
-    # in eps^-2 cannot drop intended steps); allow exactly that lift plus one
-    # step per counted chain over the continuous bound
+    # the window count lifts T/gamma by a guard of four ulps (so float noise
+    # in eps^-2 cannot drop intended steps); allow that lift plus one step
+    # per counted chain over the continuous bound
     model = ou_model(d)
     for plan in (plan_b2(model, eps), plan_b1(model, eps)):
         bound = complexity_bound(plan)
-        slack = bound * 2e-9 + 2 * plan.R + 1
+        slack = bound * 2.0 ** -49 + 2 * plan.R + 1
         assert plan.predicted_complexity <= bound + slack
+
+
+@pytest.mark.parametrize("eps", GRID_EPS)
+def test_general_plan_bound_is_its_continuous_per_level_cost(eps):
+    # an intermediate order whose horizon scale comes from the confluence
+    # term c2
+    constants = GeneralAssumptionConstants(
+        alpha=0.5, b_exponent=1.5, delta=0.7, c2=4.0, c3=3.0, c4=0.5,
+        eta0=0.5)
+    plan = plan_general(constants, 0.25, eps)
+    t, gamma = plan.horizons, plan.gamma
+    cost = t[0] / gamma[0] + sum(t[r] * (1.0 / gamma[r] + 1.0 / gamma[r - 1])
+                                 for r in range(1, plan.R + 1))
+    assert plan.R >= 1
+    assert complexity_bound(plan) == pytest.approx(cost, rel=1e-12)
+    assert complexity_bound(plan) >= plan.predicted_complexity
 
 
 def test_complexity_monotone_in_accuracy_and_dimension():
