@@ -48,7 +48,8 @@ digests of stdout, stderr and the ``--output`` file of ``mlangevin.cli.main``
 on small ``tune``/``run``/``bench``/``probe`` reports in JSON and CSV,
 ``--table``, config-file runs, and the bad command lines and config files of
 ``tests/test_cli.py`` (input files live in a temporary directory that reads
-as TMP; bench's ``wall_clock_seconds`` is blanked).  These sections follow
+as TMP; bench's ``wall_clock_seconds`` is blanked), with the message of each
+bad config file in clear.  These sections follow
 the total so that the total stays comparable with checkouts that predate
 them.
 
@@ -501,7 +502,10 @@ def cli_lines():
                     target.unlink()
             o, e, f = (cli_digest(t, tmp) for t in
                        (out.getvalue(), err.getvalue(), written))
-            lines.append(f"cli {label} exit={code} out={o} err={e} file={f}")
+            line = f"cli {label} exit={code} out={o} err={e} file={f}"
+            if label.startswith("bad config"):  # the message, in clear
+                line += " " + err.getvalue().replace(tmp, "TMP").strip()
+            lines.append(line)
     return lines
 
 

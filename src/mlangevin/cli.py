@@ -177,9 +177,10 @@ def _resolve_config(command: str, path, given: dict) -> dict:
     """
     chosen = {}
     if path:
-        loaded = _load_json(path, "config file")
+        loaded = _load_json(path, f"config file {path!r}")
         if not isinstance(loaded, dict):
-            raise _UsageError("config file must hold a JSON object")
+            raise _UsageError(
+                f"config file {path!r} must hold a JSON object")
         for name, value in loaded.items():
             if name not in _SETTINGS:
                 raise _UsageError(f"unknown config field {name!r}")

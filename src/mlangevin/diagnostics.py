@@ -44,7 +44,7 @@ from .model import (
     _sigmoid,
     ou_reference_value,
 )
-from .sde import NoiseStream, _chains, _chunk_steps, n_gamma
+from .sde import _CHUNK_ELEMENT_TARGET, NoiseStream, _drive, _Level, n_gamma
 from .tuning import TuningPlan
 
 __all__ = [
@@ -304,14 +304,21 @@ def contraction_probe(
     d = model.dim
     stream = NoiseStream(seed, 0)
     distances = []
+
+    def visit(engine, level, lo, hi):
+        rows = engine.states(level, lo, hi)
+        distances.extend(float(np.linalg.norm(v))
+                         for v in rows[:, 0] - rows[:, 1])
+
     # rows x and y (at least 1-d, so two numbers are never read as one
     # (d,) point for both rows); one draw per step, shared by both rows
     rows = (np.atleast_1d(x), np.atleast_1d(y))
-    for _, hist in _chains(model, rows, float(gamma), n_steps,
-                           lambda n: stream.standard_normal((n, 1, 1, d)),
-                           _chunk_steps(2, d), False, range(2)):
-        gaps = hist[:, 0] - hist[:, 1]
-        distances.extend(float(np.linalg.norm(v)) for v in gaps)
+
+    def normals(out, steps):
+        out[:steps] = stream.standard_normal((steps, 1, d))
+
+    chain = _Level(gamma, n_steps, False, normals)
+    _drive(model, rows, [chain], range(2), visit)
     return distances
 
 
@@ -319,18 +326,23 @@ def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
                 n_paths: int, stream: NoiseStream, x0) -> float:
     """Monte-Carlo sup over coarse grid times of E|fine - coarse|^2."""
     d, p = model.dim, n_paths
-    # besides the three increment arrays a chunk holds the (n, 2 p, d)
-    # history; a quarter of the estimator's chunk keeps that below 3
-    # (n, p, d) arrays at the full chunk, what drawing alone would take
-    chunk = _chunk_steps(4 * p, d)
     sup = 0.0
-    for _, hist in _chains(
-            model, x0, gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse),
-            lambda n: stream.standard_normal((n, 2, p, d)), chunk, True,
-            range(p)):
-        gap = hist[:, :p] - hist[:, p:]
+
+    def visit(engine, level, lo, hi):
+        nonlocal sup
+        rows = engine.states(level, lo, hi)  # the coarse rows, then the fine
+        gap = rows[:, p:] - rows[:, :p]
         gap *= gap
         sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))
+
+    def normals(out, steps):
+        out[:steps] = stream.standard_normal((steps, p, d))
+
+    pair = _Level(gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse), True,
+                  normals)
+    # one draw per chunk, so a short chunk costs no calls: half the
+    # estimator's budget keeps the 2 n_paths rows' buffers near 16 MB
+    _drive(model, x0, [pair], range(p), visit, _CHUNK_ELEMENT_TARGET // 2)
     return sup
 
 

@@ -3,12 +3,14 @@
 The estimator combines the level-0 occupation average at step gamma0 with R
 correcting levels, each the averaged difference between a fine (gamma_r) and
 coarse (gamma_{r-1} = 2 gamma_r) Euler chain driven by the same Brownian
-increments.  Each level is one call into the Euler engine of ``sde``: level 0
-runs a single chain, and level r >= 1 runs a coupled fine/coarse pair.  The
-R + 1 levels share no state: level r reads only ``NoiseStream(seed, r, run)``
-and the starting point, so its contribution equals the standalone
-``run_level0`` / ``run_coupled_level`` call on that stream byte for byte, and
-no order or schedule of the levels can change the result.
+increments.  The levels go through the Euler engine of ``sde`` together:
+level 0 is a single chain and level r >= 1 a coupled fine/coarse pair, and
+levels whose rows stay narrow share one tick loop.  The R + 1 levels share
+no state: level r reads only ``NoiseStream(seed, r, run)`` and the starting
+point, so no order, schedule or grouping of the levels changes a state, and
+its contribution equals the standalone ``run_level0`` / ``run_coupled_level``
+call on that stream byte for byte while both use one chunk size (see
+``sde``).
 
 An observable is a plain function along the last axis, points (N, d) to
 values (N,) or (N, m); ``norm_observable`` and ``identity_observable`` build
@@ -32,11 +34,12 @@ import numpy as np
 from .model import LangevinModel
 from .sde import (
     NoiseStream,
-    NumericalFailureError,
-    _run_coupled_batch,
-    _run_level0_batch,
+    _run_levels,
     _run_value,
+    _window_level,
 )
+# not called here: the benchmark tracer's TARGETS look them up in this module
+from .sde import _run_coupled_batch, _run_level0_batch  # noqa: F401
 from .tuning import TuningPlan
 
 __all__ = [
@@ -169,30 +172,16 @@ def _estimate_batch(
         raise ValueError(
             f"plan dimension {plan.dim} does not match model dimension {model.dim}")
 
-    tau_eff = plan.tau_effective
-
-    def level_job(r: int):
-        streams = [NoiseStream(master_seed, r, run_index=idx)
-                   for idx in run_indices]
-        try:
-            if r == 0:
-                return _run_level0_batch(
-                    model, x0, plan.gamma[0], tau_eff, plan.horizons[0], f,
-                    streams)
-            return _run_coupled_batch(
-                model, x0, plan.gamma[r], tau_eff, plan.horizons[r], f,
-                streams)
-        except NumericalFailureError as err:
-            err.level_index = r
-            err.args = (f"level {r}: {err}",)
-            raise
-
-    results = [level_job(r) for r in range(plan.R + 1)]
-
-    level_iterations = [int(steps) for _, steps in results]
+    levels, steps = zip(*(
+        _window_level(model.dim, plan.gamma[r], plan.tau_effective,
+                      plan.horizons[r], r > 0,
+                      [NoiseStream(master_seed, r, run_index=idx)
+                       for idx in run_indices], label=r)
+        for r in range(plan.R + 1)))
+    averages = _run_levels(model, x0, levels, f, list(run_indices))
     return [EstimatorOutput(
-        level_contributions=[_run_value(avg[b]) for avg, _ in results],
-        level_iterations=list(level_iterations),
+        level_contributions=[_run_value(avg[b]) for avg in averages],
+        level_iterations=[int(n) for n in steps],
         plan_echo=plan,
         master_seed=int(master_seed),
         run_index=int(idx),
@@ -252,9 +241,10 @@ def estimate_repeated(
     level, so the outputs are mutually independent, order-deterministic, and
     ``estimate_repeated(..., n_runs=1)[0]`` coincides with ``estimate(...)``
     bit for bit.  Internally the runs advance together as batch rows with
-    bit-identical trajectories; window sums match one-at-a-time execution
-    exactly while the chunk layout coincides (n_runs * d up to ~500) and to
-    ~1e-15 relative accuracy beyond that.
+    bit-identical trajectories.  Window sums match one-at-a-time execution
+    exactly while the chunk cap binds for both (the engine's group rows * d
+    up to about 320, see ``sde``) and to ~1e-15 relative accuracy beyond
+    that.
 
     Args:
         n_runs: Number of replications (>= 1).  Other args as in

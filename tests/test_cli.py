@@ -484,13 +484,21 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "stepsize" in err
 
+    # the file is named, as for point files
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    assert run_cli(["tune", "--config", str(broken)], capsys)[0] == EXIT_USAGE
+    code, _, err = run_cli(["tune", "--config", str(broken)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: config file {str(broken)!r} is not valid "
+                          "JSON: ")
+    assert err.count("\n") == 1
 
     listy = tmp_path / "listy.json"
     listy.write_text(json.dumps([1, 2]))
-    assert run_cli(["tune", "--config", str(listy)], capsys)[0] == EXIT_USAGE
+    code, _, err = run_cli(["tune", "--config", str(listy)], capsys)
+    assert code == EXIT_USAGE
+    assert err == (f"error: config file {str(listy)!r} must hold a JSON "
+                   "object\n")
 
     assert run_cli(["tune", "--config", str(tmp_path / "nope.json")],
                    capsys)[0] == EXIT_USAGE

@@ -2,9 +2,10 @@
 
 Each property draws the dimension, the level count, the batch width and the
 chunk cap (``_CHUNK_STEP_CAP``), so a chunk boundary can fall anywhere in a
-level's window or next to a failing step.  Examples are derandomized, so a
-run is reproducible.  The last test checks that every entry point rejects a
-bad start point before any step.
+level's window or next to a failing step; the fused-level property also
+draws the horizons and the fusion cap (``_FUSE_ROW_CAP``).  Examples are
+derandomized, so a run is reproducible.  The last test checks that every
+entry point rejects a bad start point before any step.
 """
 
 import contextlib
@@ -87,13 +88,19 @@ def test_batch_rows_equal_single_runs(kind, d, R, n_runs, cap, seed, obs):
             assert row.to_json() == alone.to_json()
 
 
-def final_states(model, x0, gamma, n_ticks, streams, pair, cap):
-    normals = sde._stream_normals(streams, len(x0), pair)
+def trajectory(model, x0, gamma, last, streams, pair, cap):
+    """Every state of one level run alone, by grid index: (last + 1, B, d)
+    for a chain, (last + 1, 2B, d) for a pair, its coarse rows first."""
+    states = []
+
+    def visit(engine, level, lo, hi):  # a copy: the engine reuses buffers
+        states.append(np.array(engine.states(level, lo, hi)))
+
+    level = sde._Level(gamma, last, pair,
+                       sde._stream_normals(streams, len(x0)))
     with chunk_cap(cap):
-        chunks = list(sde._chains(model, x0, gamma, n_ticks, normals,
-                                  sde._chunk_steps(len(streams), len(x0)),
-                                  pair, range(len(streams))))
-    return chunks[-1][1]
+        sde._drive(model, x0, [level], range(len(streams)), visit)
+    return np.concatenate(states)
 
 
 @PROPERTY
@@ -104,10 +111,10 @@ def test_chunk_layout_changes_no_state_and_only_rounds_window_sums(
     gamma, tau, t = 0.25, 1.0, 12.0
     streams = lambda: [NoiseStream(seed, 1, run_index=i)
                        for i in range(n_runs)]
-    finals = [final_states(model, x0, gamma, 40, streams(), pair, cap)
-              for cap in (cap_a, cap_b)]
-    for a, b in zip(*finals):
-        assert a.tobytes() == b.tobytes()
+    paths = [trajectory(model, x0, gamma, 40, streams(), pair, cap)
+             for cap in (cap_a, cap_b)]
+    assert paths[0].shape == (41, (2 if pair else 1) * n_runs, d)
+    assert paths[0].tobytes() == paths[1].tobytes()
     kernel = sde._run_coupled_batch if pair else sde._run_level0_batch
     sums = []
     for cap in (cap_a, cap_b):
@@ -118,20 +125,27 @@ def test_chunk_layout_changes_no_state_and_only_rounds_window_sums(
     np.testing.assert_allclose(sums[0], sums[1], rtol=1e-15, atol=1e-15)
 
 
-def coupled_reference(model, x0, gamma, tau, t, f, stream, chunk):
-    """One run's coupled window average from euler_step fine/coarse loops.
+def window_reference(model, x0, gamma, tau, t, f, stream, chunk, pair):
+    """One run's window average from euler_step loops: a chain at step
+    gamma, or fine/coarse chains whose values f(fine) - f(coarse) are read
+    on the coarse grid.
 
-    The window values f(fine) - f(coarse) on the coarse grid are summed in
-    the engine's layout: a pairwise sum per chunk of ``chunk`` ticks, the
-    final index alone, and a compensated merge across those sums.
+    The values are summed in the engine's layout: a pairwise sum per block
+    of ``chunk`` grid indices, the final index alone, and a compensated
+    merge across those sums.
     """
-    k0, k1 = sde.n_gamma(tau, 2 * gamma), sde.n_gamma(t, 2 * gamma)
+    grid = 2 * gamma if pair else gamma
+    k0, k1 = sde.n_gamma(tau, grid), sde.n_gamma(t, grid)
     fine, coarse = PathState(x0, 0, gamma), PathState(x0, 0, 2 * gamma)
     values = []
     for k in range(k1):
-        values.append(f(fine.position[None])[0] - f(coarse.position[None])[0])
+        value = f(fine.position[None])[0]
+        values.append(value - f(coarse.position[None])[0] if pair else value)
         if k == k1 - 1:
             break
+        if not pair:
+            fine = euler_step(model, fine, stream.standard_normal(len(x0)))
+            continue
         g = stream.standard_normal((2, len(x0)))
         fine = euler_step(model, fine, g[0])
         fine = euler_step(model, fine, g[1])
@@ -148,21 +162,69 @@ def coupled_reference(model, x0, gamma, tau, t, f, stream, chunk):
     return acc.total() / (k1 - k0)
 
 
+def check_window_average(kind, d, pair, n_runs, cap, seed, obs):
+    model, x0 = make_model(kind, d), start(d, seed)
+    gamma, tau, t = 0.25, 1.5, 12.0
+    streams = [NoiseStream(seed, 1, run_index=i) for i in range(n_runs)]
+    kernel = sde._run_coupled_batch if pair else sde._run_level0_batch
+    with chunk_cap(cap):
+        avg, _ = kernel(model, x0, gamma, tau, t, obs(), streams)
+    for i in range(n_runs):
+        # at these sizes the cap binds: a chunk is ``cap`` ticks
+        expected = window_reference(model, x0, gamma, tau, t, obs(),
+                                    NoiseStream(seed, 1, run_index=i), cap,
+                                    pair)
+        assert avg[i].tobytes() == expected.tobytes()
+
+
 @PROPERTY
 @given(kinds, dims, st.integers(1, 4), caps, seeds, observables)
 def test_coupled_window_average_equals_an_euler_step_loop(
         kind, d, n_runs, cap, seed, obs):
+    check_window_average(kind, d, True, n_runs, cap, seed, obs)
+
+
+@PROPERTY
+@given(kinds, dims, st.integers(1, 4), caps, seeds, observables)
+def test_level0_window_average_equals_an_euler_step_loop(
+        kind, d, n_runs, cap, seed, obs):
+    # a chunk of ``cap`` ticks is two blocks of ``cap`` steps of a chain
+    check_window_average(kind, d, False, n_runs, cap, seed, obs)
+
+
+def fused_plan(d, ratios, tau_share):
+    """Hand-built plan whose horizons fall from 12 by ``ratios``, so level 0
+    or a coupled level may last longest and the levels' tick counts come in
+    any order."""
+    horizons = [12.0]
+    for ratio in ratios:
+        horizons.append(horizons[-1] * ratio)
+    return TuningPlan(regime="b2", gamma0=0.5, horizons=horizons,
+                      tau=horizons[-1] * tau_share, r0=1.0, big_t=12.0, dim=d)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(kinds, dims, st.lists(st.floats(0.45, 0.99), max_size=5),
+       st.integers(1, 4), caps, st.sampled_from([1, 16, 256]),
+       st.sampled_from([0.0, 0.25, 0.5]), seeds, observables)
+def test_fused_levels_equal_their_standalone_runs(
+        kind, d, ratios, n_runs, cap, fuse, tau_share, seed, obs):
+    # one tick loop runs every level here (at most 44 rows) unless the fuse
+    # cap splits them; while the chunk cap binds, grouping changes no bit
     model, x0 = make_model(kind, d), start(d, seed)
-    gamma, tau, t = 0.25, 1.5, 12.0
-    streams = [NoiseStream(seed, 1, run_index=i) for i in range(n_runs)]
-    with chunk_cap(cap):
-        avg, _ = sde._run_coupled_batch(model, x0, gamma, tau, t, obs(),
-                                        streams)
-        chunk = sde._chunk_steps(n_runs, d)
-    for i in range(n_runs):
-        expected = coupled_reference(model, x0, gamma, tau, t, obs(),
-                                     NoiseStream(seed, 1, run_index=i), chunk)
-        assert avg[i].tobytes() == expected.tobytes()
+    plan = fused_plan(d, ratios, tau_share)
+    with chunk_cap(cap), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "_FUSE_ROW_CAP", fuse)
+        runs = estimate_repeated(model, plan, x0, obs(), seed, n_runs)
+        for r in range(plan.R + 1):
+            kernel = run_level0 if r == 0 else run_coupled_level
+            for i, out in enumerate(runs):
+                alone, steps = kernel(model, x0, plan.gamma[r],
+                                      plan.tau_effective, plan.horizons[r],
+                                      obs(), NoiseStream(seed, r, i))
+                assert np.asarray(alone).tobytes() == np.asarray(
+                    out.level_contributions[r]).tobytes()
+                assert steps == out.level_iterations[r]
 
 
 @PROPERTY
@@ -271,6 +333,46 @@ def test_failure_location_is_chunk_layout_invariant(
             while True:
                 state = euler_step(model, state, stream.standard_normal(d))
         assert exc.value.step_index == expected[1]
+
+
+class StepGrowth:
+    """Duck-typed model whose map x <- (1 + 1/(4 step)) x grows faster at a
+    smaller step, so a higher level outgrows level 0 per tick."""
+
+    noise_scale = 1.0
+
+    def __init__(self, d):
+        self.dim = d
+
+    def advance(self, x, step):
+        x *= 1.0 + 0.25 / step
+
+
+@pytest.mark.parametrize("cap", [sde._CHUNK_STEP_CAP, 7, 2, 1])
+def test_lowest_failing_level_wins_over_an_earlier_tick(cap):
+    model, x0 = StepGrowth(2), np.full(2, 1e300)
+    plan = TuningPlan(regime="b2", gamma0=4.0, horizons=[2000.0, 1000.0,
+                                                         500.0],
+                      tau=4.0, r0=1.0, big_t=2000.0, dim=2)
+    obs = identity_observable()
+    with chunk_cap(cap):
+        alone = {}
+        for r in range(3):
+            kernel = run_level0 if r == 0 else run_coupled_level
+            alone[r] = raised(lambda: kernel(
+                model, x0, plan.gamma[r], plan.tau_effective,
+                plan.horizons[r], obs, NoiseStream(1, r, 7)), cap)
+        # level 2 fails first in ticks (two steps of level 0 per tick)
+        assert alone[2][1] < alone[1][1] < alone[0][1] / 2
+        with pytest.raises(NumericalFailureError) as exc:
+            _estimate_batch(model, plan, x0, obs, 1, run_indices=[7, 5])
+    message, step, run = alone[0]
+    assert exc.value.level_index == 0
+    assert (exc.value.step_index, exc.value.run_index) == (step, run) \
+        == (step, 7)
+    assert str(exc.value) == f"level 0: {message}"
+    assert message.startswith(f"non-finite position at step {step} (run 7, "
+                              "gamma=4.0)")
 
 
 OU2 = make_langevin_model(QuadraticPotential(2), "auto")

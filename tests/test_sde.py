@@ -109,6 +109,15 @@ def test_euler_step_shape_mismatch():
         euler_step(OU3, PathState(np.zeros(3), 0, 0.5), np.zeros(4))
 
 
+@pytest.mark.parametrize("step", [-1.0, 0.0, math.nan, math.inf])
+def test_euler_step_rejects_a_bad_step_size(step):
+    with pytest.raises(ValueError) as err:
+        euler_step(OU3, PathState(np.zeros(3), 0, step), np.zeros(3))
+    assert type(err.value) is ValueError
+    assert str(err.value) == (
+        f"step_size must be finite and positive, got {step}")
+
+
 def test_euler_step_rejects_nonfinite_result():
     g = np.array([np.inf, 0.0, 0.0])
     with pytest.raises(NumericalFailureError) as err:
