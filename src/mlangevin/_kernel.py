@@ -1,0 +1,195 @@
+"""The C row maps of the built-in potentials and the engine's C tick loop.
+
+``_kernel.c`` holds the gradient step x <- x - h grad U(x) of
+``QuadraticPotential`` and ``LogisticPerturbedPotential``, one row at a
+time, and a loop that runs a span of ticks of ``sde._Engine`` through the
+same row maps.  ``descend`` serves both potentials' ``descend``, and so
+``euler_step``; ``ticks`` serves the engine.  Each C operation rounds as the
+numpy expression it mirrors, and the logistic dot product sums in numpy's
+pairwise order, so only ``tanh`` (libm's, not numpy's) can round apart from
+the numpy fallback: logistic results agree with it to about 1e-15 relative,
+quadratic ones bit for bit.
+
+The library is built and loaded at first use, never at import: the system
+``cc`` compiles the source with ``_FLAGS`` into a file whose name is a hash
+of the source, the command and the machine, in the user's cache directory
+(``$XDG_CACHE_HOME/mlangevin`` or ``~/.cache/mlangevin``, else a private
+directory under the temporary one).  The build writes a temporary file and
+publishes it with ``os.replace``, so processes that build at once are safe,
+and the compiler's output is captured.  When there is no compiler, the build
+fails or the library does not load, ``lib()`` is None and every caller keeps
+its numpy path.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import os
+import platform
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+QUADRATIC, LOGISTIC = 0, 1
+
+_CC = "cc"
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_UNLOADED = object()
+_lib = _UNLOADED  # the loaded library, None without one; see lib()
+
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_SIGNATURES = {
+    "mlv_descend": (ctypes.c_int, _PTR, _I64, _I64, _PTR, _I64, _PTR, _F64),
+    "mlv_ticks": (ctypes.c_int, _I64, _I64, _I64, _PTR, _PTR, _F64, _PTR,
+                  _F64, _PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _I64,
+                  _I64, _I64, _PTR, _I64),
+}
+
+
+def _private(path: Path) -> bool:
+    """Make the directory ``path`` if it is missing; True when only this
+    user can write to it."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return False
+    return not hasattr(os, "getuid") or (
+        st.st_uid == os.getuid() and not st.st_mode & 0o022)
+
+
+def _cache_dir() -> Path | None:
+    """The first usable cache directory: the user's, else a private one
+    under the temporary directory."""
+    candidates = []
+    try:
+        base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+        candidates.append(Path(base) / "mlangevin")
+    except (RuntimeError, KeyError):  # no home directory
+        pass
+    if hasattr(os, "getuid"):
+        candidates.append(
+            Path(tempfile.gettempdir()) / f"mlangevin-{os.getuid()}")
+    return next((p for p in candidates if p.is_absolute() and _private(p)),
+                None)
+
+
+def _build(cmd: list, target: Path) -> bool:
+    """Compile the source to ``target`` through a temporary file in its
+    directory, which is removed unless it becomes ``target``."""
+    # imported here, as hashlib in _load: every process pays for what the
+    # package imports, and only the first use needs these
+    import subprocess
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so",
+                                   dir=target.parent)
+    except OSError:
+        return False
+    os.close(fd)
+    try:
+        done = subprocess.run([*cmd, "-o", tmp, str(_SOURCE), "-lm"],
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              timeout=300)
+        if done.returncode == 0:
+            os.replace(tmp, target)
+            return True
+        return False
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _load():
+    """Build the library if its file is not cached yet, and load it."""
+    import hashlib
+    cmd = [_CC, *_FLAGS]
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError:
+        return None
+    key = hashlib.sha256(b"\0".join(
+        [source, *(part.encode() for part in cmd),
+         platform.machine().encode(), platform.system().encode()]))
+    cache = _cache_dir()
+    if cache is None:
+        return None
+    target = cache / f"kernel-{key.hexdigest()[:20]}.so"
+    if not target.exists() and not _build(cmd, target):
+        return None
+    try:
+        lib = ctypes.CDLL(str(target))
+        for name, argtypes in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, None
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+def lib():
+    """The loaded library, built and loaded on the first call; None when
+    it cannot be."""
+    global _lib
+    if _lib is _UNLOADED:
+        _lib = _load()
+    return _lib
+
+
+def descend(kind: int, x, h, covariate=None, lam: float = 0.0) -> bool:
+    """The built-in map ``kind`` on ``x`` in place, as ``Potential.descend``
+    takes it: ``x`` float rows (..., d) or a point (d,), ``h`` a float or a
+    column of per-row steps.  False, with ``x`` untouched, when there is no
+    library or the arguments are not of a form the C map takes (the caller
+    then maps with numpy)."""
+    handle = lib()
+    if (handle is None or not isinstance(x, np.ndarray) or x.ndim == 0
+            or x.dtype != np.float64 or not x.flags.writeable
+            or x.size == 0):
+        return False
+    d = x.shape[-1]
+    c = None
+    if kind == LOGISTIC:
+        c = np.ascontiguousarray(covariate, dtype=float)
+        if c.shape != (d,):
+            return False
+    try:
+        step = np.asarray(h, dtype=float)
+        if step.ndim:
+            step = np.broadcast_to(step, x.shape[:-1] + (1,))
+    except (TypeError, ValueError):
+        return False
+    rows = np.ascontiguousarray(x)
+    step_col = np.ascontiguousarray(step).reshape(-1)
+    handle.mlv_descend(kind, rows.ctypes.data, rows.size // d, d,
+                       step_col.ctypes.data, int(step.ndim > 0),
+                       None if c is None else c.ctypes.data, lam)
+    if rows is not x:
+        x[...] = rows
+    return True
+
+
+def ticks(row_map, x, col, hist, call_a, inc_a, call_b, inc_b, chain, mid):
+    """``len(hist)`` engine ticks of the state rows ``x`` (rows, d) in C.
+
+    ``row_map`` is ``(kind, covariate, lam, sigma0^2)``; row r steps by
+    ``col[r] * sigma0^2``.  Per tick j: ``hist[j] = x``; the rows of slice
+    ``call_a`` map and add ``inc_a[j]``; the rows of slice ``chain`` (or
+    none) go to ``mid[j]``; then the rows of ``call_b`` (or none) map and
+    add ``inc_b[j]``.  ``inc_a`` and ``inc_b`` hold all rows of each tick.
+    """
+    kind, c, lam, s2 = row_map
+    b0, b1 = (call_b.start, call_b.stop) if call_b else (0, 0)
+    m0, m1 = (chain.start, chain.stop) if chain else (0, 0)
+    size = x.itemsize
+    lib().mlv_ticks(
+        kind, len(hist), x.shape[0], x.shape[1], x.ctypes.data,
+        col.ctypes.data, s2, None if c is None else c.ctypes.data, lam,
+        hist.ctypes.data, hist.strides[0] // size,
+        call_a.start, call_a.stop, inc_a.ctypes.data,
+        b0, b1, inc_b.ctypes.data, inc_a.strides[0] // size,
+        m0, m1, mid.ctypes.data, mid.strides[0] // size)

@@ -9,10 +9,19 @@ which admits pi as its unique invariant law for any sigma0 > 0.  This module
 defines the potential interface (value, gradient, curvature constants), the
 two built-in benchmark potentials (isotropic quadratic, and a quadratic
 perturbed by a Bayesian logistic-regression likelihood), and the
-``LangevinModel`` wrapper holding the induced drift and noise scale.  The
-Euler engine moves points through ``LangevinModel.advance``, the in-place
-map x <- x + step * b(x), which is ``Potential.descend`` at
-h = step * sigma0^2.
+``LangevinModel`` wrapper holding the induced drift and noise scale.  Points
+move by ``LangevinModel.advance``, the in-place map x <- x + step * b(x),
+which is ``Potential.descend`` at h = step * sigma0^2.
+
+The two built-in potentials map rows in C (``_kernel``): their ``descend``
+calls the C row map, and for a ``LangevinModel`` of theirs the Euler engine
+runs its tick loop in C through the same row map (``_row_map``), without
+calling ``advance``; so ``euler_step`` and the engine still move points
+alike, bit for bit.  The library is compiled with the system ``cc`` at
+first use (never at import) and cached per machine; without a compiler, or
+when the build fails, both keep a numpy path, which gives the same bits for
+the quadratic and agrees to rounding (~1e-15 relative) for the logistic
+potential.
 
 All value/gradient callables accept a single point of shape ``(d,)`` or a
 batch of points of shape ``(..., d)`` and act along the last axis.
@@ -24,6 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _kernel
 
 __all__ = [
     "Potential",
@@ -122,7 +133,8 @@ class QuadraticPotential(Potential):
         return np.asarray(x, dtype=float).copy()
 
     def descend(self, x: np.ndarray, h: float) -> None:
-        x *= 1.0 - h
+        if not _kernel.descend(_kernel.QUADRATIC, x, h):
+            x *= 1.0 - h
 
 
 class LogisticPerturbedPotential(Potential):
@@ -148,7 +160,8 @@ class LogisticPerturbedPotential(Potential):
     ``grad_u1_sup`` for the aggressive-step tuning rule.
 
     ``descend`` takes the sigmoid as (1 + tanh(t/2))/2, which saturates to
-    0 or 1 without overflow, in fewer numpy calls than ``grad``.
+    0 or 1 without overflow, in C where the kernel is built and else in
+    fewer numpy calls than ``grad``.
     """
 
     def __init__(self, dim: int, lam: float, covariate: np.ndarray):
@@ -184,6 +197,8 @@ class LogisticPerturbedPotential(Potential):
 
     def descend(self, x: np.ndarray, h: float) -> None:
         c = self.covariate
+        if _kernel.descend(_kernel.LOGISTIC, x, h, c, self.lam):
+            return
         # keepdims: t stays an array, a valid out= target, for a (d,) point
         t = np.add.reduce(x * c, axis=-1, keepdims=True)
         t *= 0.5
@@ -245,7 +260,8 @@ class LangevinModel:
         s0 = self.sigma0
         return (s0 * s0) * self.potential.l_u
 
-    # the engine calls advance; the benchmark tracer still wraps drift
+    # nothing in the package calls drift (points move by advance, or by the
+    # C loop for the built-in potentials); the benchmark tracer wraps it
     def drift(self, x: np.ndarray) -> np.ndarray:
         """Drift b(x) = -sigma0^2 grad U(x), acting along the last axis."""
         return (-self.sigma0 ** 2) * self.potential.grad(x)
@@ -258,6 +274,27 @@ class LangevinModel:
         float or a (rows, 1) column of per-row steps for rows (rows, d).
         """
         self.potential.descend(x, step * self.sigma0 ** 2)
+
+
+def _row_map(model):
+    """The C row map that ``model.advance`` is, as ``_kernel.ticks`` takes
+    it: ``(kind, covariate, lam, sigma0^2)``.  None without the C library,
+    and for any model but a ``LangevinModel`` whose ``advance`` is not
+    overridden and whose potential's ``descend`` is exactly the quadratic
+    or the logistic one (a subclass that keeps it counts)."""
+    if (not isinstance(model, LangevinModel)
+            or type(model).advance is not LangevinModel.advance
+            or _kernel.lib() is None):
+        return None
+    pot, s2 = model.potential, model.sigma0 ** 2
+    descend = getattr(pot.descend, "__func__", None)
+    if descend is QuadraticPotential.descend:
+        return _kernel.QUADRATIC, None, 0.0, s2
+    if descend is LogisticPerturbedPotential.descend:
+        c = np.ascontiguousarray(pot.covariate, dtype=float)
+        if c.shape == (model.dim,):
+            return _kernel.LOGISTIC, c, pot.lam, s2
+    return None
 
 
 def make_langevin_model(potential: Potential,

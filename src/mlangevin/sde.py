@@ -16,31 +16,42 @@ is one coarse step of every coupled level and two steps of the level-0
 chain.  The state is one (rows, d) array laid out ``[C_m .. C_1 | L0 | F_1
 .. F_m]``: the pairs' coarse rows, the chain, the pairs' fine rows, with the
 pairs sorted by tick count so that the longest sit next to the chain.  Each
-tick makes two ``model.advance`` calls, each on one contiguous slice with a
-(rows, 1) column of per-row steps: A on the chain and the active fine rows
-(their first step), B on the active coarse rows, the chain and the active
-fine rows.  A level retires by leaving both slices.  The engine checks the
-start point (shape (d,) or (B, d), finite), turns standard normals into the
-Euler increments, and reads the first non-finite step and run of a failure
-from its records; the lowest failing level's earliest failure wins.
-
-Grouping: levels share a tick loop while the group's rows stay within
-``_FUSE_ROW_CAP`` (256) rows; wider levels run alone.  Fusion saves map
-calls, each with a fixed cost, and a step column costs more than a scalar
-step on many rows (a slice wider than the cap is mapped per run of rows
-with one step).  So 20 runs of R = 5 (220 rows) share one loop, while 200
-runs run level by level.
+tick maps and moves two contiguous slices, each row by its own step: A the
+chain and the active fine rows (their first step), B the active coarse
+rows, the chain and the active fine rows.  A level retires by leaving both
+slices.  The engine checks the start point (shape (d,) or (B, d), finite),
+turns standard normals into the Euler increments, and reads the first
+non-finite step and run of a failure from its records; the lowest failing
+level's earliest failure wins.
 
 The drift enters only through the model's in-place Euler map
 ``model.advance(x, step)``, x <- x + step * b(x), with ``step`` a float or
 a (rows, 1) column; with ``dim`` and ``noise_scale`` it is all the engine
 asks of a model.  ``LangevinModel`` maps through ``Potential.descend``,
-which each built-in potential overrides with a few row-wise numpy calls and
-which falls back to ``Potential.grad`` for a user potential.  A column
-multiply gives each row the bits of a multiply by its own float step.
+which falls back to ``Potential.grad`` for a user potential.  The two
+built-in potentials, ``QuadraticPotential`` and
+``LogisticPerturbedPotential``, map rows in C (``_kernel``): for a
+``LangevinModel`` whose potential's ``descend`` is one of theirs, the engine
+runs each span of ticks between level events in one C call, with no
+``advance`` call at all.  Any other model -- a user potential, a subclass
+with its own ``descend``, a model with its own ``advance`` -- and every
+model where the C library cannot be built, ticks in Python with two
+``advance`` calls per tick.  Both paths give each row the bits of a map by
+its own float step.
 
 ``euler_step`` is the single-step reference the engine matches bit for bit:
-it takes the same map, then adds the same scaled increment.
+it takes the same map (the built-in ``descend`` calls the same C row map as
+the engine's C loop), then adds the same scaled increment.
+
+Grouping: levels share a tick loop while the group's rows stay within
+``_FUSE_ROW_CAP`` (256) rows; wider levels run alone.  A chunk's buffers
+hold all of a group's rows, so a wider group takes fewer ticks per chunk,
+and each run draws its noise once per level and chunk: the cap bounds the
+chunk's shrinkage and the count of noise calls.  On the Python path fusion
+also saves ``advance`` calls, each with a fixed cost, where a step column
+costs more than a scalar step on many rows (a slice wider than the cap is
+mapped per run of rows with one step).  So 20 runs of R = 5 (220 rows)
+share one loop, while 200 runs run level by level.
 
 An observable is any function f acting along the last axis, as
 ``Potential.grad`` does: it maps a batch of path points (N, d) to values of
@@ -88,6 +99,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from . import _kernel
+from .model import _row_map
 
 __all__ = [
     "NoiseStream",
@@ -357,9 +371,9 @@ class _Level:
 def _groups(levels, bsz):
     """Split ``levels``, in order, into groups that one tick loop runs: a
     pair joins the group before it while the group's rows stay within
-    ``_FUSE_ROW_CAP`` (B rows per chain, 2B per pair).  Fusing saves map
-    calls, each with a fixed cost, but a step column costs more than a
-    scalar step on many rows, so wide levels run alone."""
+    ``_FUSE_ROW_CAP`` (B rows per chain, 2B per pair).  Fusing saves
+    calls, each with a fixed cost, but a wider group takes shorter chunks
+    and so more noise calls; wide levels run alone."""
     groups, rows = [], 0
     for lvl in levels:
         width = (2 if lvl.pair else 1) * bsz
@@ -380,14 +394,19 @@ class _Engine:
     rows of the pairs, B rows per block, with the pairs sorted by tick
     count so that the longest sit next to the chain.  Every block starts at
     ``x0``, (d,) or (B, d); any other shape, or a non-finite value, is a
-    ValueError raised before any step.  A tick is two ``model.advance``
-    calls, each on one contiguous slice with a per-row step column (a float
-    where the slice has one step; a slice of more than ``_FUSE_ROW_CAP``
-    rows is mapped per run of rows with one step):
+    ValueError raised before any step.  A tick maps two contiguous slices,
+    each row by its own step, and adds their increments:
 
     * A: the chain and the active fine rows, their first step;
     * B: the active coarse rows, the chain and the active fine rows (the
       coarse step, the chain's second step, the fine second step).
+
+    For the built-in potentials (see ``model._row_map``) one C call
+    (``_kernel.ticks``) runs a whole span of ticks between level events.
+    Otherwise ``_loop`` ticks in Python with two ``model.advance`` calls,
+    each on one slice with a per-row step column (a float where the slice
+    has one step; a slice of more than ``_FUSE_ROW_CAP`` rows is mapped per
+    run of rows with one step).
 
     A pair retires after ``ticks`` by leaving both slices, so its rows hold
     its last state.  A chain that ends before a pair rides along in call B
@@ -534,6 +553,7 @@ class _Engine:
         events = {lvl.ticks for lvl in self.pairs}
         if self.chain is not None:
             events |= {self.chain.last // 2, self.chain.ticks}
+        row_map = _row_map(model)
         ok = True
         for k in range(0, total, c):
             n = min(c, total - k)
@@ -542,11 +562,18 @@ class _Engine:
             for t0, t1 in zip(edges, edges[1:]):
                 a, b, record = self._calls(t0)
                 j0, j1 = t0 - k, t1 - k
+                chain = self.chain.rows if record else None
+                if row_map is not None:
+                    _kernel.ticks(row_map, x, self.col, hist[j0:j1], a,
+                                  inc[2 * j0:2 * j1:2], b,
+                                  inc[2 * j0 + 1:2 * j1:2], chain,
+                                  mid[j0:j1])
+                    continue
                 self._loop(model.advance, x, hist[j0:j1],
                            (self._maps(a), x[a], inc[2 * j0:2 * j1:2, a]),
                            b and (self._maps(b), x[b],
                                   inc[2 * j0 + 1:2 * j1:2, b]),
-                           record and (x[self.chain.rows], mid[j0:j1]))
+                           chain and (x[chain], mid[j0:j1]))
             ok = ok and bool(np.isfinite(x).all())
             self.k, self.hist, self.mid = k, hist[:n], mid[:n]
             self.flat = None if both is None else both[:n].reshape(
