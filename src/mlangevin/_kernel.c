@@ -12,7 +12,11 @@
  *
  * mlv_descend is Potential.descend of both on C-ordered rows, and
  * mlv_ticks runs a span of ticks of sde._Engine through the same row maps,
- * so euler_step and the engine move points alike, bit for bit.
+ * so euler_step and the engine move points alike, bit for bit.  mlv_ticks
+ * also turns the raw standard normals into the Euler increments, as it
+ * adds them: g * scale on a chain or fine row, ((g1 + g2) * (1 / sqrt 2))
+ * * scale on a coarse row, from the two normals of its fine row, each
+ * operation rounded alone as in numpy; no increment is stored.
  */
 
 #include <math.h>
@@ -82,43 +86,60 @@ void mlv_descend(int kind, double *x, int64_t rows, int64_t d,
         map_row(kind, x + r * d, d, h[r * h_step], c, lam);
 }
 
-/* Rows [r0, r1) of x take the step col[r] * s2 and then the increment
- * inc[r]. */
+/* Rows [r0, r1) of x take the step col[r] * s2 and then their increment
+ * at fine step q of the chunk: row r's standard normals start at g[r], one
+ * fine step every g_step[r] doubles, and scale[r] scales them.  A row below
+ * lo is a coarse row, which reads its fine row's normals: its increment is
+ * ((g1 + g2) * (1 / sqrt 2)) * scale[r] of fine steps q - 1 and q. */
 static void advance_rows(int kind, double *x, int64_t d, const double *col,
                          double s2, const double *c, double lam, int64_t r0,
-                         int64_t r1, const double *inc)
+                         int64_t r1, const double *const *g,
+                         const int64_t *g_step, const double *scale,
+                         int64_t lo, int64_t q)
 {
+    const double inv_sqrt2 = 1.0 / sqrt(2.0);
     for (int64_t r = r0; r < r1; r++) {
         double *xr = x + r * d;
-        const double *g = inc + r * d;
+        double s = scale[r];
         map_row(kind, xr, d, col[r] * s2, c, lam);
-        for (int64_t i = 0; i < d; i++)
-            xr[i] += g[i];
+        if (r < lo) {
+            const double *g1 = g[r] + (q - 1) * g_step[r];
+            const double *g2 = g1 + g_step[r];
+            for (int64_t i = 0; i < d; i++)
+                xr[i] += ((g1[i] + g2[i]) * inv_sqrt2) * s;
+        } else {
+            const double *gr = g[r] + q * g_step[r];
+            for (int64_t i = 0; i < d; i++)
+                xr[i] += gr[i] * s;
+        }
     }
 }
 
-/* n ticks of the engine's state x, (rows, d).  Tick j copies x to hist +
- * j * hist_step, advances call A's rows [a0, a1) by the increments at
- * inc_a + j * inc_step, copies the chain's rows [m0, m1) to mid + j *
- * mid_step, then advances call B's rows [b0, b1) by those at inc_b + j *
- * inc_step.  Strides count doubles; each record holds its rows in order,
- * d doubles apart, and the increment records all rows of x. */
+/* n ticks of the engine's state x, (rows, d), ticks j0 .. j0 + n - 1 of
+ * the chunk whose normals g, g_step and scale describe (advance_rows).
+ * Tick j copies x to hist + j * hist_step, advances call A's rows [a0, a1)
+ * by fine step 2 (j0 + j), copies the chain's rows [m0, m1) to mid + j *
+ * mid_step, then advances call B's rows [b0, b1) by fine step 2 (j0 + j)
+ * + 1, the coarse rows among them by both.  Strides count doubles; each
+ * record holds its rows in order, d doubles apart. */
 void mlv_ticks(int kind, int64_t n, int64_t rows, int64_t d, double *x,
                const double *col, double s2, const double *c, double lam,
                double *hist, int64_t hist_step,
-               int64_t a0, int64_t a1, const double *inc_a,
-               int64_t b0, int64_t b1, const double *inc_b, int64_t inc_step,
+               int64_t a0, int64_t a1, int64_t b0, int64_t b1,
+               const double *const *g, const int64_t *g_step,
+               const double *scale, int64_t lo, int64_t j0,
                int64_t m0, int64_t m1, double *mid, int64_t mid_step)
 {
     size_t state = (size_t)(rows * d) * sizeof(double);
     size_t chain = (size_t)((m1 - m0) * d) * sizeof(double);
     for (int64_t j = 0; j < n; j++) {
+        int64_t q = 2 * (j0 + j);
         memcpy(hist + j * hist_step, x, state);
-        advance_rows(kind, x, d, col, s2, c, lam, a0, a1,
-                     inc_a + j * inc_step);
+        advance_rows(kind, x, d, col, s2, c, lam, a0, a1, g, g_step, scale,
+                     lo, q);
         if (chain)
             memcpy(mid + j * mid_step, x + m0 * d, chain);
-        advance_rows(kind, x, d, col, s2, c, lam, b0, b1,
-                     inc_b + j * inc_step);
+        advance_rows(kind, x, d, col, s2, c, lam, b0, b1, g, g_step, scale,
+                     lo, q + 1);
     }
 }

@@ -1,13 +1,14 @@
 """The C row maps of the built-in potentials and the engine's C tick loop.
 
 ``_kernel.c`` holds the gradient step x <- x - h grad U(x) of
-``QuadraticPotential`` and ``LogisticPerturbedPotential``, one row at a
-time, and a loop that runs a span of ticks of ``sde._Engine`` through the
-same row maps.  ``descend`` serves both potentials' ``descend``, and so
+``QuadraticPotential`` and ``LogisticPerturbedPotential``, one row at a time,
+and a loop that runs a span of ticks of ``sde._Engine`` through the same row
+maps, scaling each row's raw standard normals into its Euler increment as it
+adds them.  ``descend`` serves both potentials' ``descend``, and so
 ``euler_step``; ``ticks`` serves the engine.  Each C operation rounds as the
 numpy expression it mirrors, and the logistic dot product sums in numpy's
-pairwise order, so only ``tanh`` (libm's, not numpy's) can round apart from
-the numpy fallback: logistic results agree with it to about 1e-15 relative,
+pairwise order, so only ``tanh`` (libm's, not numpy's) can round apart from the
+numpy fallback: logistic results agree with it to about 1e-15 relative,
 quadratic ones bit for bit.
 
 The library is built and loaded at first use, never at import: the system
@@ -44,8 +45,8 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "mlv_descend": (ctypes.c_int, _PTR, _I64, _I64, _PTR, _I64, _PTR, _F64),
     "mlv_ticks": (ctypes.c_int, _I64, _I64, _I64, _PTR, _PTR, _F64, _PTR,
-                  _F64, _PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _I64,
-                  _I64, _I64, _PTR, _I64),
+                  _F64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR,
+                  _I64, _I64, _I64, _I64, _PTR, _I64),
 }
 
 
@@ -173,16 +174,21 @@ def descend(kind: int, x, h, covariate=None, lam: float = 0.0) -> bool:
     return True
 
 
-def ticks(row_map, x, col, hist, call_a, inc_a, call_b, inc_b, chain, mid):
+def ticks(row_map, x, col, hist, call_a, call_b, noise, j0, chain, mid):
     """``len(hist)`` engine ticks of the state rows ``x`` (rows, d) in C.
 
     ``row_map`` is ``(kind, covariate, lam, sigma0^2)``; row r steps by
-    ``col[r] * sigma0^2``.  Per tick j: ``hist[j] = x``; the rows of slice
-    ``call_a`` map and add ``inc_a[j]``; the rows of slice ``chain`` (or
-    none) go to ``mid[j]``; then the rows of ``call_b`` (or none) map and
-    add ``inc_b[j]``.  ``inc_a`` and ``inc_b`` hold all rows of each tick.
+    ``col[r] * sigma0^2``.  ``noise`` is ``(g, g_step, scale, lo)``: row
+    r's standard normals start at address ``g[r]`` (a uintp array), one fine
+    step every ``g_step[r]`` doubles (int64), scaled by ``scale[r]``; rows
+    below ``lo`` are coarse and read two fine steps.  The ticks are ticks
+    ``j0 ..`` of the chunk.  Per tick j: ``hist[j] = x``; the rows of slice
+    ``call_a`` map and add fine step 2 (j0 + j); the rows of slice ``chain``
+    (or none) go to ``mid[j]``; then the rows of ``call_b`` (or none) map
+    and add fine step 2 (j0 + j) + 1.
     """
     kind, c, lam, s2 = row_map
+    g, g_step, scale, lo = noise
     b0, b1 = (call_b.start, call_b.stop) if call_b else (0, 0)
     m0, m1 = (chain.start, chain.stop) if chain else (0, 0)
     size = x.itemsize
@@ -190,6 +196,6 @@ def ticks(row_map, x, col, hist, call_a, inc_a, call_b, inc_b, chain, mid):
         kind, len(hist), x.shape[0], x.shape[1], x.ctypes.data,
         col.ctypes.data, s2, None if c is None else c.ctypes.data, lam,
         hist.ctypes.data, hist.strides[0] // size,
-        call_a.start, call_a.stop, inc_a.ctypes.data,
-        b0, b1, inc_b.ctypes.data, inc_a.strides[0] // size,
-        m0, m1, mid.ctypes.data, mid.strides[0] // size)
+        call_a.start, call_a.stop, b0, b1, g.ctypes.data, g_step.ctypes.data,
+        scale.ctypes.data, lo, j0, m0, m1, mid.ctypes.data,
+        mid.strides[0] // size)

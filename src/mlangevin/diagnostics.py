@@ -301,23 +301,19 @@ def contraction_probe(
     _check_probe_step(model, gamma)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    d = model.dim
-    stream = NoiseStream(seed, 0)
     distances = []
 
     def visit(engine, level, lo, hi):
         rows = engine.states(level, lo, hi)
-        distances.extend(float(np.linalg.norm(v))
-                         for v in rows[:, 0] - rows[:, 1])
+        v = rows[:, 0] - rows[:, 1]
+        # per row sqrt(v . v), a dot product as np.linalg.norm takes it
+        distances.extend(np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+                         .tolist())
 
     # rows x and y (at least 1-d, so two numbers are never read as one
     # (d,) point for both rows); one draw per step, shared by both rows
     rows = (np.atleast_1d(x), np.atleast_1d(y))
-
-    def normals(out, steps):
-        out[:steps] = stream.standard_normal((steps, 1, d))
-
-    chain = _Level(gamma, n_steps, False, normals)
+    chain = _Level(gamma, n_steps, False, [NoiseStream(seed, 0)], width=1)
     _drive(model, rows, [chain], range(2), visit)
     return distances
 
@@ -325,7 +321,7 @@ def contraction_probe(
 def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
                 n_paths: int, stream: NoiseStream, x0) -> float:
     """Monte-Carlo sup over coarse grid times of E|fine - coarse|^2."""
-    d, p = model.dim, n_paths
+    p = n_paths
     sup = 0.0
 
     def visit(engine, level, lo, hi):
@@ -335,11 +331,8 @@ def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
         gap *= gap
         sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))
 
-    def normals(out, steps):
-        out[:steps] = stream.standard_normal((steps, p, d))
-
     pair = _Level(gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse), True,
-                  normals)
+                  [stream], width=p)
     # one draw per chunk, so a short chunk costs no calls: half the
     # estimator's budget keeps the 2 n_paths rows' buffers near 16 MB
     _drive(model, x0, [pair], range(p), visit, _CHUNK_ELEMENT_TARGET // 2)

@@ -173,8 +173,8 @@ def _estimate_batch(
             f"plan dimension {plan.dim} does not match model dimension {model.dim}")
 
     levels, steps = zip(*(
-        _window_level(model.dim, plan.gamma[r], plan.tau_effective,
-                      plan.horizons[r], r > 0,
+        _window_level(plan.gamma[r], plan.tau_effective, plan.horizons[r],
+                      r > 0,
                       [NoiseStream(master_seed, r, run_index=idx)
                        for idx in run_indices], label=r)
         for r in range(plan.R + 1)))

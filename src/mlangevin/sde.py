@@ -20,9 +20,9 @@ tick maps and moves two contiguous slices, each row by its own step: A the
 chain and the active fine rows (their first step), B the active coarse
 rows, the chain and the active fine rows.  A level retires by leaving both
 slices.  The engine checks the start point (shape (d,) or (B, d), finite),
-turns standard normals into the Euler increments, and reads the first
-non-finite step and run of a failure from its records; the lowest failing
-level's earliest failure wins.
+draws the standard normals and turns them into the Euler increments, and
+reads the first non-finite step and run of a failure from its records;
+the lowest failing level's earliest failure wins.
 
 The drift enters only through the model's in-place Euler map
 ``model.advance(x, step)``, x <- x + step * b(x), with ``step`` a float or
@@ -67,20 +67,26 @@ Sampling windows use the grid-index rule ``n_gamma(t) = max{k : k*gamma <= t}``
 with the average taken over indices ``k in [n_gamma(tau), n_gamma(T) - 1]``;
 no interpolation or border-weight modification is applied at window edges.
 
-Randomness comes from ``NoiseStream``, a counter-based (Philox) generator
-keyed by ``(master_seed, level_index, run_index)`` through a fixed, documented
-mixing rule, so every trajectory is bit-reproducible across platforms, chunk
-sizes, groupings and batch layouts.  Batches of independent runs advance
-together as rows; every per-run operation acts elementwise or along the last
-axis only, so batched trajectories are bit-identical to one-run-at-a-time
-execution.
+Randomness comes from ``NoiseStream``, a counter-based (Philox) generator keyed
+by ``(master_seed, level_index, run_index)`` through a fixed, documented mixing
+rule, so every trajectory is bit-reproducible across platforms, chunk sizes,
+groupings, batch layouts and core counts.  Each stream draws raw standard
+normals straight into its level's buffer, a contiguous slice per chunk
+(``standard_normal(out=...)``), and the C tick loop scales them as it adds them
+(``_Engine``).  A chunk's draws, one job per run's stream (or per shared
+stream), run on the process's cores (``_run_draws``): numpy fills an array
+without the GIL, and each job fills its own slice from its own stream, so no
+byte depends on the core count.  There is no setting.  Batches of independent
+runs advance together as rows; every per-run operation acts elementwise or
+along the last axis only, so batched trajectories are bit-identical to
+one-run-at-a-time execution.
 
 Window sums are accumulated chunkwise, with a contiguous per-run pairwise
 reduction per block and a Neumaier-compensated merge across blocks, so
 averages over 10^7+ terms keep near-full precision.  The engine advances
 c ticks per chunk, with c sized from the group's rows: the history, the
-chain's mid-tick states and both increment buffers hold about
-``_CHUNK_ELEMENT_TARGET`` elements, at most ``_CHUNK_STEP_CAP`` (4096)
+chain's mid-tick states and two increment buffers of all rows would hold
+about ``_CHUNK_ELEMENT_TARGET`` elements, at most ``_CHUNK_STEP_CAP`` (4096)
 ticks.  Each level keeps its own grid of blocks of c indices (level 0 two
 blocks of c steps per chunk), its last index alone, so its contribution
 depends on c alone.  The cap binds while (3 rows + B0) * d <= 976 (B0 = B
@@ -95,6 +101,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -115,11 +122,14 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# A chunk's buffers (history, the chain's mid-tick states and both
-# increment buffers) hold about this many elements, in at most this many
-# ticks; while the cap binds, the chunk layout -- and therefore the
-# floating-point grouping of window sums -- is the same for every group.
-# Each run draws once per level and chunk, so a shorter chunk costs calls.
+# A chunk's buffers hold about this many elements, in at most this many
+# ticks.  The count is the history, the chain's mid-tick states and two
+# increment buffers of all rows: more than the raw normals that the C path
+# keeps (one fine row per run and step, none for coarse rows), on purpose,
+# so that the chunk -- and therefore the floating-point grouping of window
+# sums -- stays what it was; while the cap binds it is the same for every
+# group.  Each run draws once per level and chunk, so a shorter chunk costs
+# calls.
 _CHUNK_ELEMENT_TARGET = 4_000_000
 _CHUNK_STEP_CAP = 4096
 # Levels share one tick loop while their rows stay this narrow; see _groups.
@@ -187,9 +197,20 @@ class NoiseStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     # every draw goes through here: the benchmark tracer counts it
-    def standard_normal(self, shape) -> np.ndarray:
-        """Draw standard normals; mirrors ``numpy.random.Generator``."""
-        return self._gen.standard_normal(shape)
+    def standard_normal(self, shape=None, out=None):
+        """Draw standard normals; mirrors ``numpy.random.Generator``.
+
+        Returns a new array of ``shape`` (a float when both are None), or
+        fills ``out`` and returns it.  ``out`` must be a C-contiguous,
+        writable float64 array, of shape ``shape`` when both are given;
+        otherwise it is a ValueError (a TypeError for another dtype).  The
+        stream advances the same way either way, so draws into consecutive
+        slices equal one shaped draw.
+        """
+        # numpy fills an F-ordered out in memory order: not a shaped draw
+        if isinstance(out, np.ndarray) and not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous array")
+        return self._gen.standard_normal(shape, out=out)
 
 
 @dataclass
@@ -347,22 +368,88 @@ def _quiet_overflow(fn):
     return wrapper
 
 
+# The draw's threads, as (count, executor), made at the first draw that
+# spreads (_run_draws) and forgotten in a forked child, which has none.
+_pool = None
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _workers() -> int:
+    """The draw's worker count: the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def _run_all(jobs):
+    """Run ``jobs`` in order, then drop them: a pool thread holds its last
+    task until it takes the next one, and the jobs hold their buffers."""
+    try:
+        for job in jobs:
+            job()
+    finally:
+        jobs.clear()
+
+
+def _run_draws(jobs):
+    """Run a chunk's draw jobs on up to ``_workers()`` threads, this one
+    among them, one share of every n-th job each.  numpy fills an array
+    from a Philox stream without the GIL, and each job fills its own slice
+    from its own stream, so the bits depend neither on the worker count nor
+    on the schedule.  With one worker or one job the draws run here.  Once
+    every share has ended, the first exception raised is raised again."""
+    global _pool
+    n = min(_workers(), len(jobs))
+    if n <= 1:
+        _run_all(jobs)
+        return
+    size, pool = _pool or (0, None)
+    if size < n - 1:
+        # imported here: the package starts no thread and imports no pool.
+        # A smaller pool is dropped, not shut down: a caller on another
+        # thread may still hold it, and its threads end once it is freed.
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(n - 1, thread_name_prefix="mlangevin-draw")
+        _pool = (n - 1, pool)
+    futures = [pool.submit(_run_all, jobs[w::n]) for w in range(1, n)]
+    try:
+        _run_all(jobs[0::n])
+    finally:
+        errors = [f.exception() for f in futures]  # waits for every share
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 class _Level:
     """One level of a group: a chain at step ``gamma`` or, with ``pair``, a
     synchronously coupled fine (step ``gamma``) / coarse (``2 * gamma``)
     pair, visiting grid indices 0..``last`` of its grid (steps of a chain,
     coarse steps of a pair).
 
-    ``normals(out, steps)`` writes the standard normals of the next
-    ``steps`` fine steps (two per tick) into ``out[:steps]``, each (B, d).
-    ``k0`` is the first index of its averaging window, ``acc`` its
-    compensated window sum, and ``label`` the estimator level that a
-    failure names (None elsewhere).
+    Its standard normals, two fine steps per tick, come from ``streams``:
+    one ``NoiseStream`` per run, run b drawing (steps, d) from
+    ``streams[b]``; or, with ``width``, one stream that all runs share,
+    drawing (steps, width, d), run b reading column b % width.  ``k0`` is
+    the first index of its averaging window, ``acc`` its compensated
+    window sum, and ``label`` the estimator level that a failure names
+    (None elsewhere).
     """
 
-    def __init__(self, gamma, last, pair, normals, k0=0, label=None):
+    def __init__(self, gamma, last, pair, streams, k0=0, label=None,
+                 width=None):
         self.gamma, self.last, self.pair = float(gamma), last, pair
-        self.normals, self.k0, self.label = normals, k0, label
+        self.streams, self.width = list(streams), width
+        self.k0, self.label = k0, label
         # a tick is two steps of a chain and one coarse step of a pair
         self.ticks = last if pair else (last + 1) // 2
         self.rows = self.coarse = self.acc = None
@@ -411,20 +498,30 @@ class _Engine:
     A pair retires after ``ticks`` by leaving both slices, so its rows hold
     its last state.  A chain that ends before a pair rides along in call B
     with zero increments, its states unread.  The model needs only
-    ``dim``, ``noise_scale`` and ``advance``.  Fine steps take
-    noise_scale * sqrt(gamma) * g[:, s], the coarse step noise_scale *
-    sqrt(2 gamma) * (g[:, 0] + g[:, 1]) / sqrt(2), so both ride one
-    Brownian path; euler_step's arithmetic, bit for bit.  The increments
-    of call A and call B sit in one buffer, fine step 2j + s of tick j at
-    row 2j + s, so a level's draws land in order.
+    ``dim``, ``noise_scale`` and ``advance``.
+
+    The engine draws standard normals and turns them into the Euler
+    increments.  Each level draws into its own raw buffer for the group,
+    fine step 2j + s of tick j at index 2j + s, in its stream's own order:
+    run-major (B, 2c, d) for one stream per run, so that each run's draw
+    is one contiguous slice, tick-major (2c, width, d) for a shared one.
+    Fine steps take noise_scale * sqrt(gamma) * g, the coarse step
+    noise_scale * sqrt(2 gamma) * ((g1 + g2) * (1 / sqrt(2))) of the two
+    fine normals it spans, so both ride one Brownian path; euler_step's
+    arithmetic, bit for bit.  The C loop reads each row's normals through
+    a per-row table (``_table``) and scales them as it adds them, storing
+    no increment; ``_loop`` reads the same scaled increments, which
+    ``_increments`` builds from the raw buffers per chunk.  The buffers
+    are freed when the group ends.
 
     ``chunks`` advances ``chunk`` ticks at a time and, after each chunk,
     holds its records in ``k`` (first tick), ``hist`` (the state at the
     start of each tick) and ``mid`` (the chain after call A), then a last
     one-tick record of the final state.  ``states`` reads one level's states
     from them by grid index.  ``chunk`` is sized from the group's rows: the
-    history, ``mid`` and both increment buffers stay near ``budget``
-    elements, and never above ``_CHUNK_STEP_CAP`` ticks.
+    history, ``mid`` and two increment buffers of all rows would hold about
+    ``budget`` elements (the raw normals hold fewer), and never above
+    ``_CHUNK_STEP_CAP`` ticks.
     """
 
     def __init__(self, model, x0, levels, bsz, budget):
@@ -456,10 +553,14 @@ class _Engine:
         self.x = np.array(np.broadcast_to(x, (rows // bsz, bsz, d)),
                           order="C").reshape(rows, d)
         self.col = np.empty((rows, 1))
+        self.scale = np.empty(rows)  # of each row's standard normals
         for lvl in levels:
             self.col[lvl.rows] = lvl.gamma
+            self.scale[lvl.rows] = model.noise_scale * math.sqrt(lvl.gamma)
             if lvl.pair:
                 self.col[lvl.coarse] = 2.0 * lvl.gamma
+                self.scale[lvl.coarse] = model.noise_scale * math.sqrt(
+                    2.0 * lvl.gamma)
         units = rows + b0 + 2 * rows  # hist, mid and the increments
         self.chunk = max(1, min(_CHUNK_STEP_CAP, budget // (units * d)))
 
@@ -490,27 +591,67 @@ class _Engine:
             call_b = slice(lo, hi)
         return call_a, call_b, record
 
-    def _draw(self, model, k, n, inc):
-        """Fill the scaled increments of ticks [k, k + n): those of call A
-        at ``inc[2j]``, of call B at ``inc[2j + 1]``."""
-        chain = self.chain
-        if chain is not None:
-            s = min(max(chain.last - 2 * k, 0), 2 * n)  # its steps here
-            steps = inc[:2 * n, chain.rows]
-            steps[s:] = 0.0  # call B may carry it past its end
-            if s:
-                chain.normals(steps, s)
-                steps *= model.noise_scale * math.sqrt(chain.gamma)
-        for lvl in self.pairs:
-            u = min(max(lvl.last - k, 0), n)
-            if not u:
+    def _buffer(self, lvl, steps):
+        """A raw buffer of ``steps`` fine steps of ``lvl``'s normals, as a
+        tick-major view (steps, width, d): one stream per run lies
+        run-major, so that each run's draw is one contiguous slice."""
+        d = self.x.shape[1]
+        if lvl.width is None:
+            return np.empty((self.bsz, steps, d)).transpose(1, 0, 2)
+        return np.empty((steps, lvl.width, d))
+
+    def _table(self, raw):
+        """The per-row noise table of ``_kernel.ticks``: each row's first
+        normal in ``raw`` (a coarse row's is its fine row's), its stride
+        per fine step, its scale, and the first row that is not coarse."""
+        g = np.empty(len(self.x), dtype=np.uintp)
+        g_step = np.empty(len(self.x), dtype=np.int64)
+        for lvl, buf in zip(self.levels, raw):
+            first = buf.ctypes.data + np.arange(self.bsz) % buf.shape[1] \
+                * buf.strides[1]
+            for rows in (lvl.rows, lvl.coarse) if lvl.pair else (lvl.rows,):
+                g[rows], g_step[rows] = first, buf.strides[0] // buf.itemsize
+        return g, g_step, self.scale, self.lo
+
+    def _draw(self, k, n, raw):
+        """Draw the standard normals of ticks [k, k + n) into each level's
+        raw buffer, fine step s of the chunk at ``raw[s]``: one job per
+        run's stream, or one per shared stream (``_run_draws``).  Return
+        each level's count of fine steps; past them a chain reads zeros."""
+        jobs, drawn = [], []
+        for lvl, buf in zip(self.levels, raw):
+            if lvl.pair:
+                steps = 2 * min(max(lvl.last - k, 0), n)
+            else:
+                steps = min(max(lvl.last - 2 * k, 0), 2 * n)
+                buf[steps:2 * n] = 0.0  # call B may carry it past its end
+            drawn.append(steps)
+            if not steps:
                 continue
-            fine, coarse = inc[:2 * u, lvl.rows], inc[1:2 * u:2, lvl.coarse]
-            lvl.normals(fine, 2 * u)
-            np.add(fine[0::2], fine[1::2], out=coarse)
+            if lvl.width is not None:
+                jobs.append(functools.partial(lvl.streams[0].standard_normal,
+                                              out=buf[:steps]))
+                continue
+            jobs += [functools.partial(st.standard_normal, out=buf[:steps, b])
+                     for b, st in enumerate(lvl.streams)]
+        _run_draws(jobs)
+        return drawn
+
+    def _increments(self, n, raw, drawn, inc):
+        """The scaled increments of the chunk's n ticks, as the C loop forms
+        them, for ``_loop``: those of call A at ``inc[2j]``, of call B at
+        ``inc[2j + 1]``.  Fine steps take noise_scale * sqrt(gamma) * g,
+        the coarse step noise_scale * sqrt(2 gamma) * (g1 + g2) / sqrt(2)."""
+        for lvl, buf, steps in zip(self.levels, raw, drawn):
+            scale = self.scale[lvl.rows, None]
+            if not lvl.pair:  # with its zeros
+                np.multiply(buf[:2 * n], scale, out=inc[:2 * n, lvl.rows])
+                continue
+            np.multiply(buf[:steps], scale, out=inc[:steps, lvl.rows])
+            coarse = inc[1:steps:2, lvl.coarse]
+            np.add(buf[0:steps:2], buf[1:steps:2], out=coarse)
             coarse *= _INV_SQRT2
-            coarse *= model.noise_scale * math.sqrt(2.0 * lvl.gamma)
-            fine *= model.noise_scale * math.sqrt(lvl.gamma)
+            coarse *= self.scale[lvl.coarse, None]
 
     @staticmethod
     def _loop(advance, x, hist, call_a, call_b, mid):
@@ -549,25 +690,32 @@ class _Engine:
         else:
             both, hist = None, np.empty((size,) + x.shape)
             mid = np.empty((size, self.b0, x.shape[1]))
-        inc = np.empty((2 * size,) + x.shape)
+        # a pair draws no more than its ticks; a chain reads zeros past its
+        # end, while call B carries it
+        raw = [self._buffer(lvl, 2 * (min(size, lvl.ticks) if lvl.pair
+                                      else size)) for lvl in self.levels]
         events = {lvl.ticks for lvl in self.pairs}
         if self.chain is not None:
             events |= {self.chain.last // 2, self.chain.ticks}
         row_map = _row_map(model)
+        if row_map is not None:
+            noise, inc = self._table(raw), None
+        else:
+            inc = np.empty((2 * size,) + x.shape)
         ok = True
         for k in range(0, total, c):
             n = min(c, total - k)
-            self._draw(model, k, n, inc)
+            drawn = self._draw(k, n, raw)
+            if inc is not None:
+                self._increments(n, raw, drawn, inc)
             edges = sorted({k, k + n} | {e for e in events if k < e < k + n})
             for t0, t1 in zip(edges, edges[1:]):
                 a, b, record = self._calls(t0)
                 j0, j1 = t0 - k, t1 - k
                 chain = self.chain.rows if record else None
                 if row_map is not None:
-                    _kernel.ticks(row_map, x, self.col, hist[j0:j1], a,
-                                  inc[2 * j0:2 * j1:2], b,
-                                  inc[2 * j0 + 1:2 * j1:2], chain,
-                                  mid[j0:j1])
+                    _kernel.ticks(row_map, x, self.col, hist[j0:j1], a, b,
+                                  noise, j0, chain, mid[j0:j1])
                     continue
                 self._loop(model.advance, x, hist[j0:j1],
                            (self._maps(a), x[a], inc[2 * j0:2 * j1:2, a]),
@@ -579,6 +727,7 @@ class _Engine:
             self.flat = None if both is None else both[:n].reshape(
                 (2 * n,) + x.shape)
             yield ok
+        raw = noise = inc = None  # the group's noise is spent: free it
         self.k, self.hist, self.mid, self.flat = total, x[None], mid[:0], None
         yield ok
 
@@ -673,17 +822,7 @@ def _position_error(lvl, step, run):
         f"model", step_index=step, run_index=run)
 
 
-def _stream_normals(streams, d):
-    """``normals`` of a level whose row b draws from ``streams[b]``."""
-
-    def normals(out, steps):
-        for b, st in enumerate(streams):
-            out[:steps, b] = st.standard_normal((steps, d))
-
-    return normals
-
-
-def _window_level(d, gamma, tau, t, pair, streams, label=None):
+def _window_level(gamma, tau, t, pair, streams, label=None):
     """A level averaging over grid indices [n(tau), n(T) - 1], and its step
     count: n_gamma(T) for a chain at step gamma, both chains' for a pair,
     whose grid is the coarse one, 2 gamma.  Row b runs on ``streams[b]``.
@@ -696,8 +835,7 @@ def _window_level(d, gamma, tau, t, pair, streams, label=None):
     if k1 - k0 < 1:
         raise ValueError(
             f"empty averaging window: n({t})={k1}, n({tau})={k0} at gamma={grid}")
-    level = _Level(gamma, k1 - 1, pair, _stream_normals(streams, d), k0,
-                   label)
+    level = _Level(gamma, k1 - 1, pair, streams, k0, label)
     return level, fine + k1 if pair else k1
 
 
@@ -735,7 +873,7 @@ def _run_levels(model, x0, levels, f, runs):
 
 def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     """One level alone: its window average per row, and its step count."""
-    level, steps = _window_level(model.dim, gamma, tau, t, pair, streams)
+    level, steps = _window_level(gamma, tau, t, pair, streams)
     runs = [st.run_index for st in streams]
     return _run_levels(model, x0, [level], f, runs)[0], steps
 

@@ -12,12 +12,14 @@ from mlangevin import (
     ConfluenceProbeResult,
     LogisticPerturbedPotential,
     NoiseStream,
+    PathState,
     Potential,
     QuadraticPotential,
     bench,
     confluence_probe,
     contraction_probe,
     euler_invariant_moment_oracle,
+    euler_step,
     logistic_covariate,
     logistic_posterior_mean,
     make_langevin_model,
@@ -105,6 +107,25 @@ def test_contraction_on_logistic_model_respects_the_convexity_envelope():
         assert dist <= d0 * factor ** n + 1e-9
     for before, after in zip(distances, distances[1:]):
         assert after <= before + 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9, 100, 300])
+def test_contraction_distances_are_the_norms_of_an_euler_step_loop(d):
+    cov = logistic_covariate(d, 2.0, NoiseStream(7, 0))
+    model = make_langevin_model(LogisticPerturbedPotential(d, 0.25, cov),
+                                "auto")
+    gamma = model.alpha_eff / (2.0 * model.l_eff ** 2)
+    rng = np.random.default_rng(d)
+    x, y = rng.uniform(-3.0, 3.0, d), rng.uniform(-3.0, 3.0, d)
+    distances = contraction_probe(model, x, y, gamma, 40, seed=d)
+    stream = NoiseStream(d, 0)
+    sx, sy = PathState(x, 0, gamma), PathState(y, 0, gamma)
+    expected = [float(np.linalg.norm(x - y))]
+    for _ in range(40):
+        g = stream.standard_normal(d)
+        sx, sy = euler_step(model, sx, g), euler_step(model, sy, g)
+        expected.append(float(np.linalg.norm(sx.position - sy.position)))
+    assert distances == expected
 
 
 def test_contraction_identical_starts_stay_identical():

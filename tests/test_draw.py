@@ -1,0 +1,204 @@
+"""The engine's noise draw: spread over threads, it keeps every byte.
+
+The engine draws each level's raw standard normals in place, one job per
+(level, run) stream, on ``sde._workers()`` threads.  The worker count is
+the process's cores, not a setting; the tests patch the private function
+to run the same draws on one, two and three workers.
+"""
+
+import gc
+import multiprocessing
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mlangevin
+import mlangevin.sde as sde
+from mlangevin import (
+    NoiseStream,
+    QuadraticPotential,
+    TuningPlan,
+    confluence_probe,
+    contraction_probe,
+    estimate_repeated,
+    identity_observable,
+    logistic_covariate,
+    LogisticPerturbedPotential,
+    make_langevin_model,
+    norm_observable,
+)
+
+
+def ou(d):
+    return make_langevin_model(QuadraticPotential(d), "auto")
+
+
+def logistic(d):
+    cov = logistic_covariate(d, 2.0, NoiseStream(7, 0))
+    return make_langevin_model(LogisticPerturbedPotential(d, 0.25, cov),
+                               "auto")
+
+
+def plan(d, R, t0=8.0):
+    return TuningPlan(regime="b2", gamma0=0.5,
+                      horizons=[t0 * 2.0 ** -r for r in range(R + 1)],
+                      tau=0.25, r0=1.0, big_t=t0, dim=d)
+
+
+def on_workers(monkeypatch, n):
+    monkeypatch.setattr(sde, "_workers", lambda: n)
+
+
+def fused():
+    """20 runs of R = 5 in d = 10: 220 rows, one tick loop."""
+    x0 = np.linspace(-1.0, 1.0, 10)
+    outs = estimate_repeated(logistic(10), plan(10, 5), x0,
+                             identity_observable(), 3, 20)
+    return [o.to_json() for o in outs]
+
+
+def level_by_level():
+    """140 runs of R = 2: a pair's 280 rows exceed the fusion cap."""
+    x0 = np.full(3, 0.5)
+    outs = estimate_repeated(ou(3), plan(3, 2, t0=4.0), x0, norm_observable(),
+                             5, 140)
+    return [o.to_json() for o in outs]
+
+
+def probes():
+    model = ou(3)
+    distances = contraction_probe(model, np.ones(3), np.zeros(3), 0.25, 500,
+                                  seed=2)
+    gaps = confluence_probe(model, 0.25, 20.0, 100, seed=2).sup_gap_sq
+    return distances, gaps
+
+
+def test_the_estimates_fuse_and_split_as_their_names_say():
+    def groups(R, runs):
+        return len(sde._groups(
+            [sde._Level(0.5, 9, r > 0, []) for r in range(R + 1)], runs))
+
+    assert (groups(5, 20), groups(2, 140)) == (1, 3)
+
+
+@pytest.mark.parametrize("run", [fused, level_by_level, probes])
+def test_the_draw_gives_the_same_bytes_on_any_worker_count(run, monkeypatch):
+    results = []
+    for n in (1, 2, 3):
+        on_workers(monkeypatch, n)
+        results.append(run())
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_many_workers_with_a_short_switch_interval_keep_the_bytes(
+        monkeypatch):
+    expected = level_by_level()
+    on_workers(monkeypatch, (os.cpu_count() or 1) + 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert level_by_level() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class Boom(Exception):
+    pass
+
+
+class FailingStream:
+    """A stream whose draw raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def standard_normal(self, shape=None, out=None):
+        raise self.error
+
+
+def test_an_error_in_a_workers_draw_surfaces_unchanged(monkeypatch):
+    on_workers(monkeypatch, 2)
+    error = Boom("run 1 cannot draw")
+    # the second job goes to the pool's thread, the first runs here
+    streams = [NoiseStream(0, 0, 0), FailingStream(error),
+               NoiseStream(0, 0, 2)]
+    level = sde._Level(0.25, 40, False, streams)
+    with pytest.raises(Boom) as raised:
+        sde._drive(ou(2), np.zeros(2), [level], range(3),
+                   lambda *args: None)
+    assert raised.value is error
+
+
+def python(code):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mlangevin.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_package_starts_no_thread():
+    code = ("import os, threading, numpy\n"
+            "tasks = lambda: len(os.listdir('/proc/self/task')) "
+            "if os.path.isdir('/proc/self/task') else 0\n"
+            "before = tasks()\n"
+            "import mlangevin, mlangevin.sde as sde\n"
+            "print(threading.active_count(), tasks() - before, sde._pool)")
+    done = python(code)
+    assert (done.stdout, done.stderr) == ("1 0 None\n", "")
+
+
+def child_estimate(queue):
+    queue.put(level_by_level())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_a_forked_child_draws_after_its_parent_did(monkeypatch):
+    on_workers(monkeypatch, 2)
+    expected = level_by_level()  # the parent's pool now has a thread
+    assert sde._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=child_estimate, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=60) == expected
+    finally:
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join(timeout=60)
+    assert not hung and child.exitcode == 0
+
+
+def test_a_groups_raw_buffers_are_freed_when_the_next_group_starts(
+        monkeypatch):
+    on_workers(monkeypatch, 2)
+    monkeypatch.setattr(sde, "_FUSE_ROW_CAP", 1)  # every level alone
+    buffers, alive = [], []
+    draw = sde._Engine._draw
+
+    def recording_draw(engine, k, n, raw):
+        if k == 0:
+            buffers.append([weakref.ref(buf.base if buf.base is not None
+                                        else buf) for buf in raw])
+        return draw(engine, k, n, raw)
+
+    def visit(engine, lvl, lo, hi):
+        gc.collect()
+        alive.append([[ref() is not None for ref in group]
+                      for group in buffers[:-1]])
+
+    monkeypatch.setattr(sde._Engine, "_draw", recording_draw)
+    levels = [sde._Level(0.25, 30, r > 0,
+                         [NoiseStream(1, r, b) for b in range(2)])
+              for r in range(3)]
+    sde._drive(ou(2), np.zeros(2), levels, range(2), visit)
+    assert len(buffers) == 3 and len(alive[-1]) == 2
+    assert not any(any(map(any, seen)) for seen in alive)

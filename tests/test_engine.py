@@ -96,8 +96,7 @@ def trajectory(model, x0, gamma, last, streams, pair, cap):
     def visit(engine, level, lo, hi):  # a copy: the engine reuses buffers
         states.append(np.array(engine.states(level, lo, hi)))
 
-    level = sde._Level(gamma, last, pair,
-                       sde._stream_normals(streams, len(x0)))
+    level = sde._Level(gamma, last, pair, streams)
     with chunk_cap(cap):
         sde._drive(model, x0, [level], range(len(streams)), visit)
     return np.concatenate(states)

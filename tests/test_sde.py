@@ -59,6 +59,33 @@ def test_noise_stream_chunking_does_not_change_the_sequence():
     np.testing.assert_array_equal(whole, shaped.ravel())
 
 
+def test_noise_stream_draws_in_place_as_one_shaped_draw():
+    # run-major (B, steps, d), as the engine lays out one stream per run:
+    # each run's chunks land in consecutive contiguous slices
+    shaped = [NoiseStream(7, 2, run_index=b).standard_normal((23, 3))
+              for b in range(4)]
+    streams = [NoiseStream(7, 2, run_index=b) for b in range(4)]
+    buf = np.full((4, 23, 3), np.nan)
+    for lo, hi in ((0, 5), (5, 6), (6, 23)):
+        for b, stream in enumerate(streams):
+            out = buf[b, lo:hi]
+            assert stream.standard_normal(out=out) is out
+    assert buf.tobytes() == np.stack(shaped).tobytes()
+    out = np.empty((2, 3))
+    assert NoiseStream(7, 0).standard_normal((2, 3), out=out) is out
+    assert isinstance(NoiseStream(7, 0).standard_normal(), float)
+
+
+@pytest.mark.parametrize("shape, out", [
+    (None, np.empty((4, 6))[:, ::2]),  # strided
+    (None, np.empty((3, 4)).T),  # F-ordered
+    ((3, 4), np.empty((3, 5))),  # not the shape asked for
+])
+def test_noise_stream_rejects_an_out_it_cannot_fill(shape, out):
+    with pytest.raises(ValueError):
+        NoiseStream(7, 0).standard_normal(shape, out=out)
+
+
 def test_noise_stream_keys_are_distinct_across_levels_and_runs():
     base = NoiseStream(1, 0, run_index=0).standard_normal(4)
     for level, run in ((1, 0), (0, 1), (1, 1), (2, 7)):
