@@ -17,6 +17,10 @@
  * adds them: g * scale on a chain or fine row, ((g1 + g2) * (1 / sqrt 2))
  * * scale on a coarse row, from the two normals of its fine row, each
  * operation rounded alone as in numpy; no increment is stored.
+ *
+ * mlv_csum adds window values to compensated sums, one grid index at a
+ * time in index order, so each slot's total depends on its values alone;
+ * sde._CompensatedSum does the same arithmetic in numpy.
  */
 
 #include <math.h>
@@ -142,4 +146,19 @@ void mlv_ticks(int kind, int64_t n, int64_t rows, int64_t d, double *x,
         advance_rows(kind, x, d, col, s2, c, lam, b0, b1, g, g_step, scale,
                      lo, q + 1);
     }
+}
+
+/* Add the w rows of n values at v, row i at v + i * v_step, to the slots'
+ * compensated sums (s, c), a row at a time in order: Neumaier's sum, each
+ * rounding error taken exactly by TwoSum (the same error as Neumaier's
+ * branch, with no branch). */
+void mlv_csum(int64_t w, int64_t n, const double *restrict v,
+              int64_t v_step, double *restrict s, double *restrict c)
+{
+    for (int64_t i = 0; i < w; i++, v += v_step)
+        for (int64_t j = 0; j < n; j++) {
+            double t = s[j] + v[j], back = t - s[j];
+            c[j] += (s[j] - (t - back)) + (v[j] - back);
+            s[j] = t;
+        }
 }

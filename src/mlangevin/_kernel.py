@@ -1,11 +1,15 @@
-"""The C row maps of the built-in potentials and the engine's C tick loop.
+"""The C row maps of the built-in potentials, the engine's C tick loop and
+its compensated window sum.
 
 ``_kernel.c`` holds the gradient step x <- x - h grad U(x) of
 ``QuadraticPotential`` and ``LogisticPerturbedPotential``, one row at a time,
 and a loop that runs a span of ticks of ``sde._Engine`` through the same row
 maps, scaling each row's raw standard normals into its Euler increment as it
 adds them.  ``descend`` serves both potentials' ``descend``, and so
-``euler_step``; ``ticks`` serves the engine.  Each C operation rounds as the
+``euler_step``; ``ticks`` serves the engine.  ``csum`` adds window values to
+``sde._CompensatedSum``'s slots one grid index at a time, in index order,
+with the same arithmetic as its numpy fold, so window sums are the same
+bytes with the library and without it.  Each C operation rounds as the
 numpy expression it mirrors, and the logistic dot product sums in numpy's
 pairwise order, so only ``tanh`` (libm's, not numpy's) can round apart from the
 numpy fallback: logistic results agree with it to about 1e-15 relative,
@@ -47,6 +51,7 @@ _SIGNATURES = {
     "mlv_ticks": (ctypes.c_int, _I64, _I64, _I64, _PTR, _PTR, _F64, _PTR,
                   _F64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR,
                   _I64, _I64, _I64, _I64, _PTR, _I64),
+    "mlv_csum": (_I64, _I64, _PTR, _I64, _PTR, _PTR),
 }
 
 
@@ -199,3 +204,20 @@ def ticks(row_map, x, col, hist, call_a, call_b, noise, j0, chain, mid):
         call_a.start, call_a.stop, b0, b1, g.ctypes.data, g_step.ctypes.data,
         scale.ctypes.data, lo, j0, m0, m1, mid.ctypes.data,
         mid.strides[0] // size)
+
+
+def csum(v, s, c) -> bool:
+    """Add the rows of ``v``, float (w, n), to the compensated sums ``s``
+    and ``c``, contiguous float (n,) arrays, in C, a row at a time in order;
+    False, with nothing added, when there is no library."""
+    handle = lib()
+    if handle is None:
+        return False
+    if v.ndim != 2 or s.shape != (v.shape[1],) or c.shape != s.shape:
+        raise ValueError(f"cannot add values of shape {v.shape} to "
+                         f"{s.shape} sums")
+    if v.strides[1] != v.itemsize:
+        v = np.ascontiguousarray(v)
+    handle.mlv_csum(v.shape[0], v.shape[1], v.ctypes.data,
+                    v.strides[0] // v.itemsize, s.ctypes.data, c.ctypes.data)
+    return True

@@ -41,6 +41,7 @@ from .model import (
     LangevinModel,
     LogisticPerturbedPotential,
     QuadraticPotential,
+    _integer,
     _sigmoid,
     ou_reference_value,
 )
@@ -299,6 +300,7 @@ def contraction_probe(
         List of length n_steps + 1: |x_n - y_n| for n = 0..n_steps.
     """
     _check_probe_step(model, gamma)
+    n_steps = _integer(n_steps, "n_steps")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     distances = []
@@ -375,6 +377,7 @@ def confluence_probe(
     if horizon < gamma:
         raise ValueError(
             f"horizon={horizon} is shorter than one coarse step gamma={gamma}")
+    n_paths = _integer(n_paths, "n_paths")
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     if n_paths < 100:

@@ -7,10 +7,11 @@ increments.  The levels go through the Euler engine of ``sde`` together:
 level 0 is a single chain and level r >= 1 a coupled fine/coarse pair, and
 levels whose rows stay narrow share one tick loop.  The R + 1 levels share
 no state: level r reads only ``NoiseStream(seed, r, run)`` and the starting
-point, so no order, schedule or grouping of the levels changes a state, and
-its contribution equals the standalone ``run_level0`` / ``run_coupled_level``
-call on that stream byte for byte while both use one chunk size (see
-``sde``).
+point, so no order, schedule or grouping of the levels changes a state.
+Each window is summed in grid order, compensated, so the chunk, the grouping
+and the batch width change no bit either: a level's contribution equals the
+standalone ``run_level0`` / ``run_coupled_level`` call on that stream byte
+for byte (see ``sde``).
 
 An observable is a plain function along the last axis, points (N, d) to
 values (N,) or (N, m); ``norm_observable`` and ``identity_observable`` build
@@ -31,7 +32,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .model import LangevinModel
+from .model import LangevinModel, _integer
 from .sde import (
     NoiseStream,
     _run_levels,
@@ -241,10 +242,8 @@ def estimate_repeated(
     level, so the outputs are mutually independent, order-deterministic, and
     ``estimate_repeated(..., n_runs=1)[0]`` coincides with ``estimate(...)``
     bit for bit.  Internally the runs advance together as batch rows with
-    bit-identical trajectories.  Window sums match one-at-a-time execution
-    exactly while the chunk cap binds for both (the engine's group rows * d
-    up to about 320, see ``sde``) and to ~1e-15 relative accuracy beyond
-    that.
+    bit-identical trajectories, and each window is summed in grid order,
+    so every output equals one-at-a-time execution byte for byte.
 
     Args:
         n_runs: Number of replications (>= 1).  Other args as in
@@ -253,6 +252,7 @@ def estimate_repeated(
     Returns:
         List of EstimatorOutput, one per run, in run order.
     """
+    n_runs = _integer(n_runs, "n_runs")
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     return _estimate_batch(model, plan, x0, f, master_seed,

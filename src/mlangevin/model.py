@@ -30,6 +30,7 @@ batch of points of shape ``(..., d)`` and act along the last axis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,17 @@ __all__ = [
     "logistic_covariate",
     "ou_reference_value",
 ]
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int.  An int or a numpy integer passes unchanged;
+    anything else, a whole float included, is a one-line ValueError that
+    names ``name``, never a truncation."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") \
+            from None
 
 
 class Potential:
@@ -117,9 +129,10 @@ class QuadraticPotential(Potential):
     """
 
     def __init__(self, dim: int):
+        dim = _integer(dim, "dim")
         if dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim}")
-        self.dim = int(dim)
+        self.dim = dim
         self.alpha_u = 1.0
         self.l_u = 1.0
         self.grad_u1_sup = 0.0
@@ -165,6 +178,7 @@ class LogisticPerturbedPotential(Potential):
     """
 
     def __init__(self, dim: int, lam: float, covariate: np.ndarray):
+        dim = _integer(dim, "dim")
         if dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim}")
         if not 0.0 < lam < math.inf:
@@ -176,7 +190,7 @@ class LogisticPerturbedPotential(Potential):
             )
         if not np.isfinite(covariate).all():
             raise ValueError("covariate must be finite")
-        self.dim = int(dim)
+        self.dim = dim
         self.lam = float(lam)
         self.covariate = covariate
         norm_sq = float(np.dot(covariate, covariate))
@@ -342,6 +356,7 @@ def logistic_covariate(d: int, a: float, rng_stream) -> np.ndarray:
     Returns:
         Covariate vector of shape (d,).
     """
+    d = _integer(d, "d")
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
     if not 0.0 < a < math.inf:

@@ -81,20 +81,14 @@ runs advance together as rows; every per-run operation acts elementwise or
 along the last axis only, so batched trajectories are bit-identical to
 one-run-at-a-time execution.
 
-Window sums are accumulated chunkwise, with a contiguous per-run pairwise
-reduction per block and a Neumaier-compensated merge across blocks, so
-averages over 10^7+ terms keep near-full precision.  The engine advances
-c ticks per chunk, with c sized from the group's rows: the history, the
-chain's mid-tick states and two increment buffers of all rows would hold
-about ``_CHUNK_ELEMENT_TARGET`` elements, at most ``_CHUNK_STEP_CAP`` (4096)
-ticks.  Each level keeps its own grid of blocks of c indices (level 0 two
-blocks of c steps per chunk), its last index alone, so its contribution
-depends on c alone.  The cap binds while (3 rows + B0) * d <= 976 (B0 = B
-with the chain, else 0): a group of rows * d up to about 320, for instance
-a single estimate with up to fifteen correcting levels in d = 10.
-There every level of an estimate equals its standalone ``run_level0`` /
-``run_coupled_level`` call byte for byte; otherwise they agree to
-accumulated rounding (~1e-15 relative).
+Each window is summed in grid order, compensated: every run and value
+coordinate adds its window values one grid index at a time to a Neumaier
+sum (``_CompensatedSum``), so averages over 10^7+ terms keep near-full
+precision and the chunk, the grouping and the batch width change no bit.
+Every level of an estimate equals its standalone ``run_level0`` /
+``run_coupled_level`` call byte for byte.  The engine advances c ticks per
+chunk, with c sized from the group's rows to bound its buffers' memory
+(``_CHUNK_ELEMENT_TARGET``, at most ``_CHUNK_STEP_CAP`` ticks).
 """
 
 from __future__ import annotations
@@ -108,7 +102,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernel
-from .model import _row_map
+from .model import _integer, _row_map
 
 __all__ = [
     "NoiseStream",
@@ -123,13 +117,12 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # A chunk's buffers hold about this many elements, in at most this many
-# ticks.  The count is the history, the chain's mid-tick states and two
-# increment buffers of all rows: more than the raw normals that the C path
-# keeps (one fine row per run and step, none for coarse rows), on purpose,
-# so that the chunk -- and therefore the floating-point grouping of window
-# sums -- stays what it was; while the cap binds it is the same for every
-# group.  Each run draws once per level and chunk, so a shorter chunk costs
-# calls.
+# ticks: a memory setting only, as no output depends on the chunk.  The
+# count is the history, the chain's mid-tick states and two increment
+# buffers of all rows, more than the raw normals that the C path keeps (one
+# fine row per run and step, none for coarse rows); the number is unchanged
+# from when that was the layout, so memory and speed stay where they were.
+# Each run draws once per level and chunk, so a shorter chunk costs calls.
 _CHUNK_ELEMENT_TARGET = 4_000_000
 _CHUNK_STEP_CAP = 4096
 # Levels share one tick loop while their rows stay this narrow; see _groups.
@@ -179,15 +172,18 @@ class NoiseStream:
     """
 
     def __init__(self, master_seed: int, level_index: int, run_index: int = 0):
+        master_seed = _integer(master_seed, "master_seed")
+        level_index = _integer(level_index, "level_index")
+        run_index = _integer(run_index, "run_index")
         if level_index < 0 or level_index >= _MAX_LEVEL_INDEX:
             raise ValueError(
                 f"level_index must be in [0, 2**20), got {level_index}")
         if run_index < 0 or run_index >= _MAX_RUN_INDEX:
             raise ValueError(
                 f"run_index must be in [0, 2**44), got {run_index}")
-        self.master_seed = int(master_seed) % (1 << 64)
-        self.level_index = int(level_index)
-        self.run_index = int(run_index)
+        self.master_seed = master_seed % (1 << 64)
+        self.level_index = level_index
+        self.run_index = run_index
         # explicit uint64 words: a python-int key would be routed through
         # float64 above 2**63 and lose low bits (adjacent keys collide)
         key = np.array(
@@ -299,18 +295,33 @@ def n_gamma(t: float, gamma: float) -> int:
 
 
 class _CompensatedSum:
-    """Neumaier (Kahan-Babuska) compensated accumulator over ndarray slots."""
+    """Compensated sums over the slots of an array of ``shape``: each slot
+    adds its values one at a time, in the order they come (Neumaier's sum,
+    each rounding error taken exactly by TwoSum).  A slot's total therefore
+    depends on its own values and their order alone, not on how they are
+    split into calls or which slots sit beside it.  The C loop
+    (``_kernel.csum``) and the numpy fold below do the same arithmetic, bit
+    for bit."""
 
     def __init__(self, shape):
         self.s = np.zeros(shape)
         self.c = np.zeros(shape)
 
     # a benchmark tracer target, as are _eval_window and _reduce_window
-    def add(self, v: np.ndarray) -> None:
-        t = self.s + v
-        big = np.abs(self.s) >= np.abs(v)
-        self.c += np.where(big, (self.s - t) + v, (v - t) + self.s)
-        self.s = t
+    def add(self, v) -> None:
+        """Add rows ``v`` (w, n), n the slot count, one row at a time."""
+        v = np.asarray(v, dtype=float)
+        s, c = self.s.reshape(-1), self.c.reshape(-1)
+        if _kernel.csum(v, s, c):
+            return
+        # the running sums in order, then each step's exact error (TwoSum)
+        part = np.add.accumulate(np.concatenate((s[None], v)), axis=0)
+        prev, t = part[:-1], part[1:]
+        back = t - prev
+        err = prev - (t - back)
+        err += v - back
+        s[:] = part[-1]
+        c[:] = np.add.accumulate(np.concatenate((c[None], err)), axis=0)[-1]
 
     def total(self) -> np.ndarray:
         return self.s + self.c
@@ -331,15 +342,10 @@ def _eval_window(f, hist: np.ndarray) -> np.ndarray:
     return vals.reshape((w, bsz) + vals.shape[1:])
 
 
-def _reduce_window(vals: np.ndarray) -> np.ndarray:
-    """Sum observable values over the window axis, (w, B[, m]) -> (B[, m]).
-
-    The reduction runs along a contiguous per-run axis so each run gets the
-    same pairwise summation tree regardless of the batch width, keeping
-    batched window sums bit-identical to single-run execution.
-    """
-    return np.add.reduce(np.ascontiguousarray(np.moveaxis(vals, 0, -1)),
-                         axis=-1)
+def _reduce_window(acc: _CompensatedSum, vals: np.ndarray) -> None:
+    """Add window values (w, B[, m]) to ``acc``, index by index in grid
+    order."""
+    acc.add(vals.reshape(len(vals), -1))
 
 
 def _check_values_finite(vals: np.ndarray, first_index: int,
@@ -440,8 +446,9 @@ class _Level:
     one ``NoiseStream`` per run, run b drawing (steps, d) from
     ``streams[b]``; or, with ``width``, one stream that all runs share,
     drawing (steps, width, d), run b reading column b % width.  ``k0`` is
-    the first index of its averaging window, ``acc`` its compensated
-    window sum, and ``label`` the estimator level that a failure names
+    the first index of its averaging window, ``acc`` its window sum (one
+    ``_CompensatedSum`` slot per run and coordinate, added in grid order),
+    and ``label`` the estimator level that a failure names
     (None elsewhere).
     """
 
@@ -842,30 +849,27 @@ def _window_level(gamma, tau, t, pair, streams, label=None):
 def _run_levels(model, x0, levels, f, runs):
     """Each level's compensated window average of f per run, in order.
 
-    A pair averages f(fine) - f(coarse).  A level's window sum is a
-    pairwise sum per block of its grid, the blocks ending at multiples of
-    the engine's chunk and its last index standing alone, merged by a
-    compensated sum; the chunk alone fixes it, so levels in any group give
-    the same bits as alone at the same chunk.  Averages are (B,) for a
-    scalar observable, (B, m) for a vector one.
+    A pair averages f(fine) - f(coarse).  Each window is summed in grid
+    order, compensated (``_CompensatedSum``), so the chunk, the grouping and
+    the batch width change no bit: a level gives the same bits in any group
+    as alone.  Averages are (B,) for a scalar observable, (B, m) for a
+    vector one.
     """
 
     def visit(engine, lvl, lo, hi):
-        c, lo = engine.chunk, max(lo, lvl.k0)
-        while lo < hi:
-            end = min(hi, (lo // c + 1) * c, lvl.last) if lo < lvl.last \
-                else lo + 1
-            vals = _eval_window(f, engine.states(lvl, lo, end))
+        # f sees at most a chunk's count of indices at once: a memory bound
+        for a in range(max(lo, lvl.k0), hi, engine.chunk):
+            b = min(a + engine.chunk, hi)
+            vals = _eval_window(f, engine.states(lvl, a, b))
             if lvl.pair:  # fine minus coarse, in place: no third array
                 half = vals.shape[1] // 2
                 vals[:, half:] -= vals[:, :half]
                 vals = vals[:, half:]
-            _check_values_finite(vals, lo, runs)
+            _check_values_finite(vals, a, runs)
             if lvl.acc is None:
                 lvl.acc = _CompensatedSum(vals.shape[1:])
-            lvl.acc.add(_reduce_window(vals))
-            del vals  # free the window values before the next block
-            lo = end
+            _reduce_window(lvl.acc, vals)
+            del vals  # free the window values before the next piece
 
     _drive(model, x0, levels, runs, visit)
     return [lvl.acc.total() / (lvl.last + 1 - lvl.k0) for lvl in levels]

@@ -3,9 +3,12 @@
 Each property draws the dimension, the level count, the batch width and the
 chunk cap (``_CHUNK_STEP_CAP``), so a chunk boundary can fall anywhere in a
 level's window or next to a failing step; the fused-level property also
-draws the horizons and the fusion cap (``_FUSE_ROW_CAP``).  Examples are
-derandomized, so a run is reproducible.  The last test checks that every
-entry point rejects a bad start point before any step.
+draws the horizons and the fusion cap (``_FUSE_ROW_CAP``), and the budget
+property draws the chunk's element budget (``_CHUNK_ELEMENT_TARGET``), so
+that the group's rows set the chunk.  Every window is summed in grid order,
+so each of these changes no byte.  Examples are derandomized, so a run is
+reproducible.  The last test checks that every entry point rejects a bad
+start point before any step.
 """
 
 import contextlib
@@ -104,7 +107,7 @@ def trajectory(model, x0, gamma, last, streams, pair, cap):
 
 @PROPERTY
 @given(kinds, dims, st.booleans(), st.integers(1, 4), caps, caps, seeds)
-def test_chunk_layout_changes_no_state_and_only_rounds_window_sums(
+def test_chunk_layout_changes_no_byte(
         kind, d, pair, n_runs, cap_a, cap_b, seed):
     model, x0 = make_model(kind, d), start(d, seed)
     gamma, tau, t = 0.25, 1.0, 12.0
@@ -120,18 +123,17 @@ def test_chunk_layout_changes_no_state_and_only_rounds_window_sums(
         with chunk_cap(cap):
             sums.append(kernel(model, np.tile(x0, (n_runs, 1)), gamma, tau,
                                t, norm_observable(), streams())[0])
-    # values are O(1), so 1e-15 is a few units of float rounding
-    np.testing.assert_allclose(sums[0], sums[1], rtol=1e-15, atol=1e-15)
+    assert sums[0].tobytes() == sums[1].tobytes()
 
 
-def window_reference(model, x0, gamma, tau, t, f, stream, chunk, pair):
+def window_reference(model, x0, gamma, tau, t, f, stream, pair):
     """One run's window average from euler_step loops: a chain at step
     gamma, or fine/coarse chains whose values f(fine) - f(coarse) are read
     on the coarse grid.
 
-    The values are summed in the engine's layout: a pairwise sum per block
-    of ``chunk`` grid indices, the final index alone, and a compensated
-    merge across those sums.
+    The values are summed one grid index at a time, in order, by a
+    Neumaier sum written out here (its branch, where the engine takes the
+    same rounding error by TwoSum).
     """
     grid = 2 * gamma if pair else gamma
     k0, k1 = sde.n_gamma(tau, grid), sde.n_gamma(t, grid)
@@ -150,15 +152,12 @@ def window_reference(model, x0, gamma, tau, t, f, stream, chunk, pair):
         fine = euler_step(model, fine, g[1])
         coarse = euler_step(model, coarse,
                             (g[0] + g[1]) * (1.0 / math.sqrt(2.0)))
-    values = np.array(values)
-    acc = sde._CompensatedSum(values.shape[1:])
-    edges = [*range(0, k1 - 1, chunk), k1 - 1, k1]
-    for a, b in zip(edges, edges[1:]):
-        if max(a, k0) < b:
-            block = values[max(a, k0):b]
-            acc.add(np.add.reduce(
-                np.ascontiguousarray(np.moveaxis(block, 0, -1)), axis=-1))
-    return acc.total() / (k1 - k0)
+    s = c = np.zeros(np.shape(values[0]))
+    for v in values[k0:]:
+        total = s + v
+        c = c + np.where(abs(s) >= abs(v), (s - total) + v, (v - total) + s)
+        s = total
+    return (s + c) / (k1 - k0)
 
 
 def check_window_average(kind, d, pair, n_runs, cap, seed, obs):
@@ -169,10 +168,8 @@ def check_window_average(kind, d, pair, n_runs, cap, seed, obs):
     with chunk_cap(cap):
         avg, _ = kernel(model, x0, gamma, tau, t, obs(), streams)
     for i in range(n_runs):
-        # at these sizes the cap binds: a chunk is ``cap`` ticks
         expected = window_reference(model, x0, gamma, tau, t, obs(),
-                                    NoiseStream(seed, 1, run_index=i), cap,
-                                    pair)
+                                    NoiseStream(seed, 1, run_index=i), pair)
         assert avg[i].tobytes() == expected.tobytes()
 
 
@@ -187,7 +184,6 @@ def test_coupled_window_average_equals_an_euler_step_loop(
 @given(kinds, dims, st.integers(1, 4), caps, seeds, observables)
 def test_level0_window_average_equals_an_euler_step_loop(
         kind, d, n_runs, cap, seed, obs):
-    # a chunk of ``cap`` ticks is two blocks of ``cap`` steps of a chain
     check_window_average(kind, d, False, n_runs, cap, seed, obs)
 
 
@@ -209,7 +205,7 @@ def fused_plan(d, ratios, tau_share):
 def test_fused_levels_equal_their_standalone_runs(
         kind, d, ratios, n_runs, cap, fuse, tau_share, seed, obs):
     # one tick loop runs every level here (at most 44 rows) unless the fuse
-    # cap splits them; while the chunk cap binds, grouping changes no bit
+    # cap splits them; grouping changes no bit
     model, x0 = make_model(kind, d), start(d, seed)
     plan = fused_plan(d, ratios, tau_share)
     with chunk_cap(cap), pytest.MonkeyPatch.context() as mp:
@@ -224,6 +220,34 @@ def test_fused_levels_equal_their_standalone_runs(
                 assert np.asarray(alone).tobytes() == np.asarray(
                     out.level_contributions[r]).tobytes()
                 assert steps == out.level_iterations[r]
+
+
+@settings(PROPERTY, max_examples=25)
+@given(kinds, dims, st.lists(st.floats(0.45, 0.99), max_size=3),
+       st.integers(1, 4), st.integers(1, 3000), st.sampled_from([1, 16, 256]),
+       seeds, observables)
+def test_the_chunk_budget_changes_no_byte(
+        kind, d, ratios, n_runs, budget, fuse, seed, obs):
+    # far below the default budget, the group's rows set the chunk (never
+    # the 4096-tick cap): a batch, a single run, a fused group and a lone
+    # level each tick in chunks of their own length
+    model, x0 = make_model(kind, d), start(d, seed)
+    plan = fused_plan(d, ratios, 0.25)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "_CHUNK_ELEMENT_TARGET", budget)
+        mp.setattr(sde, "_FUSE_ROW_CAP", fuse)
+        runs = estimate_repeated(model, plan, x0, obs(), seed, n_runs)
+        for i, out in enumerate(runs):
+            alone = _estimate_batch(model, plan, x0, obs(), seed,
+                                    run_indices=[i])[0]
+            assert out.to_json() == alone.to_json()
+            for r in range(plan.R + 1):
+                kernel = run_level0 if r == 0 else run_coupled_level
+                level, _ = kernel(model, x0, plan.gamma[r],
+                                  plan.tau_effective, plan.horizons[r],
+                                  obs(), NoiseStream(seed, r, i))
+                assert np.asarray(level).tobytes() == np.asarray(
+                    out.level_contributions[r]).tobytes()
 
 
 @PROPERTY
@@ -250,8 +274,8 @@ def test_estimate_is_the_left_to_right_sum_of_its_levels(
 @given(kinds, dims, levels, st.integers(1, 4), caps, seeds)
 def test_scalar_and_vector_values_share_one_reduction(
         kind, d, R, n_runs, cap, seed):
-    # the scalar x[..., 0] and coordinate 0 of the identity take the same
-    # window sums and the same compensated merge, so they agree bit for bit
+    # the scalar x[..., 0] and coordinate 0 of the identity add the same
+    # values in the same grid order, so they agree bit for bit
     model, plan, x0 = make_model(kind, d), make_plan(d, R), start(d, seed)
     with chunk_cap(cap):
         scalar = estimate_repeated(model, plan, x0, lambda x: x[..., 0],

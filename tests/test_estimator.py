@@ -8,13 +8,18 @@ import pytest
 
 from mlangevin import (
     EstimatorOutput,
+    LogisticPerturbedPotential,
     NoiseStream,
     NumericalFailureError,
     QuadraticPotential,
     TuningPlan,
+    bench,
+    confluence_probe,
+    contraction_probe,
     estimate,
     estimate_repeated,
     identity_observable,
+    logistic_covariate,
     make_langevin_model,
     norm_observable,
     plan_b2,
@@ -53,7 +58,8 @@ def test_builtin_observables():
 @pytest.mark.parametrize("f, shape", [
     (lambda x: x[0], "(3,)"),  # a pointwise form, read on the (N, d) batch
     (lambda x: 1.0, "()"),
-    (lambda x: x[..., None] * np.ones(2), "(9, 3, 2)"),
+    # the first evaluation covers the whole window, all 10 indices
+    (lambda x: x[..., None] * np.ones(2), "(10, 3, 2)"),
 ], ids=["pointwise", "constant-scalar", "matrix"])
 def test_observable_of_the_wrong_shape_is_a_value_error(f, shape):
     with pytest.raises(ValueError, match=re.escape(f"returned shape {shape}")):
@@ -210,6 +216,56 @@ def test_input_validation():
     other = make_langevin_model(QuadraticPotential(5), "auto")
     with pytest.raises(ValueError, match="dimension"):
         estimate(other, plan, np.zeros(5), norm_observable(), master_seed=1)
+
+
+
+COV2 = np.array([1.0, 0.5])
+NOT_INTEGERS = {
+    "stream level": (lambda: NoiseStream(0, 1.5), "level_index", "1.5"),
+    "stream seed": (lambda: NoiseStream(1.5, 0), "master_seed", "1.5"),
+    "stream run": (lambda: NoiseStream(0, 0, 2.0), "run_index", "2.0"),
+    "stream nan": (lambda: NoiseStream(0, math.nan), "level_index", "nan"),
+    "quadratic dim": (lambda: QuadraticPotential(2.5), "dim", "2.5"),
+    "logistic dim": (lambda: LogisticPerturbedPotential(2.0, 0.25, COV2),
+                     "dim", "2.0"),
+    "covariate d": (lambda: logistic_covariate(2.5, 2.0, NoiseStream(0, 0)),
+                    "d", "2.5"),
+    "estimate seed": (lambda: estimate(OU3, small_plan(), X0,
+                                       norm_observable(), master_seed=1.5),
+                      "master_seed", "1.5"),
+    "repeated runs": (lambda: estimate_repeated(
+        OU3, small_plan(), X0, norm_observable(), 0, n_runs=2.0),
+        "n_runs", "2.0"),
+    "bench runs": (lambda: bench(
+        make_langevin_model(QuadraticPotential(2), "auto"),
+        dataclasses.replace(small_plan(), dim=2), np.zeros(2), 2.0),
+        "n_runs", "2.0"),
+    "contraction steps": (lambda: contraction_probe(
+        OU3, X0, np.ones(3), 0.25, n_steps=2.5), "n_steps", "2.5"),
+    "confluence paths": (lambda: confluence_probe(
+        OU3, 0.25, 1.0, n_paths=200.5), "n_paths", "200.5"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTEGERS)
+def test_an_integer_argument_is_checked_not_truncated(case):
+    call, name, shown = NOT_INTEGERS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{name} must be an integer, got {shown}"
+
+
+def test_numpy_integers_are_integers():
+    stream = NoiseStream(np.int64(3), np.int32(1), np.uint16(2))
+    assert stream.standard_normal(4).tobytes() \
+        == NoiseStream(3, 1, 2).standard_normal(4).tobytes()
+    assert type(QuadraticPotential(np.int64(3)).dim) is int
+    outs = estimate_repeated(OU3, small_plan(), X0, norm_observable(),
+                             np.uint32(4), np.int8(2))
+    assert [o.to_json() for o in outs] == [o.to_json() for o in
+                                           estimate_repeated(
+        OU3, small_plan(), X0, norm_observable(), 4, 2)]
 
 
 def test_numerical_failure_is_annotated_with_level_and_run():

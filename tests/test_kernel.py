@@ -34,6 +34,7 @@ from mlangevin import (
     run_level0,
 )
 from mlangevin.model import _row_map
+from mlangevin.sde import _CompensatedSum
 
 needs_cc = pytest.mark.skipif(shutil.which(_kernel._CC) is None,
                               reason="no C compiler to build the kernel")
@@ -136,6 +137,54 @@ def test_the_c_dot_product_sums_in_numpys_order(d):
         rng.shuffle(row)
     with_c, with_numpy = both_paths(lambda: descended(pot, x, 0.5))
     np.testing.assert_allclose(with_c, with_numpy, rtol=1e-14, atol=0.0)
+
+
+def mixed_magnitudes():
+    rng = np.random.default_rng(5)
+    signs = rng.choice([-1.0, 1.0], (40, 6))
+    return signs * 10.0 ** rng.uniform(-300.0, 300.0, (40, 6))
+
+
+def pair_slice():
+    # a pair's fine-minus-coarse values: the right half of (w, 2B) rows
+    values = np.random.default_rng(6).standard_normal((17, 8))
+    return values[:, 4:]
+
+
+SUMS = {"mixed": mixed_magnitudes, "cancel": lambda: [[1e16], [1.0], [-1e16]],
+        "one": lambda: [[0.1]], "strided": pair_slice}
+
+
+def compensated(values):
+    """(s, c) of a _CompensatedSum after adding ``values`` in two calls."""
+    values = np.asarray(values, dtype=float)
+    acc = _CompensatedSum(values.shape[1:])
+    half = len(values) // 2
+    acc.add(values[:half])
+    acc.add(values[half:])
+    return acc.s, acc.c
+
+
+def neumaier_loop(values):
+    """(s, c) of Neumaier's sum, one value at a time, in Python floats."""
+    values = np.asarray(values, dtype=float)
+    s, c = [0.0] * values.shape[1], [0.0] * values.shape[1]
+    for row in values.tolist():
+        for j, v in enumerate(row):
+            t = s[j] + v
+            c[j] += (s[j] - t) + v if abs(s[j]) >= abs(v) else (v - t) + s[j]
+            s[j] = t
+    return np.array(s), np.array(c)
+
+
+@pytest.mark.parametrize("case", SUMS)
+def test_compensated_sums_are_the_same_bytes_on_both_paths(case):
+    with_c, with_numpy = both_paths(lambda: compensated(SUMS[case]()))
+    expected = neumaier_loop(SUMS[case]())
+    for a, b, e in zip(with_c, with_numpy, expected):
+        assert a.tobytes() == b.tobytes() == e.tobytes()
+    if case == "cancel":
+        assert with_c[0] + with_c[1] == 1.0
 
 
 # ----------------------------------------------------- the guard of the maps

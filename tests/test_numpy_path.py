@@ -21,6 +21,9 @@ from test_diagnostics import (  # noqa: F401
 )
 from test_engine import *  # noqa: F401,F403
 from test_estimator import *  # noqa: F401,F403
+from test_kernel import (  # noqa: F401
+    test_compensated_sums_are_the_same_bytes_on_both_paths,
+)
 from test_model import (  # noqa: F401
     test_a_potential_that_defines_only_grad_gets_the_default_map,
     test_advance_agrees_with_the_drift_to_a_few_ulps,
