@@ -16,7 +16,10 @@
  * also turns the raw standard normals into the Euler increments, as it
  * adds them: g * scale on a chain or fine row, ((g1 + g2) * (1 / sqrt 2))
  * * scale on a coarse row, from the two normals of its fine row, each
- * operation rounded alone as in numpy; no increment is stored.
+ * operation rounded alone as in numpy; no increment is stored.  It records
+ * each tick in level order, in blocks of B rows copied from the state: the
+ * chain at the tick's start and after call A, then each pair's coarse rows
+ * and fine rows, so that every level reads one slice of the record.
  *
  * mlv_csum adds window values to compensated sums, one grid index at a
  * time in index order, so each slot's total depends on its values alone;
@@ -121,28 +124,33 @@ static void advance_rows(int kind, double *x, int64_t d, const double *col,
 
 /* n ticks of the engine's state x, (rows, d), ticks j0 .. j0 + n - 1 of
  * the chunk whose normals g, g_step and scale describe (advance_rows).
- * Tick j copies x to hist + j * hist_step, advances call A's rows [a0, a1)
- * by fine step 2 (j0 + j), copies the chain's rows [m0, m1) to mid + j *
- * mid_step, then advances call B's rows [b0, b1) by fine step 2 (j0 + j)
- * + 1, the coarse rows among them by both.  Strides count doubles; each
- * record holds its rows in order, d doubles apart. */
-void mlv_ticks(int kind, int64_t n, int64_t rows, int64_t d, double *x,
-               const double *col, double s2, const double *c, double lam,
-               double *hist, int64_t hist_step,
+ * Tick j records its blocks of bsz rows at hist + j * hist_step, block i
+ * a copy of x's block src[i] (x's rows from src[i] * bsz on): each at the
+ * tick's start, but block 1 of a group with a chain (chain 1), which is
+ * the chain's state after call A.  Call A advances rows [a0, a1) by fine
+ * step 2 (j0 + j), then call B rows [b0, b1) by fine step 2 (j0 + j) + 1,
+ * the coarse rows among them by both.  Strides count doubles; rows lie d
+ * doubles apart. */
+void mlv_ticks(int kind, int64_t n, int64_t d, double *x, const double *col,
+               double s2, const double *c, double lam, double *hist,
+               int64_t hist_step, const int64_t *src, int64_t blocks,
+               int64_t bsz, int64_t chain,
                int64_t a0, int64_t a1, int64_t b0, int64_t b1,
                const double *const *g, const int64_t *g_step,
-               const double *scale, int64_t lo, int64_t j0,
-               int64_t m0, int64_t m1, double *mid, int64_t mid_step)
+               const double *scale, int64_t lo, int64_t j0)
 {
-    size_t state = (size_t)(rows * d) * sizeof(double);
-    size_t chain = (size_t)((m1 - m0) * d) * sizeof(double);
+    int64_t size = bsz * d;
+    size_t bytes = (size_t)size * sizeof(double);
     for (int64_t j = 0; j < n; j++) {
         int64_t q = 2 * (j0 + j);
-        memcpy(hist + j * hist_step, x, state);
+        double *rec = hist + j * hist_step;
+        for (int64_t i = 0; i < blocks; i++)
+            if (!(chain && i == 1))
+                memcpy(rec + i * size, x + src[i] * size, bytes);
         advance_rows(kind, x, d, col, s2, c, lam, a0, a1, g, g_step, scale,
                      lo, q);
         if (chain)
-            memcpy(mid + j * mid_step, x + m0 * d, chain);
+            memcpy(rec + size, x + src[1] * size, bytes);
         advance_rows(kind, x, d, col, s2, c, lam, b0, b1, g, g_step, scale,
                      lo, q + 1);
     }

@@ -48,9 +48,9 @@ _lib = _UNLOADED  # the loaded library, None without one; see lib()
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "mlv_descend": (ctypes.c_int, _PTR, _I64, _I64, _PTR, _I64, _PTR, _F64),
-    "mlv_ticks": (ctypes.c_int, _I64, _I64, _I64, _PTR, _PTR, _F64, _PTR,
-                  _F64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR,
-                  _I64, _I64, _I64, _I64, _PTR, _I64),
+    "mlv_ticks": (ctypes.c_int, _I64, _I64, _PTR, _PTR, _F64, _PTR, _F64,
+                  _PTR, _I64, _PTR, _I64, _I64, _I64, _I64, _I64, _I64, _I64,
+                  _PTR, _PTR, _PTR, _I64, _I64),
     "mlv_csum": (_I64, _I64, _PTR, _I64, _PTR, _PTR),
 }
 
@@ -179,7 +179,7 @@ def descend(kind: int, x, h, covariate=None, lam: float = 0.0) -> bool:
     return True
 
 
-def ticks(row_map, x, col, hist, call_a, call_b, noise, j0, chain, mid):
+def ticks(row_map, x, col, hist, src, chain, call_a, call_b, noise, j0):
     """``len(hist)`` engine ticks of the state rows ``x`` (rows, d) in C.
 
     ``row_map`` is ``(kind, covariate, lam, sigma0^2)``; row r steps by
@@ -187,23 +187,22 @@ def ticks(row_map, x, col, hist, call_a, call_b, noise, j0, chain, mid):
     r's standard normals start at address ``g[r]`` (a uintp array), one fine
     step every ``g_step[r]`` doubles (int64), scaled by ``scale[r]``; rows
     below ``lo`` are coarse and read two fine steps.  The ticks are ticks
-    ``j0 ..`` of the chunk.  Per tick j: ``hist[j] = x``; the rows of slice
-    ``call_a`` map and add fine step 2 (j0 + j); the rows of slice ``chain``
-    (or none) go to ``mid[j]``; then the rows of ``call_b`` (or none) map
-    and add fine step 2 (j0 + j) + 1.
+    ``j0 ..`` of the chunk.  ``hist[j]`` records tick j in ``len(src)``
+    blocks of B rows, block i the state's block ``src[i]`` (int64), its rows
+    from ``src[i] * B`` on.  Per tick j: every block is recorded, but block
+    1 when ``chain``; the rows of slice ``call_a`` map and add fine step
+    2 (j0 + j); with ``chain``, block 1 is recorded; then the rows of
+    ``call_b`` (or none) map and add fine step 2 (j0 + j) + 1.
     """
     kind, c, lam, s2 = row_map
     g, g_step, scale, lo = noise
     b0, b1 = (call_b.start, call_b.stop) if call_b else (0, 0)
-    m0, m1 = (chain.start, chain.stop) if chain else (0, 0)
-    size = x.itemsize
     lib().mlv_ticks(
-        kind, len(hist), x.shape[0], x.shape[1], x.ctypes.data,
-        col.ctypes.data, s2, None if c is None else c.ctypes.data, lam,
-        hist.ctypes.data, hist.strides[0] // size,
-        call_a.start, call_a.stop, b0, b1, g.ctypes.data, g_step.ctypes.data,
-        scale.ctypes.data, lo, j0, m0, m1, mid.ctypes.data,
-        mid.strides[0] // size)
+        kind, len(hist), x.shape[1], x.ctypes.data, col.ctypes.data, s2,
+        None if c is None else c.ctypes.data, lam, hist.ctypes.data,
+        hist.strides[0] // hist.itemsize, src.ctypes.data, len(src),
+        hist.shape[1] // len(src), int(chain), call_a.start, call_a.stop,
+        b0, b1, g.ctypes.data, g_step.ctypes.data, scale.ctypes.data, lo, j0)
 
 
 def csum(v, s, c) -> bool:

@@ -244,7 +244,7 @@ def logistic_posterior_mean(lam: float, covariate: np.ndarray) -> np.ndarray:
 
     Args:
         lam: Ridge weight (finite, > 0).
-        covariate: Covariate vector x (nonzero).
+        covariate: Covariate vector x, shape (d,) (finite, nonzero).
 
     Returns:
         Posterior mean vector, shape like ``covariate``.
@@ -252,7 +252,13 @@ def logistic_posterior_mean(lam: float, covariate: np.ndarray) -> np.ndarray:
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be finite and positive, got {lam}")
     covariate = np.asarray(covariate, dtype=float)
-    s = float(np.linalg.norm(covariate))
+    if covariate.ndim != 1:
+        raise ValueError(f"covariate must be a vector of shape (d,), got "
+                         f"shape {covariate.shape}")
+    with np.errstate(over="ignore"):
+        s = float(np.linalg.norm(covariate))
+    if not s < math.inf:  # a NaN or inf coordinate, or a norm that overflows
+        raise ValueError("covariate must be finite, with a finite norm")
     if s == 0:
         raise ValueError("covariate must be nonzero")
     slope = s / math.sqrt(lam)

@@ -385,8 +385,9 @@ def ou_reference_value(d: int) -> float:
 
     Raises:
         ValueError: If d is odd or not positive (the closed form used here
-            only covers even dimensions).
+            only covers even dimensions), or not an integer.
     """
+    d = _integer(d, "d")
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be an even positive integer, got {d}")
     k = d // 2

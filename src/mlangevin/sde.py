@@ -19,10 +19,14 @@ pairs sorted by tick count so that the longest sit next to the chain.  Each
 tick maps and moves two contiguous slices, each row by its own step: A the
 chain and the active fine rows (their first step), B the active coarse
 rows, the chain and the active fine rows.  A level retires by leaving both
-slices.  The engine checks the start point (shape (d,) or (B, d), finite),
-draws the standard normals and turns them into the Euler increments, and
-reads the first non-finite step and run of a failure from its records;
-the lowest failing level's earliest failure wins.
+slices.  Each tick is recorded in level order, so that every level reads
+its states as one slice of one buffer: the chain at the tick's start and
+after call A (its grid indices 2t and 2t + 1), then each pair's coarse rows
+over its fine rows (coarse index t).  The engine checks the start point
+(shape (d,) or (B, d), finite), draws the standard normals and turns them
+into the Euler increments, and reads the first non-finite step and run of
+a failure from its record; the lowest failing level's earliest failure
+wins.
 
 The drift enters only through the model's in-place Euler map
 ``model.advance(x, step)``, x <- x + step * b(x), with ``step`` a float or
@@ -118,10 +122,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # A chunk's buffers hold about this many elements, in at most this many
 # ticks: a memory setting only, as no output depends on the chunk.  The
-# count is the history, the chain's mid-tick states and two increment
-# buffers of all rows, more than the raw normals that the C path keeps (one
-# fine row per run and step, none for coarse rows); the number is unchanged
-# from when that was the layout, so memory and speed stay where they were.
+# count is the record (every row, and the chain's rows a second time, per
+# tick) and two increment buffers of all rows, more than the raw normals
+# that the C path keeps (one fine row per run and step, none for coarse
+# rows); the number is unchanged from when that was the layout, so memory
+# and speed stay where they were.
 # Each run draws once per level and chunk, so a shorter chunk costs calls.
 _CHUNK_ELEMENT_TARGET = 4_000_000
 _CHUNK_STEP_CAP = 4096
@@ -449,7 +454,8 @@ class _Level:
     the first index of its averaging window, ``acc`` its window sum (one
     ``_CompensatedSum`` slot per run and coordinate, added in grid order),
     and ``label`` the estimator level that a failure names
-    (None elsewhere).
+    (None elsewhere).  In a group, ``rows`` (and a pair's ``coarse``) are
+    its state rows and ``block`` its 2B rows of each tick's record.
     """
 
     def __init__(self, gamma, last, pair, streams, k0=0, label=None,
@@ -459,7 +465,7 @@ class _Level:
         self.k0, self.label = k0, label
         # a tick is two steps of a chain and one coarse step of a pair
         self.ticks = last if pair else (last + 1) // 2
-        self.rows = self.coarse = self.acc = None
+        self.rows = self.coarse = self.block = self.acc = None
 
 
 def _groups(levels, bsz):
@@ -522,13 +528,18 @@ class _Engine:
     are freed when the group ends.
 
     ``chunks`` advances ``chunk`` ticks at a time and, after each chunk,
-    holds its records in ``k`` (first tick), ``hist`` (the state at the
-    start of each tick) and ``mid`` (the chain after call A), then a last
-    one-tick record of the final state.  ``states`` reads one level's states
-    from them by grid index.  ``chunk`` is sized from the group's rows: the
-    history, ``mid`` and two increment buffers of all rows would hold about
-    ``budget`` elements (the raw normals hold fewer), and never above
-    ``_CHUNK_STEP_CAP`` ticks.
+    holds its first tick in ``k`` and its record in ``hist``, (n, rows +
+    b0, d) for n ticks (b0 = B with a chain, 0 without), then a last
+    one-tick record of the final state.  A tick's record lies in level
+    order, in blocks of B rows: the chain at the tick's start, the chain
+    after call A, then each pair's coarse rows and fine rows, in ``pairs``
+    order.  Each level owns the 2B rows ``block`` of every tick, copied
+    from the state's blocks of B rows that ``src`` lists, and ``states``
+    reads them by grid index: a pair's (n, 2B, d) block as is, a chain's as
+    (2n, B, d) in grid order, a view when the chain is alone.  ``chunk`` is
+    sized from the group's rows: the record and two increment buffers of
+    all rows would hold about ``budget`` elements (the raw normals hold
+    fewer), and never above ``_CHUNK_STEP_CAP`` ticks.
     """
 
     def __init__(self, model, x0, levels, bsz, budget):
@@ -556,6 +567,15 @@ class _Engine:
         for i, lvl in enumerate(self.pairs):
             lvl.rows = slice(lo + b0 + i * bsz, lo + b0 + (i + 1) * bsz)
             lvl.coarse = slice(lo - (i + 1) * bsz, lo - i * bsz)
+        # block i of a tick's record copies the state's block src[i] of B
+        # rows: the chain twice (at the tick's start, after call A), then
+        # each pair's coarse rows and fine rows
+        src = []
+        for lvl in ([self.chain] if self.chain else []) + self.pairs:
+            lvl.block = slice(len(src) * bsz, (len(src) + 2) * bsz)
+            src += [(lvl.coarse if lvl.pair else lvl.rows).start // bsz,
+                    lvl.rows.start // bsz]
+        self.src = np.array(src, dtype=np.int64)
         # C order: a sum along the last axis of F-ordered rows rounds otherwise
         self.x = np.array(np.broadcast_to(x, (rows // bsz, bsz, d)),
                           order="C").reshape(rows, d)
@@ -568,7 +588,7 @@ class _Engine:
                 self.col[lvl.coarse] = 2.0 * lvl.gamma
                 self.scale[lvl.coarse] = model.noise_scale * math.sqrt(
                     2.0 * lvl.gamma)
-        units = rows + b0 + 2 * rows  # hist, mid and the increments
+        units = rows + b0 + 2 * rows  # the record and the increments
         self.chunk = max(1, min(_CHUNK_STEP_CAP, budget // (units * d)))
 
     def _maps(self, rows):
@@ -584,19 +604,18 @@ class _Engine:
                 for a, b in zip(edges, edges[1:])]
 
     def _calls(self, t):
-        """The rows of calls A and B at tick t (B None when empty), and
-        whether the chain records its mid-tick state."""
+        """The rows of calls A and B at tick t (B None when empty)."""
         active = sum(lvl.ticks > t for lvl in self.pairs)
         chain, lo, b0 = self.chain, self.lo, self.b0
         hi = lo + b0 + active * self.bsz
-        record = chain is not None and t < chain.ticks
-        call_a = slice(lo if record else lo + b0, hi)
+        running = chain is not None and t < chain.ticks
+        call_a = slice(lo if running else lo + b0, hi)
         call_b = None
         if active:
             call_b = slice(lo - active * self.bsz, hi)
         elif chain is not None and t < chain.last // 2:
             call_b = slice(lo, hi)
-        return call_a, call_b, record
+        return call_a, call_b
 
     def _buffer(self, lvl, steps):
         """A raw buffer of ``steps`` fine steps of ``lvl``'s normals, as a
@@ -661,24 +680,27 @@ class _Engine:
             coarse *= self.scale[lvl.coarse, None]
 
     @staticmethod
-    def _loop(advance, x, hist, call_a, call_b, mid):
-        """The Euler tick loop: ``len(hist)`` ticks of the state rows ``x``.
+    def _loop(advance, blocks, src, hist, call_a, call_b, chain):
+        """The Euler tick loop: ``len(hist)`` ticks of the state, whose
+        blocks of B rows are ``blocks``.
 
-        Per tick j the state on entry goes to ``hist[j]``; call A maps each
-        of its (view, step) pieces in place with ``advance(view, step)`` and
-        adds its increment ``inc[j]`` to its rows; the chain's rows then go
-        to ``mid[j]``; then call B does as call A.
+        Per tick j the state's blocks ``src`` on entry go to ``hist[j]``,
+        (len(src), B, d); call A maps each of its (view, step) pieces in
+        place with ``advance(view, step)`` and adds its increment ``inc[j]``
+        to its rows; with ``chain``, (rows, record), the chain's rows then
+        go to ``record[j]``; then call B does as call A.
         """
         maps_a, rows_a, inc_a = call_a
         maps_b, rows_b, inc_b = call_b or ((), None, None)
-        chain, mid = mid or (None, None)
+        chain, second = chain or (None, None)
         for j in range(len(hist)):
-            hist[j] = x
+            # mode="raise" would buffer out: clip writes hist[j] in place
+            np.take(blocks, src, axis=0, out=hist[j], mode="clip")
             for rows, step in maps_a:
                 advance(rows, step)
             rows_a += inc_a[j]
-            if mid is not None:
-                mid[j] = chain
+            if chain is not None:
+                second[j] = chain
             if rows_b is not None:
                 for rows, step in maps_b:
                     advance(rows, step)
@@ -690,13 +712,10 @@ class _Engine:
         x, c = self.x, self.chunk
         total = max(lvl.ticks for lvl in self.levels)
         size = min(c, total)
-        # a lone chain records its states in grid order in one buffer
-        if self.b0 == len(x):
-            both = np.empty((size, 2) + x.shape)
-            hist, mid = both[:, 0], both[:, 1]
-        else:
-            both, hist = None, np.empty((size,) + x.shape)
-            mid = np.empty((size, self.b0, x.shape[1]))
+        bsz, d = self.bsz, x.shape[1]
+        blocks = x.reshape(-1, bsz, d)  # the state's blocks of B rows
+        record = np.empty((size, len(self.src), bsz, d))
+        hist = record.reshape(size, len(self.src) * bsz, d)
         # a pair draws no more than its ticks; a chain reads zeros past its
         # end, while call B carries it
         raw = [self._buffer(lvl, 2 * (min(size, lvl.ticks) if lvl.pair
@@ -717,57 +736,44 @@ class _Engine:
                 self._increments(n, raw, drawn, inc)
             edges = sorted({k, k + n} | {e for e in events if k < e < k + n})
             for t0, t1 in zip(edges, edges[1:]):
-                a, b, record = self._calls(t0)
+                a, b = self._calls(t0)
                 j0, j1 = t0 - k, t1 - k
-                chain = self.chain.rows if record else None
                 if row_map is not None:
-                    _kernel.ticks(row_map, x, self.col, hist[j0:j1], a, b,
-                                  noise, j0, chain, mid[j0:j1])
+                    _kernel.ticks(row_map, x, self.col, hist[j0:j1], self.src,
+                                  self.chain is not None, a, b, noise, j0)
                     continue
-                self._loop(model.advance, x, hist[j0:j1],
+                # the chain's second block, its state after call A
+                chain = self.chain and (x[self.chain.rows], record[j0:j1, 1])
+                self._loop(model.advance, blocks, self.src, record[j0:j1],
                            (self._maps(a), x[a], inc[2 * j0:2 * j1:2, a]),
                            b and (self._maps(b), x[b],
-                                  inc[2 * j0 + 1:2 * j1:2, b]),
-                           chain and (x[chain], mid[j0:j1]))
+                                  inc[2 * j0 + 1:2 * j1:2, b]), chain)
             ok = ok and bool(np.isfinite(x).all())
-            self.k, self.hist, self.mid = k, hist[:n], mid[:n]
-            self.flat = None if both is None else both[:n].reshape(
-                (2 * n,) + x.shape)
+            self.k, self.hist = k, hist[:n]
             yield ok
         raw = noise = inc = None  # the group's noise is spent: free it
-        self.k, self.hist, self.mid, self.flat = total, x[None], mid[:0], None
+        self.k, self.hist = total, blocks[self.src].reshape(1, -1, d)
         yield ok
 
     def span(self, lvl):
-        """The grid indices [lo, hi) of ``lvl`` in the current records."""
-        if lvl.pair:
-            first, count = self.k, len(self.hist)
-        else:
-            first, count = 2 * self.k, len(self.hist) + len(self.mid)
-        return first, min(first + count, lvl.last + 1)
+        """The grid indices [lo, hi) of ``lvl`` in the current record: one
+        per tick of a pair, two per tick of a chain."""
+        per = 1 if lvl.pair else 2
+        first = per * self.k
+        return first, min(first + per * len(self.hist), lvl.last + 1)
 
     def states(self, lvl, lo, hi):
         """The states of ``lvl`` at grid indices [lo, hi), in index order:
-        (w, B, d) for a chain, (w, 2B, d) for a pair, its coarse rows over
-        its fine rows.  A view of the records where they lie so, else a
-        copy."""
+        (w, 2B, d) for a pair, its coarse rows over its fine rows, and
+        (w, B, d) for a chain, its (n, 2B, d) block read as (2n, B, d).  A
+        view of the record, but for a chain in a group, whose ticks lie
+        apart: that reshape copies."""
         k, hist = self.k, self.hist
         if lvl.pair:
-            if lvl.coarse.stop == lvl.rows.start:
-                return hist[lo - k:hi - k, lvl.coarse.start:lvl.rows.stop]
-            return np.concatenate((hist[lo - k:hi - k, lvl.coarse],
-                                   hist[lo - k:hi - k, lvl.rows]), axis=1)
-        if self.flat is not None:
-            return self.flat[lo - 2 * k:hi - 2 * k]
-        # index 2t is tick t's record, 2t + 1 the chain's state after call A
-        even = hist[(lo + 1) // 2 - k:(hi + 1) // 2 - k, lvl.rows]
-        odd = self.mid[lo // 2 - k:hi // 2 - k]
-        if not len(odd) or not len(even):
-            return even if len(even) else odd
-        states = np.empty((hi - lo,) + odd.shape[1:])
-        states[lo % 2::2] = even
-        states[1 - lo % 2::2] = odd
-        return states
+            return hist[lo - k:hi - k, lvl.block]
+        ticks = hist[lo // 2 - k:(hi + 1) // 2 - k, lvl.block]
+        grid = ticks.reshape((2 * len(ticks), self.bsz) + hist.shape[2:])
+        return grid[lo % 2:lo % 2 + hi - lo]
 
 
 @_quiet_overflow

@@ -263,8 +263,13 @@ def test_posterior_mean_validation():
     for lam in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="lam"):
             logistic_posterior_mean(lam, np.ones(2))
-    with pytest.raises(ValueError, match="covariate"):
-        logistic_posterior_mean(0.5, np.zeros(3))
+    bad = (np.zeros(3), np.array([1.0, math.nan]), np.array([1.0, math.inf]),
+           np.full(2, 1e300), np.ones((1, 2)), 1.0)
+    for covariate in bad:
+        with pytest.raises(ValueError, match="^covariate") as exc:
+            logistic_posterior_mean(0.5, covariate)
+        assert type(exc.value) is ValueError
+        assert "\n" not in str(exc.value)
 
 
 # --------------------------------------------------------------------- bench

@@ -126,6 +126,30 @@ def test_chunk_layout_changes_no_byte(
     assert sums[0].tobytes() == sums[1].tobytes()
 
 
+@pytest.mark.parametrize("pair", [False, True])
+@pytest.mark.parametrize("cap", [1, 3, 8, 4096])
+def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
+    """A level alone reads its states, from any grid index on, as views of
+    the engine's record, the final one-tick record included."""
+    model, x0, last = make_model("ou", 3), start(3, 5), 20
+    reads = []
+
+    def visit(engine, level, lo, hi):
+        for a in (lo, lo + 1)[:hi - lo]:
+            states = engine.states(level, a, hi)
+            assert len(states) == hi - a
+            assert np.shares_memory(states, engine.hist)
+        reads.append((lo, hi, len(engine.hist)))
+
+    streams = [NoiseStream(5, 1, run_index=i) for i in range(2)]
+    level = sde._Level(0.25, last, pair, streams)
+    with chunk_cap(cap):
+        sde._drive(model, x0, [level], range(2), visit)
+    # every index once, in order, the last from the final one-tick record
+    assert [lo for lo, _, _ in reads] == [0] + [hi for _, hi, _ in reads[:-1]]
+    assert reads[-1] == (last, last + 1, 1)
+
+
 def window_reference(model, x0, gamma, tau, t, f, stream, pair):
     """One run's window average from euler_step loops: a chain at step
     gamma, or fine/coarse chains whose values f(fine) - f(coarse) are read

@@ -22,6 +22,7 @@ from mlangevin import (
     logistic_covariate,
     make_langevin_model,
     norm_observable,
+    ou_reference_value,
     plan_b2,
     run_coupled_level,
     run_level0,
@@ -230,6 +231,7 @@ NOT_INTEGERS = {
                      "dim", "2.0"),
     "covariate d": (lambda: logistic_covariate(2.5, 2.0, NoiseStream(0, 0)),
                     "d", "2.5"),
+    "ou reference d": (lambda: ou_reference_value(10.0), "d", "10.0"),
     "estimate seed": (lambda: estimate(OU3, small_plan(), X0,
                                        norm_observable(), master_seed=1.5),
                       "master_seed", "1.5"),
