@@ -15,12 +15,12 @@ It covers, in order:
   ``plan_aggressive``, and three ``plan_general`` constant sets at the same
   eps values.
 * ``estimate(...).to_json()`` and ``estimate_repeated(...)`` (3 and 60 runs,
-  so narrow and wide groups, whose chunks differ) on the OU and logistic
-  models in d=10, for R in {0, 2, 4} and both observables, with hand-built
+  whose chunks differ) on the OU and logistic models in d=10, for R in
+  {0, 2, 4} and both observables, with hand-built
   plans, once with the default chunk cap and once with a cap of 7 steps so
   that every level crosses many chunk boundaries; the second set's short
   horizons clamp the burn-in at R=4.  Each window is summed in grid order,
-  so neither the chunk nor the group changes a byte of these lines.
+  so the chunk changes no byte of these lines.
 * the ``contraction_probe`` list (d=4, 100,000 steps) and
   ``confluence_probe(...).sup_gap_sq`` (d=2, horizon 500, 2000 paths).
 * ``bench(...).to_dict()`` without ``wall_clock_seconds`` (3 runs, seed 5,

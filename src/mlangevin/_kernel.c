@@ -11,15 +11,14 @@
  *              x *= 1 - h lam; x -= t c
  *
  * mlv_descend is Potential.descend of both on C-ordered rows, and
- * mlv_ticks runs a span of ticks of sde._Engine through the same row maps,
- * so euler_step and the engine move points alike, bit for bit.  mlv_ticks
- * also turns the raw standard normals into the Euler increments, as it
- * adds them: g * scale on a chain or fine row, ((g1 + g2) * (1 / sqrt 2))
- * * scale on a coarse row, from the two normals of its fine row, each
- * operation rounded alone as in numpy; no increment is stored.  It records
- * each tick in level order, in blocks of B rows copied from the state: the
- * chain at the tick's start and after call A, then each pair's coarse rows
- * and fine rows, so that every level reads one slice of the record.
+ * mlv_ticks runs a chunk of ticks of one sde._Engine level through the same
+ * row maps, so euler_step and the engine move points alike, bit for bit.
+ * mlv_ticks also turns the raw standard normals into the Euler increments,
+ * as it adds them: g * scale on a chain or fine row, ((g1 + g2) *
+ * (1 / sqrt 2)) * scale on a coarse row, from the two normals of its fine
+ * row, each operation rounded alone as in numpy; no increment is stored.
+ * It records each tick as a copy of the state: a pair's at the tick's
+ * start, a chain's at the tick's start and after its first step.
  *
  * mlv_csum adds window values to compensated sums, one grid index at a
  * time in index order, so each slot's total depends on its values alone;
@@ -93,66 +92,62 @@ void mlv_descend(int kind, double *x, int64_t rows, int64_t d,
         map_row(kind, x + r * d, d, h[r * h_step], c, lam);
 }
 
-/* Rows [r0, r1) of x take the step col[r] * s2 and then their increment
- * at fine step q of the chunk: row r's standard normals start at g[r], one
- * fine step every g_step[r] doubles, and scale[r] scales them.  A row below
- * lo is a coarse row, which reads its fine row's normals: its increment is
- * ((g1 + g2) * (1 / sqrt 2)) * scale[r] of fine steps q - 1 and q. */
-static void advance_rows(int kind, double *x, int64_t d, const double *col,
-                         double s2, const double *c, double lam, int64_t r0,
-                         int64_t r1, const double *const *g,
-                         const int64_t *g_step, const double *scale,
-                         int64_t lo, int64_t q)
+/* Rows x[r], r < n, each of d doubles, take the step h and then their
+ * increment at fine step q of the chunk: row r's standard normals start at
+ * g + (r % width) * g_run, one fine step every g_step doubles, and s scales
+ * them.  A coarse row reads two fine steps: its increment is ((g1 + g2) *
+ * (1 / sqrt 2)) * s of fine steps q - 1 and q. */
+static void advance_rows(int kind, double *x, int64_t n, int64_t d,
+                         double h, const double *c, double lam,
+                         const double *g, int64_t g_step, int64_t g_run,
+                         int64_t width, double s, int coarse, int64_t q)
 {
     const double inv_sqrt2 = 1.0 / sqrt(2.0);
-    for (int64_t r = r0; r < r1; r++) {
+    for (int64_t r = 0; r < n; r++) {
         double *xr = x + r * d;
-        double s = scale[r];
-        map_row(kind, xr, d, col[r] * s2, c, lam);
-        if (r < lo) {
-            const double *g1 = g[r] + (q - 1) * g_step[r];
-            const double *g2 = g1 + g_step[r];
+        const double *gr = g + (r % width) * g_run + q * g_step;
+        map_row(kind, xr, d, h, c, lam);
+        if (coarse) {
+            const double *g1 = gr - g_step;
             for (int64_t i = 0; i < d; i++)
-                xr[i] += ((g1[i] + g2[i]) * inv_sqrt2) * s;
+                xr[i] += ((g1[i] + gr[i]) * inv_sqrt2) * s;
         } else {
-            const double *gr = g[r] + q * g_step[r];
             for (int64_t i = 0; i < d; i++)
                 xr[i] += gr[i] * s;
         }
     }
 }
 
-/* n ticks of the engine's state x, (rows, d), ticks j0 .. j0 + n - 1 of
- * the chunk whose normals g, g_step and scale describe (advance_rows).
- * Tick j records its blocks of bsz rows at hist + j * hist_step, block i
- * a copy of x's block src[i] (x's rows from src[i] * bsz on): each at the
- * tick's start, but block 1 of a group with a chain (chain 1), which is
- * the chain's state after call A.  Call A advances rows [a0, a1) by fine
- * step 2 (j0 + j), then call B rows [b0, b1) by fine step 2 (j0 + j) + 1,
- * the coarse rows among them by both.  Strides count doubles; rows lie d
- * doubles apart. */
-void mlv_ticks(int kind, int64_t n, int64_t d, double *x, const double *col,
-               double s2, const double *c, double lam, double *hist,
-               int64_t hist_step, const int64_t *src, int64_t blocks,
-               int64_t bsz, int64_t chain,
-               int64_t a0, int64_t a1, int64_t b0, int64_t b1,
-               const double *const *g, const int64_t *g_step,
-               const double *scale, int64_t lo, int64_t j0)
+/* n ticks of one level of B = bsz runs, its state x of d-double rows: a
+ * chain's B rows at step h, or a pair's B coarse rows at step hc over its B
+ * fine rows at step h.  The chunk's normals g, g_step, g_run and width are
+ * as advance_rows reads them, scaled by s (sc on a coarse row).  Tick j
+ * records 2B rows at hist + j * 2 bsz d: a copy of the state at the tick's
+ * start, and for a chain a second one after call A.  Call A moves the
+ * chain or the fine rows by fine step 2j; call B the coarse rows by fine
+ * steps 2j and 2j + 1, and the chain or the fine rows by 2j + 1, but on
+ * the last tick when half is set. */
+void mlv_ticks(int kind, int64_t n, int64_t d, int64_t bsz, int pair,
+               int half, double *x, double h, double hc, const double *c,
+               double lam, double *hist, const double *g, int64_t g_step,
+               int64_t g_run, int64_t width, double s, double sc)
 {
     int64_t size = bsz * d;
     size_t bytes = (size_t)size * sizeof(double);
+    double *fine = pair ? x + size : x;
     for (int64_t j = 0; j < n; j++) {
-        int64_t q = 2 * (j0 + j);
-        double *rec = hist + j * hist_step;
-        for (int64_t i = 0; i < blocks; i++)
-            if (!(chain && i == 1))
-                memcpy(rec + i * size, x + src[i] * size, bytes);
-        advance_rows(kind, x, d, col, s2, c, lam, a0, a1, g, g_step, scale,
-                     lo, q);
-        if (chain)
-            memcpy(rec + size, x + src[1] * size, bytes);
-        advance_rows(kind, x, d, col, s2, c, lam, b0, b1, g, g_step, scale,
-                     lo, q + 1);
+        double *rec = hist + j * 2 * size;
+        memcpy(rec, x, pair ? 2 * bytes : bytes);
+        advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run, width,
+                     s, 0, 2 * j);
+        if (pair)
+            advance_rows(kind, x, bsz, d, hc, c, lam, g, g_step, g_run,
+                         width, sc, 1, 2 * j + 1);
+        else
+            memcpy(rec + size, x, bytes);
+        if (!half || j < n - 1)
+            advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run,
+                         width, s, 0, 2 * j + 1);
     }
 }
 

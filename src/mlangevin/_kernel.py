@@ -3,11 +3,11 @@ its compensated window sum.
 
 ``_kernel.c`` holds the gradient step x <- x - h grad U(x) of
 ``QuadraticPotential`` and ``LogisticPerturbedPotential``, one row at a time,
-and a loop that runs a span of ticks of ``sde._Engine`` through the same row
-maps, scaling each row's raw standard normals into its Euler increment as it
-adds them.  ``descend`` serves both potentials' ``descend``, and so
-``euler_step``; ``ticks`` serves the engine.  ``csum`` adds window values to
-``sde._CompensatedSum``'s slots one grid index at a time, in index order,
+and a loop that runs a chunk of ticks of one ``sde._Engine`` level through
+the same row maps, scaling each row's raw standard normals into its Euler
+increment as it adds them.  ``descend`` serves both potentials'
+``descend``, and so ``euler_step``; ``ticks`` serves the engine.  ``csum``
+adds window values to ``sde._CompensatedSum``'s slots one grid index at a time, in index order,
 with the same arithmetic as its numpy fold, so window sums are the same
 bytes with the library and without it.  Each C operation rounds as the
 numpy expression it mirrors, and the logistic dot product sums in numpy's
@@ -48,9 +48,9 @@ _lib = _UNLOADED  # the loaded library, None without one; see lib()
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "mlv_descend": (ctypes.c_int, _PTR, _I64, _I64, _PTR, _I64, _PTR, _F64),
-    "mlv_ticks": (ctypes.c_int, _I64, _I64, _PTR, _PTR, _F64, _PTR, _F64,
-                  _PTR, _I64, _PTR, _I64, _I64, _I64, _I64, _I64, _I64, _I64,
-                  _PTR, _PTR, _PTR, _I64, _I64),
+    "mlv_ticks": (ctypes.c_int, _I64, _I64, _I64, ctypes.c_int,
+                  ctypes.c_int, _PTR, _F64, _F64, _PTR, _F64, _PTR, _PTR,
+                  _I64, _I64, _I64, _F64, _F64),
     "mlv_csum": (_I64, _I64, _PTR, _I64, _PTR, _PTR),
 }
 
@@ -179,30 +179,29 @@ def descend(kind: int, x, h, covariate=None, lam: float = 0.0) -> bool:
     return True
 
 
-def ticks(row_map, x, col, hist, src, chain, call_a, call_b, noise, j0):
-    """``len(hist)`` engine ticks of the state rows ``x`` (rows, d) in C.
+def ticks(row_map, x, hist, gamma, pair, raw, scale, half):
+    """``len(hist)`` ticks of one engine level in C.
 
-    ``row_map`` is ``(kind, covariate, lam, sigma0^2)``; row r steps by
-    ``col[r] * sigma0^2``.  ``noise`` is ``(g, g_step, scale, lo)``: row
-    r's standard normals start at address ``g[r]`` (a uintp array), one fine
-    step every ``g_step[r]`` doubles (int64), scaled by ``scale[r]``; rows
-    below ``lo`` are coarse and read two fine steps.  The ticks are ticks
-    ``j0 ..`` of the chunk.  ``hist[j]`` records tick j in ``len(src)``
-    blocks of B rows, block i the state's block ``src[i]`` (int64), its rows
-    from ``src[i] * B`` on.  Per tick j: every block is recorded, but block
-    1 when ``chain``; the rows of slice ``call_a`` map and add fine step
-    2 (j0 + j); with ``chain``, block 1 is recorded; then the rows of
-    ``call_b`` (or none) map and add fine step 2 (j0 + j) + 1.
+    ``x`` is the state: a chain's rows (B, d) at step ``gamma``, or with
+    ``pair`` a pair's (2B, d), its B coarse rows at step 2 gamma over its B
+    fine rows at step gamma.  ``row_map`` is ``(kind, covariate, lam,
+    sigma0^2)``; a row maps by its step times sigma0^2.  ``raw`` (fine
+    steps, width, d) holds the chunk's standard normals, run b reading
+    column b % width, and ``scale`` is (fine scale, coarse scale).  Per
+    tick j, ``hist[j]`` (2B, d), C-ordered, records the state at the
+    tick's start (for a chain, its B rows and then the same rows after call
+    A); call A maps the chain or the fine rows and adds fine step 2j, call
+    B maps the coarse rows and adds fine steps 2j and 2j + 1, and maps the
+    chain or the fine rows and adds fine step 2j + 1.  With ``half`` the
+    last tick ends after call A.
     """
     kind, c, lam, s2 = row_map
-    g, g_step, scale, lo = noise
-    b0, b1 = (call_b.start, call_b.stop) if call_b else (0, 0)
     lib().mlv_ticks(
-        kind, len(hist), x.shape[1], x.ctypes.data, col.ctypes.data, s2,
+        kind, len(hist), x.shape[1], hist.shape[1] // 2, int(pair),
+        int(half), x.ctypes.data, gamma * s2, 2.0 * gamma * s2,
         None if c is None else c.ctypes.data, lam, hist.ctypes.data,
-        hist.strides[0] // hist.itemsize, src.ctypes.data, len(src),
-        hist.shape[1] // len(src), int(chain), call_a.start, call_a.stop,
-        b0, b1, g.ctypes.data, g_step.ctypes.data, scale.ctypes.data, lo, j0)
+        raw.ctypes.data, raw.strides[0] // raw.itemsize,
+        raw.strides[1] // raw.itemsize, raw.shape[1], *scale)
 
 
 def csum(v, s, c) -> bool:

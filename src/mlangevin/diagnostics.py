@@ -45,7 +45,7 @@ from .model import (
     _sigmoid,
     ou_reference_value,
 )
-from .sde import _CHUNK_ELEMENT_TARGET, NoiseStream, _drive, _Level, n_gamma
+from .sde import NoiseStream, _drive, _Level, n_gamma
 from .tuning import TuningPlan
 
 __all__ = [
@@ -311,8 +311,8 @@ def contraction_probe(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     distances = []
 
-    def visit(engine, level, lo, hi):
-        rows = engine.states(level, lo, hi)
+    def visit(engine, lo, hi):
+        rows = engine.states(lo, hi)
         v = rows[:, 0] - rows[:, 1]
         # per row sqrt(v . v), a dot product as np.linalg.norm takes it
         distances.extend(np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
@@ -322,7 +322,7 @@ def contraction_probe(
     # (d,) point for both rows); one draw per step, shared by both rows
     rows = (np.atleast_1d(x), np.atleast_1d(y))
     chain = _Level(gamma, n_steps, False, [NoiseStream(seed, 0)], width=1)
-    _drive(model, rows, [chain], range(2), visit)
+    _drive(model, rows, chain, range(2), visit)
     return distances
 
 
@@ -332,18 +332,16 @@ def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
     p = n_paths
     sup = 0.0
 
-    def visit(engine, level, lo, hi):
+    def visit(engine, lo, hi):
         nonlocal sup
-        rows = engine.states(level, lo, hi)  # the coarse rows, then the fine
+        rows = engine.states(lo, hi)  # the coarse rows, then the fine
         gap = rows[:, p:] - rows[:, :p]
         gap *= gap
         sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))
 
     pair = _Level(gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse), True,
                   [stream], width=p)
-    # one draw per chunk, so a short chunk costs no calls: half the
-    # estimator's budget keeps the 2 n_paths rows' buffers near 16 MB
-    _drive(model, x0, [pair], range(p), visit, _CHUNK_ELEMENT_TARGET // 2)
+    _drive(model, x0, pair, range(p), visit)
     return sup
 
 

@@ -3,15 +3,15 @@
 The estimator combines the level-0 occupation average at step gamma0 with R
 correcting levels, each the averaged difference between a fine (gamma_r) and
 coarse (gamma_{r-1} = 2 gamma_r) Euler chain driven by the same Brownian
-increments.  The levels go through the Euler engine of ``sde`` together:
-level 0 is a single chain and level r >= 1 a coupled fine/coarse pair, and
-levels whose rows stay narrow share one tick loop.  The R + 1 levels share
+increments.  The levels run one after another through the Euler engine of
+``sde``: level 0 a single chain (``_run_level0_batch``) and level r >= 1 a
+coupled fine/coarse pair (``_run_coupled_batch``).  The R + 1 levels share
 no state: level r reads only ``NoiseStream(seed, r, run)`` and the starting
-point, so no order, schedule or grouping of the levels changes a state.
-Each window is summed in grid order, compensated, so the chunk, the grouping
-and the batch width change no bit either: a level's contribution equals the
-standalone ``run_level0`` / ``run_coupled_level`` call on that stream byte
-for byte (see ``sde``).
+point, so their order changes no state, and the first failing level ends
+the estimate.  Each window is summed in grid order, compensated, so neither
+the chunk nor the batch width changes a bit either: a level's contribution
+equals the standalone ``run_level0`` / ``run_coupled_level`` call on that
+stream byte for byte (see ``sde``).
 
 An observable is a plain function along the last axis, points (N, d) to
 values (N,) or (N, m); ``norm_observable`` and ``identity_observable`` build
@@ -35,12 +35,12 @@ import numpy as np
 from .model import LangevinModel, _integer
 from .sde import (
     NoiseStream,
-    _run_levels,
+    NumericalFailureError,
+    _run_coupled_batch,
+    _run_level0_batch,
     _run_value,
     _window_level,
 )
-# not called here: the benchmark tracer's TARGETS look them up in this module
-from .sde import _run_coupled_batch, _run_level0_batch  # noqa: F401
 from .tuning import TuningPlan
 
 __all__ = [
@@ -164,7 +164,8 @@ def _estimate_batch(
     master_seed: int,
     run_indices: Sequence[int],
 ) -> List[EstimatorOutput]:
-    """Run all levels for a batch of replications and split per-run outputs."""
+    """Run all levels for a batch of replications, in order, and split
+    per-run outputs.  A failure names its level."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dim,):
         raise ValueError(
@@ -173,13 +174,23 @@ def _estimate_batch(
         raise ValueError(
             f"plan dimension {plan.dim} does not match model dimension {model.dim}")
 
-    levels, steps = zip(*(
-        _window_level(plan.gamma[r], plan.tau_effective, plan.horizons[r],
-                      r > 0,
-                      [NoiseStream(master_seed, r, run_index=idx)
-                       for idx in run_indices], label=r)
-        for r in range(plan.R + 1)))
-    averages = _run_levels(model, x0, levels, f, list(run_indices))
+    tau = plan.tau_effective
+    for r in range(plan.R + 1):  # every window is checked before any step
+        _window_level(plan.gamma[r], tau, plan.horizons[r], r > 0, [])
+    levels = []
+    for r in range(plan.R + 1):
+        # looked up here at each call: the benchmark tracer wraps both
+        run = _run_coupled_batch if r else _run_level0_batch
+        streams = [NoiseStream(master_seed, r, run_index=idx)
+                   for idx in run_indices]
+        try:
+            levels.append(run(model, x0, plan.gamma[r], tau,
+                              plan.horizons[r], f, streams))
+        except NumericalFailureError as err:
+            err.level_index = r
+            err.args = (f"level {r}: {err}",)
+            raise
+    averages, steps = zip(*levels)
     return [EstimatorOutput(
         level_contributions=[_run_value(avg[b]) for avg in averages],
         level_iterations=[int(n) for n in steps],

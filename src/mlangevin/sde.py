@@ -8,54 +8,36 @@ simulation goes through it (``_drive``):
 * ``run_coupled_level``: a fine chain (step gamma) and a coarse chain (step
   2*gamma), returning the averaged difference of the observable read at
   coarse grid times only.
-* the estimator's levels, run together (below).
+* the estimator's levels, one after another.
 * the contraction and confluence probes in ``diagnostics``.
 
-The engine runs a group of levels of B runs each in one tick loop.  A tick
-is one coarse step of every coupled level and two steps of the level-0
-chain.  The state is one (rows, d) array laid out ``[C_m .. C_1 | L0 | F_1
-.. F_m]``: the pairs' coarse rows, the chain, the pairs' fine rows, with the
-pairs sorted by tick count so that the longest sit next to the chain.  Each
-tick maps and moves two contiguous slices, each row by its own step: A the
-chain and the active fine rows (their first step), B the active coarse
-rows, the chain and the active fine rows.  A level retires by leaving both
-slices.  Each tick is recorded in level order, so that every level reads
-its states as one slice of one buffer: the chain at the tick's start and
-after call A (its grid indices 2t and 2t + 1), then each pair's coarse rows
-over its fine rows (coarse index t).  The engine checks the start point
-(shape (d,) or (B, d), finite), draws the standard normals and turns them
-into the Euler increments, and reads the first non-finite step and run of
-a failure from its record; the lowest failing level's earliest failure
-wins.
+The engine runs one level of B runs in one tick loop: a chain, whose tick
+is two steps, or a coupled pair, whose tick is one coarse step and two fine
+steps.  A pair's state is one (2B, d) array, its coarse rows over its fine
+rows.  Each tick is recorded, so that the level reads its states as views
+of one buffer: the chain at the tick's start and after its first step (its
+grid indices 2t and 2t + 1), or the pair at the tick's start (coarse index
+t).  The engine checks the start point (shape (d,) or (B, d), finite),
+draws the standard normals and turns them into the Euler increments, and
+reads the first non-finite step and run of a failure from its record.
 
 The drift enters only through the model's in-place Euler map
-``model.advance(x, step)``, x <- x + step * b(x), with ``step`` a float or
-a (rows, 1) column; with ``dim`` and ``noise_scale`` it is all the engine
-asks of a model.  ``LangevinModel`` maps through ``Potential.descend``,
+``model.advance(x, step)``, x <- x + step * b(x), with ``step`` a float;
+with ``dim`` and ``noise_scale`` it is all the engine asks of a model.  ``LangevinModel`` maps through ``Potential.descend``,
 which falls back to ``Potential.grad`` for a user potential.  The two
 built-in potentials, ``QuadraticPotential`` and
 ``LogisticPerturbedPotential``, map rows in C (``_kernel``): for a
 ``LangevinModel`` whose potential's ``descend`` is one of theirs, the engine
-runs each span of ticks between level events in one C call, with no
-``advance`` call at all.  Any other model -- a user potential, a subclass
-with its own ``descend``, a model with its own ``advance`` -- and every
-model where the C library cannot be built, ticks in Python with two
-``advance`` calls per tick.  Both paths give each row the bits of a map by
-its own float step.
+runs each chunk of ticks in one C call, with no ``advance`` call at all.
+Any other model -- a user potential, a subclass with its own ``descend``, a
+model with its own ``advance`` -- and every model where the C library
+cannot be built, ticks in Python with ``advance`` calls, each on rows that
+share one float step.  Both paths give each row the bits of a map by its
+own float step.
 
 ``euler_step`` is the single-step reference the engine matches bit for bit:
 it takes the same map (the built-in ``descend`` calls the same C row map as
 the engine's C loop), then adds the same scaled increment.
-
-Grouping: levels share a tick loop while the group's rows stay within
-``_FUSE_ROW_CAP`` (256) rows; wider levels run alone.  A chunk's buffers
-hold all of a group's rows, so a wider group takes fewer ticks per chunk,
-and each run draws its noise once per level and chunk: the cap bounds the
-chunk's shrinkage and the count of noise calls.  On the Python path fusion
-also saves ``advance`` calls, each with a fixed cost, where a step column
-costs more than a scalar step on many rows (a slice wider than the cap is
-mapped per run of rows with one step).  So 20 runs of R = 5 (220 rows)
-share one loop, while 200 runs run level by level.
 
 An observable is any function f acting along the last axis, as
 ``Potential.grad`` does: it maps a batch of path points (N, d) to values of
@@ -74,8 +56,8 @@ no interpolation or border-weight modification is applied at window edges.
 Randomness comes from ``NoiseStream``, a counter-based (Philox) generator keyed
 by ``(master_seed, level_index, run_index)`` through a fixed, documented mixing
 rule, so every trajectory is bit-reproducible across platforms, chunk sizes,
-groupings, batch layouts and core counts.  Each stream draws raw standard
-normals straight into its level's buffer, a contiguous slice per chunk
+batch layouts and core counts.  Each stream draws raw standard normals
+straight into its level's buffer, a contiguous slice per chunk
 (``standard_normal(out=...)``), and the C tick loop scales them as it adds them
 (``_Engine``).  A chunk's draws, one job per run's stream (or per shared
 stream), run on the process's cores (``_run_draws``): numpy fills an array
@@ -88,10 +70,10 @@ one-run-at-a-time execution.
 Each window is summed in grid order, compensated: every run and value
 coordinate adds its window values one grid index at a time to a Neumaier
 sum (``_CompensatedSum``), so averages over 10^7+ terms keep near-full
-precision and the chunk, the grouping and the batch width change no bit.
-Every level of an estimate equals its standalone ``run_level0`` /
+precision and neither the chunk nor the batch width changes a bit: every
+level of an estimate equals its standalone ``run_level0`` /
 ``run_coupled_level`` call byte for byte.  The engine advances c ticks per
-chunk, with c sized from the group's rows to bound its buffers' memory
+chunk, with c sized from the level's rows to bound its buffers' memory
 (``_CHUNK_ELEMENT_TARGET``, at most ``_CHUNK_STEP_CAP`` ticks).
 """
 
@@ -121,17 +103,14 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # A chunk's buffers hold about this many elements, in at most this many
-# ticks: a memory setting only, as no output depends on the chunk.  The
-# count is the record (every row, and the chain's rows a second time, per
-# tick) and two increment buffers of all rows, more than the raw normals
-# that the C path keeps (one fine row per run and step, none for coarse
-# rows); the number is unchanged from when that was the layout, so memory
-# and speed stay where they were.
-# Each run draws once per level and chunk, so a shorter chunk costs calls.
-_CHUNK_ELEMENT_TARGET = 4_000_000
+# ticks: a memory setting only, as no output depends on the chunk.  One
+# level of B runs counts its record (2B rows per tick: a pair's state, or a
+# chain's twice) and two increment buffers of its rows (B for a chain, 2B
+# for a pair), more than the raw normals that the C path keeps (one fine row
+# per run and step).  Each run draws once per chunk, so a shorter chunk
+# costs calls.
+_CHUNK_ELEMENT_TARGET = 2_000_000
 _CHUNK_STEP_CAP = 4096
-# Levels share one tick loop while their rows stay this narrow; see _groups.
-_FUSE_ROW_CAP = 256
 
 _MAX_LEVEL_INDEX = 1 << 20
 _MAX_RUN_INDEX = 1 << 44
@@ -442,7 +421,7 @@ def _run_draws(jobs):
 
 
 class _Level:
-    """One level of a group: a chain at step ``gamma`` or, with ``pair``, a
+    """One level: a chain at step ``gamma`` or, with ``pair``, a
     synchronously coupled fine (step ``gamma``) / coarse (``2 * gamma``)
     pair, visiting grid indices 0..``last`` of its grid (steps of a chain,
     coarse steps of a pair).
@@ -451,98 +430,59 @@ class _Level:
     one ``NoiseStream`` per run, run b drawing (steps, d) from
     ``streams[b]``; or, with ``width``, one stream that all runs share,
     drawing (steps, width, d), run b reading column b % width.  ``k0`` is
-    the first index of its averaging window, ``acc`` its window sum (one
-    ``_CompensatedSum`` slot per run and coordinate, added in grid order),
-    and ``label`` the estimator level that a failure names
-    (None elsewhere).  In a group, ``rows`` (and a pair's ``coarse``) are
-    its state rows and ``block`` its 2B rows of each tick's record.
+    the first index of its averaging window.
     """
 
-    def __init__(self, gamma, last, pair, streams, k0=0, label=None,
-                 width=None):
+    def __init__(self, gamma, last, pair, streams, k0=0, width=None):
         self.gamma, self.last, self.pair = float(gamma), last, pair
-        self.streams, self.width = list(streams), width
-        self.k0, self.label = k0, label
+        self.streams, self.width, self.k0 = list(streams), width, k0
         # a tick is two steps of a chain and one coarse step of a pair
         self.ticks = last if pair else (last + 1) // 2
-        self.rows = self.coarse = self.block = self.acc = None
-
-
-def _groups(levels, bsz):
-    """Split ``levels``, in order, into groups that one tick loop runs: a
-    pair joins the group before it while the group's rows stay within
-    ``_FUSE_ROW_CAP`` (B rows per chain, 2B per pair).  Fusing saves
-    calls, each with a fixed cost, but a wider group takes shorter chunks
-    and so more noise calls; wide levels run alone."""
-    groups, rows = [], 0
-    for lvl in levels:
-        width = (2 if lvl.pair else 1) * bsz
-        if groups and lvl.pair and rows + width <= _FUSE_ROW_CAP:
-            groups[-1].append(lvl)
-            rows += width
-        else:
-            groups.append([lvl])
-            rows = width
-    return groups
 
 
 class _Engine:
-    """The Euler engine: one tick loop for a group of levels of B runs each.
+    """The Euler engine: one tick loop for one level of B runs.
 
-    The state is one (rows, d) array laid out ``[C_m .. C_1 | L0 | F_1 ..
-    F_m]``: the coarse rows of the pairs, the chain (at most one), the fine
-    rows of the pairs, B rows per block, with the pairs sorted by tick
-    count so that the longest sit next to the chain.  Every block starts at
-    ``x0``, (d,) or (B, d); any other shape, or a non-finite value, is a
-    ValueError raised before any step.  A tick maps two contiguous slices,
-    each row by its own step, and adds their increments:
+    The state ``x`` is a chain's (B, d) rows or a pair's (2B, d) rows, its
+    coarse rows over its fine rows.  Every row starts at ``x0``, (d,) or
+    (B, d); any other shape, or a non-finite value, is a ValueError raised
+    before any step.  A tick maps rows and adds their increments in two
+    calls:
 
-    * A: the chain and the active fine rows, their first step;
-    * B: the active coarse rows, the chain and the active fine rows (the
-      coarse step, the chain's second step, the fine second step).
+    * A: the chain, or the pair's fine rows, take their first step;
+    * B: the chain takes its second step, or the pair's coarse rows take the
+      coarse step and its fine rows their second step.
 
-    For the built-in potentials (see ``model._row_map``) one C call
-    (``_kernel.ticks``) runs a whole span of ticks between level events.
-    Otherwise ``_loop`` ticks in Python with two ``model.advance`` calls,
-    each on one slice with a per-row step column (a float where the slice
-    has one step; a slice of more than ``_FUSE_ROW_CAP`` rows is mapped per
-    run of rows with one step).
-
-    A pair retires after ``ticks`` by leaving both slices, so its rows hold
-    its last state.  A chain that ends before a pair rides along in call B
-    with zero increments, its states unread.  The model needs only
-    ``dim``, ``noise_scale`` and ``advance``.
+    A chain with an odd ``last`` ends its last tick after call A.  For the
+    built-in potentials (see ``model._row_map``) one C call
+    (``_kernel.ticks``) runs a chunk's ticks.  Otherwise ``_loop`` ticks in
+    Python with ``model.advance`` calls, each on rows with one float step.
+    The model needs only ``dim``, ``noise_scale`` and ``advance``.
 
     The engine draws standard normals and turns them into the Euler
-    increments.  Each level draws into its own raw buffer for the group,
-    fine step 2j + s of tick j at index 2j + s, in its stream's own order:
-    run-major (B, 2c, d) for one stream per run, so that each run's draw
-    is one contiguous slice, tick-major (2c, width, d) for a shared one.
-    Fine steps take noise_scale * sqrt(gamma) * g, the coarse step
-    noise_scale * sqrt(2 gamma) * ((g1 + g2) * (1 / sqrt(2))) of the two
-    fine normals it spans, so both ride one Brownian path; euler_step's
-    arithmetic, bit for bit.  The C loop reads each row's normals through
-    a per-row table (``_table``) and scales them as it adds them, storing
-    no increment; ``_loop`` reads the same scaled increments, which
-    ``_increments`` builds from the raw buffers per chunk.  The buffers
-    are freed when the group ends.
+    increments.  The level draws into one raw buffer, fine step s of the
+    chunk at index s, in its stream's own order: run-major (B, 2c, d) for
+    one stream per run, so that each run's draw is one contiguous slice,
+    tick-major (2c, width, d) for a shared one.  Fine steps take
+    noise_scale * sqrt(gamma) * g, the coarse step noise_scale *
+    sqrt(2 gamma) * ((g1 + g2) * (1 / sqrt(2))) of the two fine normals it
+    spans, so both ride one Brownian path; euler_step's arithmetic, bit for
+    bit.  The C loop scales the normals as it adds them, storing no
+    increment; ``_loop`` reads the same scaled increments, which
+    ``_increments`` builds from the raw buffer per chunk.
 
     ``chunks`` advances ``chunk`` ticks at a time and, after each chunk,
-    holds its first tick in ``k`` and its record in ``hist``, (n, rows +
-    b0, d) for n ticks (b0 = B with a chain, 0 without), then a last
-    one-tick record of the final state.  A tick's record lies in level
-    order, in blocks of B rows: the chain at the tick's start, the chain
-    after call A, then each pair's coarse rows and fine rows, in ``pairs``
-    order.  Each level owns the 2B rows ``block`` of every tick, copied
-    from the state's blocks of B rows that ``src`` lists, and ``states``
-    reads them by grid index: a pair's (n, 2B, d) block as is, a chain's as
-    (2n, B, d) in grid order, a view when the chain is alone.  ``chunk`` is
-    sized from the group's rows: the record and two increment buffers of
-    all rows would hold about ``budget`` elements (the raw normals hold
-    fewer), and never above ``_CHUNK_STEP_CAP`` ticks.
+    holds its first tick in ``k`` and its record in ``hist``, (n, 2B, d)
+    for n ticks, then a last one-tick record of the final state.  A tick's
+    record is the pair's state at the tick's start, or the chain's at the
+    tick's start and after call A; ``states`` reads it by grid index, as a
+    view.  ``chunk`` is sized from the level's rows: the record and two
+    increment buffers of its rows would hold about
+    ``_CHUNK_ELEMENT_TARGET`` elements (the raw normals hold fewer), and
+    never above ``_CHUNK_STEP_CAP`` ticks.
     """
 
-    def __init__(self, model, x0, levels, bsz, budget):
+    def __init__(self, model, x0, level, bsz):
         d = model.dim
         shape = f"({d},) or ({bsz}, {d})"
         try:
@@ -555,276 +495,163 @@ class _Engine:
                 f"the start point must have shape {shape}, got {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("the start point must be finite")
-        self.levels, self.bsz = levels, bsz
-        self.chain = next((lvl for lvl in levels if not lvl.pair), None)
-        self.pairs = sorted((lvl for lvl in levels if lvl.pair),
-                            key=lambda lvl: -lvl.ticks)
-        self.lo = lo = len(self.pairs) * bsz  # first row of L0, or of F_1
-        self.b0 = b0 = bsz if self.chain else 0
-        rows = 2 * lo + b0
-        if self.chain:
-            self.chain.rows = slice(lo, lo + b0)
-        for i, lvl in enumerate(self.pairs):
-            lvl.rows = slice(lo + b0 + i * bsz, lo + b0 + (i + 1) * bsz)
-            lvl.coarse = slice(lo - (i + 1) * bsz, lo - i * bsz)
-        # block i of a tick's record copies the state's block src[i] of B
-        # rows: the chain twice (at the tick's start, after call A), then
-        # each pair's coarse rows and fine rows
-        src = []
-        for lvl in ([self.chain] if self.chain else []) + self.pairs:
-            lvl.block = slice(len(src) * bsz, (len(src) + 2) * bsz)
-            src += [(lvl.coarse if lvl.pair else lvl.rows).start // bsz,
-                    lvl.rows.start // bsz]
-        self.src = np.array(src, dtype=np.int64)
+        self.level, self.bsz = level, bsz
+        blocks = 2 if level.pair else 1
         # C order: a sum along the last axis of F-ordered rows rounds otherwise
-        self.x = np.array(np.broadcast_to(x, (rows // bsz, bsz, d)),
-                          order="C").reshape(rows, d)
-        self.col = np.empty((rows, 1))
-        self.scale = np.empty(rows)  # of each row's standard normals
-        for lvl in levels:
-            self.col[lvl.rows] = lvl.gamma
-            self.scale[lvl.rows] = model.noise_scale * math.sqrt(lvl.gamma)
-            if lvl.pair:
-                self.col[lvl.coarse] = 2.0 * lvl.gamma
-                self.scale[lvl.coarse] = model.noise_scale * math.sqrt(
-                    2.0 * lvl.gamma)
-        units = rows + b0 + 2 * rows  # the record and the increments
-        self.chunk = max(1, min(_CHUNK_STEP_CAP, budget // (units * d)))
+        self.x = np.array(np.broadcast_to(x, (blocks, bsz, d)),
+                          order="C").reshape(blocks * bsz, d)
+        # of the fine (or chain's) and the coarse standard normals
+        self.scale = (model.noise_scale * math.sqrt(level.gamma),
+                      model.noise_scale * math.sqrt(2.0 * level.gamma))
+        units = 2 * bsz + 2 * len(self.x)  # the record and the increments
+        self.chunk = max(1, min(_CHUNK_STEP_CAP,
+                                _CHUNK_ELEMENT_TARGET // (units * d)))
 
-    def _maps(self, rows):
-        """The ``advance`` calls of one tick on ``rows``, as (view, step)
-        pairs: one with the per-row step column, or a float where the rows
-        share one step; on more than ``_FUSE_ROW_CAP`` rows, one per run of
-        rows with one step, as a column multiply costs more there."""
-        col = self.col[rows, 0]
-        edges = [0, *(np.flatnonzero(col[1:] != col[:-1]) + 1), len(col)]
-        if len(edges) > 2 and len(col) <= _FUSE_ROW_CAP:
-            return [(self.x[rows], self.col[rows])]
-        return [(self.x[rows.start + a:rows.start + b], float(col[a]))
-                for a, b in zip(edges, edges[1:])]
-
-    def _calls(self, t):
-        """The rows of calls A and B at tick t (B None when empty)."""
-        active = sum(lvl.ticks > t for lvl in self.pairs)
-        chain, lo, b0 = self.chain, self.lo, self.b0
-        hi = lo + b0 + active * self.bsz
-        running = chain is not None and t < chain.ticks
-        call_a = slice(lo if running else lo + b0, hi)
-        call_b = None
-        if active:
-            call_b = slice(lo - active * self.bsz, hi)
-        elif chain is not None and t < chain.last // 2:
-            call_b = slice(lo, hi)
-        return call_a, call_b
-
-    def _buffer(self, lvl, steps):
-        """A raw buffer of ``steps`` fine steps of ``lvl``'s normals, as a
-        tick-major view (steps, width, d): one stream per run lies
-        run-major, so that each run's draw is one contiguous slice."""
-        d = self.x.shape[1]
-        if lvl.width is None:
+    def _buffer(self, steps):
+        """A raw buffer of ``steps`` fine steps of normals, as a tick-major
+        view (steps, width, d): one stream per run lies run-major, so that
+        each run's draw is one contiguous slice."""
+        d, width = self.x.shape[1], self.level.width
+        if width is None:
             return np.empty((self.bsz, steps, d)).transpose(1, 0, 2)
-        return np.empty((steps, lvl.width, d))
-
-    def _table(self, raw):
-        """The per-row noise table of ``_kernel.ticks``: each row's first
-        normal in ``raw`` (a coarse row's is its fine row's), its stride
-        per fine step, its scale, and the first row that is not coarse."""
-        g = np.empty(len(self.x), dtype=np.uintp)
-        g_step = np.empty(len(self.x), dtype=np.int64)
-        for lvl, buf in zip(self.levels, raw):
-            first = buf.ctypes.data + np.arange(self.bsz) % buf.shape[1] \
-                * buf.strides[1]
-            for rows in (lvl.rows, lvl.coarse) if lvl.pair else (lvl.rows,):
-                g[rows], g_step[rows] = first, buf.strides[0] // buf.itemsize
-        return g, g_step, self.scale, self.lo
+        return np.empty((steps, width, d))
 
     def _draw(self, k, n, raw):
-        """Draw the standard normals of ticks [k, k + n) into each level's
-        raw buffer, fine step s of the chunk at ``raw[s]``: one job per
-        run's stream, or one per shared stream (``_run_draws``).  Return
-        each level's count of fine steps; past them a chain reads zeros."""
-        jobs, drawn = [], []
-        for lvl, buf in zip(self.levels, raw):
-            if lvl.pair:
-                steps = 2 * min(max(lvl.last - k, 0), n)
-            else:
-                steps = min(max(lvl.last - 2 * k, 0), 2 * n)
-                buf[steps:2 * n] = 0.0  # call B may carry it past its end
-            drawn.append(steps)
-            if not steps:
-                continue
-            if lvl.width is not None:
-                jobs.append(functools.partial(lvl.streams[0].standard_normal,
-                                              out=buf[:steps]))
-                continue
-            jobs += [functools.partial(st.standard_normal, out=buf[:steps, b])
-                     for b, st in enumerate(lvl.streams)]
+        """Draw the standard normals of ticks [k, k + n) into ``raw``, fine
+        step s of the chunk at ``raw[s]``: one job per run's stream, or one
+        for a shared stream (``_run_draws``).  Return the count of fine
+        steps."""
+        lvl = self.level
+        # a chain takes ``last`` fine steps, a pair two per coarse step
+        steps = min(2 * n, (2 * lvl.last if lvl.pair else lvl.last) - 2 * k)
+        if lvl.width is not None:
+            jobs = [functools.partial(lvl.streams[0].standard_normal,
+                                      out=raw[:steps])]
+        else:
+            jobs = [functools.partial(st.standard_normal, out=raw[:steps, b])
+                    for b, st in enumerate(lvl.streams)]
         _run_draws(jobs)
-        return drawn
+        return steps
 
-    def _increments(self, n, raw, drawn, inc):
-        """The scaled increments of the chunk's n ticks, as the C loop forms
-        them, for ``_loop``: those of call A at ``inc[2j]``, of call B at
-        ``inc[2j + 1]``.  Fine steps take noise_scale * sqrt(gamma) * g,
-        the coarse step noise_scale * sqrt(2 gamma) * (g1 + g2) / sqrt(2)."""
-        for lvl, buf, steps in zip(self.levels, raw, drawn):
-            scale = self.scale[lvl.rows, None]
-            if not lvl.pair:  # with its zeros
-                np.multiply(buf[:2 * n], scale, out=inc[:2 * n, lvl.rows])
-                continue
-            np.multiply(buf[:steps], scale, out=inc[:steps, lvl.rows])
-            coarse = inc[1:steps:2, lvl.coarse]
-            np.add(buf[0:steps:2], buf[1:steps:2], out=coarse)
+    def _increments(self, raw, steps, inc):
+        """The scaled increments of the chunk's fine steps, as the C loop
+        forms them, for ``_loop``: fine step s of the chain or the fine rows
+        at ``inc[s]``, and for s odd the coarse step over fine steps s - 1
+        and s at ``inc[s]``'s coarse rows.  Fine steps take noise_scale *
+        sqrt(gamma) * g, the coarse step noise_scale * sqrt(2 gamma) *
+        (g1 + g2) / sqrt(2)."""
+        bsz, (scale, coarse_scale) = self.bsz, self.scale
+        fine = inc[:steps, bsz:] if self.level.pair else inc[:steps]
+        np.multiply(raw[:steps], scale, out=fine)
+        if self.level.pair:
+            coarse = inc[1:steps:2, :bsz]
+            np.add(raw[0:steps:2], raw[1:steps:2], out=coarse)
             coarse *= _INV_SQRT2
-            coarse *= self.scale[lvl.coarse, None]
+            coarse *= coarse_scale
 
-    @staticmethod
-    def _loop(advance, blocks, src, hist, call_a, call_b, chain):
-        """The Euler tick loop: ``len(hist)`` ticks of the state, whose
-        blocks of B rows are ``blocks``.
-
-        Per tick j the state's blocks ``src`` on entry go to ``hist[j]``,
-        (len(src), B, d); call A maps each of its (view, step) pieces in
-        place with ``advance(view, step)`` and adds its increment ``inc[j]``
-        to its rows; with ``chain``, (rows, record), the chain's rows then
-        go to ``record[j]``; then call B does as call A.
-        """
-        maps_a, rows_a, inc_a = call_a
-        maps_b, rows_b, inc_b = call_b or ((), None, None)
-        chain, second = chain or (None, None)
+    def _loop(self, advance, hist, inc, half):
+        """The Euler tick loop in Python: ``len(hist)`` ticks of the state
+        as ``_kernel.ticks`` runs them, each row mapped in place by
+        ``advance(rows, step)`` and then moved by its increment in ``inc``
+        (``_increments``).  With ``half`` the last tick ends after call
+        A."""
+        x, bsz, gamma = self.x, self.bsz, self.level.gamma
+        pair = self.level.pair
+        fine = x[bsz:] if pair else x
         for j in range(len(hist)):
-            # mode="raise" would buffer out: clip writes hist[j] in place
-            np.take(blocks, src, axis=0, out=hist[j], mode="clip")
-            for rows, step in maps_a:
-                advance(rows, step)
-            rows_a += inc_a[j]
-            if chain is not None:
-                second[j] = chain
-            if rows_b is not None:
-                for rows, step in maps_b:
-                    advance(rows, step)
-                rows_b += inc_b[j]
+            if pair:
+                hist[j] = x
+            else:
+                hist[j, :bsz] = x
+            advance(fine, gamma)
+            fine += inc[2 * j, bsz:] if pair else inc[2 * j]
+            if pair:
+                advance(x[:bsz], 2.0 * gamma)
+            else:
+                hist[j, bsz:] = x
+                if half and j == len(hist) - 1:
+                    break
+            advance(fine, gamma)
+            x += inc[2 * j + 1]
 
     def chunks(self, model):
-        """Advance the group to its end; after each chunk yield whether
+        """Advance the level to its end; after each chunk yield whether
         every state so far is finite (a non-finite one stays so)."""
-        x, c = self.x, self.chunk
-        total = max(lvl.ticks for lvl in self.levels)
-        size = min(c, total)
-        bsz, d = self.bsz, x.shape[1]
-        blocks = x.reshape(-1, bsz, d)  # the state's blocks of B rows
-        record = np.empty((size, len(self.src), bsz, d))
-        hist = record.reshape(size, len(self.src) * bsz, d)
-        # a pair draws no more than its ticks; a chain reads zeros past its
-        # end, while call B carries it
-        raw = [self._buffer(lvl, 2 * (min(size, lvl.ticks) if lvl.pair
-                                      else size)) for lvl in self.levels]
-        events = {lvl.ticks for lvl in self.pairs}
-        if self.chain is not None:
-            events |= {self.chain.last // 2, self.chain.ticks}
+        lvl, x, c = self.level, self.x, self.chunk
+        size = min(c, lvl.ticks)
+        hist = np.empty((size, 2 * self.bsz, x.shape[1]))
+        raw = self._buffer(2 * size)
         row_map = _row_map(model)
-        if row_map is not None:
-            noise, inc = self._table(raw), None
-        else:
-            inc = np.empty((2 * size,) + x.shape)
+        inc = None if row_map is not None else np.empty((2 * size,) + x.shape)
         ok = True
-        for k in range(0, total, c):
-            n = min(c, total - k)
-            drawn = self._draw(k, n, raw)
-            if inc is not None:
-                self._increments(n, raw, drawn, inc)
-            edges = sorted({k, k + n} | {e for e in events if k < e < k + n})
-            for t0, t1 in zip(edges, edges[1:]):
-                a, b = self._calls(t0)
-                j0, j1 = t0 - k, t1 - k
-                if row_map is not None:
-                    _kernel.ticks(row_map, x, self.col, hist[j0:j1], self.src,
-                                  self.chain is not None, a, b, noise, j0)
-                    continue
-                # the chain's second block, its state after call A
-                chain = self.chain and (x[self.chain.rows], record[j0:j1, 1])
-                self._loop(model.advance, blocks, self.src, record[j0:j1],
-                           (self._maps(a), x[a], inc[2 * j0:2 * j1:2, a]),
-                           b and (self._maps(b), x[b],
-                                  inc[2 * j0 + 1:2 * j1:2, b]), chain)
+        for k in range(0, lvl.ticks, c):
+            n = min(c, lvl.ticks - k)
+            steps = self._draw(k, n, raw)
+            half = steps < 2 * n  # a chain's last step is call A's
+            if row_map is not None:
+                _kernel.ticks(row_map, x, hist[:n], lvl.gamma, lvl.pair,
+                              raw, self.scale, half)
+            else:
+                self._increments(raw, steps, inc)
+                self._loop(model.advance, hist[:n], inc, half)
             ok = ok and bool(np.isfinite(x).all())
             self.k, self.hist = k, hist[:n]
             yield ok
-        raw = noise = inc = None  # the group's noise is spent: free it
-        self.k, self.hist = total, blocks[self.src].reshape(1, -1, d)
+        raw = inc = None  # the level's noise is spent: free it
+        self.k = lvl.ticks
+        self.hist = (x if lvl.pair else np.concatenate((x, x)))[None]
         yield ok
 
-    def span(self, lvl):
-        """The grid indices [lo, hi) of ``lvl`` in the current record: one
-        per tick of a pair, two per tick of a chain."""
-        per = 1 if lvl.pair else 2
+    def span(self):
+        """The grid indices [lo, hi) in the current record: one per tick of
+        a pair, two per tick of a chain."""
+        per = 1 if self.level.pair else 2
         first = per * self.k
-        return first, min(first + per * len(self.hist), lvl.last + 1)
+        return first, min(first + per * len(self.hist), self.level.last + 1)
 
-    def states(self, lvl, lo, hi):
-        """The states of ``lvl`` at grid indices [lo, hi), in index order:
-        (w, 2B, d) for a pair, its coarse rows over its fine rows, and
-        (w, B, d) for a chain, its (n, 2B, d) block read as (2n, B, d).  A
-        view of the record, but for a chain in a group, whose ticks lie
-        apart: that reshape copies."""
+    def states(self, lo, hi):
+        """The states at grid indices [lo, hi), in index order, as a view of
+        the record: (w, 2B, d) for a pair, its coarse rows over its fine
+        rows, and (w, B, d) for a chain, its (n, 2B, d) ticks read as
+        (2n, B, d)."""
         k, hist = self.k, self.hist
-        if lvl.pair:
-            return hist[lo - k:hi - k, lvl.block]
-        ticks = hist[lo // 2 - k:(hi + 1) // 2 - k, lvl.block]
+        if self.level.pair:
+            return hist[lo - k:hi - k]
+        ticks = hist[lo // 2 - k:(hi + 1) // 2 - k]
         grid = ticks.reshape((2 * len(ticks), self.bsz) + hist.shape[2:])
         return grid[lo % 2:lo % 2 + hi - lo]
 
 
 @_quiet_overflow
-def _drive(model, x0, levels, runs, visit, budget=None):
-    """Run ``levels`` of B = len(runs) rows each, a group at a time, with
-    chunk buffers of about ``budget`` elements (``_CHUNK_ELEMENT_TARGET``).
+def _drive(model, x0, level, runs, visit):
+    """Run ``level`` for B = len(runs) rows.
 
-    ``visit(engine, lvl, lo, hi)`` sees the finite states of each level,
-    once, chunk by chunk: the grid indices [lo, hi) that the engine's
-    current records hold, read by ``engine.states``.  A non-finite state
-    at index i of a level is a NumericalFailureError naming step i and its
-    run, ``runs[row]``, once the states before it have been visited; an
-    error that ``visit`` raises stops its level too.  The lowest failing
-    level's error is raised, so the earliest failure of the first failing
-    level wins whatever the chunk layout and grouping; ``label`` annotates
-    it.
+    ``visit(engine, lo, hi)`` sees the level's finite states once, chunk by
+    chunk: the grid indices [lo, hi) that the engine's current record
+    holds, read by ``engine.states``.  A non-finite state at index i is a
+    NumericalFailureError naming step i and its run, ``runs[row]``, raised
+    once the states before it have been visited; an error that ``visit``
+    raises ends the level first.  So the earliest failure wins whatever
+    the chunk layout.
     """
-    for group in _groups(levels, len(runs)):
-        engine = _Engine(model, x0, group, len(runs),
-                         budget or _CHUNK_ELEMENT_TARGET)
-        failed, done = {}, [False] * len(group)
-        for ok in engine.chunks(model):
-            for pos, lvl in enumerate(group):
-                lo, hi = engine.span(lvl)
-                if pos in failed or lo >= hi:
-                    continue
-                done[pos] = hi == lvl.last + 1
-                err = None
-                if not ok:
-                    finite = np.isfinite(engine.states(lvl, lo, hi)).all(-1)
-                    if lvl.pair:  # a run fails with either of its rows
-                        half = finite.shape[1] // 2
-                        finite = finite[:, :half] & finite[:, half:]
-                    if not finite.all():
-                        j, row = np.argwhere(~finite)[0].tolist()
-                        hi = lo + j
-                        err = _position_error(lvl, hi, runs[row])
-                try:
-                    if lo < hi:
-                        visit(engine, lvl, lo, hi)
-                except NumericalFailureError as exc:
-                    err = exc
-                if err is not None:
-                    if lvl.label is not None:
-                        err.level_index = lvl.label
-                        err.args = (f"level {lvl.label}: {err}",)
-                    failed[pos] = err
-            if failed and all(done[:min(failed)]):
-                break
-        if failed:
-            raise failed[min(failed)]
+    engine = _Engine(model, x0, level, len(runs))
+    for ok in engine.chunks(model):
+        lo, hi = engine.span()
+        if lo >= hi:
+            continue
+        err = None
+        if not ok:
+            finite = np.isfinite(engine.states(lo, hi)).all(-1)
+            if level.pair:  # a run fails with either of its rows
+                finite = finite[:, :len(runs)] & finite[:, len(runs):]
+            if not finite.all():
+                j, row = np.argwhere(~finite)[0].tolist()
+                hi = lo + j
+                err = _position_error(level, hi, runs[row])
+        if lo < hi:
+            visit(engine, lo, hi)
+        if err is not None:
+            raise err
 
 
 def _position_error(lvl, step, run):
@@ -835,7 +662,7 @@ def _position_error(lvl, step, run):
         f"model", step_index=step, run_index=run)
 
 
-def _window_level(gamma, tau, t, pair, streams, label=None):
+def _window_level(gamma, tau, t, pair, streams):
     """A level averaging over grid indices [n(tau), n(T) - 1], and its step
     count: n_gamma(T) for a chain at step gamma, both chains' for a pair,
     whose grid is the coarse one, 2 gamma.  Row b runs on ``streams[b]``.
@@ -848,44 +675,40 @@ def _window_level(gamma, tau, t, pair, streams, label=None):
     if k1 - k0 < 1:
         raise ValueError(
             f"empty averaging window: n({t})={k1}, n({tau})={k0} at gamma={grid}")
-    level = _Level(gamma, k1 - 1, pair, streams, k0, label)
-    return level, fine + k1 if pair else k1
+    return _Level(gamma, k1 - 1, pair, streams, k0), fine + k1 if pair else k1
 
 
-def _run_levels(model, x0, levels, f, runs):
-    """Each level's compensated window average of f per run, in order.
+def _run_level(model, x0, gamma, tau, t, f, streams, pair):
+    """One level's compensated window average of f per run, and its step
+    count.
 
-    A pair averages f(fine) - f(coarse).  Each window is summed in grid
-    order, compensated (``_CompensatedSum``), so the chunk, the grouping and
-    the batch width change no bit: a level gives the same bits in any group
-    as alone.  Averages are (B,) for a scalar observable, (B, m) for a
-    vector one.
+    A pair averages f(fine) - f(coarse).  The window is summed in grid
+    order, compensated (``_CompensatedSum``), so neither the chunk nor the
+    batch width changes a bit.  Averages are (B,) for a scalar observable,
+    (B, m) for a vector one.
     """
+    level, steps = _window_level(gamma, tau, t, pair, streams)
+    runs = [st.run_index for st in streams]
+    acc = None
 
-    def visit(engine, lvl, lo, hi):
+    def visit(engine, lo, hi):
+        nonlocal acc
         # f sees at most a chunk's count of indices at once: a memory bound
-        for a in range(max(lo, lvl.k0), hi, engine.chunk):
+        for a in range(max(lo, level.k0), hi, engine.chunk):
             b = min(a + engine.chunk, hi)
-            vals = _eval_window(f, engine.states(lvl, a, b))
-            if lvl.pair:  # fine minus coarse, in place: no third array
+            vals = _eval_window(f, engine.states(a, b))
+            if pair:  # fine minus coarse, in place: no third array
                 half = vals.shape[1] // 2
                 vals[:, half:] -= vals[:, :half]
                 vals = vals[:, half:]
             _check_values_finite(vals, a, runs)
-            if lvl.acc is None:
-                lvl.acc = _CompensatedSum(vals.shape[1:])
-            _reduce_window(lvl.acc, vals)
+            if acc is None:
+                acc = _CompensatedSum(vals.shape[1:])
+            _reduce_window(acc, vals)
             del vals  # free the window values before the next piece
 
-    _drive(model, x0, levels, runs, visit)
-    return [lvl.acc.total() / (lvl.last + 1 - lvl.k0) for lvl in levels]
-
-
-def _run_level(model, x0, gamma, tau, t, f, streams, pair):
-    """One level alone: its window average per row, and its step count."""
-    level, steps = _window_level(gamma, tau, t, pair, streams)
-    runs = [st.run_index for st in streams]
-    return _run_levels(model, x0, [level], f, runs)[0], steps
+    _drive(model, x0, level, runs, visit)
+    return acc.total() / (level.last + 1 - level.k0), steps
 
 
 def _run_value(row):

@@ -55,7 +55,7 @@ def on_workers(monkeypatch, n):
 
 
 def fused():
-    """20 runs of R = 5 in d = 10: 220 rows, one tick loop."""
+    """20 runs of R = 5 in d = 10: six narrow levels, 20 or 40 rows each."""
     x0 = np.linspace(-1.0, 1.0, 10)
     outs = estimate_repeated(logistic(10), plan(10, 5), x0,
                              identity_observable(), 3, 20)
@@ -63,7 +63,7 @@ def fused():
 
 
 def level_by_level():
-    """140 runs of R = 2: a pair's 280 rows exceed the fusion cap."""
+    """140 runs of R = 2: a pair has 280 rows."""
     x0 = np.full(3, 0.5)
     outs = estimate_repeated(ou(3), plan(3, 2, t0=4.0), x0, norm_observable(),
                              5, 140)
@@ -76,14 +76,6 @@ def probes():
                                   seed=2)
     gaps = confluence_probe(model, 0.25, 20.0, 100, seed=2).sup_gap_sq
     return distances, gaps
-
-
-def test_the_estimates_fuse_and_split_as_their_names_say():
-    def groups(R, runs):
-        return len(sde._groups(
-            [sde._Level(0.5, 9, r > 0, []) for r in range(R + 1)], runs))
-
-    assert (groups(5, 20), groups(2, 140)) == (1, 3)
 
 
 @pytest.mark.parametrize("run", [fused, level_by_level, probes])
@@ -129,8 +121,7 @@ def test_an_error_in_a_workers_draw_surfaces_unchanged(monkeypatch):
                NoiseStream(0, 0, 2)]
     level = sde._Level(0.25, 40, False, streams)
     with pytest.raises(Boom) as raised:
-        sde._drive(ou(2), np.zeros(2), [level], range(3),
-                   lambda *args: None)
+        sde._drive(ou(2), np.zeros(2), level, range(3), lambda *args: None)
     assert raised.value is error
 
 
@@ -177,28 +168,24 @@ def test_a_forked_child_draws_after_its_parent_did(monkeypatch):
     assert not hung and child.exitcode == 0
 
 
-def test_a_groups_raw_buffers_are_freed_when_the_next_group_starts(
+def test_a_levels_raw_buffer_is_freed_when_the_next_level_starts(
         monkeypatch):
     on_workers(monkeypatch, 2)
-    monkeypatch.setattr(sde, "_FUSE_ROW_CAP", 1)  # every level alone
     buffers, alive = [], []
     draw = sde._Engine._draw
 
     def recording_draw(engine, k, n, raw):
         if k == 0:
-            buffers.append([weakref.ref(buf.base if buf.base is not None
-                                        else buf) for buf in raw])
+            buffers.append(weakref.ref(raw.base if raw.base is not None
+                                       else raw))
+        gc.collect()
+        alive.append([ref() is not None for ref in buffers[:-1]])
         return draw(engine, k, n, raw)
 
-    def visit(engine, lvl, lo, hi):
-        gc.collect()
-        alive.append([[ref() is not None for ref in group]
-                      for group in buffers[:-1]])
-
     monkeypatch.setattr(sde._Engine, "_draw", recording_draw)
-    levels = [sde._Level(0.25, 30, r > 0,
-                         [NoiseStream(1, r, b) for b in range(2)])
-              for r in range(3)]
-    sde._drive(ou(2), np.zeros(2), levels, range(2), visit)
-    assert len(buffers) == 3 and len(alive[-1]) == 2
-    assert not any(any(map(any, seen)) for seen in alive)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "_CHUNK_STEP_CAP", 4)  # several draws per level
+        estimate_repeated(ou(2), plan(2, 2), np.zeros(2), norm_observable(),
+                          1, 2)
+    assert len(buffers) == 3 and len(alive) == 6
+    assert not any(map(any, alive))

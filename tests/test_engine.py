@@ -2,15 +2,15 @@
 
 Each property draws the dimension, the level count, the batch width and the
 chunk cap (``_CHUNK_STEP_CAP``), so a chunk boundary can fall anywhere in a
-level's window or next to a failing step; the fused-level property also
-draws the horizons and the fusion cap (``_FUSE_ROW_CAP``), and the budget
-property draws the chunk's element budget (``_CHUNK_ELEMENT_TARGET``), so
-that the group's rows set the chunk.  Every window is summed in grid order,
-so each of these changes no byte.  Examples are derandomized, so a run is
-reproducible.  The last test checks that every entry point rejects a bad
-start point before any step.
+level's window or next to a failing step; the estimate-level properties
+also draw the horizons, and the budget property draws the chunk's element
+budget (``_CHUNK_ELEMENT_TARGET``), so that the level's rows set the chunk.
+Every window is summed in grid order, so each of these changes no byte.
+Examples are derandomized, so a run is reproducible.  The last test checks
+that every entry point rejects a bad start point before any step.
 """
 
+import collections
 import contextlib
 import math
 
@@ -96,12 +96,12 @@ def trajectory(model, x0, gamma, last, streams, pair, cap):
     for a chain, (last + 1, 2B, d) for a pair, its coarse rows first."""
     states = []
 
-    def visit(engine, level, lo, hi):  # a copy: the engine reuses buffers
-        states.append(np.array(engine.states(level, lo, hi)))
+    def visit(engine, lo, hi):  # a copy: the engine reuses buffers
+        states.append(np.array(engine.states(lo, hi)))
 
     level = sde._Level(gamma, last, pair, streams)
     with chunk_cap(cap):
-        sde._drive(model, x0, [level], range(len(streams)), visit)
+        sde._drive(model, x0, level, range(len(streams)), visit)
     return np.concatenate(states)
 
 
@@ -134,9 +134,9 @@ def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
     model, x0, last = make_model("ou", 3), start(3, 5), 20
     reads = []
 
-    def visit(engine, level, lo, hi):
+    def visit(engine, lo, hi):
         for a in (lo, lo + 1)[:hi - lo]:
-            states = engine.states(level, a, hi)
+            states = engine.states(a, hi)
             assert len(states) == hi - a
             assert np.shares_memory(states, engine.hist)
         reads.append((lo, hi, len(engine.hist)))
@@ -144,10 +144,34 @@ def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
     streams = [NoiseStream(5, 1, run_index=i) for i in range(2)]
     level = sde._Level(0.25, last, pair, streams)
     with chunk_cap(cap):
-        sde._drive(model, x0, [level], range(2), visit)
+        sde._drive(model, x0, level, range(2), visit)
     # every index once, in order, the last from the final one-tick record
     assert [lo for lo, _, _ in reads] == [0] + [hi for _, hi, _ in reads[:-1]]
     assert reads[-1] == (last, last + 1, 1)
+
+
+def test_every_read_of_an_estimate_is_a_view(monkeypatch):
+    """Each level of an estimate, chains and pairs alike, reads its states
+    and hands the observable its points as views of the engine's record."""
+    reads, engines = [], []
+    states = sde._Engine.states
+
+    def viewed_states(engine, lo, hi):
+        rows = states(engine, lo, hi)
+        reads.append((engine.level.pair, np.shares_memory(rows, engine.hist)))
+        engines.append(engine)
+        return rows
+
+    def observable(pts):
+        reads.append((None, np.shares_memory(pts, engines[-1].hist)))
+        return np.linalg.norm(pts, axis=-1)
+
+    monkeypatch.setattr(sde._Engine, "states", viewed_states)
+    model, x0 = make_model("logistic", 3), start(3, 2)
+    with chunk_cap(5):
+        estimate_repeated(model, make_plan(3, 2), x0, observable, 2, 3)
+    assert {pair for pair, _ in reads} == {False, True, None}
+    assert all(view for _, view in reads)
 
 
 def window_reference(model, x0, gamma, tau, t, f, stream, pair):
@@ -211,7 +235,7 @@ def test_level0_window_average_equals_an_euler_step_loop(
     check_window_average(kind, d, False, n_runs, cap, seed, obs)
 
 
-def fused_plan(d, ratios, tau_share):
+def ratio_plan(d, ratios, tau_share):
     """Hand-built plan whose horizons fall from 12 by ``ratios``, so level 0
     or a coupled level may last longest and the levels' tick counts come in
     any order."""
@@ -224,16 +248,14 @@ def fused_plan(d, ratios, tau_share):
 
 @settings(PROPERTY, max_examples=40)
 @given(kinds, dims, st.lists(st.floats(0.45, 0.99), max_size=5),
-       st.integers(1, 4), caps, st.sampled_from([1, 16, 256]),
-       st.sampled_from([0.0, 0.25, 0.5]), seeds, observables)
+       st.integers(1, 4), caps, st.sampled_from([0.0, 0.25, 0.5]), seeds,
+       observables)
 def test_fused_levels_equal_their_standalone_runs(
-        kind, d, ratios, n_runs, cap, fuse, tau_share, seed, obs):
-    # one tick loop runs every level here (at most 44 rows) unless the fuse
-    # cap splits them; grouping changes no bit
+        kind, d, ratios, n_runs, cap, tau_share, seed, obs):
+    # every level of an estimate gives the bytes of its standalone call
     model, x0 = make_model(kind, d), start(d, seed)
-    plan = fused_plan(d, ratios, tau_share)
-    with chunk_cap(cap), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sde, "_FUSE_ROW_CAP", fuse)
+    plan = ratio_plan(d, ratios, tau_share)
+    with chunk_cap(cap):
         runs = estimate_repeated(model, plan, x0, obs(), seed, n_runs)
         for r in range(plan.R + 1):
             kernel = run_level0 if r == 0 else run_coupled_level
@@ -248,18 +270,16 @@ def test_fused_levels_equal_their_standalone_runs(
 
 @settings(PROPERTY, max_examples=25)
 @given(kinds, dims, st.lists(st.floats(0.45, 0.99), max_size=3),
-       st.integers(1, 4), st.integers(1, 3000), st.sampled_from([1, 16, 256]),
-       seeds, observables)
+       st.integers(1, 4), st.integers(1, 3000), seeds, observables)
 def test_the_chunk_budget_changes_no_byte(
-        kind, d, ratios, n_runs, budget, fuse, seed, obs):
-    # far below the default budget, the group's rows set the chunk (never
-    # the 4096-tick cap): a batch, a single run, a fused group and a lone
-    # level each tick in chunks of their own length
+        kind, d, ratios, n_runs, budget, seed, obs):
+    # far below the default budget, the level's rows set the chunk (never
+    # the 4096-tick cap): a batch and a single run, a chain and a pair each
+    # tick in chunks of their own length
     model, x0 = make_model(kind, d), start(d, seed)
-    plan = fused_plan(d, ratios, 0.25)
+    plan = ratio_plan(d, ratios, 0.25)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde, "_CHUNK_ELEMENT_TARGET", budget)
-        mp.setattr(sde, "_FUSE_ROW_CAP", fuse)
         runs = estimate_repeated(model, plan, x0, obs(), seed, n_runs)
         for i, out in enumerate(runs):
             alone = _estimate_batch(model, plan, x0, obs(), seed,
@@ -420,6 +440,27 @@ def test_lowest_failing_level_wins_over_an_earlier_tick(cap):
     assert str(exc.value) == f"level 0: {message}"
     assert message.startswith(f"non-finite position at step {step} (run 7, "
                               "gamma=4.0)")
+
+
+def test_a_failing_level_0_ends_the_estimate_before_level_1_draws(
+        monkeypatch):
+    draws = collections.Counter()
+    draw = NoiseStream.standard_normal
+
+    def counting_draw(stream, shape=None, out=None):
+        draws[stream.level_index] += 1
+        return draw(stream, shape, out)
+
+    monkeypatch.setattr(NoiseStream, "standard_normal", counting_draw)
+    model, x0 = StepGrowth(2), np.full(2, 1e300)
+    plan = TuningPlan(regime="b2", gamma0=4.0, horizons=[2000.0, 1000.0,
+                                                         500.0],
+                      tau=4.0, r0=1.0, big_t=2000.0, dim=2)
+    with pytest.raises(NumericalFailureError) as exc:
+        _estimate_batch(model, plan, x0, identity_observable(), 1,
+                        run_indices=[7, 5])
+    assert exc.value.level_index == 0
+    assert list(draws) == [0]
 
 
 OU2 = make_langevin_model(QuadraticPotential(2), "auto")

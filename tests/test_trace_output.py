@@ -44,3 +44,23 @@ def test_traced_metrics_are_complete_finite_json(workload):
     assert [k for k, v in values.items() if v is None] == []
     json.dumps(values, allow_nan=False)
     assert outcome.failed == 0
+
+
+@pytest.mark.parametrize(
+    "workload", [w for w in SMALL if isinstance(w, wl.EstimatorWorkload)],
+    ids=lambda w: w.name)
+def test_traced_level_metrics_are_live(workload):
+    # each level runs through its own wrapped runner, so the per-level
+    # steps add up to the estimate's cost and no level reads 0
+    tracer = tracing.Tracer()
+    with tracer:
+        state = workload.setup(0, tracer.span)
+        outcome, outputs = workload.measure(state, tracer.span)
+    values, _ = tracing.layer_metrics(
+        tracer, workload, state, outputs, outcome.wall_s, outcome.wall_s, {})
+    levels = range(state.plan.R + 1)
+    assert state.plan.R >= 1
+    assert sum(values[f"sde.level{r}_steps"] for r in levels) \
+        == values["estimator.grad_evals"]
+    assert all(values[f"sde.level{r}_steps"] > 0 for r in levels)
+    assert all(values[f"sde.level{r}_s"] > 0 for r in levels)
