@@ -50,9 +50,11 @@ on small ``tune``/``run``/``bench``/``probe`` reports in JSON and CSV,
 ``--table``, config-file runs, and the bad command lines and config files of
 ``tests/test_cli.py`` (input files live in a temporary directory that reads
 as TMP; bench's ``wall_clock_seconds`` is blanked), with the message of each
-bad config file in clear.  These sections follow
-the total so that the total stays comparable with checkouts that predate
-them.
+bad config file in clear.  The last line, "numpy path total", is the
+total of the same lines computed again with the C library disabled
+(``_kernel._lib = None``, restored afterwards), where every model maps and
+ticks with numpy.  These sections follow the total so that the total stays
+comparable with checkouts that predate them.
 
 Takes about 20 s.
 """
@@ -70,6 +72,7 @@ from pathlib import Path
 import numpy as np
 
 import mlangevin as ml
+import mlangevin._kernel as _kernel
 import mlangevin.sde as sde
 from mlangevin.cli import main as cli_main
 
@@ -510,7 +513,8 @@ def cli_lines():
     return lines
 
 
-def main():
+def output_lines():
+    """The lines that the total digests."""
     lines = plan_lines()
     default_cap = sde._CHUNK_STEP_CAP
     for cap, t0 in ((default_cap, 300.0), (7, 40.0)):
@@ -544,11 +548,27 @@ def main():
     lines += bench_lines()
     lines += failure_lines()
     lines += explicit_lines()
+    return lines
+
+
+def numpy_path_total() -> str:
+    """The total of the same lines with the C library disabled."""
+    saved = _kernel._lib
+    _kernel._lib = None
+    try:
+        return digest("\n".join(output_lines()))
+    finally:
+        _kernel._lib = saved
+
+
+def main():
+    lines = output_lines()
     print("\n".join(lines))
     print("total", digest("\n".join(lines)))
     print("\n".join(start_point_lines()))
     print("\n".join(nonfinite_lines()))
     print("\n".join(cli_lines()))
+    print("numpy path total", numpy_path_total())
 
 
 if __name__ == "__main__":

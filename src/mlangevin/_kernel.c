@@ -17,8 +17,8 @@
  * as it adds them: g * scale on a chain or fine row, ((g1 + g2) *
  * (1 / sqrt 2)) * scale on a coarse row, from the two normals of its fine
  * row, each operation rounded alone as in numpy; no increment is stored.
- * It records each tick as a copy of the state: a pair's at the tick's
- * start, a chain's at the tick's start and after its first step.
+ * A tick is one step of the level's grid, and it first records a copy of
+ * the state.
  *
  * mlv_csum adds window values to compensated sums, one grid index at a
  * time in index order, so each slot's total depends on its values alone;
@@ -83,13 +83,12 @@ static inline void map_row(int kind, double *x, int64_t d, double h,
         x[i] -= t * c[i];
 }
 
-/* Rows x[r], r < rows, each of d doubles, take the step h[r * h_step]
- * (h_step 0: one step for all). */
-void mlv_descend(int kind, double *x, int64_t rows, int64_t d,
-                 const double *h, int64_t h_step, const double *c, double lam)
+/* Rows x[r], r < rows, each of d doubles, take the step h. */
+void mlv_descend(int kind, double *x, int64_t rows, int64_t d, double h,
+                 const double *c, double lam)
 {
     for (int64_t r = 0; r < rows; r++)
-        map_row(kind, x + r * d, d, h[r * h_step], c, lam);
+        map_row(kind, x + r * d, d, h, c, lam);
 }
 
 /* Rows x[r], r < n, each of d doubles, take the step h and then their
@@ -122,32 +121,26 @@ static void advance_rows(int kind, double *x, int64_t n, int64_t d,
  * chain's B rows at step h, or a pair's B coarse rows at step hc over its B
  * fine rows at step h.  The chunk's normals g, g_step, g_run and width are
  * as advance_rows reads them, scaled by s (sc on a coarse row).  Tick j
- * records 2B rows at hist + j * 2 bsz d: a copy of the state at the tick's
- * start, and for a chain a second one after call A.  Call A moves the
- * chain or the fine rows by fine step 2j; call B the coarse rows by fine
- * steps 2j and 2j + 1, and the chain or the fine rows by 2j + 1, but on
- * the last tick when half is set. */
+ * first copies the state to hist + j * size.  A chain then moves by fine
+ * step j; a pair moves its fine rows by fine step 2j, its coarse rows by
+ * fine steps 2j and 2j + 1, and its fine rows by 2j + 1. */
 void mlv_ticks(int kind, int64_t n, int64_t d, int64_t bsz, int pair,
-               int half, double *x, double h, double hc, const double *c,
-               double lam, double *hist, const double *g, int64_t g_step,
-               int64_t g_run, int64_t width, double s, double sc)
+               double *x, double h, double hc, const double *c, double lam,
+               double *hist, const double *g, int64_t g_step, int64_t g_run,
+               int64_t width, double s, double sc)
 {
-    int64_t size = bsz * d;
-    size_t bytes = (size_t)size * sizeof(double);
-    double *fine = pair ? x + size : x;
+    int64_t size = (pair ? 2 : 1) * bsz * d;
+    double *fine = pair ? x + bsz * d : x;
     for (int64_t j = 0; j < n; j++) {
-        double *rec = hist + j * 2 * size;
-        memcpy(rec, x, pair ? 2 * bytes : bytes);
-        advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run, width,
-                     s, 0, 2 * j);
-        if (pair)
+        memcpy(hist + j * size, x, (size_t)size * sizeof(double));
+        if (pair) {
+            advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run,
+                         width, s, 0, 2 * j);
             advance_rows(kind, x, bsz, d, hc, c, lam, g, g_step, g_run,
                          width, sc, 1, 2 * j + 1);
-        else
-            memcpy(rec + size, x, bytes);
-        if (!half || j < n - 1)
-            advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run,
-                         width, s, 0, 2 * j + 1);
+        }
+        advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run, width,
+                     s, 0, pair ? 2 * j + 1 : j);
     }
 }
 

@@ -47,10 +47,10 @@ _lib = _UNLOADED  # the loaded library, None without one; see lib()
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
-    "mlv_descend": (ctypes.c_int, _PTR, _I64, _I64, _PTR, _I64, _PTR, _F64),
-    "mlv_ticks": (ctypes.c_int, _I64, _I64, _I64, ctypes.c_int,
-                  ctypes.c_int, _PTR, _F64, _F64, _PTR, _F64, _PTR, _PTR,
-                  _I64, _I64, _I64, _F64, _F64),
+    "mlv_descend": (ctypes.c_int, _PTR, _I64, _I64, _F64, _PTR, _F64),
+    "mlv_ticks": (ctypes.c_int, _I64, _I64, _I64, ctypes.c_int, _PTR, _F64,
+                  _F64, _PTR, _F64, _PTR, _PTR, _I64, _I64, _I64, _F64,
+                  _F64),
     "mlv_csum": (_I64, _I64, _PTR, _I64, _PTR, _PTR),
 }
 
@@ -148,10 +148,9 @@ def lib():
 
 def descend(kind: int, x, h, covariate=None, lam: float = 0.0) -> bool:
     """The built-in map ``kind`` on ``x`` in place, as ``Potential.descend``
-    takes it: ``x`` float rows (..., d) or a point (d,), ``h`` a float or a
-    column of per-row steps.  False, with ``x`` untouched, when there is no
-    library or the arguments are not of a form the C map takes (the caller
-    then maps with numpy)."""
+    takes it: ``x`` float rows (..., d) or a point (d,), ``h`` a float.
+    False, with ``x`` untouched, when there is no library or the arguments
+    are not of a form the C map takes (the caller then maps with numpy)."""
     handle = lib()
     if (handle is None or not isinstance(x, np.ndarray) or x.ndim == 0
             or x.dtype != np.float64 or not x.flags.writeable
@@ -163,42 +162,32 @@ def descend(kind: int, x, h, covariate=None, lam: float = 0.0) -> bool:
         c = np.ascontiguousarray(covariate, dtype=float)
         if c.shape != (d,):
             return False
-    try:
-        step = np.asarray(h, dtype=float)
-        if step.ndim:
-            step = np.broadcast_to(step, x.shape[:-1] + (1,))
-    except (TypeError, ValueError):
-        return False
     rows = np.ascontiguousarray(x)
-    step_col = np.ascontiguousarray(step).reshape(-1)
-    handle.mlv_descend(kind, rows.ctypes.data, rows.size // d, d,
-                       step_col.ctypes.data, int(step.ndim > 0),
+    handle.mlv_descend(kind, rows.ctypes.data, rows.size // d, d, float(h),
                        None if c is None else c.ctypes.data, lam)
     if rows is not x:
         x[...] = rows
     return True
 
 
-def ticks(row_map, x, hist, gamma, pair, raw, scale, half):
-    """``len(hist)`` ticks of one engine level in C.
+def ticks(row_map, x, hist, gamma, pair, raw, scale):
+    """``len(hist)`` ticks of one engine level in C, one grid step each.
 
     ``x`` is the state: a chain's rows (B, d) at step ``gamma``, or with
     ``pair`` a pair's (2B, d), its B coarse rows at step 2 gamma over its B
     fine rows at step gamma.  ``row_map`` is ``(kind, covariate, lam,
     sigma0^2)``; a row maps by its step times sigma0^2.  ``raw`` (fine
     steps, width, d) holds the chunk's standard normals, run b reading
-    column b % width, and ``scale`` is (fine scale, coarse scale).  Per
-    tick j, ``hist[j]`` (2B, d), C-ordered, records the state at the
-    tick's start (for a chain, its B rows and then the same rows after call
-    A); call A maps the chain or the fine rows and adds fine step 2j, call
-    B maps the coarse rows and adds fine steps 2j and 2j + 1, and maps the
-    chain or the fine rows and adds fine step 2j + 1.  With ``half`` the
-    last tick ends after call A.
+    column b % width, and ``scale`` is (fine scale, coarse scale).  Tick j
+    first records the state in ``hist[j]``, C-ordered like ``x``.  A chain
+    then maps its rows and adds fine step j.  A pair maps its fine rows and
+    adds fine step 2j, maps its coarse rows and adds fine steps 2j and
+    2j + 1, then maps its fine rows and adds fine step 2j + 1.
     """
     kind, c, lam, s2 = row_map
     lib().mlv_ticks(
-        kind, len(hist), x.shape[1], hist.shape[1] // 2, int(pair),
-        int(half), x.ctypes.data, gamma * s2, 2.0 * gamma * s2,
+        kind, len(hist), x.shape[1], len(x) // 2 if pair else len(x),
+        int(pair), x.ctypes.data, gamma * s2, 2.0 * gamma * s2,
         None if c is None else c.ctypes.data, lam, hist.ctypes.data,
         raw.ctypes.data, raw.strides[0] // raw.itemsize,
         raw.strides[1] // raw.itemsize, raw.shape[1], *scale)

@@ -101,13 +101,11 @@ class Potential:
         """Return grad U(x), same shape as ``x``."""
         raise NotImplementedError
 
-    def descend(self, x: np.ndarray, h) -> None:
+    def descend(self, x: np.ndarray, h: float) -> None:
         """Take the gradient step x <- x - h grad U(x) in place.
 
-        ``x`` is a writable float array of shape ``(d,)`` or ``(..., d)``.
-        ``h`` is a float or, for rows ``x`` of shape (rows, d), a (rows, 1)
-        column of per-row steps; it must enter only elementwise, so that a
-        column gives each row the bits of its own float step.
+        ``x`` is a writable float array of shape ``(d,)`` or ``(..., d)``,
+        and ``h`` a float step.
         """
         x -= h * self.grad(x)
 
@@ -280,12 +278,12 @@ class LangevinModel:
         """Drift b(x) = -sigma0^2 grad U(x), acting along the last axis."""
         return (-self.sigma0 ** 2) * self.potential.grad(x)
 
-    def advance(self, x: np.ndarray, step) -> None:
+    def advance(self, x: np.ndarray, step: float) -> None:
         """The noise-free Euler map x <- x + step * b(x), in place.
 
         This is ``potential.descend(x, step * sigma0^2)``; the Euler engine
         and ``euler_step`` move points only through it.  ``step`` is a
-        float or a (rows, 1) column of per-row steps for rows (rows, d).
+        float.
         """
         self.potential.descend(x, step * self.sigma0 ** 2)
 

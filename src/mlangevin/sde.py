@@ -11,13 +11,12 @@ simulation goes through it (``_drive``):
 * the estimator's levels, one after another.
 * the contraction and confluence probes in ``diagnostics``.
 
-The engine runs one level of B runs in one tick loop: a chain, whose tick
-is two steps, or a coupled pair, whose tick is one coarse step and two fine
-steps.  A pair's state is one (2B, d) array, its coarse rows over its fine
-rows.  Each tick is recorded, so that the level reads its states as views
-of one buffer: the chain at the tick's start and after its first step (its
-grid indices 2t and 2t + 1), or the pair at the tick's start (coarse index
-t).  The engine checks the start point (shape (d,) or (B, d), finite),
+The engine runs one level of B runs in one tick loop, one step of the
+level's own grid per tick: a chain's step, or a coupled pair's coarse step
+and its two fine steps.  A pair's state is one (2B, d) array, its coarse
+rows over its fine rows.  Each tick records the state at its start, grid
+index t at tick t, so that the level reads its states as views of one
+buffer.  The engine checks the start point (shape (d,) or (B, d), finite),
 draws the standard normals and turns them into the Euler increments, and
 reads the first non-finite step and run of a failure from its record.
 
@@ -103,12 +102,11 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # A chunk's buffers hold about this many elements, in at most this many
-# ticks: a memory setting only, as no output depends on the chunk.  One
-# level of B runs counts its record (2B rows per tick: a pair's state, or a
-# chain's twice) and two increment buffers of its rows (B for a chain, 2B
-# for a pair), more than the raw normals that the C path keeps (one fine row
-# per run and step).  Each run draws once per chunk, so a shorter chunk
-# costs calls.
+# ticks: a memory setting only, as no output depends on the chunk.  A tick
+# of a level counts three states of its rows (B for a chain, 2B for a
+# pair): its record, its raw normals (a chain's step or a pair's two fine
+# steps) and its observable values.  Each run draws once per chunk, so a
+# shorter chunk costs calls.
 _CHUNK_ELEMENT_TARGET = 2_000_000
 _CHUNK_STEP_CAP = 4096
 
@@ -426,18 +424,16 @@ class _Level:
     pair, visiting grid indices 0..``last`` of its grid (steps of a chain,
     coarse steps of a pair).
 
-    Its standard normals, two fine steps per tick, come from ``streams``:
-    one ``NoiseStream`` per run, run b drawing (steps, d) from
-    ``streams[b]``; or, with ``width``, one stream that all runs share,
-    drawing (steps, width, d), run b reading column b % width.  ``k0`` is
-    the first index of its averaging window.
+    Its standard normals, one per fine step, come from ``streams``: one
+    ``NoiseStream`` per run, run b drawing (steps, d) from ``streams[b]``;
+    or, with ``width``, one stream that all runs share, drawing (steps,
+    width, d), run b reading column b % width.  ``k0`` is the first index
+    of its averaging window.
     """
 
     def __init__(self, gamma, last, pair, streams, k0=0, width=None):
         self.gamma, self.last, self.pair = float(gamma), last, pair
         self.streams, self.width, self.k0 = list(streams), width, k0
-        # a tick is two steps of a chain and one coarse step of a pair
-        self.ticks = last if pair else (last + 1) // 2
 
 
 class _Engine:
@@ -446,24 +442,21 @@ class _Engine:
     The state ``x`` is a chain's (B, d) rows or a pair's (2B, d) rows, its
     coarse rows over its fine rows.  Every row starts at ``x0``, (d,) or
     (B, d); any other shape, or a non-finite value, is a ValueError raised
-    before any step.  A tick maps rows and adds their increments in two
-    calls:
-
-    * A: the chain, or the pair's fine rows, take their first step;
-    * B: the chain takes its second step, or the pair's coarse rows take the
-      coarse step and its fine rows their second step.
-
-    A chain with an odd ``last`` ends its last tick after call A.  For the
-    built-in potentials (see ``model._row_map``) one C call
-    (``_kernel.ticks``) runs a chunk's ticks.  Otherwise ``_loop`` ticks in
-    Python with ``model.advance`` calls, each on rows with one float step.
-    The model needs only ``dim``, ``noise_scale`` and ``advance``.
+    before any step.  A tick is one step of the level's grid: the chain
+    maps its rows and adds their increments, or the pair's fine rows take
+    their first step, its coarse rows the coarse step and its fine rows
+    their second step.  For the built-in potentials (see
+    ``model._row_map``) one C call (``_kernel.ticks``) runs a chunk's
+    ticks.  Otherwise ``_loop`` ticks in Python with ``model.advance``
+    calls, each on rows with one float step.  The model needs only
+    ``dim``, ``noise_scale`` and ``advance``.
 
     The engine draws standard normals and turns them into the Euler
     increments.  The level draws into one raw buffer, fine step s of the
-    chunk at index s, in its stream's own order: run-major (B, 2c, d) for
-    one stream per run, so that each run's draw is one contiguous slice,
-    tick-major (2c, width, d) for a shared one.  Fine steps take
+    chunk at index s (a chain's tick j at s = j, a pair's at s = 2j and
+    2j + 1), in its stream's own order: run-major (B, steps, d) for one
+    stream per run, so that each run's draw is one contiguous slice,
+    tick-major (steps, width, d) for a shared one.  Fine steps take
     noise_scale * sqrt(gamma) * g, the coarse step noise_scale *
     sqrt(2 gamma) * ((g1 + g2) * (1 / sqrt(2))) of the two fine normals it
     spans, so both ride one Brownian path; euler_step's arithmetic, bit for
@@ -472,14 +465,13 @@ class _Engine:
     ``_increments`` builds from the raw buffer per chunk.
 
     ``chunks`` advances ``chunk`` ticks at a time and, after each chunk,
-    holds its first tick in ``k`` and its record in ``hist``, (n, 2B, d)
-    for n ticks, then a last one-tick record of the final state.  A tick's
-    record is the pair's state at the tick's start, or the chain's at the
-    tick's start and after call A; ``states`` reads it by grid index, as a
-    view.  ``chunk`` is sized from the level's rows: the record and two
-    increment buffers of its rows would hold about
-    ``_CHUNK_ELEMENT_TARGET`` elements (the raw normals hold fewer), and
-    never above ``_CHUNK_STEP_CAP`` ticks.
+    holds its first tick in ``k`` and its record in ``hist``, (n, rows, d)
+    for n ticks, the state at each tick's start, then a last one-tick
+    record of the final state.  So tick k is grid index k, and ``states``
+    reads the record by grid index, as a view.  ``chunk`` is sized from
+    the level's rows, three states of them per tick, to about
+    ``_CHUNK_ELEMENT_TARGET`` elements and never above ``_CHUNK_STEP_CAP``
+    ticks.
     """
 
     def __init__(self, model, x0, level, bsz):
@@ -503,7 +495,7 @@ class _Engine:
         # of the fine (or chain's) and the coarse standard normals
         self.scale = (model.noise_scale * math.sqrt(level.gamma),
                       model.noise_scale * math.sqrt(2.0 * level.gamma))
-        units = 2 * bsz + 2 * len(self.x)  # the record and the increments
+        units = 3 * len(self.x)  # the record, the normals and the values
         self.chunk = max(1, min(_CHUNK_STEP_CAP,
                                 _CHUNK_ELEMENT_TARGET // (units * d)))
 
@@ -516,14 +508,13 @@ class _Engine:
             return np.empty((self.bsz, steps, d)).transpose(1, 0, 2)
         return np.empty((steps, width, d))
 
-    def _draw(self, k, n, raw):
-        """Draw the standard normals of ticks [k, k + n) into ``raw``, fine
-        step s of the chunk at ``raw[s]``: one job per run's stream, or one
-        for a shared stream (``_run_draws``).  Return the count of fine
-        steps."""
+    def _draw(self, n, raw):
+        """Draw the standard normals of the chunk's ``n`` ticks into
+        ``raw``, fine step s of the chunk at ``raw[s]``: one job per run's
+        stream, or one for a shared stream (``_run_draws``).  Return the
+        count of fine steps."""
         lvl = self.level
-        # a chain takes ``last`` fine steps, a pair two per coarse step
-        steps = min(2 * n, (2 * lvl.last if lvl.pair else lvl.last) - 2 * k)
+        steps = 2 * n if lvl.pair else n
         if lvl.width is not None:
             jobs = [functools.partial(lvl.streams[0].standard_normal,
                                       out=raw[:steps])]
@@ -549,77 +540,58 @@ class _Engine:
             coarse *= _INV_SQRT2
             coarse *= coarse_scale
 
-    def _loop(self, advance, hist, inc, half):
+    def _loop(self, advance, hist, inc):
         """The Euler tick loop in Python: ``len(hist)`` ticks of the state
         as ``_kernel.ticks`` runs them, each row mapped in place by
         ``advance(rows, step)`` and then moved by its increment in ``inc``
-        (``_increments``).  With ``half`` the last tick ends after call
-        A."""
+        (``_increments``)."""
         x, bsz, gamma = self.x, self.bsz, self.level.gamma
         pair = self.level.pair
         fine = x[bsz:] if pair else x
         for j in range(len(hist)):
+            hist[j] = x
             if pair:
-                hist[j] = x
-            else:
-                hist[j, :bsz] = x
-            advance(fine, gamma)
-            fine += inc[2 * j, bsz:] if pair else inc[2 * j]
-            if pair:
+                advance(fine, gamma)
+                fine += inc[2 * j, bsz:]
                 advance(x[:bsz], 2.0 * gamma)
-            else:
-                hist[j, bsz:] = x
-                if half and j == len(hist) - 1:
-                    break
             advance(fine, gamma)
-            x += inc[2 * j + 1]
+            x += inc[2 * j + 1 if pair else j]
 
     def chunks(self, model):
         """Advance the level to its end; after each chunk yield whether
         every state so far is finite (a non-finite one stays so)."""
         lvl, x, c = self.level, self.x, self.chunk
-        size = min(c, lvl.ticks)
-        hist = np.empty((size, 2 * self.bsz, x.shape[1]))
-        raw = self._buffer(2 * size)
+        size = min(c, lvl.last)
+        hist = np.empty((size,) + x.shape)
+        raw = self._buffer(2 * size if lvl.pair else size)
         row_map = _row_map(model)
-        inc = None if row_map is not None else np.empty((2 * size,) + x.shape)
+        inc = None if row_map is not None else np.empty((len(raw),) + x.shape)
         ok = True
-        for k in range(0, lvl.ticks, c):
-            n = min(c, lvl.ticks - k)
-            steps = self._draw(k, n, raw)
-            half = steps < 2 * n  # a chain's last step is call A's
+        for k in range(0, lvl.last, c):
+            n = min(c, lvl.last - k)
+            steps = self._draw(n, raw)
             if row_map is not None:
                 _kernel.ticks(row_map, x, hist[:n], lvl.gamma, lvl.pair,
-                              raw, self.scale, half)
+                              raw, self.scale)
             else:
                 self._increments(raw, steps, inc)
-                self._loop(model.advance, hist[:n], inc, half)
+                self._loop(model.advance, hist[:n], inc)
             ok = ok and bool(np.isfinite(x).all())
             self.k, self.hist = k, hist[:n]
             yield ok
         raw = inc = None  # the level's noise is spent: free it
-        self.k = lvl.ticks
-        self.hist = (x if lvl.pair else np.concatenate((x, x)))[None]
+        self.k, self.hist = lvl.last, x[None]
         yield ok
 
     def span(self):
-        """The grid indices [lo, hi) in the current record: one per tick of
-        a pair, two per tick of a chain."""
-        per = 1 if self.level.pair else 2
-        first = per * self.k
-        return first, min(first + per * len(self.hist), self.level.last + 1)
+        """The grid indices [lo, hi) in the current record, one per tick."""
+        return self.k, self.k + len(self.hist)
 
     def states(self, lo, hi):
         """The states at grid indices [lo, hi), in index order, as a view of
-        the record: (w, 2B, d) for a pair, its coarse rows over its fine
-        rows, and (w, B, d) for a chain, its (n, 2B, d) ticks read as
-        (2n, B, d)."""
-        k, hist = self.k, self.hist
-        if self.level.pair:
-            return hist[lo - k:hi - k]
-        ticks = hist[lo // 2 - k:(hi + 1) // 2 - k]
-        grid = ticks.reshape((2 * len(ticks), self.bsz) + hist.shape[2:])
-        return grid[lo % 2:lo % 2 + hi - lo]
+        the record: (w, B, d) for a chain, (w, 2B, d) for a pair, its coarse
+        rows over its fine rows."""
+        return self.hist[lo - self.k:hi - self.k]
 
 
 @_quiet_overflow
@@ -637,8 +609,6 @@ def _drive(model, x0, level, runs, visit):
     engine = _Engine(model, x0, level, len(runs))
     for ok in engine.chunks(model):
         lo, hi = engine.span()
-        if lo >= hi:
-            continue
         err = None
         if not ok:
             finite = np.isfinite(engine.states(lo, hi)).all(-1)

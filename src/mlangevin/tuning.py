@@ -87,14 +87,15 @@ class TuningPlan:
     def __post_init__(self):
         if self.regime not in ("b1", "b2", "general"):
             raise ValueError(f"unknown regime {self.regime!r}")
+        self.horizons = [float(t) for t in self.horizons]
         if not self.horizons:
             raise ValueError("horizons must hold at least one level")
         if not 0.0 < self.gamma0 < math.inf:
             raise ValueError(
                 f"gamma0 must be finite and positive, got {self.gamma0}")
-        if not math.isfinite(self.horizons[0]):
-            raise ValueError(
-                f"horizons must be finite, got T_0={self.horizons[0]}")
+        for r, t in enumerate(self.horizons):
+            if not math.isfinite(t):
+                raise ValueError(f"horizons must be finite, got T_{r}={t}")
         for r in range(len(self.horizons) - 1):
             if not self.horizons[r + 1] < self.horizons[r]:
                 raise ValueError("horizons must be strictly decreasing")

@@ -174,18 +174,23 @@ def test_a_levels_raw_buffer_is_freed_when_the_next_level_starts(
     buffers, alive = [], []
     draw = sde._Engine._draw
 
-    def recording_draw(engine, k, n, raw):
-        if k == 0:
-            buffers.append(weakref.ref(raw.base if raw.base is not None
-                                       else raw))
+    def recording_draw(engine, n, raw):
+        buf = raw.base if raw.base is not None else raw
+        if not buffers or buffers[-1]() is not buf:  # a level's first draw
+            buffers.append(weakref.ref(buf))
         gc.collect()
         alive.append([ref() is not None for ref in buffers[:-1]])
-        return draw(engine, k, n, raw)
+        return draw(engine, n, raw)
 
     monkeypatch.setattr(sde._Engine, "_draw", recording_draw)
+    p, cap = plan(2, 2), 4
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sde, "_CHUNK_STEP_CAP", 4)  # several draws per level
-        estimate_repeated(ou(2), plan(2, 2), np.zeros(2), norm_observable(),
-                          1, 2)
-    assert len(buffers) == 3 and len(alive) == 6
+        mp.setattr(sde, "_CHUNK_STEP_CAP", cap)  # several draws per level
+        estimate_repeated(ou(2), p, np.zeros(2), norm_observable(), 1, 2)
+    # a level ticks once per step of its own grid (a pair's is the coarse
+    # one) up to its last index, and draws once per chunk of ticks
+    ticks = [sde.n_gamma(t, p.gamma[max(r - 1, 0)]) - 1
+             for r, t in enumerate(p.horizons)]
+    assert len(buffers) == 3
+    assert len(alive) == sum(-(-n // cap) for n in ticks)
     assert not any(map(any, alive))

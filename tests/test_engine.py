@@ -130,24 +130,29 @@ def test_chunk_layout_changes_no_byte(
 @pytest.mark.parametrize("cap", [1, 3, 8, 4096])
 def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
     """A level alone reads its states, from any grid index on, as views of
-    the engine's record, the final one-tick record included."""
-    model, x0, last = make_model("ou", 3), start(3, 5), 20
-    reads = []
+    the engine's record, the final one-tick record included.  The record
+    holds one state per tick, a chain's B rows or a pair's 2B, whatever the
+    parity of the last index."""
+    model, x0 = make_model("ou", 3), start(3, 5)
 
     def visit(engine, lo, hi):
+        assert engine.hist.shape[1] == (4 if pair else 2)
         for a in (lo, lo + 1)[:hi - lo]:
             states = engine.states(a, hi)
             assert len(states) == hi - a
             assert np.shares_memory(states, engine.hist)
         reads.append((lo, hi, len(engine.hist)))
 
-    streams = [NoiseStream(5, 1, run_index=i) for i in range(2)]
-    level = sde._Level(0.25, last, pair, streams)
-    with chunk_cap(cap):
-        sde._drive(model, x0, level, range(2), visit)
-    # every index once, in order, the last from the final one-tick record
-    assert [lo for lo, _, _ in reads] == [0] + [hi for _, hi, _ in reads[:-1]]
-    assert reads[-1] == (last, last + 1, 1)
+    for last in (20, 21):
+        reads = []
+        streams = [NoiseStream(5, 1, run_index=i) for i in range(2)]
+        level = sde._Level(0.25, last, pair, streams)
+        with chunk_cap(cap):
+            sde._drive(model, x0, level, range(2), visit)
+        # every index once, in order, the last from the final one-tick record
+        assert [lo for lo, _, _ in reads] == \
+            [0] + [hi for _, hi, _ in reads[:-1]]
+        assert reads[-1] == (last, last + 1, 1)
 
 
 def test_every_read_of_an_estimate_is_a_view(monkeypatch):
@@ -273,9 +278,10 @@ def test_fused_levels_equal_their_standalone_runs(
        st.integers(1, 4), st.integers(1, 3000), seeds, observables)
 def test_the_chunk_budget_changes_no_byte(
         kind, d, ratios, n_runs, budget, seed, obs):
-    # far below the default budget, the level's rows set the chunk (never
-    # the 4096-tick cap): a batch and a single run, a chain and a pair each
-    # tick in chunks of their own length
+    # far below the default budget, the level's rows set the chunk,
+    # budget // (3 * rows * d) ticks and at least one (never the 4096-tick
+    # cap): a batch and a single run, a chain (B rows) and a pair (2B rows)
+    # each tick in chunks of their own length
     model, x0 = make_model(kind, d), start(d, seed)
     plan = ratio_plan(d, ratios, 0.25)
     with pytest.MonkeyPatch.context() as mp:
@@ -429,7 +435,8 @@ def test_lowest_failing_level_wins_over_an_earlier_tick(cap):
             alone[r] = raised(lambda: kernel(
                 model, x0, plan.gamma[r], plan.tau_effective,
                 plan.horizons[r], obs, NoiseStream(1, r, 7)), cap)
-        # level 2 fails first in ticks (two steps of level 0 per tick)
+        # level 2 fails first in ticks (one step of a level's own grid per
+        # tick), and level 1 within half of level 0's
         assert alone[2][1] < alone[1][1] < alone[0][1] / 2
         with pytest.raises(NumericalFailureError) as exc:
             _estimate_batch(model, plan, x0, obs, 1, run_indices=[7, 5])

@@ -59,8 +59,9 @@ def test_builtin_observables():
 @pytest.mark.parametrize("f, shape", [
     (lambda x: x[0], "(3,)"),  # a pointwise form, read on the (N, d) batch
     (lambda x: 1.0, "()"),
-    # the first evaluation covers the whole window, all 10 indices
-    (lambda x: x[..., None] * np.ones(2), "(10, 3, 2)"),
+    # the first evaluation covers the first record, indices 0..8; index 9,
+    # the final state, is a record of its own
+    (lambda x: x[..., None] * np.ones(2), "(9, 3, 2)"),
 ], ids=["pointwise", "constant-scalar", "matrix"])
 def test_observable_of_the_wrong_shape_is_a_value_error(f, shape):
     with pytest.raises(ValueError, match=re.escape(f"returned shape {shape}")):

@@ -246,10 +246,9 @@ def test_a_duck_typed_model_moves_by_its_own_advance():
 def test_descend_gives_the_bits_of_a_contiguous_copy(model):
     pot = model.potential
     x = np.random.default_rng(1).normal(size=(6, 10))
-    column = np.linspace(0.1, 0.6, 6)[:, None]
-    cases = [(lambda a: a[:, ::2], 0.3), (lambda a: a[:, 1::2], column),
-             (lambda a: a[:, :5], column), (lambda a: a[2, ::2], 0.3),
-             (lambda a: np.asfortranarray(a[:, 5:]), column)]
+    cases = [(lambda a: a[:, ::2], 0.3), (lambda a: a[:, 1::2], 0.45),
+             (lambda a: a[:, :5], 0.6), (lambda a: a[2, ::2], 0.3),
+             (lambda a: np.asfortranarray(a[:, 5:]), 0.45)]
     for view_of, h in cases:
         view = view_of(x.copy())
         want = np.array(view, order="C")

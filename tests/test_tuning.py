@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from mlangevin import (
@@ -365,6 +366,8 @@ def test_plan_validation_rejects_malformed_inputs():
         (dict(horizons=[math.inf]), "horizons must be finite"),
         (dict(horizons=[math.inf, 2.0]), "horizons must be finite"),
         (dict(horizons=[math.nan]), "horizons must be finite"),
+        (dict(horizons=[8.0, math.nan]), "horizons must be finite"),
+        (dict(horizons=[8.0, 2.0, math.inf]), "horizons must be finite"),
         (dict(tau=math.nan), "tau must be finite"),
         (dict(tau=math.inf), "tau must be finite"),
     ):
@@ -385,6 +388,15 @@ def test_an_eps_whose_horizons_overflow_is_a_value_error(rule):
     for eps in (1e-300, 1e-160):
         with pytest.raises(ValueError, match=f"eps={eps} is too small"):
             tune(eps)
+
+
+@pytest.mark.parametrize("horizons", [np.array([8.0, 2.0]), (8.0, 2.0),
+                                      [8, 2]], ids=["array", "tuple", "ints"])
+def test_plan_holds_its_horizons_as_a_list_of_floats(horizons):
+    plan = TuningPlan(**_plan_kwargs(horizons=horizons))
+    assert plan.horizons == [8.0, 2.0]
+    assert all(type(t) is float for t in plan.horizons)
+    assert plan.to_dict() == TuningPlan(**_plan_kwargs()).to_dict()
 
 
 def test_plan_serializes_every_field():
