@@ -17,8 +17,10 @@
  * as it adds them: g * scale on a chain or fine row, ((g1 + g2) *
  * (1 / sqrt 2)) * scale on a coarse row, from the two normals of its fine
  * row, each operation rounded alone as in numpy; no increment is stored.
- * A tick is one step of the level's grid, and it first records a copy of
- * the state.
+ * It reads the normals of row r at one stride per row, however the
+ * level's streams split its rows into blocks (one row per stream, or all
+ * rows on one).  A tick is one step of the level's grid, and it first
+ * records a copy of the state.
  *
  * mlv_csum adds window values to compensated sums, one grid index at a
  * time in index order, so each slot's total depends on its values alone;
@@ -93,18 +95,18 @@ void mlv_descend(int kind, double *x, int64_t rows, int64_t d, double h,
 
 /* Rows x[r], r < n, each of d doubles, take the step h and then their
  * increment at fine step q of the chunk: row r's standard normals start at
- * g + (r % width) * g_run, one fine step every g_step doubles, and s scales
- * them.  A coarse row reads two fine steps: its increment is ((g1 + g2) *
+ * g + r * g_run, one fine step every g_step doubles, and s scales them.  A
+ * coarse row reads two fine steps: its increment is ((g1 + g2) *
  * (1 / sqrt 2)) * s of fine steps q - 1 and q. */
 static void advance_rows(int kind, double *x, int64_t n, int64_t d,
                          double h, const double *c, double lam,
                          const double *g, int64_t g_step, int64_t g_run,
-                         int64_t width, double s, int coarse, int64_t q)
+                         double s, int coarse, int64_t q)
 {
     const double inv_sqrt2 = 1.0 / sqrt(2.0);
     for (int64_t r = 0; r < n; r++) {
         double *xr = x + r * d;
-        const double *gr = g + (r % width) * g_run + q * g_step;
+        const double *gr = g + r * g_run + q * g_step;
         map_row(kind, xr, d, h, c, lam);
         if (coarse) {
             const double *g1 = gr - g_step;
@@ -119,28 +121,29 @@ static void advance_rows(int kind, double *x, int64_t n, int64_t d,
 
 /* n ticks of one level of B = bsz runs, its state x of d-double rows: a
  * chain's B rows at step h, or a pair's B coarse rows at step hc over its B
- * fine rows at step h.  The chunk's normals g, g_step, g_run and width are
- * as advance_rows reads them, scaled by s (sc on a coarse row).  Tick j
- * first copies the state to hist + j * size.  A chain then moves by fine
- * step j; a pair moves its fine rows by fine step 2j, its coarse rows by
- * fine steps 2j and 2j + 1, and its fine rows by 2j + 1. */
+ * fine rows at step h.  The chunk's normals g, g_step and g_run are as
+ * advance_rows reads them, B rows, a pair's fine and coarse row b both on
+ * row b, scaled by s (sc on a coarse row).  Tick j first copies the state
+ * to hist + j * size.  A chain then moves by fine step j; a pair moves its
+ * fine rows by fine step 2j, its coarse rows by fine steps 2j and 2j + 1,
+ * and its fine rows by 2j + 1. */
 void mlv_ticks(int kind, int64_t n, int64_t d, int64_t bsz, int pair,
                double *x, double h, double hc, const double *c, double lam,
                double *hist, const double *g, int64_t g_step, int64_t g_run,
-               int64_t width, double s, double sc)
+               double s, double sc)
 {
     int64_t size = (pair ? 2 : 1) * bsz * d;
     double *fine = pair ? x + bsz * d : x;
     for (int64_t j = 0; j < n; j++) {
         memcpy(hist + j * size, x, (size_t)size * sizeof(double));
         if (pair) {
-            advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run,
-                         width, s, 0, 2 * j);
-            advance_rows(kind, x, bsz, d, hc, c, lam, g, g_step, g_run,
-                         width, sc, 1, 2 * j + 1);
+            advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run, s,
+                         0, 2 * j);
+            advance_rows(kind, x, bsz, d, hc, c, lam, g, g_step, g_run, sc,
+                         1, 2 * j + 1);
         }
-        advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run, width,
-                     s, 0, pair ? 2 * j + 1 : j);
+        advance_rows(kind, fine, bsz, d, h, c, lam, g, g_step, g_run, s, 0,
+                     pair ? 2 * j + 1 : j);
     }
 }
 

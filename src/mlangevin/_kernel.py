@@ -7,13 +7,13 @@ and a loop that runs a chunk of ticks of one ``sde._Engine`` level through
 the same row maps, scaling each row's raw standard normals into its Euler
 increment as it adds them.  ``descend`` serves both potentials'
 ``descend``, and so ``euler_step``; ``ticks`` serves the engine.  ``csum``
-adds window values to ``sde._CompensatedSum``'s slots one grid index at a time, in index order,
-with the same arithmetic as its numpy fold, so window sums are the same
-bytes with the library and without it.  Each C operation rounds as the
-numpy expression it mirrors, and the logistic dot product sums in numpy's
-pairwise order, so only ``tanh`` (libm's, not numpy's) can round apart from the
-numpy fallback: logistic results agree with it to about 1e-15 relative,
-quadratic ones bit for bit.
+adds window values to ``sde._CompensatedSum``'s slots one grid index at a
+time, in index order, with the same arithmetic as its numpy fold, so window
+sums are the same bytes with the library and without it.  Each C operation
+rounds as the numpy expression it mirrors, and the logistic dot product
+sums in numpy's pairwise order, so only ``tanh`` (libm's, not numpy's) can
+round apart from the numpy fallback: logistic results agree with it to
+about 1e-15 relative, quadratic ones bit for bit.
 
 The library is built and loaded at first use, never at import: the system
 ``cc`` compiles the source with ``_FLAGS`` into a file whose name is a hash
@@ -49,8 +49,7 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {
     "mlv_descend": (ctypes.c_int, _PTR, _I64, _I64, _F64, _PTR, _F64),
     "mlv_ticks": (ctypes.c_int, _I64, _I64, _I64, ctypes.c_int, _PTR, _F64,
-                  _F64, _PTR, _F64, _PTR, _PTR, _I64, _I64, _I64, _F64,
-                  _F64),
+                  _F64, _PTR, _F64, _PTR, _PTR, _I64, _I64, _F64, _F64),
     "mlv_csum": (_I64, _I64, _PTR, _I64, _PTR, _PTR),
 }
 
@@ -170,27 +169,28 @@ def descend(kind: int, x, h, covariate=None, lam: float = 0.0) -> bool:
     return True
 
 
-def ticks(row_map, x, hist, gamma, pair, raw, scale):
+def ticks(row_map, x, hist, gamma, pair, g, scale):
     """``len(hist)`` ticks of one engine level in C, one grid step each.
 
     ``x`` is the state: a chain's rows (B, d) at step ``gamma``, or with
     ``pair`` a pair's (2B, d), its B coarse rows at step 2 gamma over its B
     fine rows at step gamma.  ``row_map`` is ``(kind, covariate, lam,
-    sigma0^2)``; a row maps by its step times sigma0^2.  ``raw`` (fine
-    steps, width, d) holds the chunk's standard normals, run b reading
-    column b % width, and ``scale`` is (fine scale, coarse scale).  Tick j
-    first records the state in ``hist[j]``, C-ordered like ``x``.  A chain
-    then maps its rows and adds fine step j.  A pair maps its fine rows and
-    adds fine step 2j, maps its coarse rows and adds fine steps 2j and
-    2j + 1, then maps its fine rows and adds fine step 2j + 1.
+    sigma0^2)``; a row maps by its step times sigma0^2.  ``g`` (fine steps,
+    B, d) is a view of the chunk's standard normals, its rows at one stride
+    each, its last axis contiguous, and ``scale`` is (fine scale, coarse
+    scale); a pair's fine and coarse row b both read row b of ``g``.  Tick
+    j first records the state in ``hist[j]``, C-ordered like ``x``.  A
+    chain then maps its rows and adds fine step j.  A pair maps its fine
+    rows and adds fine step 2j, maps its coarse rows and adds fine steps 2j
+    and 2j + 1, then maps its fine rows and adds fine step 2j + 1.
     """
     kind, c, lam, s2 = row_map
     lib().mlv_ticks(
         kind, len(hist), x.shape[1], len(x) // 2 if pair else len(x),
         int(pair), x.ctypes.data, gamma * s2, 2.0 * gamma * s2,
         None if c is None else c.ctypes.data, lam, hist.ctypes.data,
-        raw.ctypes.data, raw.strides[0] // raw.itemsize,
-        raw.strides[1] // raw.itemsize, raw.shape[1], *scale)
+        g.ctypes.data, g.strides[0] // g.itemsize,
+        g.strides[1] // g.itemsize, *scale)
 
 
 def csum(v, s, c) -> bool:

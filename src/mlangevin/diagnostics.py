@@ -311,17 +311,18 @@ def contraction_probe(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     distances = []
 
-    def visit(engine, lo, hi):
-        rows = engine.states(lo, hi)
+    def visit(lo, rows):
         v = rows[:, 0] - rows[:, 1]
         # per row sqrt(v . v), a dot product as np.linalg.norm takes it
         distances.extend(np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
                          .tolist())
 
     # rows x and y (at least 1-d, so two numbers are never read as one
-    # (d,) point for both rows); one draw per step, shared by both rows
+    # (d,) point for both rows), each on its own stream of one key: the
+    # same key draws the same normals, so both rows share them
     rows = (np.atleast_1d(x), np.atleast_1d(y))
-    chain = _Level(gamma, n_steps, False, [NoiseStream(seed, 0)], width=1)
+    chain = _Level(gamma, n_steps, False,
+                   [NoiseStream(seed, 0), NoiseStream(seed, 0)])
     _drive(model, rows, chain, range(2), visit)
     return distances
 
@@ -332,15 +333,15 @@ def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
     p = n_paths
     sup = 0.0
 
-    def visit(engine, lo, hi):
+    def visit(lo, rows):  # the coarse rows, then the fine
         nonlocal sup
-        rows = engine.states(lo, hi)  # the coarse rows, then the fine
         gap = rows[:, p:] - rows[:, :p]
         gap *= gap
         sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))
 
+    # one stream for all p runs
     pair = _Level(gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse), True,
-                  [stream], width=p)
+                  [stream])
     _drive(model, x0, pair, range(p), visit)
     return sup
 

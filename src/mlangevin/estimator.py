@@ -39,7 +39,7 @@ from .sde import (
     _run_coupled_batch,
     _run_level0_batch,
     _run_value,
-    _window_level,
+    _window,
 )
 from .tuning import TuningPlan
 
@@ -176,7 +176,7 @@ def _estimate_batch(
 
     tau = plan.tau_effective
     for r in range(plan.R + 1):  # every window is checked before any step
-        _window_level(plan.gamma[r], tau, plan.horizons[r], r > 0, [])
+        _window(plan.gamma[r], tau, plan.horizons[r], r > 0)
     levels = []
     for r in range(plan.R + 1):
         # looked up here at each call: the benchmark tracer wraps both

@@ -22,10 +22,11 @@ reads the first non-finite step and run of a failure from its record.
 
 The drift enters only through the model's in-place Euler map
 ``model.advance(x, step)``, x <- x + step * b(x), with ``step`` a float;
-with ``dim`` and ``noise_scale`` it is all the engine asks of a model.  ``LangevinModel`` maps through ``Potential.descend``,
-which falls back to ``Potential.grad`` for a user potential.  The two
-built-in potentials, ``QuadraticPotential`` and
-``LogisticPerturbedPotential``, map rows in C (``_kernel``): for a
+with ``dim`` and ``noise_scale`` it is all the engine asks of a model.
+``LangevinModel`` maps through ``Potential.descend``, which falls back to
+``Potential.grad`` for a user potential.  The two built-in potentials,
+``QuadraticPotential`` and ``LogisticPerturbedPotential``, map rows in C
+(``_kernel``): for a
 ``LangevinModel`` whose potential's ``descend`` is one of theirs, the engine
 runs each chunk of ticks in one C call, with no ``advance`` call at all.
 Any other model -- a user potential, a subclass with its own ``descend``, a
@@ -55,13 +56,15 @@ no interpolation or border-weight modification is applied at window edges.
 Randomness comes from ``NoiseStream``, a counter-based (Philox) generator keyed
 by ``(master_seed, level_index, run_index)`` through a fixed, documented mixing
 rule, so every trajectory is bit-reproducible across platforms, chunk sizes,
-batch layouts and core counts.  Each stream draws raw standard normals
+batch layouts and core counts.  A level's rows split into equal blocks, one
+per stream: a run's own rows in the estimator, all rows for one shared
+stream in the confluence probe.  Each stream draws raw standard normals
 straight into its level's buffer, a contiguous slice per chunk
-(``standard_normal(out=...)``), and the C tick loop scales them as it adds them
-(``_Engine``).  A chunk's draws, one job per run's stream (or per shared
-stream), run on the process's cores (``_run_draws``): numpy fills an array
-without the GIL, and each job fills its own slice from its own stream, so no
-byte depends on the core count.  There is no setting.  Batches of independent
+(``standard_normal(out=...)``), and the C tick loop scales them as it adds
+them (``_Engine``).  A chunk's draws, one job per stream, run on the
+process's cores (``_run_draws``): numpy fills an array without the GIL, and
+each job fills its own slice from its own stream, so no byte depends on the
+core count.  There is no setting.  Batches of independent
 runs advance together as rows; every per-run operation acts elementwise or
 along the last axis only, so batched trajectories are bit-identical to
 one-run-at-a-time execution.
@@ -344,18 +347,6 @@ def _check_values_finite(vals: np.ndarray, first_index: int,
             f"range", step_index=first_index + int(j), run_index=run)
 
 
-def _quiet_overflow(fn):
-    """Silence intermediate overflow warnings; blow-ups surface as
-    NumericalFailureError from the explicit finiteness checks instead."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-
-    return wrapper
-
-
 # The draw's threads, as (count, executor), made at the first draw that
 # spreads (_run_draws) and forgotten in a forked child, which has none.
 _pool = None
@@ -424,16 +415,16 @@ class _Level:
     pair, visiting grid indices 0..``last`` of its grid (steps of a chain,
     coarse steps of a pair).
 
-    Its standard normals, one per fine step, come from ``streams``: one
-    ``NoiseStream`` per run, run b drawing (steps, d) from ``streams[b]``;
-    or, with ``width``, one stream that all runs share, drawing (steps,
-    width, d), run b reading column b % width.  ``k0`` is the first index
-    of its averaging window.
+    Its standard normals, one per fine step, come from ``streams``: its B
+    rows split into equal blocks, one per stream in order, and each
+    stream draws (steps, rows of its block, d), tick-major.  So one stream
+    per run gives each run its own stream (the estimator), and one stream
+    serves all rows (the confluence probe).
     """
 
-    def __init__(self, gamma, last, pair, streams, k0=0, width=None):
+    def __init__(self, gamma, last, pair, streams):
         self.gamma, self.last, self.pair = float(gamma), last, pair
-        self.streams, self.width, self.k0 = list(streams), width, k0
+        self.streams = list(streams)
 
 
 class _Engine:
@@ -452,23 +443,19 @@ class _Engine:
     ``dim``, ``noise_scale`` and ``advance``.
 
     The engine draws standard normals and turns them into the Euler
-    increments.  The level draws into one raw buffer, fine step s of the
-    chunk at index s (a chain's tick j at s = j, a pair's at s = 2j and
-    2j + 1), in its stream's own order: run-major (B, steps, d) for one
-    stream per run, so that each run's draw is one contiguous slice,
-    tick-major (steps, width, d) for a shared one.  Fine steps take
-    noise_scale * sqrt(gamma) * g, the coarse step noise_scale *
-    sqrt(2 gamma) * ((g1 + g2) * (1 / sqrt(2))) of the two fine normals it
-    spans, so both ride one Brownian path; euler_step's arithmetic, bit for
-    bit.  The C loop scales the normals as it adds them, storing no
-    increment; ``_loop`` reads the same scaled increments, which
-    ``_increments`` builds from the raw buffer per chunk.
+    increments.  The level draws into one raw buffer, (streams, steps,
+    block rows, d), so that each stream's draw is one contiguous slice.
+    Both tick loops read it through one tick-major view (steps, B, d):
+    fine step s of the chunk (a chain's tick j at s = j, a pair's at s =
+    2j and 2j + 1) at index s, row r at one stride per row, since a block
+    is one row or all of them.  Fine steps take noise_scale * sqrt(gamma)
+    * g, the coarse step noise_scale * sqrt(2 gamma) * ((g1 + g2) * (1 /
+    sqrt(2))) of the two fine normals it spans, so both ride one Brownian
+    path; euler_step's arithmetic, bit for bit.  The C loop scales the
+    normals as it adds them; ``_loop`` scales the fine ones in place and
+    writes a pair's coarse increments to an array of their own.
 
-    ``chunks`` advances ``chunk`` ticks at a time and, after each chunk,
-    holds its first tick in ``k`` and its record in ``hist``, (n, rows, d)
-    for n ticks, the state at each tick's start, then a last one-tick
-    record of the final state.  So tick k is grid index k, and ``states``
-    reads the record by grid index, as a view.  ``chunk`` is sized from
+    ``chunks`` advances ``chunk`` ticks at a time.  ``chunk`` is sized from
     the level's rows, three states of them per tick, to about
     ``_CHUNK_ELEMENT_TARGET`` elements and never above ``_CHUNK_STEP_CAP``
     ticks.
@@ -499,129 +486,100 @@ class _Engine:
         self.chunk = max(1, min(_CHUNK_STEP_CAP,
                                 _CHUNK_ELEMENT_TARGET // (units * d)))
 
-    def _buffer(self, steps):
-        """A raw buffer of ``steps`` fine steps of normals, as a tick-major
-        view (steps, width, d): one stream per run lies run-major, so that
-        each run's draw is one contiguous slice."""
-        d, width = self.x.shape[1], self.level.width
-        if width is None:
-            return np.empty((self.bsz, steps, d)).transpose(1, 0, 2)
-        return np.empty((steps, width, d))
-
     def _draw(self, n, raw):
-        """Draw the standard normals of the chunk's ``n`` ticks into
-        ``raw``, fine step s of the chunk at ``raw[s]``: one job per run's
-        stream, or one for a shared stream (``_run_draws``).  Return the
-        count of fine steps."""
-        lvl = self.level
-        steps = 2 * n if lvl.pair else n
-        if lvl.width is not None:
-            jobs = [functools.partial(lvl.streams[0].standard_normal,
-                                      out=raw[:steps])]
-        else:
-            jobs = [functools.partial(st.standard_normal, out=raw[:steps, b])
-                    for b, st in enumerate(lvl.streams)]
-        _run_draws(jobs)
-        return steps
+        """Draw the standard normals of the chunk's ``n`` ticks into the
+        raw buffer ``raw``, one job per stream (``_run_draws``), each into
+        its own slice."""
+        steps = 2 * n if self.level.pair else n
+        _run_draws([functools.partial(st.standard_normal, out=raw[i, :steps])
+                    for i, st in enumerate(self.level.streams)])
 
-    def _increments(self, raw, steps, inc):
-        """The scaled increments of the chunk's fine steps, as the C loop
-        forms them, for ``_loop``: fine step s of the chain or the fine rows
-        at ``inc[s]``, and for s odd the coarse step over fine steps s - 1
-        and s at ``inc[s]``'s coarse rows.  Fine steps take noise_scale *
-        sqrt(gamma) * g, the coarse step noise_scale * sqrt(2 gamma) *
-        (g1 + g2) / sqrt(2)."""
-        bsz, (scale, coarse_scale) = self.bsz, self.scale
-        fine = inc[:steps, bsz:] if self.level.pair else inc[:steps]
-        np.multiply(raw[:steps], scale, out=fine)
-        if self.level.pair:
-            coarse = inc[1:steps:2, :bsz]
-            np.add(raw[0:steps:2], raw[1:steps:2], out=coarse)
-            coarse *= _INV_SQRT2
-            coarse *= coarse_scale
-
-    def _loop(self, advance, hist, inc):
+    def _loop(self, advance, hist, g, coarse):
         """The Euler tick loop in Python: ``len(hist)`` ticks of the state
         as ``_kernel.ticks`` runs them, each row mapped in place by
-        ``advance(rows, step)`` and then moved by its increment in ``inc``
-        (``_increments``)."""
-        x, bsz, gamma = self.x, self.bsz, self.level.gamma
-        pair = self.level.pair
+        ``advance(rows, step)`` and then moved by its increment.  The fine
+        increments are the normals ``g`` scaled in place; a pair's coarse
+        increments, formed from the normals first, go to ``coarse``."""
+        x, bsz, n = self.x, self.bsz, len(hist)
+        gamma, pair = self.level.gamma, self.level.pair
+        g = g[:2 * n if pair else n]
+        if pair:
+            coarse = coarse[:n]
+            np.add(g[0::2], g[1::2], out=coarse)
+            coarse *= _INV_SQRT2
+            coarse *= self.scale[1]
+        g *= self.scale[0]
         fine = x[bsz:] if pair else x
-        for j in range(len(hist)):
+        for j in range(n):
             hist[j] = x
             if pair:
                 advance(fine, gamma)
-                fine += inc[2 * j, bsz:]
+                fine += g[2 * j]
                 advance(x[:bsz], 2.0 * gamma)
+                x[:bsz] += coarse[j]
             advance(fine, gamma)
-            x += inc[2 * j + 1 if pair else j]
+            fine += g[2 * j + 1 if pair else j]
 
     def chunks(self, model):
-        """Advance the level to its end; after each chunk yield whether
-        every state so far is finite (a non-finite one stays so)."""
-        lvl, x, c = self.level, self.x, self.chunk
+        """Advance the level to its end.  After each chunk of n ticks
+        yield ``(k, record, ok)``: its first grid index k, the state at
+        each tick's start, (n, rows, d), and whether every state so far is
+        finite (a non-finite one stays so).  Last comes a one-tick record
+        of the final state, at index ``last``.  Tick k is grid index k."""
+        lvl, x, c, bsz = self.level, self.x, self.chunk, self.bsz
         size = min(c, lvl.last)
+        steps, d = 2 * size if lvl.pair else size, x.shape[1]
         hist = np.empty((size,) + x.shape)
-        raw = self._buffer(2 * size if lvl.pair else size)
+        raw = np.empty((len(lvl.streams), steps, bsz // len(lvl.streams), d))
+        g = raw.transpose(1, 0, 2, 3).reshape(steps, bsz, d, copy=False)
         row_map = _row_map(model)
-        inc = None if row_map is not None else np.empty((len(raw),) + x.shape)
+        coarse = (np.empty((size, bsz, d))
+                  if row_map is None and lvl.pair else None)
         ok = True
         for k in range(0, lvl.last, c):
             n = min(c, lvl.last - k)
-            steps = self._draw(n, raw)
+            self._draw(n, raw)
             if row_map is not None:
-                _kernel.ticks(row_map, x, hist[:n], lvl.gamma, lvl.pair,
-                              raw, self.scale)
+                _kernel.ticks(row_map, x, hist[:n], lvl.gamma, lvl.pair, g,
+                              self.scale)
             else:
-                self._increments(raw, steps, inc)
-                self._loop(model.advance, hist[:n], inc)
+                self._loop(model.advance, hist[:n], g, coarse)
             ok = ok and bool(np.isfinite(x).all())
-            self.k, self.hist = k, hist[:n]
-            yield ok
-        raw = inc = None  # the level's noise is spent: free it
-        self.k, self.hist = lvl.last, x[None]
-        yield ok
-
-    def span(self):
-        """The grid indices [lo, hi) in the current record, one per tick."""
-        return self.k, self.k + len(self.hist)
-
-    def states(self, lo, hi):
-        """The states at grid indices [lo, hi), in index order, as a view of
-        the record: (w, B, d) for a chain, (w, 2B, d) for a pair, its coarse
-        rows over its fine rows."""
-        return self.hist[lo - self.k:hi - self.k]
+            yield k, hist[:n], ok
+        raw = g = coarse = None  # the level's noise is spent: free it
+        yield lvl.last, x[None], ok
 
 
-@_quiet_overflow
 def _drive(model, x0, level, runs, visit):
     """Run ``level`` for B = len(runs) rows.
 
-    ``visit(engine, lo, hi)`` sees the level's finite states once, chunk by
-    chunk: the grid indices [lo, hi) that the engine's current record
-    holds, read by ``engine.states``.  A non-finite state at index i is a
-    NumericalFailureError naming step i and its run, ``runs[row]``, raised
-    once the states before it have been visited; an error that ``visit``
-    raises ends the level first.  So the earliest failure wins whatever
-    the chunk layout.
+    ``visit(lo, states)`` sees the level's finite states once, in grid
+    order, record by record: the states at grid indices lo, lo + 1, ...,
+    as a view of the engine's record, (w, B, d) for a chain, (w, 2B, d)
+    for a pair, its coarse rows over its fine rows.  A non-finite state at
+    index i is a NumericalFailureError naming step i and its run,
+    ``runs[row]``, raised once the states before it have been visited; an
+    error that ``visit`` raises ends the level first.  So the earliest
+    failure wins whatever the chunk layout.  Overflow warnings are
+    silenced, in the ticks and the visits alike: a blow-up surfaces from
+    these explicit finiteness checks instead.
     """
     engine = _Engine(model, x0, level, len(runs))
-    for ok in engine.chunks(model):
-        lo, hi = engine.span()
-        err = None
-        if not ok:
-            finite = np.isfinite(engine.states(lo, hi)).all(-1)
-            if level.pair:  # a run fails with either of its rows
-                finite = finite[:, :len(runs)] & finite[:, len(runs):]
-            if not finite.all():
-                j, row = np.argwhere(~finite)[0].tolist()
-                hi = lo + j
-                err = _position_error(level, hi, runs[row])
-        if lo < hi:
-            visit(engine, lo, hi)
-        if err is not None:
-            raise err
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, states, ok in engine.chunks(model):
+            err = None
+            if not ok:
+                finite = np.isfinite(states).all(-1)
+                if level.pair:  # a run fails with either of its rows
+                    finite = finite[:, :len(runs)] & finite[:, len(runs):]
+                if not finite.all():
+                    j, row = np.argwhere(~finite)[0].tolist()
+                    states = states[:j]
+                    err = _position_error(level, lo + j, runs[row])
+            if len(states):
+                visit(lo, states)
+            if err is not None:
+                raise err
 
 
 def _position_error(lvl, step, run):
@@ -632,10 +590,10 @@ def _position_error(lvl, step, run):
         f"model", step_index=step, run_index=run)
 
 
-def _window_level(gamma, tau, t, pair, streams):
-    """A level averaging over grid indices [n(tau), n(T) - 1], and its step
-    count: n_gamma(T) for a chain at step gamma, both chains' for a pair,
-    whose grid is the coarse one, 2 gamma.  Row b runs on ``streams[b]``.
+def _window(gamma, tau, t, pair):
+    """A level's averaging window, grid indices [k0, k1) with k0 = n(tau)
+    and k1 = n(T), and its step count: n_gamma(T) for a chain at step
+    gamma, both chains' for a pair, whose grid is the coarse one, 2 gamma.
     """
     fine = n_gamma(t, gamma)  # checks t and gamma
     grid = 2.0 * float(gamma) if pair else gamma
@@ -645,7 +603,7 @@ def _window_level(gamma, tau, t, pair, streams):
     if k1 - k0 < 1:
         raise ValueError(
             f"empty averaging window: n({t})={k1}, n({tau})={k0} at gamma={grid}")
-    return _Level(gamma, k1 - 1, pair, streams, k0), fine + k1 if pair else k1
+    return k0, k1, fine + k1 if pair else k1
 
 
 def _run_level(model, x0, gamma, tau, t, f, streams, pair):
@@ -654,31 +612,31 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
 
     A pair averages f(fine) - f(coarse).  The window is summed in grid
     order, compensated (``_CompensatedSum``), so neither the chunk nor the
-    batch width changes a bit.  Averages are (B,) for a scalar observable,
-    (B, m) for a vector one.
+    batch width changes a bit.  f sees one record's part of the window at
+    a time, at most a chunk of indices: a memory bound.  Averages are (B,)
+    for a scalar observable, (B, m) for a vector one.
     """
-    level, steps = _window_level(gamma, tau, t, pair, streams)
+    k0, k1, steps = _window(gamma, tau, t, pair)
     runs = [st.run_index for st in streams]
     acc = None
 
-    def visit(engine, lo, hi):
+    def visit(lo, states):
         nonlocal acc
-        # f sees at most a chunk's count of indices at once: a memory bound
-        for a in range(max(lo, level.k0), hi, engine.chunk):
-            b = min(a + engine.chunk, hi)
-            vals = _eval_window(f, engine.states(a, b))
-            if pair:  # fine minus coarse, in place: no third array
-                half = vals.shape[1] // 2
-                vals[:, half:] -= vals[:, :half]
-                vals = vals[:, half:]
-            _check_values_finite(vals, a, runs)
-            if acc is None:
-                acc = _CompensatedSum(vals.shape[1:])
-            _reduce_window(acc, vals)
-            del vals  # free the window values before the next piece
+        skip = max(k0 - lo, 0)
+        if skip >= len(states):
+            return
+        vals = _eval_window(f, states[skip:])
+        if pair:  # fine minus coarse, in place: no third array
+            half = vals.shape[1] // 2
+            vals[:, half:] -= vals[:, :half]
+            vals = vals[:, half:]
+        _check_values_finite(vals, lo + skip, runs)
+        if acc is None:
+            acc = _CompensatedSum(vals.shape[1:])
+        _reduce_window(acc, vals)
 
-    _drive(model, x0, level, runs, visit)
-    return acc.total() / (level.last + 1 - level.k0), steps
+    _drive(model, x0, _Level(gamma, k1 - 1, pair, streams), runs, visit)
+    return acc.total() / (k1 - k0), steps
 
 
 def _run_value(row):

@@ -47,6 +47,11 @@ def warm_start(potential: Potential, x_init: np.ndarray) -> WarmStartResult:
         grad_norm_sq <= alpha_u * dim; on budget exhaustion a warning is
         emitted and the last iterate is returned (the caller may proceed,
         losing the tuned constants' guarantees).
+
+    Raises:
+        ValueError: when grad U is not finite at an iterate, naming the
+            iteration.  A finite gradient whose |grad U|^2 overflows still
+            descends.
     """
     potential._check_constants()
     x = np.array(x_init, dtype=float)
@@ -59,13 +64,11 @@ def warm_start(potential: Potential, x_init: np.ndarray) -> WarmStartResult:
     step = 1.0 / potential.l_u
     threshold = potential.alpha_u * potential.dim
     iters = 0
-    g = potential.grad(x)
-    gsq = float(np.dot(g, g))
+    g, gsq = _grad(potential, x, iters)
     while gsq > threshold and iters < _MAX_ITERS:
         x = x - step * g
         iters += 1
-        g = potential.grad(x)
-        gsq = float(np.dot(g, g))
+        g, gsq = _grad(potential, x, iters)
     if gsq > threshold:
         warnings.warn(
             f"warm start did not reach |grad U|^2 <= {threshold} within "
@@ -73,3 +76,14 @@ def warm_start(potential: Potential, x_init: np.ndarray) -> WarmStartResult:
             RuntimeWarning,
         )
     return WarmStartResult(x0=x, iters_used=iters, grad_norm_sq=gsq)
+
+
+def _grad(potential: Potential, x: np.ndarray, iters: int):
+    """grad U(x) and |grad U(x)|^2 at iteration ``iters``; the square may
+    overflow to inf, quietly, but the gradient must be finite."""
+    g = potential.grad(x)
+    if not np.isfinite(g).all():
+        raise ValueError(
+            f"grad U is not finite at warm-start iteration {iters}")
+    with np.errstate(over="ignore"):
+        return g, float(np.dot(g, g))

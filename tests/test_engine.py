@@ -96,8 +96,8 @@ def trajectory(model, x0, gamma, last, streams, pair, cap):
     for a chain, (last + 1, 2B, d) for a pair, its coarse rows first."""
     states = []
 
-    def visit(engine, lo, hi):  # a copy: the engine reuses buffers
-        states.append(np.array(engine.states(lo, hi)))
+    def visit(lo, rows):  # a copy: the engine reuses buffers
+        states.append(np.array(rows))
 
     level = sde._Level(gamma, last, pair, streams)
     with chunk_cap(cap):
@@ -126,28 +126,43 @@ def test_chunk_layout_changes_no_byte(
     assert sums[0].tobytes() == sums[1].tobytes()
 
 
+@contextlib.contextmanager
+def records():
+    """The records the engine yields, in order, as its levels run."""
+    seen = []
+    chunks = sde._Engine.chunks
+
+    def recorded(engine, model):
+        for lo, record, ok in chunks(engine, model):
+            seen.append(record)
+            yield lo, record, ok
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde._Engine, "chunks", recorded)
+        yield seen
+
+
 @pytest.mark.parametrize("pair", [False, True])
 @pytest.mark.parametrize("cap", [1, 3, 8, 4096])
 def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
-    """A level alone reads its states, from any grid index on, as views of
-    the engine's record, the final one-tick record included.  The record
-    holds one state per tick, a chain's B rows or a pair's 2B, whatever the
-    parity of the last index."""
+    """A level alone reads its states as views of the engine's record, the
+    final one-tick record included: a finite level, the whole record.  The
+    record holds one state per tick, a chain's B rows or a pair's 2B,
+    whatever the parity of the last index."""
     model, x0 = make_model("ou", 3), start(3, 5)
 
-    def visit(engine, lo, hi):
-        assert engine.hist.shape[1] == (4 if pair else 2)
-        for a in (lo, lo + 1)[:hi - lo]:
-            states = engine.states(a, hi)
-            assert len(states) == hi - a
-            assert np.shares_memory(states, engine.hist)
-        reads.append((lo, hi, len(engine.hist)))
+    def visit(lo, states):
+        record = seen[-1]
+        assert record.shape[1] == (4 if pair else 2)
+        assert len(states) == len(record)
+        assert np.shares_memory(states, record)
+        reads.append((lo, lo + len(states), len(record)))
 
     for last in (20, 21):
         reads = []
         streams = [NoiseStream(5, 1, run_index=i) for i in range(2)]
         level = sde._Level(0.25, last, pair, streams)
-        with chunk_cap(cap):
+        with chunk_cap(cap), records() as seen:
             sde._drive(model, x0, level, range(2), visit)
         # every index once, in order, the last from the final one-tick record
         assert [lo for lo, _, _ in reads] == \
@@ -158,22 +173,23 @@ def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
 def test_every_read_of_an_estimate_is_a_view(monkeypatch):
     """Each level of an estimate, chains and pairs alike, reads its states
     and hands the observable its points as views of the engine's record."""
-    reads, engines = [], []
-    states = sde._Engine.states
+    reads = []
+    drive = sde._drive
 
-    def viewed_states(engine, lo, hi):
-        rows = states(engine, lo, hi)
-        reads.append((engine.level.pair, np.shares_memory(rows, engine.hist)))
-        engines.append(engine)
-        return rows
+    def viewed_drive(model, x0, level, runs, visit):
+        def viewed_visit(lo, states):
+            reads.append((level.pair, np.shares_memory(states, seen[-1])))
+            return visit(lo, states)
+
+        return drive(model, x0, level, runs, viewed_visit)
 
     def observable(pts):
-        reads.append((None, np.shares_memory(pts, engines[-1].hist)))
+        reads.append((None, np.shares_memory(pts, seen[-1])))
         return np.linalg.norm(pts, axis=-1)
 
-    monkeypatch.setattr(sde._Engine, "states", viewed_states)
+    monkeypatch.setattr(sde, "_drive", viewed_drive)
     model, x0 = make_model("logistic", 3), start(3, 2)
-    with chunk_cap(5):
+    with chunk_cap(5), records() as seen:
         estimate_repeated(model, make_plan(3, 2), x0, observable, 2, 3)
     assert {pair for pair, _ in reads} == {False, True, None}
     assert all(view for _, view in reads)

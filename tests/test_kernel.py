@@ -6,7 +6,9 @@ library read as missing; here the two paths' outputs are compared.
 """
 
 import contextlib
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -334,6 +336,36 @@ def python_in(cache_home, code, **popen):
     return subprocess.Popen([sys.executable, "-c", code], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, **popen)
+
+
+C_KINDS = {ctypes.c_int64: "int64", ctypes.c_int: "int",
+           ctypes.c_double: "double", ctypes.c_void_p: "pointer"}
+
+
+def c_prototypes():
+    """Each ``mlv_*`` function of the C source: the kind of each argument."""
+    scalars = {"int64_t": "int64", "int": "int", "double": "double"}
+    protos = re.findall(r"^void (mlv_\w+)\(([^)]*)\)",
+                        _kernel._SOURCE.read_text(), re.M)
+    return {name: tuple("pointer" if "*" in arg else scalars[arg.split()[0]]
+                        for arg in args.split(","))
+            for name, args in protos}
+
+
+def test_the_ctypes_signatures_match_the_c_prototypes():
+    # ctypes passes a mismatched argument as garbage, with no error
+    protos = c_prototypes()
+    assert set(protos) == set(_kernel._SIGNATURES)
+    for name, argtypes in _kernel._SIGNATURES.items():
+        assert tuple(C_KINDS[t] for t in argtypes) == protos[name], name
+
+
+@needs_cc
+def test_the_c_source_compiles_without_a_warning():
+    done = subprocess.run(
+        [_kernel._CC, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+         str(_kernel._SOURCE)], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_importing_the_package_builds_and_loads_nothing(tmp_path):

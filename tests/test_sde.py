@@ -370,14 +370,35 @@ def test_coupled_final_difference_matches_sequential_euler_steps_bitwise():
     np.testing.assert_array_equal(avg, fine.position - coarse.position)
 
 
-def test_coupled_increments_ride_the_same_brownian_path():
-    # the synthesized coarse increment equals the sum of the two fine
-    # Brownian increments up to float rounding
-    g = NoiseStream(3, 0).standard_normal((100, 2, 4))
-    gamma_f = 0.125
-    fine_increments = math.sqrt(gamma_f) * (g[:, 0] + g[:, 1])
-    coarse_increments = math.sqrt(2 * gamma_f) * (g[:, 0] + g[:, 1]) / math.sqrt(2)
-    np.testing.assert_allclose(coarse_increments, fine_increments, rtol=1e-12)
+class _Driftless:
+    """Duck-typed model with no drift: a chain is its start point plus its
+    summed increments."""
+
+    noise_scale = 1.0
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def advance(self, x, step):
+        pass
+
+
+def test_coupled_increments_ride_the_same_brownian_path(monkeypatch):
+    # with no drift, the coarse rows equal the fine rows at every coarse
+    # grid index, up to rounding, only if coarse step k spans fine steps 2k
+    # and 2k + 1; the start is far from 0, so that rtol bounds the rounding
+    monkeypatch.setattr(sde, "_CHUNK_STEP_CAP", 7)  # several chunks
+    runs, last, d = 3, 50, 4
+    streams = [NoiseStream(3, 1, run_index=i) for i in range(runs)]
+    states = []
+    sde._drive(_Driftless(d), np.full(d, 100.0),
+               sde._Level(0.125, last, True, streams), range(runs),
+               lambda lo, rows: states.append(np.array(rows)))
+    path = np.concatenate(states)
+    assert path.shape == (last + 1, 2 * runs, d)
+    coarse, fine = path[:, :runs], path[:, runs:]
+    assert np.ptp(fine, axis=0).min() > 0.1  # the noise moved every row
+    np.testing.assert_allclose(coarse, fine, rtol=1e-12)
 
 
 def test_coupled_zero_noise_gap_matches_closed_form():

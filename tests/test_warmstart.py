@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mlangevin import (
     LogisticPerturbedPotential,
     NoiseStream,
+    Potential,
     QuadraticPotential,
     WarmStartResult,
     logistic_covariate,
@@ -109,3 +112,40 @@ def test_input_point_is_not_mutated():
     x = np.array([50.0, 50.0])
     warm_start(QuadraticPotential(2), x)
     np.testing.assert_array_equal(x, [50.0, 50.0])
+
+
+class _Blowup(Potential):
+    """A user potential with a steep gradient, 3x, that is NaN outside the
+    ball of radius 2.5 (and a claimed l_u = 1 too small for it)."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.alpha_u = self.l_u = 1.0
+
+    def eval(self, x):
+        return 1.5 * np.sum(x * x, axis=-1)
+
+    def grad(self, x):
+        x = np.asarray(x, dtype=float)
+        return 3.0 * x if np.dot(x, x) <= 6.25 else np.full_like(x, np.nan)
+
+
+@pytest.mark.parametrize("start, iteration", [
+    ([3.0, 0.0], 0),  # NaN at the start point
+    ([1.5, 0.0], 1),  # the first step lands at (-3, 0)
+])
+def test_a_non_finite_gradient_names_its_iteration(start, iteration):
+    with pytest.raises(ValueError,
+                       match=f"^grad U is not finite at warm-start "
+                             f"iteration {iteration}$"):
+        warm_start(_Blowup(2), np.array(start))
+
+
+def test_a_finite_gradient_whose_square_overflows_still_descends():
+    # |grad U|^2 = 2e400 overflows to inf, quietly; the gradient itself is
+    # finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = warm_start(QuadraticPotential(2), np.full(2, 1e200))
+    assert res.iters_used == 1
+    np.testing.assert_array_equal(res.x0, np.zeros(2))
