@@ -56,9 +56,9 @@ no interpolation or border-weight modification is applied at window edges.
 Randomness comes from ``NoiseStream``, a counter-based (Philox) generator keyed
 by ``(master_seed, level_index, run_index)`` through a fixed, documented mixing
 rule, so every trajectory is bit-reproducible across platforms, chunk sizes,
-batch layouts and core counts.  A level's rows split into equal blocks, one
-per stream: a run's own rows in the estimator, all rows for one shared
-stream in the confluence probe.  Each stream draws raw standard normals
+batch layouts and core counts.  A level takes one stream per row (a run's
+own, in the estimator) or one stream for all rows (the confluence probe).
+Each stream draws raw standard normals
 straight into its level's buffer, a contiguous slice per chunk
 (``standard_normal(out=...)``), and the C tick loop scales them as it adds
 them (``_Engine``).  A chunk's draws, one job per stream, run on the
@@ -415,11 +415,10 @@ class _Level:
     pair, visiting grid indices 0..``last`` of its grid (steps of a chain,
     coarse steps of a pair).
 
-    Its standard normals, one per fine step, come from ``streams``: its B
-    rows split into equal blocks, one per stream in order, and each
-    stream draws (steps, rows of its block, d), tick-major.  So one stream
-    per run gives each run its own stream (the estimator), and one stream
-    serves all rows (the confluence probe).
+    Its standard normals, one per fine step, come from ``streams``: one
+    stream per row, in row order (the estimator's runs), or one stream for
+    all B rows (the confluence probe).  Each stream draws (steps, rows it
+    serves, d), tick-major.  No other count is allowed (``_Engine``).
     """
 
     def __init__(self, gamma, last, pair, streams):
@@ -444,11 +443,12 @@ class _Engine:
 
     The engine draws standard normals and turns them into the Euler
     increments.  The level draws into one raw buffer, (streams, steps,
-    block rows, d), so that each stream's draw is one contiguous slice.
+    B // streams, d), so that each stream's draw is one contiguous slice.
     Both tick loops read it through one tick-major view (steps, B, d):
     fine step s of the chunk (a chain's tick j at s = j, a pair's at s =
-    2j and 2j + 1) at index s, row r at one stride per row, since a block
-    is one row or all of them.  Fine steps take noise_scale * sqrt(gamma)
+    2j and 2j + 1) at index s, row r at one stride per row.  That view
+    exists only for one stream or one per row; any other count is a
+    ValueError.  Fine steps take noise_scale * sqrt(gamma)
     * g, the coarse step noise_scale * sqrt(2 gamma) * ((g1 + g2) * (1 /
     sqrt(2))) of the two fine normals it spans, so both ride one Brownian
     path; euler_step's arithmetic, bit for bit.  The C loop scales the
@@ -530,8 +530,13 @@ class _Engine:
         size = min(c, lvl.last)
         steps, d = 2 * size if lvl.pair else size, x.shape[1]
         hist = np.empty((size,) + x.shape)
-        raw = np.empty((len(lvl.streams), steps, bsz // len(lvl.streams), d))
-        g = raw.transpose(1, 0, 2, 3).reshape(steps, bsz, d, copy=False)
+        n_streams = len(lvl.streams)
+        if n_streams not in (1, bsz):
+            raise ValueError(f"a level of {bsz} rows takes one noise stream "
+                             f"or one per row, got {n_streams}")
+        raw = np.empty((n_streams, steps, bsz // n_streams, d))
+        # views, never copies: the draws must land where the ticks read
+        g = raw[0] if n_streams == 1 else raw[:, :, 0].transpose(1, 0, 2)
         row_map = _row_map(model)
         coarse = (np.empty((size, bsz, d))
                   if row_map is None and lvl.pair else None)

@@ -170,6 +170,18 @@ def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
         assert reads[-1] == (last, last + 1, 1)
 
 
+@pytest.mark.parametrize("n_streams", [2, 4])
+def test_a_level_takes_one_stream_or_one_per_row(n_streams):
+    """The engine reads row r's normals at one stride per row, which only
+    one stream for all rows or one per row gives; any other count is a
+    one-line ValueError before any step."""
+    streams = [NoiseStream(5, 1, run_index=i) for i in range(n_streams)]
+    level = sde._Level(0.25, 20, False, streams)
+    with pytest.raises(ValueError, match="one noise stream or one per row"):
+        sde._drive(make_model("ou", 3), np.zeros(3), level, range(3),
+                   lambda lo, states: None)
+
+
 def test_every_read_of_an_estimate_is_a_view(monkeypatch):
     """Each level of an estimate, chains and pairs alike, reads its states
     and hands the observable its points as views of the engine's record."""
