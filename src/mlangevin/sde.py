@@ -58,16 +58,27 @@ by ``(master_seed, level_index, run_index)`` through a fixed, documented mixing
 rule, so every trajectory is bit-reproducible across platforms, chunk sizes,
 batch layouts and core counts.  A level takes one stream per row (a run's
 own, in the estimator) or one stream for all rows (the confluence probe).
-Each stream draws raw standard normals
-straight into its level's buffer, a contiguous slice per chunk
-(``standard_normal(out=...)``), and the C tick loop scales them as it adds
-them (``_Engine``).  A chunk's draws, one job per stream, run on the
-process's cores (``_run_draws``): numpy fills an array without the GIL, and
-each job fills its own slice from its own stream, so no byte depends on the
-core count.  There is no setting.  Batches of independent
+Each stream draws raw standard normals straight into its level's buffer, a
+contiguous slice per chunk (``standard_normal(out=...)``), and the C tick
+loop scales them as it adds them (``_Engine``).  Batches of independent
 runs advance together as rows; every per-run operation acts elementwise or
 along the last axis only, so batched trajectories are bit-identical to
 one-run-at-a-time execution.
+
+The runs of a level share nothing, so ``_run_level`` cuts them into
+contiguous slices, one per core the process may run on (``_workers``), and
+runs each slice on a thread of its own as an engine of its own: it draws
+its runs' normals, ticks them, evaluates f and sums its runs' windows.
+numpy's draw and the C tick loop run without the GIL.  Each run reads only
+its own stream and rows and adds to its own sums, and the level's result is
+the slices' concatenated in row order, so no byte depends on the core
+count.  A failing level raises the failure one engine over all its rows
+would raise.  There is no setting.  Within one level, f and the model's map
+(a user potential's ``grad`` / ``descend``, or a model's own ``advance``)
+may therefore be called from several threads at once, each call on rows of
+its own: they must be safe to call concurrently, as the built-in
+observables and potentials are.  The contraction and confluence probes run
+in one engine, on the calling thread.
 
 Each window is summed in grid order, compensated: every run and value
 coordinate adds its window values one grid index at a time to a Neumaier
@@ -75,8 +86,9 @@ sum (``_CompensatedSum``), so averages over 10^7+ terms keep near-full
 precision and neither the chunk nor the batch width changes a bit: every
 level of an estimate equals its standalone ``run_level0`` /
 ``run_coupled_level`` call byte for byte.  The engine advances c ticks per
-chunk, with c sized from the level's rows to bound its buffers' memory
-(``_CHUNK_ELEMENT_TARGET``, at most ``_CHUNK_STEP_CAP`` ticks).
+chunk, with c sized from the whole level's rows, whatever its slices, to
+bound its buffers' memory (``_CHUNK_ELEMENT_TARGET``, at most
+``_CHUNK_STEP_CAP`` ticks).
 """
 
 from __future__ import annotations
@@ -312,18 +324,25 @@ class _CompensatedSum:
         return self.s + self.c
 
 
-def _eval_window(f, hist: np.ndarray) -> np.ndarray:
+def _eval_window(f, hist: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Apply an observable to history (w, B, d) -> (w, B) + value shape.
 
     f maps the (N, d) points to (N,) for a scalar observable or to (N, m)
-    for a vector one; any other shape is a ValueError naming it.
+    for a vector one; any other shape is a ValueError naming it.  With
+    ``rows``, the whole level's rows when ``hist`` holds a slice of them,
+    the error counts the points as the whole level's record would have
+    held them, so that its words do not depend on the slice count.
     """
     w, bsz, d = hist.shape
-    vals = np.asarray(f(hist.reshape(w * bsz, d)), dtype=float)
-    if vals.shape[:1] != (w * bsz,) or vals.ndim > 2:
+    n = w * bsz
+    vals = np.asarray(f(hist.reshape(n, d)), dtype=float)
+    if vals.shape[:1] != (n,) or vals.ndim > 2:
+        points = w * (rows or bsz)
+        shape = ((points,) + vals.shape[1:] if vals.shape[:1] == (n,)
+                 else vals.shape)
         raise ValueError(
             f"an observable must map points (N, d) to (N,) or (N, m); on "
-            f"N={w * bsz} points it returned shape {vals.shape}")
+            f"N={points} points it returned shape {shape}")
     return vals.reshape((w, bsz) + vals.shape[1:])
 
 
@@ -341,14 +360,17 @@ def _check_values_finite(vals: np.ndarray, first_index: int,
     if not finite.all():
         j, row = np.argwhere(~finite)[0]
         run = runs[row]
-        raise NumericalFailureError(
+        err = NumericalFailureError(
             f"non-finite observable value at step {first_index + int(j)} "
             f"(run {run}); the trajectory left the observable's finite "
             f"range", step_index=first_index + int(j), run_index=run)
+        err._of_value = True  # after a position failure at its step
+        raise err
 
 
-# The draw's threads, as (count, executor), made at the first draw that
-# spreads (_run_draws) and forgotten in a forked child, which has none.
+# The slices' threads, as (count, executor), made at the first level that
+# runs in slices (_run_slices) and forgotten in a forked child, which has
+# none.
 _pool = None
 
 
@@ -362,51 +384,70 @@ if hasattr(os, "register_at_fork"):
 
 
 def _workers() -> int:
-    """The draw's worker count: the cores this process may run on."""
+    """The slice count of a level of many runs: the cores this process may
+    run on."""
     try:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return os.cpu_count() or 1
 
 
-def _run_all(jobs):
-    """Run ``jobs`` in order, then drop them: a pool thread holds its last
-    task until it takes the next one, and the jobs hold their buffers."""
-    try:
-        for job in jobs:
-            job()
-    finally:
-        jobs.clear()
-
-
-def _run_draws(jobs):
-    """Run a chunk's draw jobs on up to ``_workers()`` threads, this one
-    among them, one share of every n-th job each.  numpy fills an array
-    from a Philox stream without the GIL, and each job fills its own slice
-    from its own stream, so the bits depend neither on the worker count nor
-    on the schedule.  With one worker or one job the draws run here.  Once
-    every share has ended, the first exception raised is raised again."""
+def _run_slices(jobs):
+    """Run ``jobs``, the first on this thread and each other on a thread of
+    the pool, and return their results in order once every one has ended.
+    If any raised, the one to raise is picked once all have ended
+    (``_first_error``), so it depends neither on the schedule nor, where
+    the jobs are a level's slices, on their count; a job that raised
+    ``_Stopped`` ended early for another's failure and is passed over."""
     global _pool
-    n = min(_workers(), len(jobs))
-    if n <= 1:
-        _run_all(jobs)
-        return
-    size, pool = _pool or (0, None)
-    if size < n - 1:
-        # imported here: the package starts no thread and imports no pool.
-        # A smaller pool is dropped, not shut down: a caller on another
-        # thread may still hold it, and its threads end once it is freed.
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(n - 1, thread_name_prefix="mlangevin-draw")
-        _pool = (n - 1, pool)
-    futures = [pool.submit(_run_all, jobs[w::n]) for w in range(1, n)]
+    futures = []
+    if len(jobs) > 1:
+        size, pool = _pool or (0, None)
+        if size < len(jobs) - 1:
+            # imported here: the package starts no thread and imports no
+            # pool.  A smaller pool is dropped, not shut down: a caller on
+            # another thread may still hold it, and its threads end once it
+            # is freed.
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(len(jobs) - 1,
+                                      thread_name_prefix="mlangevin-slice")
+            _pool = (len(jobs) - 1, pool)
+        futures = [pool.submit(job) for job in jobs[1:]]
+    results, errors = [None] * len(jobs), [None] * len(jobs)
     try:
-        _run_all(jobs[0::n])
+        results[0] = jobs[0]()
+    except Exception as exc:
+        errors[0] = exc
     finally:
-        errors = [f.exception() for f in futures]  # waits for every share
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        for i, future in enumerate(futures, 1):
+            errors[i] = future.exception()  # waits for the job
+            if errors[i] is None:
+                results[i] = future.result()
+    raised = [exc for exc in errors
+              if exc is not None and not isinstance(exc, _Stopped)]
+    if raised:
+        raise _first_error(raised)
+    return results
+
+
+class _Stopped(Exception):
+    """A slice ended early: another one's failure ends the level."""
+
+
+def _first_error(errors):
+    """Of the errors of a level's slices, in row order, the one the level
+    raises: the earliest numerical failure, at the least (step, kind, row),
+    else the first error.  A position failure comes before an observable
+    failure at the same step, as in one engine, which never evaluates f at
+    a non-finite state; each slice raises its own earliest failure, at its
+    own lowest row, so the first slice of the least (step, kind) holds the
+    lowest row."""
+    failures = [exc for exc in errors
+                if isinstance(exc, NumericalFailureError)]
+    if not failures:
+        return errors[0]
+    return min(failures, key=lambda exc: (exc.step_index,
+                                          getattr(exc, "_of_value", False)))
 
 
 class _Level:
@@ -419,11 +460,32 @@ class _Level:
     stream per row, in row order (the estimator's runs), or one stream for
     all B rows (the confluence probe).  Each stream draws (steps, rows it
     serves, d), tick-major.  No other count is allowed (``_Engine``).
+
+    ``width`` is the run count of the whole level when this one is a slice
+    of it (``_run_level``), else None.  The chunk is sized from the whole
+    level, so that its slices' buffers together take what its own would.
     """
 
-    def __init__(self, gamma, last, pair, streams):
+    def __init__(self, gamma, last, pair, streams, width=None):
         self.gamma, self.last, self.pair = float(gamma), last, pair
         self.streams = list(streams)
+        self.width = width
+
+
+def _start_point(x0, d, bsz):
+    """``x0`` as a float array, (d,) or (bsz, d) and finite; anything else
+    is a ValueError."""
+    shape = f"({d},) or ({bsz}, {d})"
+    try:
+        x = np.array(x0, dtype=float)
+    except ValueError:
+        raise ValueError(f"the start point must have shape {shape}") from None
+    if x.shape not in ((d,), (bsz, d)):
+        raise ValueError(
+            f"the start point must have shape {shape}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("the start point must be finite")
+    return x
 
 
 class _Engine:
@@ -456,24 +518,16 @@ class _Engine:
     writes a pair's coarse increments to an array of their own.
 
     ``chunks`` advances ``chunk`` ticks at a time.  ``chunk`` is sized from
-    the level's rows, three states of them per tick, to about
-    ``_CHUNK_ELEMENT_TARGET`` elements and never above ``_CHUNK_STEP_CAP``
-    ticks.
+    the whole level's rows (``_Level.width``), three states of them per
+    tick, to about ``_CHUNK_ELEMENT_TARGET`` elements and never above
+    ``_CHUNK_STEP_CAP`` ticks.  An engine runs on the thread that calls it,
+    draws included; a level's slices are engines of their own
+    (``_run_level``).
     """
 
     def __init__(self, model, x0, level, bsz):
         d = model.dim
-        shape = f"({d},) or ({bsz}, {d})"
-        try:
-            x = np.array(x0, dtype=float)
-        except ValueError:
-            raise ValueError(
-                f"the start point must have shape {shape}") from None
-        if x.shape not in ((d,), (bsz, d)):
-            raise ValueError(
-                f"the start point must have shape {shape}, got {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("the start point must be finite")
+        x = _start_point(x0, d, bsz)
         self.level, self.bsz = level, bsz
         blocks = 2 if level.pair else 1
         # C order: a sum along the last axis of F-ordered rows rounds otherwise
@@ -482,17 +536,18 @@ class _Engine:
         # of the fine (or chain's) and the coarse standard normals
         self.scale = (model.noise_scale * math.sqrt(level.gamma),
                       model.noise_scale * math.sqrt(2.0 * level.gamma))
-        units = 3 * len(self.x)  # the record, the normals and the values
+        # the record, the normals and the values of the whole level's rows
+        units = 3 * blocks * (level.width or bsz)
         self.chunk = max(1, min(_CHUNK_STEP_CAP,
                                 _CHUNK_ELEMENT_TARGET // (units * d)))
 
     def _draw(self, n, raw):
         """Draw the standard normals of the chunk's ``n`` ticks into the
-        raw buffer ``raw``, one job per stream (``_run_draws``), each into
-        its own slice."""
+        raw buffer ``raw``, here, stream by stream, each into its own
+        slice."""
         steps = 2 * n if self.level.pair else n
-        _run_draws([functools.partial(st.standard_normal, out=raw[i, :steps])
-                    for i, st in enumerate(self.level.streams)])
+        for i, st in enumerate(self.level.streams):
+            st.standard_normal(out=raw[i, :steps])
 
     def _loop(self, advance, hist, g, coarse):
         """The Euler tick loop in Python: ``len(hist)`` ticks of the state
@@ -620,28 +675,62 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     batch width changes a bit.  f sees one record's part of the window at
     a time, at most a chunk of indices: a memory bound.  Averages are (B,)
     for a scalar observable, (B, m) for a vector one.
+
+    The B runs are cut into min(``_workers()``, B) contiguous slices, each
+    run by ``_drive`` on a thread of its own (``_run_slices``) with its own
+    sums; the averages are theirs in row order.  Every slice ends before
+    the level does, and a failing level raises what one engine over all B
+    rows would: its earliest numerical failure (``_first_error``).  Once a
+    slice fails at step s, the others end at their first record past s,
+    where no earlier failure is left to find, and after an interrupt at
+    their next record.  Another error stops no slice, so that the lowest
+    slice's is raised whatever the schedule.
     """
     k0, k1, steps = _window(gamma, tau, t, pair)
-    runs = [st.run_index for st in streams]
-    acc = None
+    bsz = len(streams)
+    x = _start_point(x0, model.dim, bsz)
+    _kernel.lib()  # built here, once, rather than by every slice at once
+    rows = 2 * bsz if pair else bsz
+    n = min(_workers(), bsz)
+    cuts = [bsz * i // n for i in range(n + 1)]
 
-    def visit(lo, states):
-        nonlocal acc
-        skip = max(k0 - lo, 0)
-        if skip >= len(states):
-            return
-        vals = _eval_window(f, states[skip:])
-        if pair:  # fine minus coarse, in place: no third array
-            half = vals.shape[1] // 2
-            vals[:, half:] -= vals[:, :half]
-            vals = vals[:, half:]
-        _check_values_finite(vals, lo + skip, runs)
-        if acc is None:
-            acc = _CompensatedSum(vals.shape[1:])
-        _reduce_window(acc, vals)
+    stops = []  # the slices' failing steps, -1 after an interrupt
 
-    _drive(model, x0, _Level(gamma, k1 - 1, pair, streams), runs, visit)
-    return acc.total() / (k1 - k0), steps
+    def run_slice(lo, hi):
+        runs = [st.run_index for st in streams[lo:hi]]
+        acc = None
+
+        def visit(first, states):
+            nonlocal acc
+            if stops and first > min(stops):
+                raise _Stopped
+            skip = max(k0 - first, 0)
+            if skip >= len(states):
+                return
+            vals = _eval_window(f, states[skip:], rows)
+            if pair:  # fine minus coarse, in place: no third array
+                half = vals.shape[1] // 2
+                vals[:, half:] -= vals[:, :half]
+                vals = vals[:, half:]
+            _check_values_finite(vals, first + skip, runs)
+            if acc is None:
+                acc = _CompensatedSum(vals.shape[1:])
+            _reduce_window(acc, vals)
+
+        level = _Level(gamma, k1 - 1, pair, streams[lo:hi], width=bsz)
+        try:
+            _drive(model, x if x.ndim == 1 else x[lo:hi], level, runs, visit)
+        except BaseException as exc:
+            if isinstance(exc, NumericalFailureError):
+                stops.append(exc.step_index)
+            elif not isinstance(exc, Exception):  # an interrupt
+                stops.append(-1)
+            raise
+        return acc.total()
+
+    totals = _run_slices([functools.partial(run_slice, lo, hi)
+                          for lo, hi in zip(cuts, cuts[1:])])
+    return np.concatenate(totals) / (k1 - k0), steps
 
 
 def _run_value(row):

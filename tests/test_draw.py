@@ -1,12 +1,16 @@
-"""The engine's noise draw: spread over threads, it keeps every byte.
+"""A level in slices of its runs, one per core: it keeps every byte.
 
-The engine draws each level's raw standard normals in place, one job per
-(level, run) stream, on ``sde._workers()`` threads.  The worker count is
-the process's cores, not a setting; the tests patch the private function
-to run the same draws on one, two and three workers.
+The engine cuts each level's runs into contiguous slices, one per core the
+process may run on (``sde._workers()``), and runs each slice on a thread of
+its own: its draws, ticks, observable values and window sums.  Each run
+reads only its own (level, run) stream and rows, so no byte depends on the
+core count.  The worker count is not a setting; most tests patch the
+private function to run the same levels on one, two and three workers, and
+one pins a child process to a single core.
 """
 
 import gc
+import json
 import multiprocessing
 import os
 import subprocess
@@ -104,7 +108,9 @@ class Boom(Exception):
 
 
 class FailingStream:
-    """A stream whose draw raises ``error``."""
+    """Run 2's stream, whose draw raises ``error``."""
+
+    run_index = 2
 
     def __init__(self, error):
         self.error = error
@@ -115,13 +121,13 @@ class FailingStream:
 
 def test_an_error_in_a_workers_draw_surfaces_unchanged(monkeypatch):
     on_workers(monkeypatch, 2)
-    error = Boom("run 1 cannot draw")
-    # the second job goes to the pool's thread, the first runs here
-    streams = [NoiseStream(0, 0, 0), FailingStream(error),
-               NoiseStream(0, 0, 2)]
-    level = sde._Level(0.25, 40, False, streams)
+    error = Boom("run 2 cannot draw")
+    # the second slice, runs 1 and 2, runs on the pool's thread
+    streams = [NoiseStream(0, 0, 0), NoiseStream(0, 0, 1),
+               FailingStream(error)]
     with pytest.raises(Boom) as raised:
-        sde._drive(ou(2), np.zeros(2), level, range(3), lambda *args: None)
+        sde._run_level0_batch(ou(2), np.zeros(2), 0.25, 0.0, 10.0,
+                              norm_observable(), streams)
     assert raised.value is error
 
 
@@ -141,6 +147,23 @@ def test_importing_the_package_starts_no_thread():
             "print(threading.active_count(), tasks() - before, sde._pool)")
     done = python(code)
     assert (done.stdout, done.stderr) == ("1 0 None\n", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no sched_setaffinity")
+def test_a_process_on_one_core_gives_the_same_bytes():
+    # the child pins only itself, so the real _workers() reads one core
+    cpu = min(os.sched_getaffinity(0))
+    code = ("import json, os, sys\n"
+            f"os.sched_setaffinity(0, {{{cpu}}})\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import mlangevin.sde as sde, test_draw\n"
+            "assert sde._workers() == 1\n"
+            "print(json.dumps([test_draw.fused(), "
+            "test_draw.level_by_level()]))")
+    done = python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == json.dumps([fused(), level_by_level()]) + "\n"
 
 
 def child_estimate(queue):
@@ -170,16 +193,18 @@ def test_a_forked_child_draws_after_its_parent_did(monkeypatch):
 
 def test_a_levels_raw_buffer_is_freed_when_the_next_level_starts(
         monkeypatch):
-    on_workers(monkeypatch, 2)
-    buffers, alive = [], []
+    slices = 2  # two runs on two workers: a slice each, drawing at once
+    on_workers(monkeypatch, slices)
+    buffers, alive = [], []  # (level, buffer) of each first draw
     draw = sde._Engine._draw
 
     def recording_draw(engine, n, raw):
         buf = raw.base if raw.base is not None else raw
-        if not buffers or buffers[-1]() is not buf:  # a level's first draw
-            buffers.append(weakref.ref(buf))
+        level = engine.level.streams[0].level_index
+        if not any(ref() is buf for _, ref in buffers):  # a slice's first
+            buffers.append((level, weakref.ref(buf)))
         gc.collect()
-        alive.append([ref() is not None for ref in buffers[:-1]])
+        alive.append([ref() is not None for r, ref in buffers if r < level])
         return draw(engine, n, raw)
 
     monkeypatch.setattr(sde._Engine, "_draw", recording_draw)
@@ -188,9 +213,11 @@ def test_a_levels_raw_buffer_is_freed_when_the_next_level_starts(
         mp.setattr(sde, "_CHUNK_STEP_CAP", cap)  # several draws per level
         estimate_repeated(ou(2), p, np.zeros(2), norm_observable(), 1, 2)
     # a level ticks once per step of its own grid (a pair's is the coarse
-    # one) up to its last index, and draws once per chunk of ticks
+    # one) up to its last index, and each slice draws once per chunk of
+    # ticks
     ticks = [sde.n_gamma(t, p.gamma[max(r - 1, 0)]) - 1
              for r, t in enumerate(p.horizons)]
-    assert len(buffers) == 3
-    assert len(alive) == sum(-(-n // cap) for n in ticks)
+    assert sorted(r for r, _ in buffers) == [0, 0, 1, 1, 2, 2]
+    assert len(buffers) == 3 * slices
+    assert len(alive) == slices * sum(-(-n // cap) for n in ticks)
     assert not any(map(any, alive))

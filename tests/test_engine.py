@@ -13,6 +13,7 @@ that every entry point rejects a bad start point before any step.
 import collections
 import contextlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -126,15 +127,27 @@ def test_chunk_layout_changes_no_byte(
     assert sums[0].tobytes() == sums[1].tobytes()
 
 
+class Records:
+    """The record the engine yielded last on each thread: ``last()`` is
+    the calling thread's, as a level's slices run on threads of their
+    own."""
+
+    def __init__(self):
+        self.latest = {}
+
+    def last(self):
+        return self.latest[threading.get_ident()]
+
+
 @contextlib.contextmanager
 def records():
-    """The records the engine yields, in order, as its levels run."""
-    seen = []
+    """The records the engine yields as its levels run (``Records``)."""
+    seen = Records()
     chunks = sde._Engine.chunks
 
     def recorded(engine, model):
         for lo, record, ok in chunks(engine, model):
-            seen.append(record)
+            seen.latest[threading.get_ident()] = record
             yield lo, record, ok
 
     with pytest.MonkeyPatch.context() as mp:
@@ -152,7 +165,7 @@ def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
     model, x0 = make_model("ou", 3), start(3, 5)
 
     def visit(lo, states):
-        record = seen[-1]
+        record = seen.last()
         assert record.shape[1] == (4 if pair else 2)
         assert len(states) == len(record)
         assert np.shares_memory(states, record)
@@ -190,13 +203,13 @@ def test_every_read_of_an_estimate_is_a_view(monkeypatch):
 
     def viewed_drive(model, x0, level, runs, visit):
         def viewed_visit(lo, states):
-            reads.append((level.pair, np.shares_memory(states, seen[-1])))
+            reads.append((level.pair, np.shares_memory(states, seen.last())))
             return visit(lo, states)
 
         return drive(model, x0, level, runs, viewed_visit)
 
     def observable(pts):
-        reads.append((None, np.shares_memory(pts, seen[-1])))
+        reads.append((None, np.shares_memory(pts, seen.last())))
         return np.linalg.norm(pts, axis=-1)
 
     monkeypatch.setattr(sde, "_drive", viewed_drive)
@@ -496,6 +509,123 @@ def test_a_failing_level_0_ends_the_estimate_before_level_1_draws(
                         run_indices=[7, 5])
     assert exc.value.level_index == 0
     assert list(draws) == [0]
+
+
+class Doubling:
+    """Duck-typed model without noise whose map doubles every row: a row's
+    coordinate 2^e reads 2^(e + k) after k steps, so its start sets the
+    step at which it overflows."""
+
+    noise_scale = 0.0
+    dim = 2
+
+    def advance(self, x, step):
+        x *= 2.0
+
+
+def square_of_second(x):
+    return x[:, 1] * x[:, 1]
+
+
+def doubling_starts(pair, positions=(), values=()):
+    """Seven start rows for ``Doubling``: row r of each (r, s) in
+    ``positions`` turns non-finite at step s of the level's grid, and
+    ``square_of_second`` of row r of each (r, s) in ``values`` does, on a
+    finite position.  The other rows stay at zero."""
+    per_tick = 2 if pair else 1  # the fine steps of one tick
+    x0 = np.zeros((7, 2))
+    for row, step in positions:
+        x0[row, 0] = 2.0 ** (1024 - per_tick * step)
+    for row, step in values:
+        x0[row, 1] = 2.0 ** (512 - per_tick * step)
+    return x0
+
+
+def on_workers(monkeypatch, n):
+    monkeypatch.setattr(sde, "_workers", lambda: n)
+
+
+def seven_runs():
+    # run indices fall as rows rise: a tie goes to the lower row, not run
+    return [NoiseStream(3, 1, run_index=20 - row) for row in range(7)]
+
+
+# (positions, values) -> the failing (row, step, kind).  One, two and three
+# workers cut the seven rows at [3] and [2, 4], so the rows named in each
+# case run in different slices on two and three workers.
+CROSS_SLICE = {
+    "a later slice failing earlier": (([(1, 30), (6, 20)], []),
+                                      (6, 20, "position")),
+    "a position before a value": (([(6, 20)], [(1, 20)]),
+                                  (6, 20, "position")),
+    "a value before a position": (([(1, 20)], [(6, 19)]),
+                                  (6, 19, "observable")),
+    "the lower row of two positions": (([(2, 20), (5, 20)], []),
+                                       (2, 20, "position")),
+    "the lower row of two values": (([], [(2, 20), (5, 20)]),
+                                    (2, 20, "observable")),
+}
+
+
+@pytest.mark.parametrize("cap", [sde._CHUNK_STEP_CAP, 4])
+@pytest.mark.parametrize("pair", [False, True], ids=["chain", "pair"])
+@pytest.mark.parametrize("case", CROSS_SLICE)
+def test_a_level_in_slices_raises_its_earliest_failure(
+        case, pair, cap, monkeypatch):
+    # at a cap of 4 ticks, a slice stops early once another has failed
+    (positions, values), (row, step, kind) = CROSS_SLICE[case]
+    x0 = doubling_starts(pair, positions, values)
+    kernel = sde._run_coupled_batch if pair else sde._run_level0_batch
+    seen = []
+    for n in (1, 2, 3):
+        on_workers(monkeypatch, n)
+        with chunk_cap(cap), pytest.raises(NumericalFailureError) as exc:
+            kernel(Doubling(), x0, 1.0, 0.0, 100.0, square_of_second,
+                   seven_runs())
+        seen.append((str(exc.value), exc.value.step_index,
+                     exc.value.run_index))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+    assert seen[0][1:] == (step, 20 - row)
+    assert seen[0][0].startswith(f"non-finite {kind}")
+
+
+def test_a_failing_slice_ends_the_others_past_its_step(monkeypatch):
+    draws = collections.Counter()
+    draw = NoiseStream.standard_normal
+
+    def counting_draw(stream, shape=None, out=None):
+        draws[stream.run_index] += 1
+        return draw(stream, shape, out)
+
+    monkeypatch.setattr(NoiseStream, "standard_normal", counting_draw)
+    on_workers(monkeypatch, 2)
+    x0 = doubling_starts(False, positions=[(1, 5)])
+    with chunk_cap(4), pytest.raises(NumericalFailureError) as exc:
+        sde._run_level0_batch(Doubling(), x0, 1.0, 0.0, 40000.0,
+                              square_of_second, seven_runs())
+    assert (exc.value.step_index, exc.value.run_index) == (5, 19)
+    # run 19's slice drew two of the level's 10,000 chunks; the other
+    # slice, runs 17..14, ends at its first record past step 5
+    assert draws[19] == 2
+    assert max(draws[run] for run in (17, 16, 15, 14)) < 5000
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["chain", "pair"])
+@pytest.mark.parametrize("f", [lambda x: x[0],
+                               lambda x: x[..., None] * np.ones(2)],
+                         ids=["pointwise", "matrix"])
+def test_an_observables_shape_error_reads_the_same_in_slices(
+        f, pair, monkeypatch):
+    kernel = sde._run_coupled_batch if pair else sde._run_level0_batch
+    messages = []
+    for n in (1, 2, 3):
+        on_workers(monkeypatch, n)
+        with pytest.raises(ValueError, match="returned shape") as exc:
+            kernel(Doubling(), np.zeros(2), 0.25, 0.0, 10.0, f,
+                   seven_runs())
+        messages.append(str(exc.value))
+    assert messages[1] == messages[0] and messages[2] == messages[0]
+    assert "\n" not in messages[0]
 
 
 OU2 = make_langevin_model(QuadraticPotential(2), "auto")
