@@ -65,20 +65,22 @@ runs advance together as rows; every per-run operation acts elementwise or
 along the last axis only, so batched trajectories are bit-identical to
 one-run-at-a-time execution.
 
-The runs of a level share nothing, so ``_run_level`` cuts them into
-contiguous slices, one per core the process may run on (``_workers``), and
-runs each slice on a thread of its own as an engine of its own: it draws
-its runs' normals, ticks them, evaluates f and sums its runs' windows.
-numpy's draw and the C tick loop run without the GIL.  Each run reads only
-its own stream and rows and adds to its own sums, and the level's result is
-the slices' concatenated in row order, so no byte depends on the core
-count.  A failing level raises the failure one engine over all its rows
-would raise.  There is no setting.  Within one level, f and the model's map
-(a user potential's ``grad`` / ``descend``, or a model's own ``advance``)
+The runs of a level share nothing, so where the level ticks in C,
+``_run_level`` cuts them into contiguous slices, one per core the process
+may run on (``_workers``), and runs each slice on a thread of its own as an
+engine of its own: it draws its runs' normals, ticks them, evaluates f and
+sums its runs' windows.  numpy's draw and the C tick loop run without the
+GIL.  Each run reads only its own stream and rows and adds to its own sums,
+and the level's result is the slices' concatenated in row order, so no
+byte depends on the core count.  A failing level raises what one engine
+over all its rows would raise.  There is no setting.  Within one level, f
 may therefore be called from several threads at once, each call on rows of
-its own: they must be safe to call concurrently, as the built-in
-observables and potentials are.  The contraction and confluence probes run
-in one engine, on the calling thread.
+its own, in a copy of the calling thread's context (numpy's error state
+among it): it must be safe to call concurrently, as the built-in
+observables are.  A level that ticks in Python (a user potential, a model
+with its own ``advance``, no C library) runs in one engine on the calling
+thread, as do the contraction and confluence probes: the Python tick
+loop's many small calls hold the GIL, so its slices would only take turns.
 
 Each window is summed in grid order, compensated: every run and value
 coordinate adds its window values one grid index at a time to a Neumaier
@@ -93,6 +95,7 @@ bound its buffers' memory (``_CHUNK_ELEMENT_TARGET``, at most
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -331,15 +334,15 @@ def _eval_window(f, hist: np.ndarray, rows: int | None = None) -> np.ndarray:
     for a vector one; any other shape is a ValueError naming it.  With
     ``rows``, the whole level's rows when ``hist`` holds a slice of them,
     the error counts the points as the whole level's record would have
-    held them, so that its words do not depend on the slice count.
+    held them, on every axis of the shape that counts them, so that its
+    words do not depend on the slice count.
     """
     w, bsz, d = hist.shape
     n = w * bsz
     vals = np.asarray(f(hist.reshape(n, d)), dtype=float)
     if vals.shape[:1] != (n,) or vals.ndim > 2:
         points = w * (rows or bsz)
-        shape = ((points,) + vals.shape[1:] if vals.shape[:1] == (n,)
-                 else vals.shape)
+        shape = tuple(points if size == n else size for size in vals.shape)
         raise ValueError(
             f"an observable must map points (N, d) to (N,) or (N, m); on "
             f"N={points} points it returned shape {shape}")
@@ -364,7 +367,7 @@ def _check_values_finite(vals: np.ndarray, first_index: int,
             f"non-finite observable value at step {first_index + int(j)} "
             f"(run {run}); the trajectory left the observable's finite "
             f"range", step_index=first_index + int(j), run_index=run)
-        err._of_value = True  # after a position failure at its step
+        err._of_value = True  # ranked after a position failure at its step
         raise err
 
 
@@ -392,13 +395,13 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _run_slices(jobs):
+def _run_slices(jobs, stop):
     """Run ``jobs``, the first on this thread and each other on a thread of
-    the pool, and return their results in order once every one has ended.
-    If any raised, the one to raise is picked once all have ended
-    (``_first_error``), so it depends neither on the schedule nor, where
-    the jobs are a level's slices, on their count; a job that raised
-    ``_Stopped`` ended early for another's failure and is passed over."""
+    the pool, each in a copy of this thread's context (numpy's error state
+    among it), and return once every one has ended.  An exception that
+    escapes a job is raised then, the first job's first.  If the wait
+    itself is interrupted, ``stop()`` ends the other jobs early, and they
+    are waited for before the interrupt goes on."""
     global _pool
     futures = []
     if len(jobs) > 1:
@@ -412,42 +415,25 @@ def _run_slices(jobs):
             pool = ThreadPoolExecutor(len(jobs) - 1,
                                       thread_name_prefix="mlangevin-slice")
             _pool = (len(jobs) - 1, pool)
-        futures = [pool.submit(job) for job in jobs[1:]]
-    results, errors = [None] * len(jobs), [None] * len(jobs)
+        futures = [pool.submit(contextvars.copy_context().run, job)
+                   for job in jobs[1:]]
     try:
-        results[0] = jobs[0]()
-    except Exception as exc:
-        errors[0] = exc
+        jobs[0]()
     finally:
-        for i, future in enumerate(futures, 1):
-            errors[i] = future.exception()  # waits for the job
-            if errors[i] is None:
-                results[i] = future.result()
-    raised = [exc for exc in errors
-              if exc is not None and not isinstance(exc, _Stopped)]
-    if raised:
-        raise _first_error(raised)
-    return results
+        try:
+            for future in futures:
+                future.exception()  # waits for the job
+        except BaseException:
+            stop()
+            for future in futures:
+                future.exception()
+            raise
+    for future in futures:
+        future.result()
 
 
 class _Stopped(Exception):
     """A slice ended early: another one's failure ends the level."""
-
-
-def _first_error(errors):
-    """Of the errors of a level's slices, in row order, the one the level
-    raises: the earliest numerical failure, at the least (step, kind, row),
-    else the first error.  A position failure comes before an observable
-    failure at the same step, as in one engine, which never evaluates f at
-    a non-finite state; each slice raises its own earliest failure, at its
-    own lowest row, so the first slice of the least (step, kind) holds the
-    lowest row."""
-    failures = [exc for exc in errors
-                if isinstance(exc, NumericalFailureError)]
-    if not failures:
-        return errors[0]
-    return min(failures, key=lambda exc: (exc.step_index,
-                                          getattr(exc, "_of_value", False)))
 
 
 class _Level:
@@ -676,60 +662,81 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     a time, at most a chunk of indices: a memory bound.  Averages are (B,)
     for a scalar observable, (B, m) for a vector one.
 
-    The B runs are cut into min(``_workers()``, B) contiguous slices, each
-    run by ``_drive`` on a thread of its own (``_run_slices``) with its own
-    sums; the averages are theirs in row order.  Every slice ends before
-    the level does, and a failing level raises what one engine over all B
-    rows would: its earliest numerical failure (``_first_error``).  Once a
-    slice fails at step s, the others end at their first record past s,
-    where no earlier failure is left to find, and after an interrupt at
-    their next record.  Another error stops no slice, so that the lowest
-    slice's is raised whatever the schedule.
+    Where the level ticks in C (``model._row_map``), its B runs are cut
+    into min(``_workers()``, B) contiguous slices, each run by ``_drive``
+    on a thread of its own (``_run_slices``) with its own sums; the
+    averages are theirs in row order.  A level that ticks in Python runs
+    in one slice: its many small numpy calls hold the GIL, so slices would
+    take turns, and slower than one engine.
+
+    Every slice ends before the level does.  A failing level raises what
+    one engine over all B rows would: of its slices' errors, the one at the
+    least (grid index k, kind, slice), its kinds in the order one engine
+    meets them at k: an error the model or a stream raises in the ticks of
+    the chunk from k, a non-finite position at k, an error f raises on a
+    record whose window starts at k, a non-finite value of f at k.  So f's
+    error wins over another slice's failure later in the same record, as
+    in one engine whenever f raises on the states before that failure.
+    Once a slice fails at index k, the others end at their first record
+    past k, where nothing is left to precede it, and after an interrupt at
+    their next record.
     """
     k0, k1, steps = _window(gamma, tau, t, pair)
     bsz = len(streams)
     x = _start_point(x0, model.dim, bsz)
     _kernel.lib()  # built here, once, rather than by every slice at once
     rows = 2 * bsz if pair else bsz
-    n = min(_workers(), bsz)
+    n = min(_workers(), bsz) if _row_map(model) is not None else 1
     cuts = [bsz * i // n for i in range(n + 1)]
 
-    stops = []  # the slices' failing steps, -1 after an interrupt
+    totals = [None] * n
+    failures = []  # (index, kind, slice, error)
+    stops = []  # the failures' indices, -1 after an interrupt
 
-    def run_slice(lo, hi):
+    def run_slice(i):
+        lo, hi = cuts[i], cuts[i + 1]
         runs = [st.run_index for st in streams[lo:hi]]
         acc = None
+        at = (0, 0)  # (index, kind) of an error f or the engine raises now
 
         def visit(first, states):
-            nonlocal acc
+            nonlocal acc, at
             if stops and first > min(stops):
                 raise _Stopped
             skip = max(k0 - first, 0)
-            if skip >= len(states):
-                return
-            vals = _eval_window(f, states[skip:], rows)
-            if pair:  # fine minus coarse, in place: no third array
-                half = vals.shape[1] // 2
-                vals[:, half:] -= vals[:, :half]
-                vals = vals[:, half:]
-            _check_values_finite(vals, first + skip, runs)
-            if acc is None:
-                acc = _CompensatedSum(vals.shape[1:])
-            _reduce_window(acc, vals)
+            if skip < len(states):
+                at = (first + skip, 2)
+                vals = _eval_window(f, states[skip:], rows)
+                if pair:  # fine minus coarse, in place: no third array
+                    half = vals.shape[1] // 2
+                    vals[:, half:] -= vals[:, :half]
+                    vals = vals[:, half:]
+                _check_values_finite(vals, first + skip, runs)
+                if acc is None:
+                    acc = _CompensatedSum(vals.shape[1:])
+                _reduce_window(acc, vals)
+            at = (first + len(states), 0)  # the next chunk's ticks
 
         level = _Level(gamma, k1 - 1, pair, streams[lo:hi], width=bsz)
         try:
             _drive(model, x if x.ndim == 1 else x[lo:hi], level, runs, visit)
-        except BaseException as exc:
+        except _Stopped:
+            return
+        except Exception as exc:
             if isinstance(exc, NumericalFailureError):
-                stops.append(exc.step_index)
-            elif not isinstance(exc, Exception):  # an interrupt
-                stops.append(-1)
+                at = (exc.step_index, 3 if hasattr(exc, "_of_value") else 1)
+            failures.append(at + (i, exc))
+            stops.append(at[0])
+            return
+        except BaseException:  # an interrupt
+            stops.append(-1)
             raise
-        return acc.total()
+        totals[i] = acc.total()
 
-    totals = _run_slices([functools.partial(run_slice, lo, hi)
-                          for lo, hi in zip(cuts, cuts[1:])])
+    _run_slices([functools.partial(run_slice, i) for i in range(n)],
+                lambda: stops.append(-1))
+    if failures:
+        raise min(failures, key=lambda fail: fail[:3])[3]
     return np.concatenate(totals) / (k1 - k0), steps
 
 

@@ -1,20 +1,23 @@
 """A level in slices of its runs, one per core: it keeps every byte.
 
-The engine cuts each level's runs into contiguous slices, one per core the
-process may run on (``sde._workers()``), and runs each slice on a thread of
-its own: its draws, ticks, observable values and window sums.  Each run
-reads only its own (level, run) stream and rows, so no byte depends on the
-core count.  The worker count is not a setting; most tests patch the
-private function to run the same levels on one, two and three workers, and
-one pins a child process to a single core.
+Where a level ticks in C, the engine cuts its runs into contiguous slices,
+one per core the process may run on (``sde._workers()``), and runs each
+slice on a thread of its own: its draws, ticks, observable values and
+window sums.  Each run reads only its own (level, run) stream and rows, so
+no byte depends on the core count.  The worker count is not a setting;
+most tests patch the private function to run the same levels on one, two
+and three workers, and one pins a child process to a single core.
 """
 
 import gc
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -131,6 +134,24 @@ def test_an_error_in_a_workers_draw_surfaces_unchanged(monkeypatch):
     assert raised.value is error
 
 
+@pytest.mark.skipif(os.name != "posix", reason="no POSIX signals")
+def test_an_interrupt_while_waiting_stops_the_other_slices():
+    stopped = threading.Event()
+
+    def slice_on_the_pool():
+        time.sleep(0.2)  # the first slice has ended: this thread waits
+        os.kill(os.getpid(), signal.SIGINT)
+        assert stopped.wait(60)  # a slice ends at its next record
+
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            sde._run_slices([lambda: None, slice_on_the_pool], stopped.set)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert stopped.is_set()
+
+
 def python(code):
     env = dict(os.environ,
                PYTHONPATH=str(Path(mlangevin.__file__).parents[1]))
@@ -193,8 +214,10 @@ def test_a_forked_child_draws_after_its_parent_did(monkeypatch):
 
 def test_a_levels_raw_buffer_is_freed_when_the_next_level_starts(
         monkeypatch):
-    slices = 2  # two runs on two workers: a slice each, drawing at once
-    on_workers(monkeypatch, slices)
+    # two runs on two workers: a slice each, drawing at once, where the
+    # level ticks in C; else one slice
+    slices = 2 if sde._row_map(ou(2)) is not None else 1
+    on_workers(monkeypatch, 2)
     buffers, alive = [], []  # (level, buffer) of each first draw
     draw = sde._Engine._draw
 

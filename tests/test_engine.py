@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlangevin._kernel as _kernel
 import mlangevin.sde as sde
 from mlangevin import (
     LogisticPerturbedPotential,
@@ -511,34 +512,44 @@ def test_a_failing_level_0_ends_the_estimate_before_level_1_draws(
     assert list(draws) == [0]
 
 
-class Doubling:
-    """Duck-typed model without noise whose map doubles every row: a row's
-    coordinate 2^e reads 2^(e + k) after k steps, so its start sets the
-    step at which it overflows."""
+# A quadratic model at sigma0 = 1: a step gamma maps x to (1 - gamma) x and
+# adds sqrt(2 gamma) g, in C where the library is built, and the level then
+# runs in slices.  At a step of 3 on the level's grid (a chain's 3, a pair's
+# coarse 2 * 1.5) a start of 2^e reads exactly -2 times itself per step,
+# its noise far below an ulp, so 2^e sets the step at which it overflows;
+# a pair's fine rows shrink.  At a step of 1/2 every row stays near zero.
+UNIT = make_langevin_model(QuadraticPotential(3), 1.0)
 
-    noise_scale = 0.0
-    dim = 2
 
-    def advance(self, x, step):
-        x *= 2.0
+class Tripped(Exception):
+    pass
 
 
 def square_of_second(x):
+    """x[:, 1]^2, raising ``Tripped`` once a point's |x[:, 2]| is 2^300."""
+    if (np.abs(x[:, 2]) >= 2.0 ** 300).any():
+        raise Tripped("a point reached 2^300")
     return x[:, 1] * x[:, 1]
 
 
-def doubling_starts(pair, positions=(), values=()):
-    """Seven start rows for ``Doubling``: row r of each (r, s) in
-    ``positions`` turns non-finite at step s of the level's grid, and
-    ``square_of_second`` of row r of each (r, s) in ``values`` does, on a
-    finite position.  The other rows stay at zero."""
-    per_tick = 2 if pair else 1  # the fine steps of one tick
-    x0 = np.zeros((7, 2))
-    for row, step in positions:
-        x0[row, 0] = 2.0 ** (1024 - per_tick * step)
-    for row, step in values:
-        x0[row, 1] = 2.0 ** (512 - per_tick * step)
+def doubling_starts(positions=(), values=(), trips=()):
+    """Seven start rows: each (r, s) turns row r non-finite at step s of
+    the level's grid (``positions``), makes ``square_of_second`` non-finite
+    on it there (``values``) or makes it raise there (``trips``).  The
+    other rows start at zero."""
+    x0 = np.zeros((7, 3))
+    for col, top, cases in ((0, 1024, positions), (1, 512, values),
+                            (2, 300, trips)):
+        for row, step in cases:
+            x0[row, col] = 2.0 ** (top - step)
     return x0
+
+
+def doubling_level(pair, x0):
+    kernel = sde._run_coupled_batch if pair else sde._run_level0_batch
+    # 40 steps of 3 on the level's grid
+    return kernel(UNIT, x0, 1.5 if pair else 3.0, 0.0, 120.0,
+                  square_of_second, seven_runs())
 
 
 def on_workers(monkeypatch, n):
@@ -550,20 +561,42 @@ def seven_runs():
     return [NoiseStream(3, 1, run_index=20 - row) for row in range(7)]
 
 
-# (positions, values) -> the failing (row, step, kind).  One, two and three
-# workers cut the seven rows at [3] and [2, 4], so the rows named in each
-# case run in different slices on two and three workers.
+def raised_on_workers(monkeypatch, level, *args):
+    """What ``level(*args)`` raises on one, two and three workers: its type,
+    text, step and run, the same on each."""
+    seen = []
+    for n in (1, 2, 3):
+        on_workers(monkeypatch, n)
+        with pytest.raises((NumericalFailureError, Tripped)) as exc:
+            level(*args)
+        seen.append((type(exc.value), str(exc.value),
+                     getattr(exc.value, "step_index", None),
+                     getattr(exc.value, "run_index", None)))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+    return seen[0]
+
+
+# (positions, values, trips) -> the failing (row, step, kind), kind None
+# for f's own error.  One, two and three workers cut the seven rows at [3]
+# and [2, 4], so the rows named in each case run in different slices on two
+# and three workers.
 CROSS_SLICE = {
-    "a later slice failing earlier": (([(1, 30), (6, 20)], []),
+    "a later slice failing earlier": (([(1, 30), (6, 20)], [], []),
                                       (6, 20, "position")),
-    "a position before a value": (([(6, 20)], [(1, 20)]),
+    "a position before a value": (([(6, 20)], [(1, 20)], []),
                                   (6, 20, "position")),
-    "a value before a position": (([(1, 20)], [(6, 19)]),
+    "a value before a position": (([(1, 20)], [(6, 19)], []),
                                   (6, 19, "observable")),
-    "the lower row of two positions": (([(2, 20), (5, 20)], []),
+    "the lower row of two positions": (([(2, 20), (5, 20)], [], []),
                                        (2, 20, "position")),
-    "the lower row of two values": (([], [(2, 20), (5, 20)]),
+    "the lower row of two values": (([], [(2, 20), (5, 20)], []),
                                     (2, 20, "observable")),
+    "an error of f before a later position": (([(6, 20)], [], [(1, 5)]),
+                                              (1, 5, None)),
+    "an error of f in a later slice": (([(1, 20)], [], [(6, 5)]),
+                                       (6, 5, None)),
+    "an error of f before a later value": (([], [(1, 20)], [(6, 5)]),
+                                           (6, 5, None)),
 }
 
 
@@ -573,23 +606,43 @@ CROSS_SLICE = {
 def test_a_level_in_slices_raises_its_earliest_failure(
         case, pair, cap, monkeypatch):
     # at a cap of 4 ticks, a slice stops early once another has failed
-    (positions, values), (row, step, kind) = CROSS_SLICE[case]
-    x0 = doubling_starts(pair, positions, values)
-    kernel = sde._run_coupled_batch if pair else sde._run_level0_batch
-    seen = []
-    for n in (1, 2, 3):
-        on_workers(monkeypatch, n)
-        with chunk_cap(cap), pytest.raises(NumericalFailureError) as exc:
-            kernel(Doubling(), x0, 1.0, 0.0, 100.0, square_of_second,
-                   seven_runs())
-        seen.append((str(exc.value), exc.value.step_index,
-                     exc.value.run_index))
-    assert seen[1] == seen[0] and seen[2] == seen[0]
-    assert seen[0][1:] == (step, 20 - row)
-    assert seen[0][0].startswith(f"non-finite {kind}")
+    starts, (row, step, kind) = CROSS_SLICE[case]
+    with chunk_cap(cap):
+        error, text, index, run = raised_on_workers(
+            monkeypatch, doubling_level, pair, doubling_starts(*starts))
+    if kind is None:
+        assert error is Tripped
+    else:
+        assert (error, index, run) == (NumericalFailureError, step, 20 - row)
+        assert text.startswith(f"non-finite {kind}")
 
 
-def test_a_failing_slice_ends_the_others_past_its_step(monkeypatch):
+@pytest.mark.parametrize("pair", [False, True], ids=["chain", "pair"])
+def test_a_position_in_a_record_before_fs_error_wins(pair, monkeypatch):
+    # records of 4 ticks: the failure at step 5 lies in [4, 8), before the
+    # record [20, 24) on which f raises; one engine never evaluates f there
+    x0 = doubling_starts(positions=[(6, 5)], trips=[(1, 20)])
+    with chunk_cap(4):
+        error, _, index, run = raised_on_workers(
+            monkeypatch, doubling_level, pair, x0)
+    assert (error, index, run) == (NumericalFailureError, 5, 14)
+
+
+def banded(raise_error):
+    """x[:, 1]^2, except on a point with 2^890 <= |x[:, 2]| <= 2^895: there
+    it raises ``Tripped``, or gives inf."""
+    def f(x):
+        size = np.abs(x[:, 2])
+        band = (size >= 2.0 ** 890) & (size <= 2.0 ** 895)
+        if raise_error and band.any():
+            raise Tripped("a point entered the band")
+        return np.where(band, np.inf, x[:, 1] * x[:, 1])
+    return f
+
+
+@pytest.mark.parametrize("raise_error", [False, True], ids=["value", "error"])
+def test_a_failing_slice_ends_the_others_past_its_step(
+        raise_error, monkeypatch):
     draws = collections.Counter()
     draw = NoiseStream.standard_normal
 
@@ -599,21 +652,48 @@ def test_a_failing_slice_ends_the_others_past_its_step(monkeypatch):
 
     monkeypatch.setattr(NoiseStream, "standard_normal", counting_draw)
     on_workers(monkeypatch, 2)
-    x0 = doubling_starts(False, positions=[(1, 5)])
-    with chunk_cap(4), pytest.raises(NumericalFailureError) as exc:
-        sde._run_level0_batch(Doubling(), x0, 1.0, 0.0, 40000.0,
-                              square_of_second, seven_runs())
-    assert (exc.value.step_index, exc.value.run_index) == (5, 19)
+    # at a step of 1/2, run 19's |x[:, 2]| = 2^(900 - k) enters the band at
+    # step 5, in the record [4, 8); every other row stays near zero
+    x0 = np.zeros((7, 3))
+    x0[1, 2] = 2.0 ** 900
+    with chunk_cap(4), pytest.raises(
+            Tripped if raise_error else NumericalFailureError):
+        sde._run_level0_batch(UNIT, x0, 0.5, 0.0, 20000.0,
+                              banded(raise_error), seven_runs())
     # run 19's slice drew two of the level's 10,000 chunks; the other
-    # slice, runs 17..14, ends at its first record past step 5
+    # slice, runs 17..14, ends at its first record past step 4 or 5
     assert draws[19] == 2
     assert max(draws[run] for run in (17, 16, 15, 14)) < 5000
 
 
+class OwnAdvance:
+    """A model with its own map, as ``UNIT``'s: it ticks in Python."""
+
+    noise_scale, dim = UNIT.noise_scale, UNIT.dim
+    advance = UNIT.advance
+
+
+def test_only_a_level_that_ticks_in_c_runs_in_slices(monkeypatch):
+    counts = []
+    run_slices = sde._run_slices
+
+    def counted(jobs, stop):
+        counts.append(len(jobs))
+        return run_slices(jobs, stop)
+
+    monkeypatch.setattr(sde, "_run_slices", counted)
+    on_workers(monkeypatch, 3)
+    for model in (UNIT, OwnAdvance()):
+        sde._run_level0_batch(model, np.zeros(3), 0.5, 0.0, 10.0,
+                              norm_observable(), seven_runs())
+    assert counts == [3 if _kernel.lib() is not None else 1, 1]
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["chain", "pair"])
 @pytest.mark.parametrize("f", [lambda x: x[0],
-                               lambda x: x[..., None] * np.ones(2)],
-                         ids=["pointwise", "matrix"])
+                               lambda x: x[..., None] * np.ones(2),
+                               lambda x: x.T],
+                         ids=["pointwise", "matrix", "transposed"])
 def test_an_observables_shape_error_reads_the_same_in_slices(
         f, pair, monkeypatch):
     kernel = sde._run_coupled_batch if pair else sde._run_level0_batch
@@ -621,11 +701,22 @@ def test_an_observables_shape_error_reads_the_same_in_slices(
     for n in (1, 2, 3):
         on_workers(monkeypatch, n)
         with pytest.raises(ValueError, match="returned shape") as exc:
-            kernel(Doubling(), np.zeros(2), 0.25, 0.0, 10.0, f,
-                   seven_runs())
+            kernel(UNIT, np.zeros(3), 0.25, 0.0, 10.0, f, seven_runs())
         messages.append(str(exc.value))
     assert messages[1] == messages[0] and messages[2] == messages[0]
     assert "\n" not in messages[0]
+
+
+def test_numpys_error_state_reaches_every_slice(monkeypatch):
+    # run 14, row 6, starts at zero in its first coordinate: 1 / 0 there
+    x0 = np.ones((7, 3))
+    x0[6, 0] = 0.0
+    for n in (1, 2, 3):
+        on_workers(monkeypatch, n)
+        with np.errstate(divide="raise"), pytest.raises(
+                FloatingPointError):
+            sde._run_level0_batch(UNIT, x0, 0.5, 0.0, 10.0,
+                                  lambda x: 1.0 / x[:, 0], seven_runs())
 
 
 OU2 = make_langevin_model(QuadraticPotential(2), "auto")
