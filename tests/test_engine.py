@@ -13,6 +13,7 @@ that every entry point rejects a bad start point before any step.
 import collections
 import contextlib
 import math
+import sys
 import threading
 
 import numpy as np
@@ -615,6 +616,27 @@ def test_a_level_in_slices_raises_its_earliest_failure(
     else:
         assert (error, index, run) == (NumericalFailureError, step, 20 - row)
         assert text.startswith(f"non-finite {kind}")
+
+
+def test_seven_slices_with_a_short_switch_interval_pick_the_same_failure(
+        monkeypatch):
+    # every row fails, each in a slice of its own, the earliest in the last
+    x0 = doubling_starts(positions=[(row, 30 - row) for row in range(7)],
+                         values=[(row, 31 - row) for row in range(7)])
+    on_workers(monkeypatch, 1)
+    with chunk_cap(4), pytest.raises(NumericalFailureError) as one:
+        doubling_level(False, x0)
+    on_workers(monkeypatch, 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            with chunk_cap(4), pytest.raises(NumericalFailureError) as many:
+                doubling_level(False, x0)
+            assert str(many.value) == str(one.value)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (one.value.step_index, one.value.run_index) == (24, 14)
 
 
 @pytest.mark.parametrize("pair", [False, True], ids=["chain", "pair"])
