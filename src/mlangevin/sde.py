@@ -73,14 +73,17 @@ sums its runs' windows.  numpy's draw and the C tick loop run without the
 GIL.  Each run reads only its own stream and rows and adds to its own sums,
 and the level's result is the slices' concatenated in row order, so no
 byte depends on the core count.  A failing level raises what one engine
-over all its rows would raise.  There is no setting.  Within one level, f
-may therefore be called from several threads at once, each call on rows of
-its own, in a copy of the calling thread's context (numpy's error state
-among it): it must be safe to call concurrently, as the built-in
-observables are.  A level that ticks in Python (a user potential, a model
-with its own ``advance``, no C library) runs in one engine on the calling
-thread, as do the contraction and confluence probes: the Python tick
-loop's many small calls hold the GIL, so its slices would only take turns.
+over all its rows would raise.  There is no setting.  The level starts its
+slices' threads itself and joins them before it returns or raises, so no
+thread outlives it.  Within one level, f may therefore be called from
+several threads at once, each call on rows of its own, in a copy of the
+calling thread's context (numpy's error state among it): it must be safe
+to call concurrently, as the built-in observables are.  f may itself run a
+level, on any of those threads.  A level that ticks in Python (a user
+potential, a model with its own ``advance``, no C library) runs in one
+engine on the calling thread, as do the contraction and confluence probes:
+the Python tick loop's many small calls hold the GIL, so its slices would
+only take turns.
 
 Each window is summed in grid order, compensated: every run and value
 coordinate adds its window values one grid index at a time to a Neumaier
@@ -99,6 +102,7 @@ import contextvars
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -371,21 +375,6 @@ def _check_values_finite(vals: np.ndarray, first_index: int,
         raise err
 
 
-# The slices' threads, as (count, executor), made at the first level that
-# runs in slices (_run_slices) and forgotten in a forked child, which has
-# none.
-_pool = None
-
-
-def _forget_pool():
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _workers() -> int:
     """The slice count of a level of many runs: the cores this process may
     run on."""
@@ -396,40 +385,39 @@ def _workers() -> int:
 
 
 def _run_slices(jobs, stop):
-    """Run ``jobs``, the first on this thread and each other on a thread of
-    the pool, each in a copy of this thread's context (numpy's error state
-    among it), and return once every one has ended.  An exception that
-    escapes a job is raised then, the first job's first.  If the wait
-    itself is interrupted, ``stop()`` ends the other jobs early, and they
-    are waited for before the interrupt goes on."""
-    global _pool
-    futures = []
-    if len(jobs) > 1:
-        size, pool = _pool or (0, None)
-        if size < len(jobs) - 1:
-            # imported here: the package starts no thread and imports no
-            # pool.  A smaller pool is dropped, not shut down: a caller on
-            # another thread may still hold it, and its threads end once it
-            # is freed.
-            from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(len(jobs) - 1,
-                                      thread_name_prefix="mlangevin-slice")
-            _pool = (len(jobs) - 1, pool)
-        futures = [pool.submit(contextvars.copy_context().run, job)
-                   for job in jobs[1:]]
+    """Run ``jobs``, the first on this thread and each other on a thread
+    started for it, each in a copy of this thread's context (numpy's error
+    state among it), and return once every thread has been joined.  An
+    exception that escapes a job is raised then, the first job's first.
+    If the wait itself is interrupted, ``stop()`` ends the other jobs
+    early, and they are joined before the interrupt goes on."""
+    errors = [None] * len(jobs)
+
+    def run(i):
+        try:
+            jobs[i]()
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, i), name="mlangevin-slice")
+               for i in range(1, len(jobs))]
+    for thread in threads:
+        thread.start()
     try:
         jobs[0]()
     finally:
         try:
-            for future in futures:
-                future.exception()  # waits for the job
+            for thread in threads:
+                thread.join()
         except BaseException:
             stop()
-            for future in futures:
-                future.exception()
+            for thread in threads:
+                thread.join()
             raise
-    for future in futures:
-        future.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 class _Stopped(Exception):
@@ -669,14 +657,16 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     in one slice: its many small numpy calls hold the GIL, so slices would
     take turns, and slower than one engine.
 
-    Every slice ends before the level does.  A failing level raises what
-    one engine over all B rows would: of its slices' errors, the one at the
-    least (grid index k, kind, slice), its kinds in the order one engine
-    meets them at k: an error the model or a stream raises in the ticks of
-    the chunk from k, a non-finite position at k, an error f raises on a
-    record whose window starts at k, a non-finite value of f at k.  So f's
-    error wins over another slice's failure later in the same record, as
-    in one engine whenever f raises on the states before that failure.
+    The level starts its slices' threads and joins them before it returns
+    or raises (``_run_slices``), so f may itself run a level.  A failing
+    level raises what one engine over all B rows would: of its slices'
+    errors, the one at the least (grid index k, kind, slice), its kinds in
+    the order one engine meets them at k: an error the model or a stream
+    raises in the ticks of the chunk from k, a non-finite position at k,
+    an error f raises on a record whose window starts at k, a non-finite
+    value of f at k.  So f's error wins over another slice's failure later
+    in the same record, as in one engine whenever f raises on the states
+    before that failure.
     Once a slice fails at index k, the others end at their first record
     past k, where nothing is left to precede it, and after an interrupt at
     their next record.
@@ -684,7 +674,6 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     k0, k1, steps = _window(gamma, tau, t, pair)
     bsz = len(streams)
     x = _start_point(x0, model.dim, bsz)
-    _kernel.lib()  # built here, once, rather than by every slice at once
     rows = 2 * bsz if pair else bsz
     n = min(_workers(), bsz) if _row_map(model) is not None else 1
     cuts = [bsz * i // n for i in range(n + 1)]

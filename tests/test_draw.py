@@ -3,10 +3,12 @@
 Where a level ticks in C, the engine cuts its runs into contiguous slices,
 one per core the process may run on (``sde._workers()``), and runs each
 slice on a thread of its own: its draws, ticks, observable values and
-window sums.  Each run reads only its own (level, run) stream and rows, so
-no byte depends on the core count.  The worker count is not a setting;
-most tests patch the private function to run the same levels on one, two
-and three workers, and one pins a child process to a single core.
+window sums.  The level starts those threads and joins them before it
+returns, so none outlives it and an observable may run a level itself.
+Each run reads only its own (level, run) stream and rows, so no byte
+depends on the core count.  The worker count is not a setting; most
+tests patch the private function to run the same levels on one, two and
+three workers, and one pins a child process to a single core.
 """
 
 import gc
@@ -125,7 +127,7 @@ class FailingStream:
 def test_an_error_in_a_workers_draw_surfaces_unchanged(monkeypatch):
     on_workers(monkeypatch, 2)
     error = Boom("run 2 cannot draw")
-    # the second slice, runs 1 and 2, runs on the pool's thread
+    # the second slice, runs 1 and 2, runs on a thread of its own
     streams = [NoiseStream(0, 0, 0), NoiseStream(0, 0, 1),
                FailingStream(error)]
     with pytest.raises(Boom) as raised:
@@ -138,7 +140,7 @@ def test_an_error_in_a_workers_draw_surfaces_unchanged(monkeypatch):
 def test_an_interrupt_while_waiting_stops_the_other_slices():
     stopped = threading.Event()
 
-    def slice_on_the_pool():
+    def other_slice():
         time.sleep(0.2)  # the first slice has ended: this thread waits
         os.kill(os.getpid(), signal.SIGINT)
         assert stopped.wait(60)  # a slice ends at its next record
@@ -146,28 +148,108 @@ def test_an_interrupt_while_waiting_stops_the_other_slices():
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with pytest.raises(KeyboardInterrupt):
-            sde._run_slices([lambda: None, slice_on_the_pool], stopped.set)
+            sde._run_slices([lambda: None, other_slice], stopped.set)
     finally:
         signal.signal(signal.SIGINT, handler)
     assert stopped.is_set()
 
 
-def python(code):
+def two_runs(f, seed=0):
+    """A level of two runs of a chain in d = 2, with observable f: two
+    slices on two workers where the level ticks in C."""
+    streams = [NoiseStream(seed, 0, i) for i in range(2)]
+    avg, steps = sde._run_level0_batch(ou(2), np.zeros(2), 0.25, 0.0, 4.0,
+                                       f, streams)
+    return avg.tolist(), steps
+
+
+def need_slices():
+    if sde._row_map(ou(2)) is None:
+        pytest.skip("a level that ticks in Python runs in one slice")
+
+
+def test_an_exit_in_a_later_slice_surfaces_unchanged(monkeypatch):
+    need_slices()
+    on_workers(monkeypatch, 2)
+    norm, error = norm_observable(), SystemExit("the second slice exits")
+
+    def f(points):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return norm(points)
+
+    with pytest.raises(SystemExit) as raised:
+        two_runs(f)
+    assert raised.value is error
+
+
+def nested_levels():
+    """``two_runs`` on two workers, where f, called off the main thread,
+    runs ``two_runs`` of its own first."""
+    norm = norm_observable()
+
+    def f(points):
+        if threading.current_thread() is not threading.main_thread():
+            two_runs(norm, seed=1)
+        return norm(points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        on_workers(mp, 2)
+        return two_runs(f)
+
+
+def python(code, timeout=120):
     env = dict(os.environ,
                PYTHONPATH=str(Path(mlangevin.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# the process's OS threads, in a child's code (0 without /proc)
+TASKS = ("tasks = lambda: len(os.listdir('/proc/self/task')) "
+         "if os.path.isdir('/proc/self/task') else 0\n")
 
 
 def test_importing_the_package_starts_no_thread():
-    code = ("import os, threading, numpy\n"
-            "tasks = lambda: len(os.listdir('/proc/self/task')) "
-            "if os.path.isdir('/proc/self/task') else 0\n"
+    code = ("import os, threading, numpy\n" + TASKS +
             "before = tasks()\n"
-            "import mlangevin, mlangevin.sde as sde\n"
-            "print(threading.active_count(), tasks() - before, sde._pool)")
+            "import mlangevin\n"
+            "print(threading.active_count(), tasks() - before)")
     done = python(code)
-    assert (done.stdout, done.stderr) == ("1 0 None\n", "")
+    assert (done.stdout, done.stderr) == ("1 0\n", "")
+
+
+def in_child(body):
+    """``body`` run in a child process that imports this file."""
+    return ("import json, os, sys, threading, time\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import pytest, test_draw\n" + body)
+
+
+def test_an_observable_may_run_a_level_in_a_slice():
+    # in a child: a deadlock fails this test instead of stalling the suite
+    need_slices()
+    try:
+        done = python(in_child("print(json.dumps(test_draw.nested_levels()))"),
+                      timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("a level run by an observable in a slice hung")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == json.dumps(two_runs(norm_observable())) + "\n"
+
+
+def test_no_slice_thread_outlives_its_level():
+    body = (TASKS + "before = threading.active_count(), tasks()\n"
+            "with pytest.MonkeyPatch.context() as mp:\n"
+            "    test_draw.on_workers(mp, 2)\n"
+            "    test_draw.level_by_level()\n"
+            # a joined thread may take a moment to leave the task list
+            "deadline = time.monotonic() + 10\n"
+            "while tasks() != before[1] and time.monotonic() < deadline:\n"
+            "    time.sleep(0.01)\n"
+            "print(before == (threading.active_count(), tasks()))")
+    done = python(in_child(body))
+    assert (done.stdout, done.stderr) == ("True\n", "")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -175,13 +257,10 @@ def test_importing_the_package_starts_no_thread():
 def test_a_process_on_one_core_gives_the_same_bytes():
     # the child pins only itself, so the real _workers() reads one core
     cpu = min(os.sched_getaffinity(0))
-    code = ("import json, os, sys\n"
-            f"os.sched_setaffinity(0, {{{cpu}}})\n"
-            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-            "import mlangevin.sde as sde, test_draw\n"
-            "assert sde._workers() == 1\n"
-            "print(json.dumps([test_draw.fused(), "
-            "test_draw.level_by_level()]))")
+    code = in_child(f"os.sched_setaffinity(0, {{{cpu}}})\n"
+                    "assert test_draw.sde._workers() == 1\n"
+                    "print(json.dumps([test_draw.fused(), "
+                    "test_draw.level_by_level()]))")
     done = python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == json.dumps([fused(), level_by_level()]) + "\n"
@@ -195,8 +274,7 @@ def child_estimate(queue):
                     reason="no fork start method")
 def test_a_forked_child_draws_after_its_parent_did(monkeypatch):
     on_workers(monkeypatch, 2)
-    expected = level_by_level()  # the parent's pool now has a thread
-    assert sde._pool is not None
+    expected = level_by_level()  # the parent ran its levels in slices
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=child_estimate, args=(queue,))
