@@ -11,7 +11,7 @@
  *              x *= 1 - h lam; x -= t c
  *
  * mlv_descend is Potential.descend of both on C-ordered rows, and
- * mlv_ticks runs a chunk of ticks of one sde._Engine level through the same
+ * mlv_ticks runs a chunk of ticks of one sde._drive level through the same
  * row maps, so euler_step and the engine move points alike, bit for bit.
  * mlv_ticks also turns the raw standard normals into the Euler increments,
  * as it adds them: g * scale on a chain or fine row, ((g1 + g2) *

@@ -3,7 +3,7 @@ its compensated window sum.
 
 ``_kernel.c`` holds the gradient step x <- x - h grad U(x) of
 ``QuadraticPotential`` and ``LogisticPerturbedPotential``, one row at a time,
-and a loop that runs a chunk of ticks of one ``sde._Engine`` level through
+and a loop that runs a chunk of ticks of one ``sde._drive`` level through
 the same row maps, scaling each row's raw standard normals into its Euler
 increment as it adds them.  ``descend`` serves both potentials'
 ``descend``, and so ``euler_step``; ``ticks`` serves the engine.  ``csum``

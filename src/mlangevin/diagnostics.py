@@ -45,7 +45,7 @@ from .model import (
     _sigmoid,
     ou_reference_value,
 )
-from .sde import NoiseStream, _drive, _Level, n_gamma
+from .sde import NoiseStream, _drive, n_gamma
 from .tuning import TuningPlan
 
 __all__ = [
@@ -321,9 +321,8 @@ def contraction_probe(
     # (d,) point for both rows), each on its own stream of one key: the
     # same key draws the same normals, so both rows share them
     rows = (np.atleast_1d(x), np.atleast_1d(y))
-    chain = _Level(gamma, n_steps, False,
-                   [NoiseStream(seed, 0), NoiseStream(seed, 0)])
-    _drive(model, rows, chain, range(2), visit)
+    _drive(model, rows, gamma, n_steps, False,
+           [NoiseStream(seed, 0), NoiseStream(seed, 0)], range(2), visit)
     return distances
 
 
@@ -340,9 +339,8 @@ def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
         sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))
 
     # one stream for all p runs
-    pair = _Level(gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse), True,
-                  [stream])
-    _drive(model, x0, pair, range(p), visit)
+    _drive(model, x0, gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse),
+           True, [stream], range(p), visit)
     return sup
 
 

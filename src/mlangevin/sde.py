@@ -1,7 +1,7 @@
 """Constant-step Euler-Maruyama engine with synchronously coupled pairs.
 
-One engine, ``_Engine``, is the only stepping loop, and every path
-simulation goes through it (``_drive``):
+One engine function, ``_drive``, holds the only stepping loop, and every
+path simulation goes through it:
 
 * ``run_level0``: one chain at step gamma0, returning the occupation
   (pathwise time) average of an observable over a burn-in-trimmed window.
@@ -60,15 +60,15 @@ batch layouts and core counts.  A level takes one stream per row (a run's
 own, in the estimator) or one stream for all rows (the confluence probe).
 Each stream draws raw standard normals straight into its level's buffer, a
 contiguous slice per chunk (``standard_normal(out=...)``), and the C tick
-loop scales them as it adds them (``_Engine``).  Batches of independent
+loop scales them as it adds them (``_drive``).  Batches of independent
 runs advance together as rows; every per-run operation acts elementwise or
 along the last axis only, so batched trajectories are bit-identical to
 one-run-at-a-time execution.
 
 The runs of a level share nothing, so where the level ticks in C,
 ``_run_level`` cuts them into contiguous slices, one per core the process
-may run on (``_workers``), and runs each slice on a thread of its own as an
-engine of its own: it draws its runs' normals, ticks them, evaluates f and
+may run on (``_workers``), and runs each slice on a thread of its own
+through ``_drive``: it draws its runs' normals, ticks them, evaluates f and
 sums its runs' windows.  numpy's draw and the C tick loop run without the
 GIL.  Each run reads only its own stream and rows and adds to its own sums,
 and the level's result is the slices' concatenated in row order, so no
@@ -367,12 +367,10 @@ def _check_values_finite(vals: np.ndarray, first_index: int,
     if not finite.all():
         j, row = np.argwhere(~finite)[0]
         run = runs[row]
-        err = NumericalFailureError(
+        raise NumericalFailureError(
             f"non-finite observable value at step {first_index + int(j)} "
             f"(run {run}); the trajectory left the observable's finite "
             f"range", step_index=first_index + int(j), run_index=run)
-        err._of_value = True  # ranked after a position failure at its step
-        raise err
 
 
 def _workers() -> int:
@@ -387,63 +385,28 @@ def _workers() -> int:
 def _run_slices(jobs, stop):
     """Run ``jobs``, the first on this thread and each other on a thread
     started for it, each in a copy of this thread's context (numpy's error
-    state among it), and return once every thread has been joined.  An
-    exception that escapes a job is raised then, the first job's first.
-    If the wait itself is interrupted, ``stop()`` ends the other jobs
-    early, and they are joined before the interrupt goes on."""
-    errors = [None] * len(jobs)
-
-    def run(i):
-        try:
-            jobs[i]()
-        except BaseException as exc:
-            errors[i] = exc
-
+    state among it), and return once every thread has been joined.  No
+    exception may escape a job.  If the wait itself is interrupted,
+    ``stop()`` ends the other jobs early, and they are joined before the
+    interrupt goes on."""
     threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(run, i), name="mlangevin-slice")
-               for i in range(1, len(jobs))]
+                                args=(job,), name="mlangevin-slice")
+               for job in jobs[1:]]
     for thread in threads:
         thread.start()
     try:
         jobs[0]()
-    finally:
-        try:
-            for thread in threads:
-                thread.join()
-        except BaseException:
-            stop()
-            for thread in threads:
-                thread.join()
-            raise
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stop()
+        for thread in threads:
+            thread.join()
+        raise
 
 
 class _Stopped(Exception):
     """A slice ended early: another one's failure ends the level."""
-
-
-class _Level:
-    """One level: a chain at step ``gamma`` or, with ``pair``, a
-    synchronously coupled fine (step ``gamma``) / coarse (``2 * gamma``)
-    pair, visiting grid indices 0..``last`` of its grid (steps of a chain,
-    coarse steps of a pair).
-
-    Its standard normals, one per fine step, come from ``streams``: one
-    stream per row, in row order (the estimator's runs), or one stream for
-    all B rows (the confluence probe).  Each stream draws (steps, rows it
-    serves, d), tick-major.  No other count is allowed (``_Engine``).
-
-    ``width`` is the run count of the whole level when this one is a slice
-    of it (``_run_level``), else None.  The chunk is sized from the whole
-    level, so that its slices' buffers together take what its own would.
-    """
-
-    def __init__(self, gamma, last, pair, streams, width=None):
-        self.gamma, self.last, self.pair = float(gamma), last, pair
-        self.streams = list(streams)
-        self.width = width
 
 
 def _start_point(x0, d, bsz):
@@ -462,166 +425,141 @@ def _start_point(x0, d, bsz):
     return x
 
 
-class _Engine:
-    """The Euler engine: one tick loop for one level of B runs.
+def _loop(advance, x, hist, gamma, pair, g, scale, coarse):
+    """The Euler tick loop in Python: ``len(hist)`` ticks of the state
+    ``x`` as ``_kernel.ticks`` runs them, each row mapped in place by
+    ``advance(rows, step)`` and then moved by its increment.  The fine
+    increments are the normals ``g`` scaled in place; a pair's coarse
+    increments, formed from the normals first, go to ``coarse``."""
+    n = len(hist)
+    bsz = len(x) // 2 if pair else len(x)
+    g = g[:2 * n if pair else n]
+    if pair:
+        coarse = coarse[:n]
+        np.add(g[0::2], g[1::2], out=coarse)
+        coarse *= _INV_SQRT2
+        coarse *= scale[1]
+    g *= scale[0]
+    fine = x[bsz:] if pair else x
+    for j in range(n):
+        hist[j] = x
+        if pair:
+            advance(fine, gamma)
+            fine += g[2 * j]
+            advance(x[:bsz], 2.0 * gamma)
+            x[:bsz] += coarse[j]
+        advance(fine, gamma)
+        fine += g[2 * j + 1 if pair else j]
 
-    The state ``x`` is a chain's (B, d) rows or a pair's (2B, d) rows, its
-    coarse rows over its fine rows.  Every row starts at ``x0``, (d,) or
-    (B, d); any other shape, or a non-finite value, is a ValueError raised
-    before any step.  A tick is one step of the level's grid: the chain
-    maps its rows and adds their increments, or the pair's fine rows take
-    their first step, its coarse rows the coarse step and its fine rows
-    their second step.  For the built-in potentials (see
-    ``model._row_map``) one C call (``_kernel.ticks``) runs a chunk's
-    ticks.  Otherwise ``_loop`` ticks in Python with ``model.advance``
-    calls, each on rows with one float step.  The model needs only
-    ``dim``, ``noise_scale`` and ``advance``.
 
-    The engine draws standard normals and turns them into the Euler
-    increments.  The level draws into one raw buffer, (streams, steps,
-    B // streams, d), so that each stream's draw is one contiguous slice.
-    Both tick loops read it through one tick-major view (steps, B, d):
-    fine step s of the chunk (a chain's tick j at s = j, a pair's at s =
-    2j and 2j + 1) at index s, row r at one stride per row.  That view
-    exists only for one stream or one per row; any other count is a
-    ValueError.  Fine steps take noise_scale * sqrt(gamma)
-    * g, the coarse step noise_scale * sqrt(2 gamma) * ((g1 + g2) * (1 /
+def _drive(model, x0, gamma, last, pair, streams, runs, visit, width=None):
+    """The Euler engine: one level of B = len(runs) rows, a chain at step
+    ``gamma`` or, with ``pair``, a synchronously coupled fine (step
+    ``gamma``) / coarse (``2 * gamma``) pair, through grid indices
+    0..``last`` of its grid (steps of a chain, coarse steps of a pair).
+
+    The state is a chain's (B, d) rows or a pair's (2B, d) rows, its coarse
+    rows over its fine rows.  Every row starts at ``x0``, (d,) or (B, d);
+    any other shape, or a non-finite value, is a ValueError raised before
+    any step.  A tick is one step of the level's grid: the chain maps its
+    rows and adds their increments, or the pair's fine rows take their
+    first step, its coarse rows the coarse step and its fine rows their
+    second step.  For the built-in potentials (see ``model._row_map``) one
+    C call (``_kernel.ticks``) runs a chunk's ticks.  Otherwise ``_loop``
+    ticks in Python with ``model.advance`` calls, each on rows with one
+    float step.  The model needs only ``dim``, ``noise_scale`` and
+    ``advance``.
+
+    The standard normals, one per fine step, come from ``streams``: one
+    stream per row, in row order (the estimator's runs), or one stream for
+    all B rows (the confluence probe); any other count is a ValueError.
+    Each chunk's draw fills one raw buffer, (streams, steps, B // streams,
+    d), a contiguous slice per stream, and both tick loops read it through
+    one tick-major view (steps, B, d): fine step s of the chunk (a chain's
+    tick j at s = j, a pair's at s = 2j and 2j + 1) at index s, row r at
+    one stride per row.  Fine steps take noise_scale * sqrt(gamma) * g,
+    the coarse step noise_scale * sqrt(2 gamma) * ((g1 + g2) * (1 /
     sqrt(2))) of the two fine normals it spans, so both ride one Brownian
     path; euler_step's arithmetic, bit for bit.  The C loop scales the
-    normals as it adds them; ``_loop`` scales the fine ones in place and
-    writes a pair's coarse increments to an array of their own.
+    normals as it adds them; ``_loop`` scales them in place.
 
-    ``chunks`` advances ``chunk`` ticks at a time.  ``chunk`` is sized from
-    the whole level's rows (``_Level.width``), three states of them per
-    tick, to about ``_CHUNK_ELEMENT_TARGET`` elements and never above
-    ``_CHUNK_STEP_CAP`` ticks.  An engine runs on the thread that calls it,
-    draws included; a level's slices are engines of their own
-    (``_run_level``).
-    """
-
-    def __init__(self, model, x0, level, bsz):
-        d = model.dim
-        x = _start_point(x0, d, bsz)
-        self.level, self.bsz = level, bsz
-        blocks = 2 if level.pair else 1
-        # C order: a sum along the last axis of F-ordered rows rounds otherwise
-        self.x = np.array(np.broadcast_to(x, (blocks, bsz, d)),
-                          order="C").reshape(blocks * bsz, d)
-        # of the fine (or chain's) and the coarse standard normals
-        self.scale = (model.noise_scale * math.sqrt(level.gamma),
-                      model.noise_scale * math.sqrt(2.0 * level.gamma))
-        # the record, the normals and the values of the whole level's rows
-        units = 3 * blocks * (level.width or bsz)
-        self.chunk = max(1, min(_CHUNK_STEP_CAP,
-                                _CHUNK_ELEMENT_TARGET // (units * d)))
-
-    def _draw(self, n, raw):
-        """Draw the standard normals of the chunk's ``n`` ticks into the
-        raw buffer ``raw``, here, stream by stream, each into its own
-        slice."""
-        steps = 2 * n if self.level.pair else n
-        for i, st in enumerate(self.level.streams):
-            st.standard_normal(out=raw[i, :steps])
-
-    def _loop(self, advance, hist, g, coarse):
-        """The Euler tick loop in Python: ``len(hist)`` ticks of the state
-        as ``_kernel.ticks`` runs them, each row mapped in place by
-        ``advance(rows, step)`` and then moved by its increment.  The fine
-        increments are the normals ``g`` scaled in place; a pair's coarse
-        increments, formed from the normals first, go to ``coarse``."""
-        x, bsz, n = self.x, self.bsz, len(hist)
-        gamma, pair = self.level.gamma, self.level.pair
-        g = g[:2 * n if pair else n]
-        if pair:
-            coarse = coarse[:n]
-            np.add(g[0::2], g[1::2], out=coarse)
-            coarse *= _INV_SQRT2
-            coarse *= self.scale[1]
-        g *= self.scale[0]
-        fine = x[bsz:] if pair else x
-        for j in range(n):
-            hist[j] = x
-            if pair:
-                advance(fine, gamma)
-                fine += g[2 * j]
-                advance(x[:bsz], 2.0 * gamma)
-                x[:bsz] += coarse[j]
-            advance(fine, gamma)
-            fine += g[2 * j + 1 if pair else j]
-
-    def chunks(self, model):
-        """Advance the level to its end.  After each chunk of n ticks
-        yield ``(k, record, ok)``: its first grid index k, the state at
-        each tick's start, (n, rows, d), and whether every state so far is
-        finite (a non-finite one stays so).  Last comes a one-tick record
-        of the final state, at index ``last``.  Tick k is grid index k."""
-        lvl, x, c, bsz = self.level, self.x, self.chunk, self.bsz
-        size = min(c, lvl.last)
-        steps, d = 2 * size if lvl.pair else size, x.shape[1]
-        hist = np.empty((size,) + x.shape)
-        n_streams = len(lvl.streams)
-        if n_streams not in (1, bsz):
-            raise ValueError(f"a level of {bsz} rows takes one noise stream "
-                             f"or one per row, got {n_streams}")
-        raw = np.empty((n_streams, steps, bsz // n_streams, d))
-        # views, never copies: the draws must land where the ticks read
-        g = raw[0] if n_streams == 1 else raw[:, :, 0].transpose(1, 0, 2)
-        row_map = _row_map(model)
-        coarse = (np.empty((size, bsz, d))
-                  if row_map is None and lvl.pair else None)
-        ok = True
-        for k in range(0, lvl.last, c):
-            n = min(c, lvl.last - k)
-            self._draw(n, raw)
-            if row_map is not None:
-                _kernel.ticks(row_map, x, hist[:n], lvl.gamma, lvl.pair, g,
-                              self.scale)
-            else:
-                self._loop(model.advance, hist[:n], g, coarse)
-            ok = ok and bool(np.isfinite(x).all())
-            yield k, hist[:n], ok
-        raw = g = coarse = None  # the level's noise is spent: free it
-        yield lvl.last, x[None], ok
-
-
-def _drive(model, x0, level, runs, visit):
-    """Run ``level`` for B = len(runs) rows.
+    The level advances ``c`` ticks per chunk, ``c`` sized from ``width``
+    rows (the whole level's run count when this one is a slice of it,
+    ``_run_level``; else B), three states of them per tick, to about
+    ``_CHUNK_ELEMENT_TARGET`` elements and never above ``_CHUNK_STEP_CAP``
+    ticks.  Each chunk records the state at each tick's start, grid index
+    k at tick k, in one buffer.  The level runs on the calling thread,
+    draws included.
 
     ``visit(lo, states)`` sees the level's finite states once, in grid
     order, record by record: the states at grid indices lo, lo + 1, ...,
-    as a view of the engine's record, (w, B, d) for a chain, (w, 2B, d)
-    for a pair, its coarse rows over its fine rows.  A non-finite state at
-    index i is a NumericalFailureError naming step i and its run,
-    ``runs[row]``, raised once the states before it have been visited; an
-    error that ``visit`` raises ends the level first.  So the earliest
-    failure wins whatever the chunk layout.  Overflow warnings are
-    silenced, in the ticks and the visits alike: a blow-up surfaces from
-    these explicit finiteness checks instead.
+    as a view of the record, and last the final state, at index ``last``,
+    as a one-tick record.  A non-finite state at index i is a
+    NumericalFailureError naming step i and its run, ``runs[row]``, raised
+    once the states before it have been visited; an error that ``visit``
+    raises ends the level first.  So the earliest failure wins whatever
+    the chunk layout.  Overflow warnings are silenced, in the ticks and
+    the visits alike: a blow-up surfaces from these explicit finiteness
+    checks instead.
     """
-    engine = _Engine(model, x0, level, len(runs))
+    bsz, d, gamma = len(runs), model.dim, float(gamma)
+    x = _start_point(x0, d, bsz)
+    if len(streams) not in (1, bsz):
+        raise ValueError(f"a level of {bsz} rows takes one noise stream "
+                         f"or one per row, got {len(streams)}")
+    blocks = 2 if pair else 1  # rows per run, and fine steps per tick
+    # C order: a sum along the last axis of F-ordered rows rounds otherwise
+    x = np.array(np.broadcast_to(x, (blocks, bsz, d)),
+                 order="C").reshape(blocks * bsz, d)
+    # of the fine (or chain's) and the coarse standard normals
+    scale = (model.noise_scale * math.sqrt(gamma),
+             model.noise_scale * math.sqrt(2.0 * gamma))
+    # the record, the normals and the values of the whole level's rows
+    c = max(1, min(_CHUNK_STEP_CAP, _CHUNK_ELEMENT_TARGET
+                   // (3 * blocks * (width or bsz) * d)))
+    size = min(c, last)
+    hist = np.empty((size,) + x.shape)
+    raw = np.empty((len(streams), blocks * size, bsz // len(streams), d))
+    # views, never copies: the draws must land where the ticks read
+    g = raw[0] if len(streams) == 1 else raw[:, :, 0].transpose(1, 0, 2)
+    row_map = _row_map(model)
+    coarse = np.empty((size, bsz, d)) if row_map is None and pair else None
+    ok = True  # every state so far is finite; a non-finite one stays so
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, states, ok in engine.chunks(model):
+        for lo in [*range(0, last, c), last]:
+            if lo < last:
+                n = min(c, last - lo)
+                for i, st in enumerate(streams):
+                    st.standard_normal(out=raw[i, :blocks * n])
+                if row_map is not None:
+                    _kernel.ticks(row_map, x, hist[:n], gamma, pair, g,
+                                  scale)
+                else:
+                    _loop(model.advance, x, hist[:n], gamma, pair, g, scale,
+                          coarse)
+                ok = ok and bool(np.isfinite(x).all())
+                states = hist[:n]
+            else:  # the final state
+                states = x[None]
             err = None
             if not ok:
                 finite = np.isfinite(states).all(-1)
-                if level.pair:  # a run fails with either of its rows
-                    finite = finite[:, :len(runs)] & finite[:, len(runs):]
+                if pair:  # a run fails with either of its rows
+                    finite = finite[:, :bsz] & finite[:, bsz:]
                 if not finite.all():
                     j, row = np.argwhere(~finite)[0].tolist()
                     states = states[:j]
-                    err = _position_error(level, lo + j, runs[row])
+                    kind, name = (("coarse ", "gamma_fine") if pair
+                                  else ("", "gamma"))
+                    err = NumericalFailureError(
+                        f"non-finite position at {kind}step {lo + j} (run "
+                        f"{runs[row]}, {name}={gamma}); the step size is "
+                        f"likely too large for this model",
+                        step_index=lo + j, run_index=runs[row])
             if len(states):
                 visit(lo, states)
             if err is not None:
                 raise err
-
-
-def _position_error(lvl, step, run):
-    kind, name = ("coarse ", "gamma_fine") if lvl.pair else ("", "gamma")
-    return NumericalFailureError(
-        f"non-finite position at {kind}step {step} (run {run}, "
-        f"{name}={lvl.gamma}); the step size is likely too large for this "
-        f"model", step_index=step, run_index=run)
 
 
 def _window(gamma, tau, t, pair):
@@ -658,15 +596,16 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     take turns, and slower than one engine.
 
     The level starts its slices' threads and joins them before it returns
-    or raises (``_run_slices``), so f may itself run a level.  A failing
-    level raises what one engine over all B rows would: of its slices'
-    errors, the one at the least (grid index k, kind, slice), its kinds in
-    the order one engine meets them at k: an error the model or a stream
-    raises in the ticks of the chunk from k, a non-finite position at k,
-    an error f raises on a record whose window starts at k, a non-finite
-    value of f at k.  So f's error wins over another slice's failure later
-    in the same record, as in one engine whenever f raises on the states
-    before that failure.
+    or raises (``_run_slices``), so f may itself run a level.  Each slice
+    keeps its own errors as ranked failures, and a failing level raises
+    what one engine over all B rows would: of its slices' errors, the one
+    at the least (grid index k, kind, slice), its kinds in the order one
+    engine meets them at k: an error the model or a stream raises in the
+    ticks of the chunk from k, a non-finite position at k, an error f
+    raises on a record whose window starts at k, a non-finite value of f
+    at k.  So f's error wins over another slice's failure later in the
+    same record, as in one engine whenever f raises on the states before
+    that failure.  An interrupt or an exit ranks first, at index -1.
     Once a slice fails at index k, the others end at their first record
     past k, where nothing is left to precede it, and after an interrupt at
     their next record.
@@ -680,7 +619,6 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
 
     totals = [None] * n
     failures = []  # (index, kind, slice, error)
-    stops = []  # the failures' indices, -1 after an interrupt
 
     def run_slice(i):
         lo, hi = cuts[i], cuts[i + 1]
@@ -690,7 +628,7 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
 
         def visit(first, states):
             nonlocal acc, at
-            if stops and first > min(stops):
+            if failures and first > min(fail[0] for fail in failures):
                 raise _Stopped
             skip = max(k0 - first, 0)
             if skip < len(states):
@@ -700,30 +638,29 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
                     half = vals.shape[1] // 2
                     vals[:, half:] -= vals[:, :half]
                     vals = vals[:, half:]
+                at = (first + skip, 3)
                 _check_values_finite(vals, first + skip, runs)
                 if acc is None:
                     acc = _CompensatedSum(vals.shape[1:])
                 _reduce_window(acc, vals)
             at = (first + len(states), 0)  # the next chunk's ticks
 
-        level = _Level(gamma, k1 - 1, pair, streams[lo:hi], width=bsz)
         try:
-            _drive(model, x if x.ndim == 1 else x[lo:hi], level, runs, visit)
+            _drive(model, x if x.ndim == 1 else x[lo:hi], gamma, k1 - 1, pair,
+                   streams[lo:hi], runs, visit, width=bsz)
+            totals[i] = acc.total()
         except _Stopped:
-            return
-        except Exception as exc:
-            if isinstance(exc, NumericalFailureError):
-                at = (exc.step_index, 3 if hasattr(exc, "_of_value") else 1)
+            pass
+        except BaseException as exc:
+            if not isinstance(exc, Exception):  # an interrupt or an exit
+                at = (-1, 0)
+            elif isinstance(exc, NumericalFailureError) and at[1] != 2:
+                # a non-finite position or value of f, at its own step
+                at = (exc.step_index, 3 if at[1] == 3 else 1)
             failures.append(at + (i, exc))
-            stops.append(at[0])
-            return
-        except BaseException:  # an interrupt
-            stops.append(-1)
-            raise
-        totals[i] = acc.total()
 
     _run_slices([functools.partial(run_slice, i) for i in range(n)],
-                lambda: stops.append(-1))
+                lambda: failures.append((-1, 0, n, None)))
     if failures:
         raise min(failures, key=lambda fail: fail[:3])[3]
     return np.concatenate(totals) / (k1 - k0), steps

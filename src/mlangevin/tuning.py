@@ -66,11 +66,11 @@ class TuningPlan:
         gamma0: Base step of level 0, finite and > 0.
         horizons: Horizons T_r per level, finite, strictly decreasing and
             positive, at least one.
-        tau: Raw burn-in tau1 * |log eps| + tau2, finite (not clamped; see
-            ``tau_effective``).
-        r0: Initial-distance scale entering the level count R.
+        tau: Raw burn-in tau1 * |log eps| + tau2, finite and >= 0 (not
+            clamped; see ``tau_effective``).
+        r0: Initial-distance scale entering the level count R, finite.
         big_t: Base horizon scale (T_0 = big_t * eps^-2, times R^2 in the
-            b1 regime).
+            b1 regime), finite.
         dim: State dimension the plan was built for (0: any).
         experimental: True for the aggressive-step variant.
     """
@@ -103,6 +103,12 @@ class TuningPlan:
             raise ValueError("horizons must be positive")
         if not math.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau}")
+        if self.tau < 0:
+            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        for name in ("r0", "big_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def R(self) -> int:
@@ -172,6 +178,7 @@ class GeneralAssumptionConstants:
     ``eta0``.
 
     Built-in regimes correspond to (b=2, delta=1) and (b=1, delta=1/2).
+    Every constant must be finite.
     """
 
     alpha: float
@@ -183,6 +190,11 @@ class GeneralAssumptionConstants:
     eta0: float
 
     def __post_init__(self):
+        for name in ("alpha", "b_exponent", "delta", "c2", "c3", "c4",
+                     "eta0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not 1.0 <= self.b_exponent <= 2.0:

@@ -102,9 +102,9 @@ def trajectory(model, x0, gamma, last, streams, pair, cap):
     def visit(lo, rows):  # a copy: the engine reuses buffers
         states.append(np.array(rows))
 
-    level = sde._Level(gamma, last, pair, streams)
     with chunk_cap(cap):
-        sde._drive(model, x0, level, range(len(streams)), visit)
+        sde._drive(model, x0, gamma, last, pair, streams,
+                   range(len(streams)), visit)
     return np.concatenate(states)
 
 
@@ -130,12 +130,17 @@ def test_chunk_layout_changes_no_byte(
 
 
 class Records:
-    """The record the engine yielded last on each thread: ``last()`` is
-    the calling thread's, as a level's slices run on threads of their
-    own."""
+    """The records the engine's levels visit, each taken as the ``.base``
+    of the view that ``visit`` gets: ``last()`` is the calling thread's
+    latest, as a level's slices run on threads of their own, and ``reads``
+    holds (pair, whether the states were a view) of every visit."""
 
     def __init__(self):
-        self.latest = {}
+        self.latest, self.reads = {}, []
+
+    def saw(self, pair, states):
+        self.latest[threading.get_ident()] = states.base
+        self.reads.append((pair, states.base is not None))
 
     def last(self):
         return self.latest[threading.get_ident()]
@@ -143,17 +148,21 @@ class Records:
 
 @contextlib.contextmanager
 def records():
-    """The records the engine yields as its levels run (``Records``)."""
+    """The records the engine's levels visit as they run (``Records``)."""
     seen = Records()
-    chunks = sde._Engine.chunks
+    drive = sde._drive
 
-    def recorded(engine, model):
-        for lo, record, ok in chunks(engine, model):
-            seen.latest[threading.get_ident()] = record
-            yield lo, record, ok
+    def recorded(model, x0, gamma, last, pair, streams, runs, visit,
+                 width=None):
+        def seen_visit(lo, states):
+            seen.saw(pair, states)
+            return visit(lo, states)
+
+        return drive(model, x0, gamma, last, pair, streams, runs, seen_visit,
+                     width)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sde._Engine, "chunks", recorded)
+        mp.setattr(sde, "_drive", recorded)
         yield seen
 
 
@@ -161,28 +170,32 @@ def records():
 @pytest.mark.parametrize("cap", [1, 3, 8, 4096])
 def test_a_lone_level_reads_its_states_without_a_copy(pair, cap):
     """A level alone reads its states as views of the engine's record, the
-    final one-tick record included: a finite level, the whole record.  The
-    record holds one state per tick, a chain's B rows or a pair's 2B,
-    whatever the parity of the last index."""
+    final one-tick record included: a finite level, the whole record, from
+    its start.  The chunks of ticks share one record buffer, which holds
+    one state per tick, a chain's B rows or a pair's 2B, whatever the
+    parity of the last index."""
     model, x0 = make_model("ou", 3), start(3, 5)
 
     def visit(lo, states):
         record = seen.last()
-        assert record.shape[1] == (4 if pair else 2)
-        assert len(states) == len(record)
+        assert states.shape[1] == (4 if pair else 2)
         assert np.shares_memory(states, record)
-        reads.append((lo, lo + len(states), len(record)))
+        assert states.ctypes.data == record.ctypes.data
+        reads.append((lo, lo + len(states), record))
 
     for last in (20, 21):
         reads = []
         streams = [NoiseStream(5, 1, run_index=i) for i in range(2)]
-        level = sde._Level(0.25, last, pair, streams)
         with chunk_cap(cap), records() as seen:
-            sde._drive(model, x0, level, range(2), visit)
+            sde._drive(model, x0, 0.25, last, pair, streams, range(2), visit)
         # every index once, in order, the last from the final one-tick record
         assert [lo for lo, _, _ in reads] == \
             [0] + [hi for _, hi, _ in reads[:-1]]
-        assert reads[-1] == (last, last + 1, 1)
+        assert [hi - lo for lo, hi, _ in reads[:-1]] == \
+            [min(cap, last - lo) for lo, _, _ in reads[:-1]]
+        assert reads[-1][:2] == (last, last + 1)
+        assert all(record is reads[0][2] for _, _, record in reads[:-1])
+        assert reads[-1][2] is not reads[0][2]
 
 
 @pytest.mark.parametrize("n_streams", [2, 4])
@@ -191,33 +204,24 @@ def test_a_level_takes_one_stream_or_one_per_row(n_streams):
     one stream for all rows or one per row gives; any other count is a
     one-line ValueError before any step."""
     streams = [NoiseStream(5, 1, run_index=i) for i in range(n_streams)]
-    level = sde._Level(0.25, 20, False, streams)
     with pytest.raises(ValueError, match="one noise stream or one per row"):
-        sde._drive(make_model("ou", 3), np.zeros(3), level, range(3),
-                   lambda lo, states: None)
+        sde._drive(make_model("ou", 3), np.zeros(3), 0.25, 20, False,
+                   streams, range(3), lambda lo, states: None)
 
 
-def test_every_read_of_an_estimate_is_a_view(monkeypatch):
+def test_every_read_of_an_estimate_is_a_view():
     """Each level of an estimate, chains and pairs alike, reads its states
     and hands the observable its points as views of the engine's record."""
     reads = []
-    drive = sde._drive
-
-    def viewed_drive(model, x0, level, runs, visit):
-        def viewed_visit(lo, states):
-            reads.append((level.pair, np.shares_memory(states, seen.last())))
-            return visit(lo, states)
-
-        return drive(model, x0, level, runs, viewed_visit)
 
     def observable(pts):
         reads.append((None, np.shares_memory(pts, seen.last())))
         return np.linalg.norm(pts, axis=-1)
 
-    monkeypatch.setattr(sde, "_drive", viewed_drive)
     model, x0 = make_model("logistic", 3), start(3, 2)
     with chunk_cap(5), records() as seen:
         estimate_repeated(model, make_plan(3, 2), x0, observable, 2, 3)
+    reads += seen.reads
     assert {pair for pair, _ in reads} == {False, True, None}
     assert all(view for _, view in reads)
 
@@ -648,6 +652,27 @@ def test_a_position_in_a_record_before_fs_error_wins(pair, monkeypatch):
         error, _, index, run = raised_on_workers(
             monkeypatch, doubling_level, pair, x0)
     assert (error, index, run) == (NumericalFailureError, 5, 14)
+
+
+def test_a_numerical_failure_that_f_raises_ranks_as_fs_error(monkeypatch):
+    # a failure that f raises, as a level that f runs would, names a step
+    # of its own: it ranks at f's record [4, 8), before the position at
+    # step 20 in another slice, as one engine raises it there
+    def f(x):
+        try:
+            return square_of_second(x)
+        except Tripped:
+            raise NumericalFailureError("f's own level failed",
+                                        10 ** 6) from None
+
+    def level(x0):
+        return sde._run_level0_batch(UNIT, x0, 3.0, 0.0, 120.0, f,
+                                     seven_runs())
+
+    x0 = doubling_starts(positions=[(1, 20)], trips=[(6, 5)])
+    with chunk_cap(4):
+        _, text, index, _ = raised_on_workers(monkeypatch, level, x0)
+    assert (text, index) == ("f's own level failed", 10 ** 6)
 
 
 def banded(raise_error):

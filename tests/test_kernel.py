@@ -7,6 +7,7 @@ library read as missing; here the two paths' outputs are compared.
 
 import contextlib
 import ctypes
+import json
 import os
 import re
 import shutil
@@ -330,12 +331,14 @@ def test_a_build_is_published_once_and_then_loaded_from_the_cache(
     assert list(cache.iterdir()) == built
 
 
-def python_in(cache_home, code, **popen):
+def python_in(cache_home, code, **env):
+    """A child process running ``code`` with the cache home ``cache_home``
+    and the environment variables ``env`` besides."""
     env = dict(os.environ, XDG_CACHE_HOME=str(cache_home),
-               PYTHONPATH=str(Path(mlangevin.__file__).parents[1]))
+               PYTHONPATH=str(Path(mlangevin.__file__).parents[1]), **env)
     return subprocess.Popen([sys.executable, "-c", code], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, **popen)
+                            text=True)
 
 
 C_KINDS = {ctypes.c_int64: "int64", ctypes.c_int: "int",
@@ -383,3 +386,47 @@ def test_processes_that_build_at_once_share_one_file(tmp_path):
     assert [p.communicate(timeout=300) for p in procs] == [("True\n", "")] * 2
     files = list((tmp_path / "mlangevin").iterdir())
     assert len(files) == 1 and files[0].name.startswith("kernel-")
+
+
+@pytest.mark.skipif(not hasattr(os, "getuid"), reason="no file owners")
+def test_no_private_cache_directory_keeps_numpy_and_writes_nothing(
+        tmp_path):
+    # both cache candidates exist and others may write to them: the one
+    # under the cache home and the one under the temporary directory
+    home, tmp = tmp_path / "home", tmp_path / "tmp"
+    shared = [(home / "mlangevin", 0o770),
+              (tmp / f"mlangevin-{os.getuid()}", 0o777)]
+    for path, mode in shared:
+        path.mkdir(parents=True)
+        path.chmod(mode)
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import mlangevin._kernel as k, test_kernel as t\n"
+            "outs = t.small_estimate(t.logistic(4), t.identity_observable())\n"
+            "print(k.lib() is None, json.dumps([o.to_json() for o in outs]))")
+    out, err = python_in(home, code, TMPDIR=str(tmp)).communicate(
+        timeout=120)
+    with numpy_maps():
+        want = small_estimate(logistic(4), identity_observable())
+    assert err == ""
+    assert out == f"True {json.dumps([o.to_json() for o in want])}\n"
+    assert [list(path.iterdir()) for path, _ in shared] == [[], []]
+
+
+def test_a_cached_file_that_is_no_library_falls_back_quietly(tmp_path):
+    # the first load names the cached file without building it; the
+    # second finds a file there that does not load, and builds no other
+    code = ("import mlangevin._kernel as k\n"
+            "targets, build = [], k._build\n"
+            "k._build = lambda cmd, target: targets.append(target)\n"
+            "assert k.lib() is None\n"
+            "targets[0].write_bytes(b'not a library')\n"
+            "k._build, k._lib = build, k._UNLOADED\n"
+            "print(k.lib() is None, targets[0].name)")
+    out, err = python_in(tmp_path, code).communicate(timeout=120)
+    assert err == ""
+    loaded, name = out.split()
+    assert loaded == "True" and re.fullmatch(r"kernel-\w+\.so", name)
+    files = list((tmp_path / "mlangevin").iterdir())
+    assert [f.name for f in files] == [name]
+    assert files[0].read_bytes() == b"not a library"

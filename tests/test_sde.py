@@ -391,8 +391,8 @@ def test_coupled_increments_ride_the_same_brownian_path(monkeypatch):
     runs, last, d = 3, 50, 4
     streams = [NoiseStream(3, 1, run_index=i) for i in range(runs)]
     states = []
-    sde._drive(_Driftless(d), np.full(d, 100.0),
-               sde._Level(0.125, last, True, streams), range(runs),
+    sde._drive(_Driftless(d), np.full(d, 100.0), 0.125, last, True,
+               streams, range(runs),
                lambda lo, rows: states.append(np.array(rows)))
     path = np.concatenate(states)
     assert path.shape == (last + 1, 2 * runs, d)

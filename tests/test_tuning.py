@@ -214,9 +214,15 @@ def test_general_assumption_constants_validation():
         (dict(c2=-1.0), "c2"),
         (dict(c4=0.0), "c4"),
         (dict(eta0=0.0), "eta0"),
+        (dict(c4=math.nan), "c4 must be finite"),
+        (dict(c3=math.inf), "c3 must be finite"),
+        (dict(alpha=math.nan), "alpha must be finite"),
+        (dict(c2=-math.inf), "c2 must be finite"),
+        (dict(eta0=math.inf), "eta0 must be finite"),
     ):
-        with pytest.raises(ValueError, match=fragment):
+        with pytest.raises(ValueError, match=fragment) as exc:
             GeneralAssumptionConstants(**{**good, **overrides})
+        assert "\n" not in str(exc.value)
 
 
 # --------------------------------------------------------------- aggressive
@@ -353,6 +359,7 @@ def test_plan_derives_levels_steps_cost_and_feasibility():
 
 def test_plan_validation_rejects_malformed_inputs():
     TuningPlan(**_plan_kwargs())
+    TuningPlan(**_plan_kwargs(tau=0.0))
     for overrides, fragment in (
         (dict(regime="b3"), "regime"),
         (dict(horizons=[]), "at least one"),
@@ -370,9 +377,13 @@ def test_plan_validation_rejects_malformed_inputs():
         (dict(horizons=[8.0, 2.0, math.inf]), "horizons must be finite"),
         (dict(tau=math.nan), "tau must be finite"),
         (dict(tau=math.inf), "tau must be finite"),
+        (dict(tau=-1.0), "tau must be nonnegative"),
+        (dict(r0=math.nan), "r0 must be finite"),
+        (dict(big_t=math.inf), "big_t must be finite"),
     ):
-        with pytest.raises(ValueError, match=fragment):
+        with pytest.raises(ValueError, match=fragment) as exc:
             TuningPlan(**_plan_kwargs(**overrides))
+        assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize("rule", ["b2", "b1", "aggressive", "general"])
