@@ -1,15 +1,18 @@
 """Print the code-line count of each ``src/mlangevin/*.py`` module and their
-total.
+total, then that of each C source beside them (``_kernel.c``).
 
 A code line is a source line that holds a token of code: blank lines,
 comment-only lines and the lines of docstrings (the string that opens a
-module, class or function body, found with ``ast``) do not count.
+module, class or function body, found with ``ast``) do not count.  In C, a
+code line is one with anything left once ``/* */`` and ``//`` comments are
+removed; preprocessor lines count.
 
 Usage: python3 scripts/code_lines.py [package directory]
 """
 
 import ast
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -43,6 +46,13 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
+def c_code_lines(source: str) -> int:
+    """The number of code lines of a C ``source``."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*",
+                  lambda m: "\n" * m.group().count("\n"), source, flags=re.S)
+    return sum(1 for line in code.splitlines() if line.strip())
+
+
 def main(argv) -> int:
     package = Path(argv[1] if len(argv) > 1 else
                    Path(__file__).resolve().parents[1] / "src" / "mlangevin")
@@ -52,6 +62,8 @@ def main(argv) -> int:
         total += count
         print(f"{path.name:16} {count:5d}")
     print(f"{'total':16} {total:5d}")
+    for path in sorted(package.glob("*.c")):
+        print(f"{path.name:16} {c_code_lines(path.read_text()):5d}")
     return 0
 
 

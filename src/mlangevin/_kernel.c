@@ -25,6 +25,16 @@
  * mlv_csum adds window values to compensated sums, one grid index at a
  * time in index order, so each slot's total depends on its values alone;
  * sde._CompensatedSum does the same arithmetic in numpy.
+ *
+ * Built with -DMLV_NORMALS, and linked with numpy's static library
+ * numpy/random/lib/libnpyrandom.a, it also has mlv_normals: numpy's
+ * Generator.standard_normal on a Philox stream, the same bytes.  It
+ * generates Philox4x64-10 blocks (Salmon et al., SC'11) 8 at a time and
+ * takes the ziggurat's fast path (Marsaglia & Tsang, 2000) inline, the sign
+ * set without a branch; every other word goes to numpy's own
+ * random_standard_normal.  mlv_probe reads the fast path's tables from
+ * that function, and mlangevin._kernel checks the draw against numpy's
+ * bytes before any stream uses it.
  */
 
 #include <math.h>
@@ -161,3 +171,200 @@ void mlv_csum(int64_t w, int64_t n, const double *restrict v,
             s[j] = t;
         }
 }
+
+#ifdef MLV_NORMALS
+
+/* numpy's bit generator interface (numpy/random/bitgen.h) and its normal
+ * draw, from the static library numpy ships for C extensions
+ * (numpy/random/lib/libnpyrandom.a). */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+double random_standard_normal(bitgen_t *bitgen_state);
+
+/* numpy's ziggurat tables, read from random_standard_normal by
+ * mlv_probe; until then ki is all zero and every word takes the slow path,
+ * numpy's own code. */
+static double wi[256];
+static uint64_t ki[256];
+
+/* One stream's words, as numpy's Philox state holds them, and up to 8
+ * blocks of 4 words generated ahead: block b has counter ctr + b, and buf
+ * holds len words, the next at pos. */
+enum { CTR = 0, KEY = 4, BUF = 6, POS = 10, BLOCKS = 8 };
+
+typedef struct {
+    uint64_t key[2], ctr[4], buf[4 * BLOCKS], first;
+    int64_t pos, len;
+    int fed;  /* next_uint64 returns first before the stream */
+} stream_t;
+
+static void add_ctr(uint64_t c[4], uint64_t k)
+{
+    c[0] += k;
+    if (c[0] < k)
+        for (int i = 1; i < 4 && ++c[i] == 0; i++)
+            ;
+}
+
+/* Philox4x64-10 of the BLOCKS counters from s->ctr on, the block after the
+ * ones buf held.  The blocks are independent, so the processor overlaps
+ * their rounds; interleaving 2, 4 or 8 of them by hand measured slower. */
+static void refill(stream_t *s)
+{
+    const uint64_t m0 = 0xD2E7470EE14C6C93ULL, m1 = 0xCA5A826395121157ULL;
+    add_ctr(s->ctr, (uint64_t)s->len / 4);
+    uint64_t c[4] = {s->ctr[0], s->ctr[1], s->ctr[2], s->ctr[3]};
+    for (uint64_t *o = s->buf; o < s->buf + 4 * BLOCKS; o += 4) {
+        uint64_t v0 = c[0], v1 = c[1], v2 = c[2], v3 = c[3];
+        uint64_t k0 = s->key[0], k1 = s->key[1];
+        for (int round = 0; round < 10; round++) {
+            unsigned __int128 p0 = (unsigned __int128)m0 * v0;
+            unsigned __int128 p1 = (unsigned __int128)m1 * v2;
+            v0 = (uint64_t)(p1 >> 64) ^ v1 ^ k0;
+            v1 = (uint64_t)p1;
+            v2 = (uint64_t)(p0 >> 64) ^ v3 ^ k1;
+            v3 = (uint64_t)p0;
+            k0 += 0x9E3779B97F4A7C15ULL;
+            k1 += 0xBB67AE8584CAA73BULL;
+        }
+        o[0] = v0, o[1] = v1, o[2] = v2, o[3] = v3;
+        add_ctr(c, 1);
+    }
+    s->pos = 0;
+    s->len = 4 * BLOCKS;
+}
+
+static uint64_t fed_uint64(void *st)
+{
+    stream_t *s = st;
+    if (s->fed) {
+        s->fed = 0;
+        return s->first;
+    }
+    if (s->pos >= s->len)
+        refill(s);
+    return s->buf[s->pos++];
+}
+
+/* Philox's next_double of a word */
+static double to_double(uint64_t u)
+{
+    return (double)(u >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static double fed_double(void *st)
+{
+    return to_double(fed_uint64(st));
+}
+
+/* Fill out[0..n) with the standard normals of the stream whose state is
+ * words, numpy's Philox state field for field: counter[4], key[2],
+ * buffer[4] and the buffer position.  A word r gives rabs * wi[r & 0xff],
+ * rabs = (r >> 9) mod 2^52, its sign bit 8 of r, when rabs < ki[r & 0xff]
+ * (numpy's fast path); any other word goes to random_standard_normal,
+ * whose first next_uint64 returns r and whose later calls continue the
+ * stream (the tail and the wedges).  The words are left as numpy's state
+ * after the same draw: the counter of the block the last word came from,
+ * its 4 words and the position after that word.  Returns the number of
+ * words that took numpy's path. */
+int64_t mlv_normals(uint64_t *words, int64_t n, double *out)
+{
+    int64_t slow = 0;
+    if (n <= 0)
+        return slow;
+    stream_t s;
+    memcpy(s.ctr, words + CTR, sizeof s.ctr);
+    memcpy(s.key, words + KEY, sizeof s.key);
+    memcpy(s.buf, words + BUF, 4 * sizeof(uint64_t));
+    s.pos = (int64_t)words[POS];
+    s.len = 4;
+    s.fed = 0;
+    /* random_standard_normal calls only next_uint64 and next_double */
+    bitgen_t fed = {&s, fed_uint64, NULL, fed_double, fed_uint64};
+    int64_t pos = s.pos, len = s.len;
+    for (int64_t i = 0; i < n; i++) {
+        if (pos >= len) {
+            s.len = len;
+            refill(&s);
+            pos = 0, len = s.len;
+        }
+        uint64_t r = s.buf[pos++];
+        int idx = (int)(r & 0xff);
+        uint64_t rabs = (r >> 9) & 0x000fffffffffffffULL;
+        union { double d; uint64_t u; } x = {(double)rabs * wi[idx]};
+        x.u ^= (r & 0x100) << 55;
+        if (__builtin_expect(rabs < ki[idx], 1)) {
+            out[i] = x.d;
+        } else {
+            s.pos = pos, s.len = len;
+            s.first = r, s.fed = 1;
+            out[i] = random_standard_normal(&fed);
+            slow++;
+            pos = s.pos, len = s.len;
+        }
+    }
+    /* the counter of the block the last word came from */
+    int64_t b = (pos - 1) / 4;
+    add_ctr(s.ctr, (uint64_t)b);
+    memcpy(words + CTR, s.ctr, sizeof s.ctr);
+    memcpy(words + BUF, s.buf + 4 * b, 4 * sizeof(uint64_t));
+    words[POS] = (uint64_t)(pos - 4 * b);
+    return slow;
+}
+
+/* Probe words for random_standard_normal: first, then `then` ever after,
+ * counting the words it asks for. */
+typedef struct {
+    uint64_t first, then;
+    int64_t used;
+} probe_t;
+
+static uint64_t probe_uint64(void *st)
+{
+    probe_t *p = st;
+    return p->used++ ? p->then : p->first;
+}
+
+static double probe_double(void *st)
+{
+    return to_double(probe_uint64(st));
+}
+
+static double probe(uint64_t first, uint64_t then, int64_t *used)
+{
+    probe_t p = {first, then, 0};
+    bitgen_t bg = {&p, probe_uint64, NULL, probe_double, probe_uint64};
+    double x = random_standard_normal(&bg);
+    *used = p.used;
+    return x;
+}
+
+/* Read numpy's tables from its draw: wi[i] is its value on the word
+ * (1 << 9) | i, followed by zeros; ki[i] the least rabs whose word
+ * (rabs << 9) | i asks for a second one, by bisection (the words after it
+ * are 1 << 63, so the tail and the wedges accept at once). */
+void mlv_probe(void)
+{
+    int64_t used;
+    for (uint64_t i = 0; i < 256; i++) {
+        uint64_t lo = 0, hi = 1ULL << 52;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            probe((mid << 9) | i, 1ULL << 63, &used);
+            if (used > 1)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        ki[i] = lo;
+        wi[i] = probe((1ULL << 9) | i, 0, &used);
+    }
+}
+
+#endif

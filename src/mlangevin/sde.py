@@ -56,7 +56,11 @@ no interpolation or border-weight modification is applied at window edges.
 Randomness comes from ``NoiseStream``, a counter-based (Philox) generator keyed
 by ``(master_seed, level_index, run_index)`` through a fixed, documented mixing
 rule, so every trajectory is bit-reproducible across platforms, chunk sizes,
-batch layouts and core counts.  A level takes one stream per row (a run's
+batch layouts and core counts.  Its standard normals are numpy's
+``Generator.standard_normal`` on that Philox stream, byte for byte: drawn in
+C (``_kernel.normals``, numpy's own tail code and tables, checked against
+numpy's bytes at load) where the library has the draw, else by numpy's
+``Generator``.  A level takes one stream per row (a run's
 own, in the estimator) or one stream for all rows (the confluence probe).
 Each stream draws raw standard normals straight into its level's buffer, a
 contiguous slice per chunk (``standard_normal(out=...)``), and the C tick
@@ -99,6 +103,7 @@ bound its buffers' memory (``_CHUNK_ELEMENT_TARGET``, at most
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import functools
 import math
 import os
@@ -122,6 +127,7 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_FLOAT, _DOUBLE = np.dtype(float), ctypes.c_double
 
 # A chunk's buffers hold about this many elements, in at most this many
 # ticks: a memory setting only, as no output depends on the chunk.  A tick
@@ -169,6 +175,15 @@ class NoiseStream:
     degrees of parallelism, and drawing in chunks of any size yields the same
     sequence as one large draw.
 
+    The sequence is ``numpy.random.Generator(numpy.random.Philox(key=key))
+    .standard_normal``'s, byte for byte.  The stream holds numpy's Philox
+    state as 11 words (``_kernel.philox_words``) and draws each call in one
+    C call (``_kernel.normals``) where the library has the draw; else, or
+    while the library reads as missing, a numpy ``Generator`` built from
+    the words continues the same sequence.  A lock makes calls on one
+    stream from several threads take turns; the C call runs without the
+    GIL, so different streams draw in parallel.
+
     Args:
         master_seed: 64-bit master seed (wider ints are reduced mod 2**64).
         level_index: Estimator level this stream drives (0 = base level).
@@ -188,15 +203,19 @@ class NoiseStream:
         self.master_seed = master_seed % (1 << 64)
         self.level_index = level_index
         self.run_index = run_index
-        # explicit uint64 words: a python-int key would be routed through
-        # float64 above 2**63 and lose low bits (adjacent keys collide)
-        key = np.array(
-            [self.master_seed,
-             self.run_index * _MAX_LEVEL_INDEX + self.level_index],
-            dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        # numpy's Philox state, field for field, in explicit uint64 words:
+        # a python-int key would be routed through float64 above 2**63 and
+        # lose low bits (adjacent keys collide)
+        self._words = _kernel.philox_start(
+            (self.master_seed,
+             self.run_index * _MAX_LEVEL_INDEX + self.level_index))
+        self._at = self._words.ctypes.data
+        self._gen = None  # numpy's Generator, which holds the state if set
+        self._lock = threading.Lock()
 
-    # every draw goes through here: the benchmark tracer counts it
+    # every draw goes through here, one C call (or one numpy call) each:
+    # the benchmark tracer counts it, and the engine calls it once per
+    # stream and chunk
     def standard_normal(self, shape=None, out=None):
         """Draw standard normals; mirrors ``numpy.random.Generator``.
 
@@ -205,12 +224,40 @@ class NoiseStream:
         writable float64 array, of shape ``shape`` when both are given;
         otherwise it is a ValueError (a TypeError for another dtype).  The
         stream advances the same way either way, so draws into consecutive
-        slices equal one shaped draw.
+        slices equal one shaped draw.  Calls on one stream from several
+        threads take turns.
         """
-        # numpy fills an F-ordered out in memory order: not a shaped draw
-        if isinstance(out, np.ndarray) and not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous array")
-        return self._gen.standard_normal(shape, out=out)
+        if out is not None and not (isinstance(out, np.ndarray)
+                                    and out.flags.carray):
+            raise ValueError(
+                "out must be a C-contiguous, writable and aligned array")
+        draw = _kernel.normals()
+        if draw is None:
+            with self._lock:
+                if self._gen is None:
+                    bitgen = np.random.Philox()
+                    bitgen.state = _kernel.philox_state(self._words)
+                    self._gen = np.random.Generator(bitgen)
+                return self._gen.standard_normal(shape, out=out)
+        if out is None:
+            values = np.empty(1 if shape is None else shape)
+        elif out.dtype != _FLOAT:
+            raise TypeError(f"out must be a float64 array in machine byte "
+                            f"order, got {out.dtype}")
+        elif shape is not None and out.shape != (
+                tuple(shape) if np.iterable(shape) else (shape,)):
+            raise ValueError(f"out has shape {out.shape}, not the shape "
+                             f"asked for, {shape}")
+        else:
+            values = out
+        if values.size:
+            with self._lock:
+                if self._gen is not None:  # it drew without the C draw
+                    self._words[:] = _kernel.philox_words(
+                        self._gen.bit_generator.state)
+                    self._gen = None
+                draw(self._at, values.size, _DOUBLE.from_buffer(values))
+        return float(values[0]) if shape is None and out is None else values
 
 
 @dataclass
@@ -603,9 +650,12 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     engine meets them at k: an error the model or a stream raises in the
     ticks of the chunk from k, a non-finite position at k, an error f
     raises on a record whose window starts at k, a non-finite value of f
-    at k.  So f's error wins over another slice's failure later in the
-    same record, as in one engine whenever f raises on the states before
-    that failure.  An interrupt or an exit ranks first, at index -1.
+    at k.  One engine calls f only on a record's states before its first
+    non-finite position, so where the error so picked is f's, on a record
+    that spans the least non-finite position k of any slice, the level
+    calls f again on that record's states before k and ranks what that
+    raises, or nothing, in its place.  So no error depends on the slice
+    count.  An interrupt or an exit ranks first, at index -1.
     Once a slice fails at index k, the others end at their first record
     past k, where nothing is left to precede it, and after an interrupt at
     their next record.
@@ -619,8 +669,9 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
 
     totals = [None] * n
     failures = []  # (index, kind, slice, error)
+    seen = {}  # slice: (index, states) of the last states f was called on
 
-    def run_slice(i):
+    def run_slice(i, prefix=None):
         lo, hi = cuts[i], cuts[i + 1]
         runs = [st.run_index for st in streams[lo:hi]]
         acc = None
@@ -633,6 +684,7 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
             skip = max(k0 - first, 0)
             if skip < len(states):
                 at = (first + skip, 2)
+                seen[i] = (first + skip, states[skip:])
                 vals = _eval_window(f, states[skip:], rows)
                 if pair:  # fine minus coarse, in place: no third array
                     half = vals.shape[1] // 2
@@ -646,6 +698,9 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
             at = (first + len(states), 0)  # the next chunk's ticks
 
         try:
+            if prefix is not None:
+                visit(*prefix)
+                return
             _drive(model, x if x.ndim == 1 else x[lo:hi], gamma, k1 - 1, pair,
                    streams[lo:hi], runs, visit, width=bsz)
             totals[i] = acc.total()
@@ -661,8 +716,16 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
 
     _run_slices([functools.partial(run_slice, i) for i in range(n)],
                 lambda: failures.append((-1, 0, n, None)))
-    if failures:
-        raise min(failures, key=lambda fail: fail[:3])[3]
+    while failures:
+        fail = min(failures, key=lambda fail: fail[:3])
+        k = min((fail[0] for fail in failures if fail[1] == 1), default=-1)
+        first, states = seen.get(fail[2], (k, ()))
+        if fail[1] != 2 or not first < k < first + len(states):
+            raise fail[3]
+        # f raised on a record that spans the least failing position k:
+        # one engine calls f only on the states before k
+        failures.remove(fail)
+        run_slice(fail[2], (first, states[:k - first]))
     return np.concatenate(totals) / (k1 - k0), steps
 
 

@@ -602,6 +602,10 @@ CROSS_SLICE = {
                                        (6, 5, None)),
     "an error of f before a later value": (([], [(1, 20)], [(6, 5)]),
                                            (6, 5, None)),
+    "an error of f past a position in its record": (
+        ([(1, 20)], [], [(6, 30)]), (1, 20, "position")),
+    "an error of f before a position in its record": (
+        ([(6, 20)], [], [(1, 10)]), (1, 10, None)),
 }
 
 

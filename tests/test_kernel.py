@@ -341,33 +341,42 @@ def python_in(cache_home, code, **env):
                             text=True)
 
 
-C_KINDS = {ctypes.c_int64: "int64", ctypes.c_int: "int",
-           ctypes.c_double: "double", ctypes.c_void_p: "pointer"}
+C_KINDS = {None: "void", ctypes.c_int64: "int64", ctypes.c_int: "int",
+           ctypes.c_double: "double", ctypes.c_void_p: "pointer",
+           ctypes.POINTER(ctypes.c_double): "pointer"}
 
 
 def c_prototypes():
-    """Each ``mlv_*`` function of the C source: the kind of each argument."""
-    scalars = {"int64_t": "int64", "int": "int", "double": "double"}
-    protos = re.findall(r"^void (mlv_\w+)\(([^)]*)\)",
+    """Each ``mlv_*`` function of the C source: the kind of its result and
+    of each argument."""
+    scalars = {"int64_t": "int64", "int": "int", "double": "double",
+               "void": "void"}
+    protos = re.findall(r"^(\w+) (mlv_\w+)\(([^)]*)\)",
                         _kernel._SOURCE.read_text(), re.M)
-    return {name: tuple("pointer" if "*" in arg else scalars[arg.split()[0]]
-                        for arg in args.split(","))
-            for name, args in protos}
+    return {name: (scalars[result], tuple(
+        "pointer" if "*" in arg else scalars[arg.split()[0]]
+        for arg in args.split(",") if arg != "void"))
+        for result, name, args in protos}
 
 
 def test_the_ctypes_signatures_match_the_c_prototypes():
     # ctypes passes a mismatched argument as garbage, with no error
     protos = c_prototypes()
-    assert set(protos) == set(_kernel._SIGNATURES)
-    for name, argtypes in _kernel._SIGNATURES.items():
-        assert tuple(C_KINDS[t] for t in argtypes) == protos[name], name
+    signatures = {**_kernel._SIGNATURES, **_kernel._DRAW_SIGNATURES}
+    assert set(protos) == set(signatures)
+    for name, (restype, argtypes) in signatures.items():
+        kinds = (C_KINDS[restype], tuple(C_KINDS[t] for t in argtypes))
+        assert kinds == protos[name], name
 
 
 @needs_cc
-def test_the_c_source_compiles_without_a_warning():
+@pytest.mark.parametrize("define", [[], ["-DMLV_NORMALS"]],
+                         ids=["ticks", "with the draw"])
+def test_the_c_source_compiles_without_a_warning(define):
     done = subprocess.run(
         [_kernel._CC, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
-         str(_kernel._SOURCE)], capture_output=True, text=True, timeout=120)
+         *define, str(_kernel._SOURCE)], capture_output=True, text=True,
+        timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
 
 

@@ -80,10 +80,18 @@ def test_noise_stream_draws_in_place_as_one_shaped_draw():
     (None, np.empty((4, 6))[:, ::2]),  # strided
     (None, np.empty((3, 4)).T),  # F-ordered
     ((3, 4), np.empty((3, 5))),  # not the shape asked for
+    (None, np.empty(3)[np.newaxis].repeat(2, 0)[:, ::-1]),  # reversed
+    (None, np.broadcast_to(np.empty(3), (3,))),  # read-only
+    (None, [0.0, 0.0]),  # no array
 ])
 def test_noise_stream_rejects_an_out_it_cannot_fill(shape, out):
     with pytest.raises(ValueError):
         NoiseStream(7, 0).standard_normal(shape, out=out)
+
+
+def test_noise_stream_rejects_an_out_of_another_dtype():
+    with pytest.raises(TypeError):
+        NoiseStream(7, 0).standard_normal(out=np.empty(3, dtype=np.float32))
 
 
 def test_noise_stream_keys_are_distinct_across_levels_and_runs():
