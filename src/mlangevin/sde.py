@@ -76,14 +76,17 @@ through ``_drive``: it draws its runs' normals, ticks them, evaluates f and
 sums its runs' windows.  numpy's draw and the C tick loop run without the
 GIL.  Each run reads only its own stream and rows and adds to its own sums,
 and the level's result is the slices' concatenated in row order, so no
-byte depends on the core count.  A failing level raises what one engine
-over all its rows would raise.  There is no setting.  The level starts its
+byte depends on the core count.  There is no setting.  The level starts its
 slices' threads itself and joins them before it returns or raises, so no
 thread outlives it.  Within one level, f may therefore be called from
 several threads at once, each call on rows of its own, in a copy of the
 calling thread's context (numpy's error state among it): it must be safe
 to call concurrently, as the built-in observables are.  f may itself run a
-level, on any of those threads.  A level that ticks in Python (a user
+level, on any of those threads.  A failing sliced level is run again in
+one engine over all its rows, on the calling thread, from its streams'
+states at its start, and raises what that run raises: so no error depends
+on the core count, and f must be a pure function of its points, as it is
+called again on states it has seen.  A level that ticks in Python (a user
 potential, a model with its own ``advance``, no C library) runs in one
 engine on the calling thread, as do the contraction and confluence probes:
 the Python tick loop's many small calls hold the GIL, so its slices would
@@ -259,6 +262,18 @@ class NoiseStream:
                 draw(self._at, values.size, _DOUBLE.from_buffer(values))
         return float(values[0]) if shape is None and out is None else values
 
+    def _state(self) -> np.ndarray:
+        """A copy of the stream's 11 words now, wherever they are held."""
+        with self._lock:
+            return (self._words.copy() if self._gen is None else
+                    _kernel.philox_words(self._gen.bit_generator.state))
+
+    def _set_state(self, words) -> None:
+        """Continue the stream from ``words``, as ``_state`` returned them."""
+        with self._lock:
+            self._words[:] = words
+            self._gen = None
+
 
 @dataclass
 class PathState:
@@ -378,25 +393,19 @@ class _CompensatedSum:
         return self.s + self.c
 
 
-def _eval_window(f, hist: np.ndarray, rows: int | None = None) -> np.ndarray:
+def _eval_window(f, hist: np.ndarray) -> np.ndarray:
     """Apply an observable to history (w, B, d) -> (w, B) + value shape.
 
     f maps the (N, d) points to (N,) for a scalar observable or to (N, m)
-    for a vector one; any other shape is a ValueError naming it.  With
-    ``rows``, the whole level's rows when ``hist`` holds a slice of them,
-    the error counts the points as the whole level's record would have
-    held them, on every axis of the shape that counts them, so that its
-    words do not depend on the slice count.
+    for a vector one; any other shape is a ValueError naming it.
     """
     w, bsz, d = hist.shape
     n = w * bsz
     vals = np.asarray(f(hist.reshape(n, d)), dtype=float)
     if vals.shape[:1] != (n,) or vals.ndim > 2:
-        points = w * (rows or bsz)
-        shape = tuple(points if size == n else size for size in vals.shape)
         raise ValueError(
             f"an observable must map points (N, d) to (N,) or (N, m); on "
-            f"N={points} points it returned shape {shape}")
+            f"N={n} points it returned shape {vals.shape}")
     return vals.reshape((w, bsz) + vals.shape[1:])
 
 
@@ -638,94 +647,73 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     Where the level ticks in C (``model._row_map``), its B runs are cut
     into min(``_workers()``, B) contiguous slices, each run by ``_drive``
     on a thread of its own (``_run_slices``) with its own sums; the
-    averages are theirs in row order.  A level that ticks in Python runs
-    in one slice: its many small numpy calls hold the GIL, so slices would
-    take turns, and slower than one engine.
+    averages are theirs in row order.  A level of one slice (it ticks in
+    Python, whose many small numpy calls hold the GIL, or has one core or
+    one run) runs its one engine on the calling thread.
 
     The level starts its slices' threads and joins them before it returns
-    or raises (``_run_slices``), so f may itself run a level.  Each slice
-    keeps its own errors as ranked failures, and a failing level raises
-    what one engine over all B rows would: of its slices' errors, the one
-    at the least (grid index k, kind, slice), its kinds in the order one
-    engine meets them at k: an error the model or a stream raises in the
-    ticks of the chunk from k, a non-finite position at k, an error f
-    raises on a record whose window starts at k, a non-finite value of f
-    at k.  One engine calls f only on a record's states before its first
-    non-finite position, so where the error so picked is f's, on a record
-    that spans the least non-finite position k of any slice, the level
-    calls f again on that record's states before k and ranks what that
-    raises, or nothing, in its place.  So no error depends on the slice
-    count.  An interrupt or an exit ranks first, at index -1.
-    Once a slice fails at index k, the others end at their first record
-    past k, where nothing is left to precede it, and after an interrupt at
-    their next record.
+    or raises (``_run_slices``), so f may itself run a level.  Once a
+    slice fails, the others end at their next record.  An interrupt or an
+    exit then goes on as it is, the lowest slice's first.  Any other error
+    sends each ``NoiseStream`` back to its state when the level began, and
+    the level runs again as one engine over all B rows, on the calling
+    thread: it raises what that run raises, or returns its averages.
     """
     k0, k1, steps = _window(gamma, tau, t, pair)
     bsz = len(streams)
     x = _start_point(x0, model.dim, bsz)
-    rows = 2 * bsz if pair else bsz
     n = min(_workers(), bsz) if _row_map(model) is not None else 1
-    cuts = [bsz * i // n for i in range(n + 1)]
+    failed = []  # set once a slice fails, or the wait is interrupted
 
-    totals = [None] * n
-    failures = []  # (index, kind, slice, error)
-    seen = {}  # slice: (index, states) of the last states f was called on
-
-    def run_slice(i, prefix=None):
-        lo, hi = cuts[i], cuts[i + 1]
+    def engine(lo, hi):
+        """The window sums of rows lo..hi-1 of the level, in one engine."""
         runs = [st.run_index for st in streams[lo:hi]]
         acc = None
-        at = (0, 0)  # (index, kind) of an error f or the engine raises now
 
         def visit(first, states):
-            nonlocal acc, at
-            if failures and first > min(fail[0] for fail in failures):
+            nonlocal acc
+            if failed:
                 raise _Stopped
             skip = max(k0 - first, 0)
             if skip < len(states):
-                at = (first + skip, 2)
-                seen[i] = (first + skip, states[skip:])
-                vals = _eval_window(f, states[skip:], rows)
+                vals = _eval_window(f, states[skip:])
                 if pair:  # fine minus coarse, in place: no third array
                     half = vals.shape[1] // 2
                     vals[:, half:] -= vals[:, :half]
                     vals = vals[:, half:]
-                at = (first + skip, 3)
                 _check_values_finite(vals, first + skip, runs)
                 if acc is None:
                     acc = _CompensatedSum(vals.shape[1:])
                 _reduce_window(acc, vals)
-            at = (first + len(states), 0)  # the next chunk's ticks
 
+        _drive(model, x if x.ndim == 1 else x[lo:hi], gamma, k1 - 1, pair,
+               streams[lo:hi], runs, visit, width=bsz)
+        return acc.total()
+
+    if n == 1:
+        return engine(0, bsz) / (k1 - k0), steps
+    cuts = [bsz * i // n for i in range(n + 1)]
+    totals, errors = [None] * n, [None] * n
+
+    def run_slice(i):
         try:
-            if prefix is not None:
-                visit(*prefix)
-                return
-            _drive(model, x if x.ndim == 1 else x[lo:hi], gamma, k1 - 1, pair,
-                   streams[lo:hi], runs, visit, width=bsz)
-            totals[i] = acc.total()
-        except _Stopped:
-            pass
-        except BaseException as exc:
-            if not isinstance(exc, Exception):  # an interrupt or an exit
-                at = (-1, 0)
-            elif isinstance(exc, NumericalFailureError) and at[1] != 2:
-                # a non-finite position or value of f, at its own step
-                at = (exc.step_index, 3 if at[1] == 3 else 1)
-            failures.append(at + (i, exc))
+            totals[i] = engine(cuts[i], cuts[i + 1])
+        except BaseException as exc:  # _Stopped once another has failed
+            errors[i] = exc
+            failed.append(i)
 
+    start = [(st, st._state()) for st in streams
+             if isinstance(st, NoiseStream)]
     _run_slices([functools.partial(run_slice, i) for i in range(n)],
-                lambda: failures.append((-1, 0, n, None)))
-    while failures:
-        fail = min(failures, key=lambda fail: fail[:3])
-        k = min((fail[0] for fail in failures if fail[1] == 1), default=-1)
-        first, states = seen.get(fail[2], (k, ()))
-        if fail[1] != 2 or not first < k < first + len(states):
-            raise fail[3]
-        # f raised on a record that spans the least failing position k:
-        # one engine calls f only on the states before k
-        failures.remove(fail)
-        run_slice(fail[2], (first, states[:k - first]))
+                lambda: failed.append(n))
+    for exc in errors:
+        if exc is not None and not isinstance(exc, Exception):
+            raise exc  # an interrupt or an exit
+    if failed:  # one engine raises the level's error
+        for st, words in start:
+            st._set_state(words)
+        failed.clear()
+        totals = [engine(0, bsz)]
     return np.concatenate(totals) / (k1 - k0), steps
 
 

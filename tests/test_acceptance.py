@@ -6,7 +6,8 @@ d=100, level counts across the reference grid, logistic-regression accuracy
 against a frozen high-accuracy estimator run, the coarse-step variant's cost
 advantage, exactness on constant observables, geometric contraction of
 coupled chains, second-order decay of the coupling gap, occupation-average
-bias at level 0, and levels that share no state.
+bias at level 0, levels that share no state, and the eps^-2 law: RMSE
+within eps at a cost that keeps MSE x cost flat as eps halves.
 """
 
 import dataclasses
@@ -227,3 +228,18 @@ def test_c12_levels_share_no_state():
                 out.level_contributions[r]).tobytes()
             assert iters == out.level_iterations[r]
         assert json.loads(out.to_json())["total_complexity"] > 0
+
+
+# 13. The eps^-2 law on the Gaussian benchmark, d=10, 200 repetitions at
+#     seed 0: at eps = 0.2, 0.1 and 0.05 the RMSE stays within eps, and
+#     MSE x predicted cost stays within a factor 1.5 across the three.
+#     Each MSE has about 10% relative error at 200 runs.
+def test_c13_mse_times_cost_is_flat_in_eps():
+    model = ou_model(10)
+    products = []
+    for eps in (0.2, 0.1, 0.05):
+        plan = plan_b2(model, eps)
+        report = bench(model, plan, np.zeros(10), 200, seed=0)
+        assert report.rmse <= eps
+        products.append(report.rmse ** 2 * plan.predicted_complexity)
+    assert max(products) / min(products) <= 1.5

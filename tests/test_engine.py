@@ -647,6 +647,29 @@ def test_seven_slices_with_a_short_switch_interval_pick_the_same_failure(
     assert (one.value.step_index, one.value.run_index) == (24, 14)
 
 
+# up to two (row, step) cases of a kind; a step past the level's 40 never
+# comes
+failing_rows = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 45)),
+                        max_size=2)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(failing_rows, failing_rows, failing_rows, st.booleans(),
+       st.sampled_from([4, 7, sde._CHUNK_STEP_CAP]))
+def test_a_level_fails_or_succeeds_alike_on_any_core_count(
+        positions, values, trips, pair, cap):
+    x0 = doubling_starts(positions, values, trips)
+    seen = []
+    with chunk_cap(cap), pytest.MonkeyPatch.context() as mp:
+        for n in (1, 2, 3, 7):
+            on_workers(mp, n)
+            try:
+                seen.append(doubling_level(pair, x0)[0].tobytes())
+            except (NumericalFailureError, Tripped) as exc:
+                seen.append((type(exc), str(exc)))
+    assert seen == [seen[0]] * 4
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["chain", "pair"])
 def test_a_position_in_a_record_before_fs_error_wins(pair, monkeypatch):
     # records of 4 ticks: the failure at step 5 lies in [4, 8), before the
@@ -711,10 +734,68 @@ def test_a_failing_slice_ends_the_others_past_its_step(
             Tripped if raise_error else NumericalFailureError):
         sde._run_level0_batch(UNIT, x0, 0.5, 0.0, 20000.0,
                               banded(raise_error), seven_runs())
-    # run 19's slice drew two of the level's 10,000 chunks; the other
-    # slice, runs 17..14, ends at its first record past step 4 or 5
-    assert draws[19] == 2
+    # run 19's slice drew two of the level's 10,000 chunks, and the run
+    # again in one engine, where the level ticks in C, two more; the other
+    # slice, runs 17..14, ends at its next record
+    assert draws[19] == (2 + 2 if sde._row_map(UNIT) is not None else 2)
     assert max(draws[run] for run in (17, 16, 15, 14)) < 5000
+
+
+def trips_above(x):
+    """x[:, 0], raising ``Tripped`` with the first point whose x[:, 0]
+    passes 3.2, to the last bit: it depends on every normal before it."""
+    hit = np.flatnonzero(x[:, 0] > 3.2)
+    if len(hit):
+        raise Tripped(repr(x[hit[0]].tolist()))
+    return x[:, 0]
+
+
+@pytest.mark.parametrize("before", ["none", "in C", "by numpy"])
+def test_a_noise_driven_failure_reads_the_same_on_any_core_count(
+        before, monkeypatch):
+    # the run again in one engine must draw the normals that the sliced
+    # pass drew, from the state each stream held when the level began:
+    # fresh, or after a few draws, held in its words or by numpy's
+    # Generator
+    def level():
+        streams = [NoiseStream(0, 0, run_index=run) for run in range(6)]
+        if before != "none":
+            with monkeypatch.context() as mp:
+                if before == "by numpy":
+                    mp.setattr(_kernel, "_lib", None)
+                for run, stream in enumerate(streams):
+                    stream.standard_normal(run + 1)
+        return sde._run_level0_batch(UNIT, np.zeros(3), 0.05, 0.0, 400.0,
+                                     trips_above, streams)
+
+    error, text, _, _ = raised_on_workers(monkeypatch, level)
+    assert error is Tripped and float(text[1:].split(",")[0]) > 3.2
+
+
+def test_an_f_that_fails_only_in_slices_gets_the_run_in_one_engine(
+        monkeypatch):
+    # f is impure here: it raises on its first call only, so a sliced
+    # level returns the averages of its run again in one engine
+    def level(f):
+        return sde._run_level0_batch(UNIT, np.zeros(3), 0.5, 0.0, 20.0, f,
+                                     seven_runs())[0]
+
+    on_workers(monkeypatch, 1)
+    expected = level(square_of_second)
+    tripped = threading.Event()
+
+    def once(x):
+        if not tripped.is_set():
+            tripped.set()
+            raise Tripped("the first call")
+        return square_of_second(x)
+
+    on_workers(monkeypatch, 3)
+    if sde._row_map(UNIT) is None:  # one slice: nothing runs again
+        with pytest.raises(Tripped):
+            level(once)
+    else:
+        assert level(once).tobytes() == expected.tobytes()
 
 
 class OwnAdvance:
@@ -737,7 +818,8 @@ def test_only_a_level_that_ticks_in_c_runs_in_slices(monkeypatch):
     for model in (UNIT, OwnAdvance()):
         sde._run_level0_batch(model, np.zeros(3), 0.5, 0.0, 10.0,
                               norm_observable(), seven_runs())
-    assert counts == [3 if _kernel.lib() is not None else 1, 1]
+    # a level of one slice runs its engine without _run_slices
+    assert counts == ([3] if _kernel.lib() is not None else [])
 
 
 @pytest.mark.parametrize("pair", [False, True], ids=["chain", "pair"])

@@ -20,6 +20,7 @@ from mlangevin import (
     run_coupled_level,
     run_level0,
 )
+import mlangevin._kernel as _kernel
 import mlangevin.sde as sde
 from mlangevin.sde import _run_level0_batch, _run_coupled_batch
 
@@ -92,6 +93,25 @@ def test_noise_stream_rejects_an_out_it_cannot_fill(shape, out):
 def test_noise_stream_rejects_an_out_of_another_dtype():
     with pytest.raises(TypeError):
         NoiseStream(7, 0).standard_normal(out=np.empty(3, dtype=np.float32))
+
+
+def test_noise_stream_set_back_to_a_state_draws_the_same_normals(
+        monkeypatch):
+    stream = NoiseStream(5, 2, run_index=9)
+    stream.standard_normal(3)
+    drawn = []
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernel, "_lib", None)  # it draws with numpy's Generator
+        stream.standard_normal(2)
+        held_by_numpy = stream._state()
+        drawn.append(stream.standard_normal(7))
+    held_in_words = stream._state()
+    drawn.append(stream.standard_normal(5))
+    stream._set_state(held_by_numpy)
+    assert stream.standard_normal(12).tobytes() == np.concatenate(
+        drawn).tobytes()
+    stream._set_state(held_in_words)
+    assert stream.standard_normal(5).tobytes() == drawn[1].tobytes()
 
 
 def test_noise_stream_keys_are_distinct_across_levels_and_runs():
