@@ -21,6 +21,7 @@ Probes check the structural assumptions the tuning rules rest on:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -30,6 +31,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
+from . import sde
 from .estimator import (
     EstimatorOutput,
     _plain,
@@ -42,6 +44,7 @@ from .model import (
     LogisticPerturbedPotential,
     QuadraticPotential,
     _integer,
+    _row_map,
     _sigmoid,
     ou_reference_value,
 )
@@ -327,20 +330,28 @@ def contraction_probe(
 
 
 def _sup_gap_sq(model: LangevinModel, gamma_coarse: float, horizon: float,
-                n_paths: int, stream: NoiseStream, x0) -> float:
-    """Monte-Carlo sup over coarse grid times of E|fine - coarse|^2."""
-    p = n_paths
+                n_paths: int, stream: NoiseStream, x0, stopped=()) -> float:
+    """Monte-Carlo sup over coarse grid times of E|fine - coarse|^2.
+
+    Once ``stopped`` is non-empty, the next record raises ``sde._Stopped``.
+    """
+    p, d = n_paths, model.dim
     sup = 0.0
 
     def visit(lo, rows):  # the coarse rows, then the fine
         nonlocal sup
+        if stopped:
+            raise sde._Stopped
         gap = rows[:, p:] - rows[:, :p]
         gap *= gap
-        sup = max(sup, float(np.mean(np.sum(gap, axis=-1), axis=-1).max()))
+        sq = gap[..., 0].copy()  # a column at a time: numpy is slow to
+        for k in range(1, d):  # reduce a short last axis
+            sq += gap[..., k]
+        sup = max(sup, float(np.mean(sq, axis=-1).max()))
 
-    # one stream for all p runs
+    # one stream for all p runs; chunks sized for two pairs at once
     _drive(model, x0, gamma_coarse / 2.0, n_gamma(horizon, gamma_coarse),
-           True, [stream], range(p), visit)
+           True, [stream], range(p), visit, width=2 * p)
     return sup
 
 
@@ -363,6 +374,12 @@ def confluence_probe(
     which is ~2 in the second-order (additive noise, smooth drift) regime:
     halving the step divides the squared gap by ~4.  A zero gap (e.g. no
     noise and a start at the fixed point) gives an undefined order (nan).
+
+    The two pairs may run at once, the gamma pair on a thread of its own,
+    where they tick in C and the process may run on two or more cores (the
+    rule of ``sde._run_level``).  Each reads only its own stream, so the
+    result has the same bytes either way, and a failure raises what the
+    pairs raise one after the other: the gamma pair's error first.
 
     Args:
         model: LangevinModel with 0 < gamma <= alpha_eff / (2 l_eff^2).
@@ -388,10 +405,38 @@ def confluence_probe(
             "confluence_probe with fewer than 100 paths is noise-dominated",
             RuntimeWarning)
     x0 = np.zeros(model.dim) if x0 is None else x0
-    gap1 = _sup_gap_sq(model, gamma, horizon, n_paths, NoiseStream(seed, 0),
-                       x0)
-    gap2 = _sup_gap_sq(model, gamma / 2.0, horizon, n_paths,
-                       NoiseStream(seed, 1), x0)
+    steps = (gamma, gamma / 2.0)
+    stopped = []  # set once the error to raise is known, or on an interrupt
+
+    def gap(i):
+        return _sup_gap_sq(model, steps[i], horizon, n_paths,
+                           NoiseStream(seed, i), x0, stopped)
+
+    if _row_map(model) is None or sde._workers() < 2:
+        # as sde._run_level: a model that ticks in Python on one thread
+        gap1, gap2 = gap(0), gap(1)
+    else:
+        gaps, errors = [None, None], [None, None]
+
+        def job(i):
+            try:
+                gaps[i] = gap(i)
+            except BaseException as exc:  # _Stopped once the other failed
+                errors[i] = exc
+                if i == 0 or not isinstance(exc, Exception):
+                    stopped.append(i)  # the error raised: the other may end
+
+        # the gamma/2 pair on this thread, the gamma pair on a thread of
+        # its own; each raises what it would raise on one thread
+        sde._run_slices([functools.partial(job, 1), functools.partial(job, 0)],
+                        lambda: stopped.append(2))
+        for exc in errors:
+            if exc is not None and not isinstance(exc, Exception):
+                raise exc  # an interrupt or an exit
+        for exc in errors:
+            if exc is not None:
+                raise exc  # the gamma pair's first, as one thread runs it
+        gap1, gap2 = gaps
     if gap1 <= 0.0 or gap2 <= 0.0:
         order = float("nan")
     else:

@@ -88,9 +88,12 @@ states at its start, and raises what that run raises: so no error depends
 on the core count, and f must be a pure function of its points, as it is
 called again on states it has seen.  A level that ticks in Python (a user
 potential, a model with its own ``advance``, no C library) runs in one
-engine on the calling thread, as do the contraction and confluence probes:
-the Python tick loop's many small calls hold the GIL, so its slices would
-only take turns.
+engine on the calling thread, as does the contraction probe: the Python
+tick loop's many small calls hold the GIL, so its slices would only take
+turns.  The confluence probe runs each of its two coupled pairs in one
+engine, by the same rule: where they tick in C and the process may run on
+two or more cores, the gamma pair runs on a thread of its own
+(``_run_slices``) while the gamma/2 pair runs on the calling thread.
 
 Each window is summed in grid order, compensated: every run and value
 coordinate adds its window values one grid index at a time to a Neumaier
@@ -540,8 +543,10 @@ def _drive(model, x0, gamma, last, pair, streams, runs, visit, width=None):
     normals as it adds them; ``_loop`` scales them in place.
 
     The level advances ``c`` ticks per chunk, ``c`` sized from ``width``
-    rows (the whole level's run count when this one is a slice of it,
-    ``_run_level``; else B), three states of them per tick, to about
+    rows, the rows whose chunks share memory (the whole level's run count
+    when this one is a slice of it, ``_run_level``; both pairs' paths for
+    the confluence probe, whose two pairs may run at once; else B), three
+    states of them per tick, to about
     ``_CHUNK_ELEMENT_TARGET`` elements and never above ``_CHUNK_STEP_CAP``
     ticks.  Each chunk records the state at each tick's start, grid index
     k at tick k, in one buffer.  The level runs on the calling thread,

@@ -1,12 +1,22 @@
 import dataclasses
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import mlangevin
+import mlangevin._kernel as _kernel
+import mlangevin.diagnostics as diagnostics
+import mlangevin.sde as sde
 from mlangevin import (
     BenchReport,
     ConfluenceProbeResult,
@@ -218,6 +228,207 @@ def test_confluence_probe_validation_and_path_warning():
         confluence_probe(model, gamma=0.25, horizon=5.0, n_paths=1)
     with pytest.warns(RuntimeWarning, match="paths"):
         confluence_probe(model, gamma=0.25, horizon=5.0, n_paths=50)
+
+
+# ------------------------------------------ the confluence pairs at once
+
+
+# Where the model ticks in C and the process has two or more cores, the
+# gamma pair runs on a thread of its own while the gamma/2 pair runs on the
+# calling thread.  Most tests patch the private worker count to run the
+# same probe on one, two and three workers.
+
+def on_workers(monkeypatch, n):
+    monkeypatch.setattr(sde, "_workers", lambda: n)
+
+
+@pytest.fixture
+def no_thread_left():
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+def small_confluence(d=2):
+    model = make_langevin_model(QuadraticPotential(d), "auto")
+    return confluence_probe(model, 0.25, 20.0, 100, seed=2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_confluence_gaps_keep_their_bytes_on_any_worker_count(
+        d, monkeypatch, no_thread_left):
+    model = make_langevin_model(QuadraticPotential(d), "auto")
+    serial = [diagnostics._sup_gap_sq(model, gamma, 20.0, 100,
+                                      NoiseStream(2, level), np.zeros(d))
+              for level, gamma in enumerate((0.25, 0.125))]
+    for n in (1, 2, 3):
+        on_workers(monkeypatch, n)
+        gaps = small_confluence(d).sup_gap_sq
+        assert [gaps[0.25].hex(), gaps[0.125].hex()] == [
+            g.hex() for g in serial]
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_the_sup_gap_is_the_sup_of_numpys_row_sums(d, monkeypatch):
+    # each record's mean over paths of |fine - coarse|^2, as np.sum takes
+    # the squared norm below 8 coordinates: a column at a time (from 8 on,
+    # np.sum adds by pairs and the last bit may differ)
+    drive, sups = diagnostics._drive, []
+
+    def recorded(model, x0, gamma, last, pair, streams, runs, visit,
+                 width=None):
+        p = len(runs)
+
+        def seen(lo, rows):
+            gap = (rows[:, p:] - rows[:, :p]) ** 2
+            sups.append(np.mean(np.sum(gap, axis=-1), axis=-1).max())
+            visit(lo, rows)
+
+        return drive(model, x0, gamma, last, pair, streams, runs, seen,
+                     width)
+
+    monkeypatch.setattr(diagnostics, "_drive", recorded)
+    model = make_langevin_model(QuadraticPotential(d), "auto")
+    sup = diagnostics._sup_gap_sq(model, 0.25, 20.0, 100, NoiseStream(2, 0),
+                                  np.zeros(d))
+    assert sup.hex() == float(max(sups)).hex()
+
+
+def test_only_a_confluence_probe_that_ticks_in_c_runs_its_pairs_at_once(
+        monkeypatch, no_thread_left):
+    counts = []
+    run_slices = sde._run_slices
+
+    def counted(jobs, stop):
+        counts.append(len(jobs))
+        return run_slices(jobs, stop)
+
+    monkeypatch.setattr(sde, "_run_slices", counted)
+    on_workers(monkeypatch, 3)
+    expected = small_confluence()
+    ticks_in_c = _kernel.lib() is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_lib", None)  # no C ticks: one thread
+        assert small_confluence() == expected
+    confluence_probe(_ZeroNoiseOU(2), 0.25, 10.0, 100)
+    assert counts == ([2] if ticks_in_c else [])
+
+
+def test_each_confluence_pair_sizes_its_chunks_for_both(
+        monkeypatch, no_thread_left):
+    drive, calls = diagnostics._drive, []
+
+    def recorded(*args, width=None):
+        main = threading.current_thread() is threading.main_thread()
+        calls.append((args[2], len(args[6]), width, main))
+        return drive(*args, width=width)
+
+    monkeypatch.setattr(diagnostics, "_drive", recorded)
+    at_once = _kernel.lib() is not None
+    for n in (1, 2):
+        on_workers(monkeypatch, n)
+        calls.clear()
+        small_confluence()
+        # the fine steps of the gamma/2 and the gamma pair, 100 paths each;
+        # the gamma/2 pair on this thread
+        assert sorted(calls) == [(0.0625, 100, 200, True),
+                                 (0.125, 100, 200, n == 1 or not at_once)]
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("record", ["first", "last"])
+@pytest.mark.parametrize("failing", [(0.25,), (0.125,), (0.25, 0.125)],
+                         ids=["gamma", "half", "both"])
+def test_a_failing_confluence_pair_raises_as_on_one_thread(
+        failing, record, monkeypatch, no_thread_left):
+    # the gamma/2 pair fails at its first record, the gamma pair at its
+    # first or at its last, the final state: gamma's error wins over
+    # gamma/2's, as one thread raises them
+    drive = diagnostics._drive
+
+    def failing_drive(model, x0, gamma, last, *args, **kwargs):
+        coarse = 2.0 * gamma
+        visit = args[-1]
+
+        def failing_visit(lo, rows):
+            if coarse in failing and (record == "first" or lo == last
+                                      or coarse == 0.125):
+                raise Boom(coarse)
+            visit(lo, rows)
+
+        return drive(model, x0, gamma, last, *args[:-1], failing_visit,
+                     **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_drive", failing_drive)
+    for n in (1, 2):
+        on_workers(monkeypatch, n)
+        with pytest.raises(Boom) as raised:
+            small_confluence()
+        assert raised.value.args == (failing[0],)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="no POSIX signals")
+def test_an_interrupt_in_one_confluence_pair_stops_the_other(
+        monkeypatch, no_thread_left):
+    # the gamma pair, on a thread of its own, sends the interrupt at its
+    # first record once the gamma/2 pair waits in Python on this thread, so
+    # that the interrupt lands there (one that lands in sde._run_slices's
+    # own waits leaves the thread unjoined on Python < 3.13); the gamma
+    # pair then ends at a later record
+    on_workers(monkeypatch, 2)
+    if _kernel.lib() is None:
+        pytest.skip("a probe that ticks in Python runs its pairs in turn")
+    drive, seen, waiting = diagnostics._drive, [], threading.Event()
+
+    def interrupted_drive(*args, **kwargs):
+        deadline = time.monotonic() + 60
+        if threading.current_thread() is threading.main_thread():
+            waiting.set()  # the gamma/2 pair
+            while time.monotonic() < deadline:
+                time.sleep(0.01)
+            return drive(*args, **kwargs)
+        visit = args[-1]
+
+        def interrupting_visit(lo, rows):
+            if lo == 0:
+                assert waiting.wait(60)
+                os.kill(os.getpid(), signal.SIGINT)
+                while time.monotonic() < deadline:
+                    visit(lo, rows)  # raises once the pair is stopped
+                    time.sleep(0.01)
+            visit(lo, rows)
+
+        try:
+            return drive(*args[:-1], interrupting_visit, **kwargs)
+        except BaseException as exc:
+            seen.append(type(exc))
+            raise
+
+    monkeypatch.setattr(diagnostics, "_drive", interrupted_drive)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            small_confluence()
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert seen == [sde._Stopped]
+
+
+def test_the_probe_tour_demo_runs():
+    demo = Path(__file__).parents[1] / "demos" / "probe_tour.py"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mlangevin.__file__).parents[1]))
+    done = subprocess.run([sys.executable, str(demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    start = lines.index("-- confluence: squared gap between step sizes "
+                        "decays at order 2")
+    assert "sup gap^2: {" in lines[start + 1]
+    assert "order ~" in lines[start + 1]
 
 
 # ------------------------------------------------------ posterior-mean truth

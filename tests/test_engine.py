@@ -681,10 +681,10 @@ def test_a_position_in_a_record_before_fs_error_wins(pair, monkeypatch):
     assert (error, index, run) == (NumericalFailureError, 5, 14)
 
 
-def test_a_numerical_failure_that_f_raises_ranks_as_fs_error(monkeypatch):
+def test_a_numerical_failure_that_f_raises_is_fs_own_error(monkeypatch):
     # a failure that f raises, as a level that f runs would, names a step
-    # of its own: it ranks at f's record [4, 8), before the position at
-    # step 20 in another slice, as one engine raises it there
+    # of its own: a failing sliced level runs again in one engine, whose
+    # record [4, 8) raises f's error before the position at step 20
     def f(x):
         try:
             return square_of_second(x)
