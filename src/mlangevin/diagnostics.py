@@ -44,7 +44,6 @@ from .model import (
     LogisticPerturbedPotential,
     QuadraticPotential,
     _integer,
-    _row_map,
     _sigmoid,
     ou_reference_value,
 )
@@ -376,10 +375,12 @@ def confluence_probe(
     noise and a start at the fixed point) gives an undefined order (nan).
 
     The two pairs may run at once, the gamma pair on a thread of its own,
-    where they tick in C and the process may run on two or more cores (the
-    rule of ``sde._run_level``).  Each reads only its own stream, so the
-    result has the same bytes either way, and a failure raises what the
-    pairs raise one after the other: the gamma pair's error first.
+    where they tick in C and the process may run on two or more cores
+    (``sde._slices``, the rule of ``sde._run_level``).  Each reads only its
+    own stream, so the result has the same bytes either way.  No pair runs
+    once the probe returns or raises (``sde._run_slices``), and if either
+    concurrent pair fails, both run again one after the other on the
+    calling thread: the probe raises what one thread raises.
 
     Args:
         model: LangevinModel with 0 < gamma <= alpha_eff / (2 l_eff^2).
@@ -406,37 +407,22 @@ def confluence_probe(
             RuntimeWarning)
     x0 = np.zeros(model.dim) if x0 is None else x0
     steps = (gamma, gamma / 2.0)
-    stopped = []  # set once the error to raise is known, or on an interrupt
 
-    def gap(i):
+    def gap(i, stopped=()):
         return _sup_gap_sq(model, steps[i], horizon, n_paths,
                            NoiseStream(seed, i), x0, stopped)
 
-    if _row_map(model) is None or sde._workers() < 2:
-        # as sde._run_level: a model that ticks in Python on one thread
-        gap1, gap2 = gap(0), gap(1)
-    else:
-        gaps, errors = [None, None], [None, None]
-
-        def job(i):
-            try:
-                gaps[i] = gap(i)
-            except BaseException as exc:  # _Stopped once the other failed
-                errors[i] = exc
-                if i == 0 or not isinstance(exc, Exception):
-                    stopped.append(i)  # the error raised: the other may end
-
+    gaps = None
+    if sde._slices(model, 2) == 2:
         # the gamma/2 pair on this thread, the gamma pair on a thread of
-        # its own; each raises what it would raise on one thread
-        sde._run_slices([functools.partial(job, 1), functools.partial(job, 0)],
-                        lambda: stopped.append(2))
-        for exc in errors:
-            if exc is not None and not isinstance(exc, Exception):
-                raise exc  # an interrupt or an exit
-        for exc in errors:
-            if exc is not None:
-                raise exc  # the gamma pair's first, as one thread runs it
-        gap1, gap2 = gaps
+        # its own
+        gaps = sde._run_slices([functools.partial(gap, 1),
+                                functools.partial(gap, 0)])
+    if gaps is None:  # one after the other, each from a fresh stream
+        gap1 = gap(0)
+        gap2 = gap(1)
+    else:
+        gap2, gap1 = gaps
     if gap1 <= 0.0 or gap2 <= 0.0:
         order = float("nan")
     else:

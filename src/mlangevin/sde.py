@@ -76,24 +76,27 @@ through ``_drive``: it draws its runs' normals, ticks them, evaluates f and
 sums its runs' windows.  numpy's draw and the C tick loop run without the
 GIL.  Each run reads only its own stream and rows and adds to its own sums,
 and the level's result is the slices' concatenated in row order, so no
-byte depends on the core count.  There is no setting.  The level starts its
-slices' threads itself and joins them before it returns or raises, so no
-thread outlives it.  Within one level, f may therefore be called from
-several threads at once, each call on rows of its own, in a copy of the
-calling thread's context (numpy's error state among it): it must be safe
-to call concurrently, as the built-in observables are.  f may itself run a
-level, on any of those threads.  A failing sliced level is run again in
-one engine over all its rows, on the calling thread, from its streams'
-states at its start, and raises what that run raises: so no error depends
-on the core count, and f must be a pure function of its points, as it is
-called again on states it has seen.  A level that ticks in Python (a user
-potential, a model with its own ``advance``, no C library) runs in one
-engine on the calling thread, as does the contraction probe: the Python
-tick loop's many small calls hold the GIL, so its slices would only take
-turns.  The confluence probe runs each of its two coupled pairs in one
-engine, by the same rule: where they tick in C and the process may run on
-two or more cores, the gamma pair runs on a thread of its own
-(``_run_slices``) while the gamma/2 pair runs on the calling thread.
+byte depends on the core count.  There is no setting.  One runner,
+``_run_slices``, starts the slices' threads and owns the failure policy:
+no job runs once the call returns or raises, even after an interrupt, and
+a failing concurrent run is run again in one engine.  Within one level, f
+may therefore be called from several threads at once, each call on rows of
+its own, in a copy of the calling thread's context (numpy's error state
+among it): it must be safe to call concurrently, as the built-in
+observables are.  f may itself run a level, on any of those threads.  A
+failing sliced level is run again in one engine over all its rows, on the
+calling thread, from its streams' states at its start, and raises what
+that run raises: so no error depends on the core count, and f must be a
+pure function of its points, as it is called again on states it has seen.
+An interrupt or an exit goes on as it is.  A level that ticks in Python (a
+user potential, a model with its own ``advance``, no C library) runs in
+one engine on the calling thread, as does the contraction probe: the
+Python tick loop's many small calls hold the GIL, so its slices would only
+take turns (``_slices``).  The confluence probe runs each of its two
+coupled pairs in one engine, by the same rule: where they tick in C and
+the process may run on two or more cores, the gamma pair runs on a thread
+of its own while the gamma/2 pair runs on the calling thread, and if
+either fails, both run again one after the other on the calling thread.
 
 Each window is summed in grid order, compensated: every run and value
 coordinate adds its window values one grid index at a time to a Neumaier
@@ -441,27 +444,78 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _run_slices(jobs, stop):
-    """Run ``jobs``, the first on this thread and each other on a thread
-    started for it, each in a copy of this thread's context (numpy's error
-    state among it), and return once every thread has been joined.  No
-    exception may escape a job.  If the wait itself is interrupted,
-    ``stop()`` ends the other jobs early, and they are joined before the
-    interrupt goes on."""
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(job,), name="mlangevin-slice")
-               for job in jobs[1:]]
-    for thread in threads:
-        thread.start()
+def _slices(model, n):
+    """The slice count of n independent runs: one per core the process may
+    run on (``_workers``) where the model ticks in C (``model._row_map``),
+    else 1, since the Python tick loop's many small calls hold the GIL."""
+    return min(_workers(), n) if _row_map(model) is not None else 1
+
+
+def _run_slices(jobs):
+    """Run each job as ``job(stopped)``, the first on this thread and each
+    other on a thread started for it, in a copy of this thread's context
+    (numpy's error state among it), and return the jobs' values in order,
+    or None if a job raised an ``Exception``.
+
+    ``stopped`` is a list, non-empty once a job raises or an interrupt
+    lands in this call; a job checks it at its records and ends early
+    (``_Stopped``).  An interrupt or an exit that a job raised goes on, the
+    lowest job's first, then one that landed in this call's own start or
+    wait.  No job runs once the call returns or raises: a thread begins
+    its job only while ``stopped`` is empty, and the call waits, again
+    after an interrupt, until no job runs (on Python < 3.13 a
+    ``Thread.join`` broken off by an interrupt no longer waits)."""
+    n = len(jobs)
+    values, errors, stopped = [None] * n, [None] * n, []
+    cond = threading.Condition()
+    running = 0  # the jobs that began on a started thread and have not ended
+
+    def run(i):
+        try:
+            values[i] = jobs[i](stopped)
+        except BaseException as exc:  # _Stopped once another has failed
+            errors[i] = exc
+            stopped.append(i)
+
+    def run_thread(i):
+        nonlocal running
+        with cond:
+            begins = not stopped
+            running += begins
+        try:
+            if begins:
+                run(i)
+        finally:
+            with cond:
+                running -= begins
+                cond.notify()
+
+    threads, own = [], None  # own: an error in this call's start or wait
     try:
-        jobs[0]()
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        stop()
-        for thread in threads:
-            thread.join()
-        raise
+        for i in range(1, n):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run_thread, i),
+                                      name="mlangevin-slice")
+            thread.start()
+            threads.append(thread)
+        run(0)
+    except BaseException as exc:  # a thread that cannot start, or Ctrl-C
+        own = exc
+        stopped.append(n)
+    while True:
+        try:
+            with cond:
+                cond.wait_for(lambda: not running)
+            for thread in threads:
+                thread.join()
+            break
+        except BaseException as exc:
+            own = own or exc
+            stopped.append(n)
+    for exc in errors + [own]:
+        if exc is not None and not isinstance(exc, Exception):
+            raise exc  # an interrupt or an exit
+    return None if stopped else values
 
 
 class _Stopped(Exception):
@@ -656,28 +710,28 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     Python, whose many small numpy calls hold the GIL, or has one core or
     one run) runs its one engine on the calling thread.
 
-    The level starts its slices' threads and joins them before it returns
-    or raises (``_run_slices``), so f may itself run a level.  Once a
-    slice fails, the others end at their next record.  An interrupt or an
-    exit then goes on as it is, the lowest slice's first.  Any other error
-    sends each ``NoiseStream`` back to its state when the level began, and
-    the level runs again as one engine over all B rows, on the calling
-    thread: it raises what that run raises, or returns its averages.
+    No slice runs once the level returns or raises (``_run_slices``), so
+    f may itself run a level.  Once a slice fails, the others end at their
+    next record.  An interrupt or an exit then goes on as it is, the
+    lowest slice's first.  Any other error sends each ``NoiseStream`` back
+    to its state when the level began, and the level runs again as one
+    engine over all B rows, on the calling thread: it raises what that run
+    raises, or returns its averages.
     """
     k0, k1, steps = _window(gamma, tau, t, pair)
     bsz = len(streams)
     x = _start_point(x0, model.dim, bsz)
-    n = min(_workers(), bsz) if _row_map(model) is not None else 1
-    failed = []  # set once a slice fails, or the wait is interrupted
+    n = _slices(model, bsz)
 
-    def engine(lo, hi):
-        """The window sums of rows lo..hi-1 of the level, in one engine."""
+    def engine(lo, hi, stopped=()):
+        """The window sums of rows lo..hi-1 of the level, in one engine
+        that ends at its next record once ``stopped`` is non-empty."""
         runs = [st.run_index for st in streams[lo:hi]]
         acc = None
 
         def visit(first, states):
             nonlocal acc
-            if failed:
+            if stopped:
                 raise _Stopped
             skip = max(k0 - first, 0)
             if skip < len(states):
@@ -698,26 +752,13 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     if n == 1:
         return engine(0, bsz) / (k1 - k0), steps
     cuts = [bsz * i // n for i in range(n + 1)]
-    totals, errors = [None] * n, [None] * n
-
-    def run_slice(i):
-        try:
-            totals[i] = engine(cuts[i], cuts[i + 1])
-        except BaseException as exc:  # _Stopped once another has failed
-            errors[i] = exc
-            failed.append(i)
-
     start = [(st, st._state()) for st in streams
              if isinstance(st, NoiseStream)]
-    _run_slices([functools.partial(run_slice, i) for i in range(n)],
-                lambda: failed.append(n))
-    for exc in errors:
-        if exc is not None and not isinstance(exc, Exception):
-            raise exc  # an interrupt or an exit
-    if failed:  # one engine raises the level's error
+    totals = _run_slices([functools.partial(engine, cuts[i], cuts[i + 1])
+                          for i in range(n)])
+    if totals is None:  # one engine raises the level's error
         for st, words in start:
             st._set_state(words)
-        failed.clear()
         totals = [engine(0, bsz)]
     return np.concatenate(totals) / (k1 - k0), steps
 

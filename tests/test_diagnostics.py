@@ -299,9 +299,9 @@ def test_only_a_confluence_probe_that_ticks_in_c_runs_its_pairs_at_once(
     counts = []
     run_slices = sde._run_slices
 
-    def counted(jobs, stop):
+    def counted(jobs):
         counts.append(len(jobs))
-        return run_slices(jobs, stop)
+        return run_slices(jobs)
 
     monkeypatch.setattr(sde, "_run_slices", counted)
     on_workers(monkeypatch, 3)
@@ -375,9 +375,9 @@ def test_an_interrupt_in_one_confluence_pair_stops_the_other(
         monkeypatch, no_thread_left):
     # the gamma pair, on a thread of its own, sends the interrupt at its
     # first record once the gamma/2 pair waits in Python on this thread, so
-    # that the interrupt lands there (one that lands in sde._run_slices's
-    # own waits leaves the thread unjoined on Python < 3.13); the gamma
-    # pair then ends at a later record
+    # that the interrupt lands in that job (test_draw covers one that lands
+    # in sde._run_slices's own start or wait); the gamma pair then ends at
+    # a later record
     on_workers(monkeypatch, 2)
     if _kernel.lib() is None:
         pytest.skip("a probe that ticks in Python runs its pairs in turn")

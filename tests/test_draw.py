@@ -3,14 +3,15 @@
 Where a level ticks in C, the engine cuts its runs into contiguous slices,
 one per core the process may run on (``sde._workers()``), and runs each
 slice on a thread of its own: its draws, ticks, observable values and
-window sums.  The level starts those threads and joins them before it
-returns, so none outlives it and an observable may run a level itself.
+window sums.  No slice runs once the level returns or raises, even after
+an interrupt, so an observable may run a level itself.
 Each run reads only its own (level, run) stream and rows, so no byte
 depends on the core count.  The worker count is not a setting; most
 tests patch the private function to run the same levels on one, two and
 three workers, and one pins a child process to a single core.
 """
 
+import functools
 import gc
 import json
 import multiprocessing
@@ -25,8 +26,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlangevin
+import mlangevin.diagnostics as diagnostics
 import mlangevin.sde as sde
 from mlangevin import (
     NoiseStream,
@@ -138,20 +142,67 @@ def test_an_error_in_a_workers_draw_surfaces_unchanged(monkeypatch):
 
 @pytest.mark.skipif(os.name != "posix", reason="no POSIX signals")
 def test_an_interrupt_while_waiting_stops_the_other_slices():
-    stopped = threading.Event()
+    seen = []
 
-    def other_slice():
+    def other_slice(stopped):
         time.sleep(0.2)  # the first slice has ended: this thread waits
         os.kill(os.getpid(), signal.SIGINT)
-        assert stopped.wait(60)  # a slice ends at its next record
+        deadline = time.monotonic() + 60
+        while not stopped and time.monotonic() < deadline:
+            time.sleep(0.01)  # a slice ends at its next record
+        seen.append(bool(stopped))
 
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with pytest.raises(KeyboardInterrupt):
-            sde._run_slices([lambda: None, other_slice], stopped.set)
+            sde._run_slices([lambda stopped: None, other_slice])
     finally:
         signal.signal(signal.SIGINT, handler)
-    assert stopped.is_set()
+    assert seen == [True]
+
+
+# a job's outcome (None: it returns) and the check at which it comes; it
+# polls ``stopped`` at each check before that one
+JOB = st.tuples(st.sampled_from([None, Boom, KeyboardInterrupt, SystemExit]),
+                st.integers(0, 3))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(JOB, min_size=1, max_size=4))
+def test_run_slices_returns_in_order_or_raises_the_lowest_interrupt(plans):
+    began, ended, raised = set(), set(), {}
+
+    def job(i, stopped):
+        began.add(i)
+        outcome, at = plans[i]
+        try:
+            for _ in range(at):
+                if stopped:
+                    raise sde._Stopped
+                time.sleep(0.001)
+            if outcome is not None:
+                raise outcome(i)
+            return f"job {i}"
+        except BaseException as exc:
+            raised[i] = exc
+            raise
+        finally:
+            ended.add(i)
+
+    try:
+        values, error = sde._run_slices(
+            [functools.partial(job, i) for i in range(len(plans))]), None
+    except BaseException as exc:
+        values, error = None, exc
+    assert began == ended
+    interrupts = [raised[i] for i in sorted(raised)
+                  if not isinstance(raised[i], Exception)]
+    if interrupts:  # the lowest job's, before any Exception
+        assert error is interrupts[0]
+    else:  # in order when nothing raised, else None
+        assert error is None
+        assert values == (None if raised else
+                          [f"job {i}" for i in range(len(plans))])
 
 
 def two_runs(f, seed=0):
@@ -250,6 +301,102 @@ def test_no_slice_thread_outlives_its_level():
             "print(before == (threading.active_count(), tasks()))")
     done = python(in_child(body))
     assert (done.stdout, done.stderr) == ("True\n", "")
+
+
+def interrupted(target, workers, window):
+    """``target`` ("level", six runs, or "confluence") on ``workers``
+    workers, interrupted in ``window``: a SIGINT to the main thread while
+    it waits after its own job has returned ("wait"), or a
+    ``KeyboardInterrupt`` from the last slice thread's ``start``, after
+    ("start-after") or before ("start-before") the real start; a thread
+    whose start was interrupted begins only once the call has ended.  Each
+    record that a job visits off the main thread first spends 0.1 s that
+    checks no flag.  Returns the name of what the call raised, the threads
+    left after it once they have had time to end, and the records visited
+    after it."""
+    visited, main_done, sender = [], threading.Event(), threading.Lock()
+    ended = threading.Event()
+    drive, start, starts = sde._drive, threading.Thread.start, []
+
+    def slow_drive(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            try:
+                return drive(*args, **kwargs)
+            finally:
+                main_done.set()
+        visit = args[-1]
+
+        def slow_visit(lo, rows):
+            if window == "wait" and sender.acquire(blocking=False):
+                assert main_done.wait(60)
+                time.sleep(0.1)  # the main thread's job has returned
+                signal.pthread_kill(threading.main_thread().ident,
+                                    signal.SIGINT)
+            time.sleep(0.1)
+            visited.append(lo)
+            visit(lo, rows)
+
+        return drive(*args[:-1], slow_visit, **kwargs)
+
+    def interrupted_start(thread):
+        starts.append(thread)
+        if len(starts) < workers - 1:
+            return start(thread)
+        if window == "start-after":
+            run = thread.run
+            thread.run = lambda: ended.wait(60) and run()
+            start(thread)
+        raise KeyboardInterrupt
+
+    before = threading.active_count()
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    with pytest.MonkeyPatch.context() as mp:
+        on_workers(mp, workers)
+        mp.setattr(sde, "_drive", slow_drive)
+        mp.setattr(diagnostics, "_drive", slow_drive)
+        if window != "wait":
+            mp.setattr(threading.Thread, "start", interrupted_start)
+        try:
+            if target == "level":
+                sde._run_level0_batch(
+                    ou(2), np.zeros(2), 0.25, 0.0, 4.0, norm_observable(),
+                    [NoiseStream(0, 0, i) for i in range(6)])
+            else:
+                confluence_probe(ou(2), 0.25, 20.0, 100, seed=2)
+            raised = None
+        except BaseException as exc:
+            raised = type(exc).__name__
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        seen = len(visited)
+        ended.set()
+        time.sleep(0.3)  # past any visit begun before the call ended
+    deadline = time.monotonic() + 10
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)  # a thread that skipped its job has yet to end
+    return raised, threading.active_count() - before, len(visited) - seen
+
+
+WINDOWS = ["wait", "start-after", "start-before"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="no POSIX signals")
+@pytest.mark.parametrize("target, workers",
+                         [("level", 2), ("level", 3), ("confluence", 2)])
+def test_no_job_runs_after_an_interrupt(target, workers):
+    # in a child: a wait for a thread that never runs fails this test
+    # instead of stalling the suite
+    need_slices()
+    code = in_child(f"print(json.dumps([test_draw.interrupted("
+                    f"{target!r}, {workers}, w) for w in test_draw.WINDOWS]))")
+    try:
+        done = python(code, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("an interrupted call hung")
+    assert done.returncode == 0, done.stderr
+    results = dict(zip(WINDOWS, json.loads(done.stdout)))
+    # what was raised, threads left, records visited after the call
+    assert results == {w: ["KeyboardInterrupt", 0, 0] for w in WINDOWS}
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -809,9 +809,9 @@ def test_only_a_level_that_ticks_in_c_runs_in_slices(monkeypatch):
     counts = []
     run_slices = sde._run_slices
 
-    def counted(jobs, stop):
+    def counted(jobs):
         counts.append(len(jobs))
-        return run_slices(jobs, stop)
+        return run_slices(jobs)
 
     monkeypatch.setattr(sde, "_run_slices", counted)
     on_workers(monkeypatch, 3)
