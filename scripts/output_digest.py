@@ -53,10 +53,15 @@ as TMP; bench's ``wall_clock_seconds`` is blanked), with the message of each
 bad config file in clear.  The last line, "numpy path total", is the
 total of the same lines computed again with the C library disabled
 (``_kernel._lib = None``, restored afterwards), where every model maps and
-ticks with numpy.  These sections follow the total so that the total stays
-comparable with checkouts that predate them.
+ticks with numpy.  After both totals, the wrapper section runs the
+``estimate`` / ``estimate_repeated`` cases of the total again with a
+wrapper of each built-in observable (``lambda pts: f(pts)``), which the
+engine does not know and so calls on the points with numpy, and prints
+"same" or "differs" per case against the built-in's bytes, which the C
+window pass sums where the library loads.  These sections follow the total
+so that the total stays comparable with checkouts that predate them.
 
-Takes about 20 s.
+Takes about 15 s.
 """
 
 import contextlib
@@ -513,9 +518,10 @@ def cli_lines():
     return lines
 
 
-def output_lines():
-    """The lines that the total digests."""
-    lines = plan_lines()
+def estimate_digests(wrap=lambda f: f):
+    """(case, digest) of each estimate case of the total, its observable
+    ``wrap(f)`` for the built-in observable f."""
+    cases = []
     default_cap = sde._CHUNK_STEP_CAP
     for cap, t0 in ((default_cap, 300.0), (7, 40.0)):
         sde._CHUNK_STEP_CAP = cap
@@ -523,17 +529,35 @@ def output_lines():
             x0 = np.full(10, 0.3)
             for R in (0, 2, 4):
                 p = plan(10, R, gamma0, t0, 2.0)
-                for label, obs in (("norm", ml.norm_observable()),
-                                   ("identity", ml.identity_observable())):
+                for label, f in (("norm", ml.norm_observable()),
+                                 ("identity", ml.identity_observable())):
+                    obs = wrap(f)
                     tag = f"cap={cap} {name} R={R} {label}"
                     one = ml.estimate(model, p, x0, obs, master_seed=5 + R)
-                    lines.append(f"{tag} estimate {digest(one.to_json())}")
+                    cases.append((f"{tag} estimate", digest(one.to_json())))
                     for n_runs in (3, 60):
                         rep = ml.estimate_repeated(model, p, x0, obs, 9 + R,
                                                    n_runs)
                         blob = "".join(o.to_json() for o in rep)
-                        lines.append(f"{tag} repeated{n_runs} {digest(blob)}")
+                        cases.append((f"{tag} repeated{n_runs}",
+                                      digest(blob)))
     sde._CHUNK_STEP_CAP = default_cap
+    return cases
+
+
+def wrapper_lines():
+    """Per estimate case, "same" when a wrapper of its built-in observable
+    gives the built-in's bytes, else "differs"."""
+    builtin = estimate_digests()
+    wrapped = estimate_digests(lambda f: lambda pts: f(pts))
+    return [f"wrapper {case} {'same' if a == b else 'differs'}"
+            for (case, a), (_, b) in zip(builtin, wrapped)]
+
+
+def output_lines():
+    """The lines that the total digests."""
+    lines = plan_lines()
+    lines += [f"{case} {value}" for case, value in estimate_digests()]
     m4 = ml.make_langevin_model(ml.QuadraticPotential(4), "auto")
     for seed in (0, 3):
         dist = ml.contraction_probe(m4, 0.5 * np.ones(4), -0.25 * np.ones(4),
@@ -569,6 +593,7 @@ def main():
     print("\n".join(nonfinite_lines()))
     print("\n".join(cli_lines()))
     print("numpy path total", numpy_path_total())
+    print("\n".join(wrapper_lines()))
 
 
 if __name__ == "__main__":

@@ -24,7 +24,11 @@
  *
  * mlv_csum adds window values to compensated sums, one grid index at a
  * time in index order, so each slot's total depends on its values alone;
- * sde._CompensatedSum does the same arithmetic in numpy.
+ * sde._CompensatedSum does the same arithmetic in numpy.  mlv_window
+ * reads a record of states and adds the values of a built-in observable
+ * (the norm, sqrt of the pairwise dot as numpy's norm sums it, or the
+ * identity), a pair's fine minus coarse, to the sums with the same
+ * arithmetic, and finds the first non-finite value on the way.
  *
  * Built with -DMLV_NORMALS, and linked with numpy's static library
  * numpy/random/lib/libnpyrandom.a, it also has mlv_normals: numpy's
@@ -42,6 +46,7 @@
 #include <string.h>
 
 enum { QUADRATIC = 0, LOGISTIC = 1 };
+enum { NORM = 0, IDENTITY = 1 };
 
 /* The sum of x[i] * c[i] in numpy's pairwise order (np.add.reduce along a
  * contiguous axis): plain below 8 terms, 8 accumulators up to 128 terms,
@@ -157,19 +162,61 @@ void mlv_ticks(int kind, int64_t n, int64_t d, int64_t bsz, int pair,
     }
 }
 
-/* Add the w rows of n values at v, row i at v + i * v_step, to the slots'
- * compensated sums (s, c), a row at a time in order: Neumaier's sum, each
- * rounding error taken exactly by TwoSum (the same error as Neumaier's
+/* Add v to the compensated sum (*s, *c): Neumaier's sum, the rounding
+ * error of *s + v taken exactly by TwoSum (the same error as Neumaier's
  * branch, with no branch). */
+static inline void two_sum_add(double *restrict s, double *restrict c,
+                               double v)
+{
+    double t = *s + v, back = t - *s;
+    *c += (*s - (t - back)) + (v - back);
+    *s = t;
+}
+
+/* Add the w rows of n values at v, row i at v + i * v_step, to the slots'
+ * compensated sums (s, c), a row at a time in order. */
 void mlv_csum(int64_t w, int64_t n, const double *restrict v,
               int64_t v_step, double *restrict s, double *restrict c)
 {
     for (int64_t i = 0; i < w; i++, v += v_step)
-        for (int64_t j = 0; j < n; j++) {
-            double t = s[j] + v[j], back = t - s[j];
-            c[j] += (s[j] - (t - back)) + (v[j] - back);
-            s[j] = t;
+        for (int64_t j = 0; j < n; j++)
+            two_sum_add(s + j, c + j, v[j]);
+}
+
+/* Add the values of the built-in observable obs on a record of w ticks,
+ * tick i's rows at x + i * x_step, to the slots' compensated sums (s, c),
+ * a tick at a time in order.  A tick holds B = bsz runs' rows of d
+ * doubles: a chain's B rows, or a pair's B coarse rows over its B fine
+ * rows.  Run b's value is its row's norm, sqrt(pairwise_dot(x, x, d)) in
+ * slot b, or its row x, coordinate k in slot b * d + k; a pair's is its
+ * fine row's value minus its coarse row's.  Returns i * bsz + b of the
+ * first non-finite value, with the values before it added, or -1. */
+int64_t mlv_window(int obs, int64_t w, int64_t bsz, int64_t d, int pair,
+                   const double *x, int64_t x_step, double *restrict s,
+                   double *restrict c)
+{
+    for (int64_t i = 0; i < w; i++, x += x_step) {
+        const double *fine = pair ? x + bsz * d : x;
+        for (int64_t b = 0; b < bsz; b++) {
+            const double *xf = fine + b * d, *xc = x + b * d;
+            if (obs == NORM) {
+                double v = sqrt(pairwise_dot(xf, xf, d));
+                if (pair)
+                    v -= sqrt(pairwise_dot(xc, xc, d));
+                if (!isfinite(v))
+                    return i * bsz + b;
+                two_sum_add(s + b, c + b, v);
+                continue;
+            }
+            for (int64_t k = 0; k < d; k++) {
+                double v = pair ? xf[k] - xc[k] : xf[k];
+                if (!isfinite(v))
+                    return i * bsz + b;
+                two_sum_add(s + b * d + k, c + b * d + k, v);
+            }
         }
+    }
+    return -1;
 }
 
 #ifdef MLV_NORMALS

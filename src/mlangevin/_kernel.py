@@ -9,11 +9,15 @@ increment as it adds them.  ``descend`` serves both potentials'
 ``descend``, and so ``euler_step``; ``ticks`` serves the engine.  ``csum``
 adds window values to ``sde._CompensatedSum``'s slots one grid index at a
 time, in index order, with the same arithmetic as its numpy fold, so window
-sums are the same bytes with the library and without it.  Each C operation
-rounds as the numpy expression it mirrors, and the logistic dot product
-sums in numpy's pairwise order, so only ``tanh`` (libm's, not numpy's) can
-round apart from the numpy fallback: logistic results agree with it to
-about 1e-15 relative, quadratic ones bit for bit.
+sums are the same bytes with the library and without it.  ``window`` does
+the whole window pass of the two built-in observables on a record of
+states: each run's value (its row's norm, or its row), a pair's fine minus
+coarse, the finite check and the same compensated sums, in one call and
+with no value array.  Each C operation rounds as the numpy expression it
+mirrors, and the logistic dot product and the norm sum in numpy's pairwise
+order, so only ``tanh`` (libm's, not numpy's) can round apart from the
+numpy fallback: logistic results agree with it to about 1e-15 relative,
+quadratic ones and the observables' sums bit for bit.
 
 ``normals()`` is the C draw behind ``sde.NoiseStream``: numpy's
 ``Generator.standard_normal`` on a Philox stream, the same bytes, 6.9 ns a
@@ -56,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 QUADRATIC, LOGISTIC = 0, 1
+NORM, IDENTITY = 0, 1  # the built-in observables, as window takes them
 
 _CC = "cc"
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -77,6 +82,8 @@ _SIGNATURES = {
                          _F64, _F64, _PTR, _F64, _PTR, _PTR, _I64, _I64,
                          _F64, _F64)),
     "mlv_csum": (None, (_I64, _I64, _PTR, _I64, _PTR, _PTR)),
+    "mlv_window": (_I64, (ctypes.c_int, _I64, _I64, _I64, ctypes.c_int, _PTR,
+                          _I64, _PTR, _PTR)),
 }
 # only in a library built with numpy's archive
 _DRAW_SIGNATURES = {
@@ -315,3 +322,36 @@ def csum(v, s, c) -> bool:
     handle.mlv_csum(v.shape[0], v.shape[1], v.ctypes.data,
                     v.strides[0] // v.itemsize, s.ctypes.data, c.ctypes.data)
     return True
+
+
+def window(obs, x, pair, s, c) -> int:
+    """Add the window values of the built-in observable ``obs`` (``NORM``
+    or ``IDENTITY``) on the record ``x`` to the compensated sums ``s`` and
+    ``c``, in C, a tick at a time in order, as ``csum`` adds them.
+
+    ``x`` (w, rows, d) is a record of float states, each tick's rows
+    C-ordered, the ticks at one stride: a chain's B rows, or with ``pair``
+    a pair's B coarse rows over its B fine rows.  Run b's value is its
+    row's norm, to slot b of ``s`` and ``c``, contiguous float (B,), or its
+    row, coordinate k to slot b * d + k of (B * d,) ones; a pair's is its
+    fine row's value minus its coarse row's.  Returns i * B + b of the
+    first non-finite value at tick i, or -1; the values before it are
+    added.  Any other shape, stride or dtype is a ValueError.  The caller
+    checks that the library is loaded.
+    """
+    if (obs in (NORM, IDENTITY) and x.ndim == 3 and x.dtype == np.float64
+            and x.strides[0] % x.itemsize == 0
+            and s.dtype == c.dtype == np.float64 and s.flags.c_contiguous
+            and c.flags.c_contiguous and s.flags.writeable
+            and c.flags.writeable):
+        w, rows, d = x.shape
+        bsz = rows // 2 if pair else rows
+        slots = (bsz if obs == NORM else bsz * d,)
+        if (rows == (2 if pair else 1) * bsz and s.shape == c.shape == slots
+                and x.strides[1:] == (d * x.itemsize, x.itemsize)):
+            return lib().mlv_window(obs, w, bsz, d, int(pair), x.ctypes.data,
+                                    x.strides[0] // x.itemsize,
+                                    s.ctypes.data, c.ctypes.data)
+    raise ValueError(f"cannot add observable {obs} values of a record of "
+                     f"shape {x.shape}, strides {x.strides} and dtype "
+                     f"{x.dtype} to {s.shape} sums")

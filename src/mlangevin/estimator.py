@@ -14,8 +14,9 @@ equals the standalone ``run_level0`` / ``run_coupled_level`` call on that
 stream byte for byte (see ``sde``).
 
 An observable is a plain function along the last axis, points (N, d) to
-values (N,) or (N, m); ``norm_observable`` and ``identity_observable`` build
-the two the package uses.  A scalar observable gives float contributions and
+values (N,) or (N, m); ``norm_observable`` and ``identity_observable``
+return the two the package uses, ``sde._norm`` and ``sde._identity``,
+whose windows the engine sums in C (see ``sde``).  A scalar observable gives float contributions and
 estimates, a vector one (m,) arrays.
 
 Repeated runs for RMSE harnesses advance as rows of one batched simulation
@@ -36,6 +37,8 @@ from .model import LangevinModel, _integer
 from .sde import (
     NoiseStream,
     NumericalFailureError,
+    _identity,
+    _norm,
     _run_coupled_batch,
     _run_level0_batch,
     _run_value,
@@ -53,13 +56,23 @@ __all__ = [
 
 
 def norm_observable() -> Callable[[np.ndarray], np.ndarray]:
-    """f(x) = |x| (Euclidean norm), Lipschitz constant 1."""
-    return lambda pts: np.linalg.norm(pts, axis=-1)
+    """f(x) = |x| (Euclidean norm), Lipschitz constant 1.
+
+    Every call returns the same function, ``sde._norm``, which the engine
+    knows by identity and evaluates in C where the library loads; a
+    wrapper of it is a user observable, with the same values.
+    """
+    return _norm
 
 
 def identity_observable() -> Callable[[np.ndarray], np.ndarray]:
-    """f(x) = x, coordinatewise 1-Lipschitz."""
-    return lambda pts: np.array(pts, dtype=float, copy=True)
+    """f(x) = x, coordinatewise 1-Lipschitz.
+
+    Every call returns the same function, ``sde._identity``, which the
+    engine knows by identity and evaluates in C where the library loads; a
+    wrapper of it is a user observable, with the same values.
+    """
+    return _identity
 
 
 def _plain(v):

@@ -47,7 +47,15 @@ and a level returns a float per run for the first and an (m,) array for the
 second.  Any other value shape is a ValueError that names it.  A coupled
 level takes the fine-minus-coarse difference in place, in the array f
 returns, so f must return a writable array that it does not keep: a fresh
-one, as both built-in observables do, or a view of its input.
+one, as both built-in observables do, or a view of its input.  The two
+built-in observables are this module's ``_norm`` and ``_identity``, which
+``norm_observable()`` and ``identity_observable()`` return.  The engine
+knows them by identity (``f is _norm``), as ``model._row_map`` knows the
+built-in potentials, and where the C library loads it runs their window
+in one C call per record (``_kernel.window``): each run's value, a pair's
+fine minus coarse, the finite check and the sums, with no value array, the
+same bytes as numpy's path.  Any other f, a wrapper of a built-in one
+among them, is called on the record's points.
 
 Sampling windows use the grid-index rule ``n_gamma(t) = max{k : k*gamma <= t}``
 with the average taken over indices ``k in [n_gamma(tau), n_gamma(T) - 1]``;
@@ -142,7 +150,9 @@ _FLOAT, _DOUBLE = np.dtype(float), ctypes.c_double
 # ticks: a memory setting only, as no output depends on the chunk.  A tick
 # of a level counts three states of its rows (B for a chain, 2B for a
 # pair): its record, its raw normals (a chain's step or a pair's two fine
-# steps) and its observable values.  Each run draws once per chunk, so a
+# steps) and the values of a user observable, up to a state of them; the
+# built-in observables make no values array (``_kernel.window``), so for
+# them the third bounds nothing.  Each run draws once per chunk, so a
 # shorter chunk costs calls.
 _CHUNK_ELEMENT_TARGET = 2_000_000
 _CHUNK_STEP_CAP = 4096
@@ -399,6 +409,18 @@ class _CompensatedSum:
         return self.s + self.c
 
 
+def _norm(pts):
+    """The built-in observable f(x) = |x|, the Euclidean norm along the
+    last axis (``norm_observable()``)."""
+    return np.linalg.norm(pts, axis=-1)
+
+
+def _identity(pts):
+    """The built-in observable f(x) = x, a fresh float copy
+    (``identity_observable()``)."""
+    return np.array(pts, dtype=float, copy=True)
+
+
 def _eval_window(f, hist: np.ndarray) -> np.ndarray:
     """Apply an observable to history (w, B, d) -> (w, B) + value shape.
 
@@ -421,6 +443,15 @@ def _reduce_window(acc: _CompensatedSum, vals: np.ndarray) -> None:
     acc.add(vals.reshape(len(vals), -1))
 
 
+def _value_failure(step: int, run: int) -> NumericalFailureError:
+    """The error of a non-finite observable value at grid index ``step``
+    of run ``run``."""
+    return NumericalFailureError(
+        f"non-finite observable value at step {step} (run {run}); the "
+        f"trajectory left the observable's finite range", step_index=step,
+        run_index=run)
+
+
 def _check_values_finite(vals: np.ndarray, first_index: int,
                          runs: Sequence[int]) -> None:
     """Raise with the offending grid index and run (``runs[row]``) when
@@ -428,11 +459,7 @@ def _check_values_finite(vals: np.ndarray, first_index: int,
     finite = np.isfinite(vals).all(axis=tuple(range(2, vals.ndim)))
     if not finite.all():
         j, row = np.argwhere(~finite)[0]
-        run = runs[row]
-        raise NumericalFailureError(
-            f"non-finite observable value at step {first_index + int(j)} "
-            f"(run {run}); the trajectory left the observable's finite "
-            f"range", step_index=first_index + int(j), run_index=run)
+        raise _value_failure(first_index + int(j), runs[row])
 
 
 def _workers() -> int:
@@ -701,7 +728,11 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     order, compensated (``_CompensatedSum``), so neither the chunk nor the
     batch width changes a bit.  f sees one record's part of the window at
     a time, at most a chunk of indices: a memory bound.  Averages are (B,)
-    for a scalar observable, (B, m) for a vector one.
+    for a scalar observable, (B, m) for a vector one.  Where the C library
+    loads and f is a built-in observable (``f is _norm`` or ``f is
+    _identity``), one C call per record (``_kernel.window``) takes its
+    values, the pair's difference, the finite check and the sums, with the
+    same bytes and the same error as calling f.
 
     Where the level ticks in C (``model._row_map``), its B runs are cut
     into min(``_workers()``, B) contiguous slices, each run by ``_drive``
@@ -722,19 +753,30 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     bsz = len(streams)
     x = _start_point(x0, model.dim, bsz)
     n = _slices(model, bsz)
+    builtin = (_kernel.NORM if f is _norm
+               else _kernel.IDENTITY if f is _identity else None)
+    if builtin is not None and _kernel.lib() is None:
+        builtin = None
 
     def engine(lo, hi, stopped=()):
         """The window sums of rows lo..hi-1 of the level, in one engine
         that ends at its next record once ``stopped`` is non-empty."""
         runs = [st.run_index for st in streams[lo:hi]]
-        acc = None
+        acc = (None if builtin is None else _CompensatedSum(
+            (hi - lo,) if builtin == _kernel.NORM else (hi - lo, model.dim)))
 
         def visit(first, states):
             nonlocal acc
             if stopped:
                 raise _Stopped
             skip = max(k0 - first, 0)
-            if skip < len(states):
+            if skip < len(states) and builtin is not None:
+                bad = _kernel.window(builtin, states[skip:], pair,
+                                     acc.s.reshape(-1), acc.c.reshape(-1))
+                if bad >= 0:
+                    step, row = divmod(bad, hi - lo)
+                    raise _value_failure(first + skip + step, runs[row])
+            elif skip < len(states):
                 vals = _eval_window(f, states[skip:])
                 if pair:  # fine minus coarse, in place: no third array
                     half = vals.shape[1] // 2
