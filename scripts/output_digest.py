@@ -56,10 +56,15 @@ total of the same lines computed again with the C library disabled
 ticks with numpy.  After both totals, the wrapper section runs the
 ``estimate`` / ``estimate_repeated`` cases of the total again with a
 wrapper of each built-in observable (``lambda pts: f(pts)``), which the
-engine does not know and so calls on the points with numpy, and prints
-"same" or "differs" per case against the built-in's bytes, which the C
-window pass sums where the library loads.  These sections follow the total
-so that the total stays comparable with checkouts that predate them.
+engine does not know and so calls on the points, its values computed in
+numpy and summed in C, and prints "same" or "differs" per case against the
+built-in's bytes, whose values the C window pass takes from the states.
+The user observable section then runs the same cases with two observables
+the engine does not know, the first coordinate (``pts[:, 0]``, a strided
+view) and the first two squared (``pts[:, :2] ** 2``), and prints "same"
+or "differs" per case for the C window pass against the numpy one, every
+other C call kept (``numpy_window``).  These sections follow the totals so
+that the totals stay comparable with checkouts that predate them.
 
 Takes about 15 s.
 """
@@ -518,9 +523,15 @@ def cli_lines():
     return lines
 
 
-def estimate_digests(wrap=lambda f: f):
-    """(case, digest) of each estimate case of the total, its observable
-    ``wrap(f)`` for the built-in observable f."""
+BUILTINS = (("norm", ml.norm_observable()),
+            ("identity", ml.identity_observable()))
+USER_OBSERVABLES = (("first", lambda pts: pts[:, 0]),
+                    ("squares", lambda pts: pts[:, :2] ** 2))
+
+
+def estimate_digests(observables=BUILTINS):
+    """(case, digest) of each estimate case of the total, with each of the
+    (label, observable) pairs ``observables``."""
     cases = []
     default_cap = sde._CHUNK_STEP_CAP
     for cap, t0 in ((default_cap, 300.0), (7, 40.0)):
@@ -529,9 +540,7 @@ def estimate_digests(wrap=lambda f: f):
             x0 = np.full(10, 0.3)
             for R in (0, 2, 4):
                 p = plan(10, R, gamma0, t0, 2.0)
-                for label, f in (("norm", ml.norm_observable()),
-                                 ("identity", ml.identity_observable())):
-                    obs = wrap(f)
+                for label, obs in observables:
                     tag = f"cap={cap} {name} R={R} {label}"
                     one = ml.estimate(model, p, x0, obs, master_seed=5 + R)
                     cases.append((f"{tag} estimate", digest(one.to_json())))
@@ -549,9 +558,32 @@ def wrapper_lines():
     """Per estimate case, "same" when a wrapper of its built-in observable
     gives the built-in's bytes, else "differs"."""
     builtin = estimate_digests()
-    wrapped = estimate_digests(lambda f: lambda pts: f(pts))
+    wrapped = estimate_digests([(label, lambda pts, f=f: f(pts))
+                                for label, f in BUILTINS])
     return [f"wrapper {case} {'same' if a == b else 'differs'}"
             for (case, a), (_, b) in zip(builtin, wrapped)]
+
+
+@contextlib.contextmanager
+def numpy_window():
+    """The window pass in numpy (``sde._window_library`` reads None),
+    while the draw and the ticks keep their C calls."""
+    saved = sde._window_library
+    sde._window_library = lambda: None
+    try:
+        yield
+    finally:
+        sde._window_library = saved
+
+
+def user_lines():
+    """Per estimate case with a user observable, "same" when the C window
+    pass gives the numpy one's bytes, else "differs"."""
+    in_c = estimate_digests(USER_OBSERVABLES)
+    with numpy_window():
+        by_numpy = estimate_digests(USER_OBSERVABLES)
+    return [f"user {case} {'same' if a == b else 'differs'}"
+            for (case, a), (_, b) in zip(in_c, by_numpy)]
 
 
 def output_lines():
@@ -594,6 +626,7 @@ def main():
     print("\n".join(cli_lines()))
     print("numpy path total", numpy_path_total())
     print("\n".join(wrapper_lines()))
+    print("\n".join(user_lines()))
 
 
 if __name__ == "__main__":

@@ -22,13 +22,13 @@
  * rows on one).  A tick is one step of the level's grid, and it first
  * records a copy of the state.
  *
- * mlv_csum adds window values to compensated sums, one grid index at a
- * time in index order, so each slot's total depends on its values alone;
- * sde._CompensatedSum does the same arithmetic in numpy.  mlv_window
- * reads a record of states and adds the values of a built-in observable
- * (the norm, sqrt of the pairwise dot as numpy's norm sums it, or the
- * identity), a pair's fine minus coarse, to the sums with the same
- * arithmetic, and finds the first non-finite value on the way.
+ * mlv_window reads a record of states, or of a user observable's values,
+ * and adds the values of a built-in observable (the norm, sqrt of the
+ * pairwise dot as numpy's norm sums it, or the identity), a pair's fine
+ * minus coarse, to compensated sums, one grid index at a time in index
+ * order, so each slot's total depends on its values alone;
+ * sde._CompensatedSum does the same arithmetic in numpy.  It finds the
+ * first non-finite value on the way.
  *
  * Built with -DMLV_NORMALS, and linked with numpy's static library
  * numpy/random/lib/libnpyrandom.a, it also has mlv_normals: numpy's
@@ -171,16 +171,6 @@ static inline void two_sum_add(double *restrict s, double *restrict c,
     double t = *s + v, back = t - *s;
     *c += (*s - (t - back)) + (v - back);
     *s = t;
-}
-
-/* Add the w rows of n values at v, row i at v + i * v_step, to the slots'
- * compensated sums (s, c), a row at a time in order. */
-void mlv_csum(int64_t w, int64_t n, const double *restrict v,
-              int64_t v_step, double *restrict s, double *restrict c)
-{
-    for (int64_t i = 0; i < w; i++, v += v_step)
-        for (int64_t j = 0; j < n; j++)
-            two_sum_add(s + j, c + j, v[j]);
 }
 
 /* Add the values of the built-in observable obs on a record of w ticks,

@@ -1,23 +1,22 @@
 """The C row maps of the built-in potentials, the engine's C tick loop, its
-compensated window sum and the noise streams' standard-normal draw.
+window pass and the noise streams' standard-normal draw.
 
 ``_kernel.c`` holds the gradient step x <- x - h grad U(x) of
 ``QuadraticPotential`` and ``LogisticPerturbedPotential``, one row at a time,
 and a loop that runs a chunk of ticks of one ``sde._drive`` level through
 the same row maps, scaling each row's raw standard normals into its Euler
 increment as it adds them.  ``descend`` serves both potentials'
-``descend``, and so ``euler_step``; ``ticks`` serves the engine.  ``csum``
-adds window values to ``sde._CompensatedSum``'s slots one grid index at a
-time, in index order, with the same arithmetic as its numpy fold, so window
-sums are the same bytes with the library and without it.  ``window`` does
-the whole window pass of the two built-in observables on a record of
-states: each run's value (its row's norm, or its row), a pair's fine minus
-coarse, the finite check and the same compensated sums, in one call and
-with no value array.  Each C operation rounds as the numpy expression it
-mirrors, and the logistic dot product and the norm sum in numpy's pairwise
-order, so only ``tanh`` (libm's, not numpy's) can round apart from the
-numpy fallback: logistic results agree with it to about 1e-15 relative,
-quadratic ones and the observables' sums bit for bit.
+``descend``, and so ``euler_step``; ``ticks`` serves the engine.
+``window`` is the window pass of every observable on a record: each run's
+value (its row's norm, or its row, which is how a user observable's values
+come), a pair's fine minus coarse, the finite check, and the sums of
+``sde._CompensatedSum``'s slots, one grid index at a time in index order,
+with the arithmetic of its numpy fold, so window sums are the same bytes
+with the library and without it.  Each C operation rounds as the numpy
+expression it mirrors, and the logistic dot product and the norm sum in
+numpy's pairwise order, so only ``tanh`` (libm's, not numpy's) can round
+apart from the numpy fallback: logistic results agree with it to about
+1e-15 relative, quadratic ones and the observables' sums bit for bit.
 
 ``normals()`` is the C draw behind ``sde.NoiseStream``: numpy's
 ``Generator.standard_normal`` on a Philox stream, the same bytes, 6.9 ns a
@@ -81,7 +80,6 @@ _SIGNATURES = {
     "mlv_ticks": (None, (ctypes.c_int, _I64, _I64, _I64, ctypes.c_int, _PTR,
                          _F64, _F64, _PTR, _F64, _PTR, _PTR, _I64, _I64,
                          _F64, _F64)),
-    "mlv_csum": (None, (_I64, _I64, _PTR, _I64, _PTR, _PTR)),
     "mlv_window": (_I64, (ctypes.c_int, _I64, _I64, _I64, ctypes.c_int, _PTR,
                           _I64, _PTR, _PTR)),
 }
@@ -307,37 +305,22 @@ def ticks(row_map, x, hist, gamma, pair, g, scale):
         g.strides[1] // g.itemsize, *scale)
 
 
-def csum(v, s, c) -> bool:
-    """Add the rows of ``v``, float (w, n), to the compensated sums ``s``
-    and ``c``, contiguous float (n,) arrays, in C, a row at a time in order;
-    False, with nothing added, when there is no library."""
-    handle = lib()
-    if handle is None:
-        return False
-    if v.ndim != 2 or s.shape != (v.shape[1],) or c.shape != s.shape:
-        raise ValueError(f"cannot add values of shape {v.shape} to "
-                         f"{s.shape} sums")
-    if v.strides[1] != v.itemsize:
-        v = np.ascontiguousarray(v)
-    handle.mlv_csum(v.shape[0], v.shape[1], v.ctypes.data,
-                    v.strides[0] // v.itemsize, s.ctypes.data, c.ctypes.data)
-    return True
-
-
 def window(obs, x, pair, s, c) -> int:
     """Add the window values of the built-in observable ``obs`` (``NORM``
     or ``IDENTITY``) on the record ``x`` to the compensated sums ``s`` and
-    ``c``, in C, a tick at a time in order, as ``csum`` adds them.
+    ``c``, in C, a tick at a time in order.
 
-    ``x`` (w, rows, d) is a record of float states, each tick's rows
-    C-ordered, the ticks at one stride: a chain's B rows, or with ``pair``
-    a pair's B coarse rows over its B fine rows.  Run b's value is its
-    row's norm, to slot b of ``s`` and ``c``, contiguous float (B,), or its
-    row, coordinate k to slot b * d + k of (B * d,) ones; a pair's is its
-    fine row's value minus its coarse row's.  Returns i * B + b of the
+    ``x`` (w, rows, d) is a record of float rows, a level's states or a
+    user observable's values (m of them for d), each tick's rows C-ordered
+    (as numpy's flag has it: the stride of an axis of length 1 is never
+    read), the ticks at one stride: a chain's B rows, or with ``pair`` a
+    pair's B coarse rows over its B fine rows.  Run b's value is its row's
+    norm, to slot b of ``s`` and ``c``, contiguous float (B,), or its row,
+    coordinate k to slot b * d + k of (B * d,) ones; a pair's is its fine
+    row's value minus its coarse row's.  Returns i * B + b of the
     first non-finite value at tick i, or -1; the values before it are
-    added.  Any other shape, stride or dtype is a ValueError.  The caller
-    checks that the library is loaded.
+    added.  Any other shape, stride or dtype is a ValueError.  The library
+    must be loaded (``lib()``).
     """
     if (obs in (NORM, IDENTITY) and x.ndim == 3 and x.dtype == np.float64
             and x.strides[0] % x.itemsize == 0
@@ -348,7 +331,7 @@ def window(obs, x, pair, s, c) -> int:
         bsz = rows // 2 if pair else rows
         slots = (bsz if obs == NORM else bsz * d,)
         if (rows == (2 if pair else 1) * bsz and s.shape == c.shape == slots
-                and x.strides[1:] == (d * x.itemsize, x.itemsize)):
+                and x[:1].flags.c_contiguous):
             return lib().mlv_window(obs, w, bsz, d, int(pair), x.ctypes.data,
                                     x.strides[0] // x.itemsize,
                                     s.ctypes.data, c.ctypes.data)

@@ -396,6 +396,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OverflowError, MemoryError) as exc:  # beyond a float or memory
+        print(f"error: too large to compute or hold: "
+              f"{exc or type(exc).__name__}", file=sys.stderr)
+        return EXIT_USAGE
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -44,18 +44,18 @@ An observable is any function f acting along the last axis, as
 shape (N,) for a scalar observable or (N, m) for a vector one.  The shape of
 its value is the only scalar/vector signal; one reduction path serves both,
 and a level returns a float per run for the first and an (m,) array for the
-second.  Any other value shape is a ValueError that names it.  A coupled
-level takes the fine-minus-coarse difference in place, in the array f
-returns, so f must return a writable array that it does not keep: a fresh
-one, as both built-in observables do, or a view of its input.  The two
+second.  Any other value shape is a ValueError that names it.  The two
 built-in observables are this module's ``_norm`` and ``_identity``, which
 ``norm_observable()`` and ``identity_observable()`` return.  The engine
 knows them by identity (``f is _norm``), as ``model._row_map`` knows the
-built-in potentials, and where the C library loads it runs their window
-in one C call per record (``_kernel.window``): each run's value, a pair's
-fine minus coarse, the finite check and the sums, with no value array, the
-same bytes as numpy's path.  Any other f, a wrapper of a built-in one
-among them, is called on the record's points.
+built-in potentials, and takes their values from the record itself.  Any
+other f, a wrapper of a built-in one among them, is called on the
+record's points, and its values, (w, B[, m]) per record, are summed as
+the identity's record.  Either way one window pass per record
+(``_reduce_window``) takes each run's value, a pair's fine minus coarse,
+the finite check and the sums: one C call (``_kernel.window``) where the
+C library loads, with no array of a built-in's values, else numpy, with
+the same bytes.  f's values are only read, never written.
 
 Sampling windows use the grid-index rule ``n_gamma(t) = max{k : k*gamma <= t}``
 with the average taken over indices ``k in [n_gamma(tau), n_gamma(T) - 1]``;
@@ -126,7 +126,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -150,10 +149,10 @@ _FLOAT, _DOUBLE = np.dtype(float), ctypes.c_double
 # ticks: a memory setting only, as no output depends on the chunk.  A tick
 # of a level counts three states of its rows (B for a chain, 2B for a
 # pair): its record, its raw normals (a chain's step or a pair's two fine
-# steps) and the values of a user observable, up to a state of them; the
-# built-in observables make no values array (``_kernel.window``), so for
-# them the third bounds nothing.  Each run draws once per chunk, so a
-# shorter chunk costs calls.
+# steps) and the values of a user observable, up to a state of them (a
+# built-in observable's come from the record); the numpy path's
+# out-of-place pair difference adds half a values array.  Each run draws
+# once per chunk, so a shorter chunk costs calls.
 _CHUNK_ELEMENT_TARGET = 2_000_000
 _CHUNK_STEP_CAP = 4096
 
@@ -381,9 +380,9 @@ class _CompensatedSum:
     adds its values one at a time, in the order they come (Neumaier's sum,
     each rounding error taken exactly by TwoSum).  A slot's total therefore
     depends on its own values and their order alone, not on how they are
-    split into calls or which slots sit beside it.  The C loop
-    (``_kernel.csum``) and the numpy fold below do the same arithmetic, bit
-    for bit."""
+    split into calls or which slots sit beside it.  The C window pass
+    (``_kernel.window``) and the numpy fold below do the same arithmetic,
+    bit for bit."""
 
     def __init__(self, shape):
         self.s = np.zeros(shape)
@@ -394,8 +393,6 @@ class _CompensatedSum:
         """Add rows ``v`` (w, n), n the slot count, one row at a time."""
         v = np.asarray(v, dtype=float)
         s, c = self.s.reshape(-1), self.c.reshape(-1)
-        if _kernel.csum(v, s, c):
-            return
         # the running sums in order, then each step's exact error (TwoSum)
         part = np.add.accumulate(np.concatenate((s[None], v)), axis=0)
         prev, t = part[:-1], part[1:]
@@ -437,10 +434,38 @@ def _eval_window(f, hist: np.ndarray) -> np.ndarray:
     return vals.reshape((w, bsz) + vals.shape[1:])
 
 
-def _reduce_window(acc: _CompensatedSum, vals: np.ndarray) -> None:
-    """Add window values (w, B[, m]) to ``acc``, index by index in grid
-    order."""
-    acc.add(vals.reshape(len(vals), -1))
+def _window_library():
+    """The C library for the window pass, or None for the numpy fold; the
+    one place that chooses, so that replacing it with ``lambda: None``
+    runs the window pass in numpy while the draw and the ticks keep C."""
+    return _kernel.lib()
+
+
+def _reduce_window(acc: _CompensatedSum, obs: int, record: np.ndarray,
+                   pair: bool) -> int:
+    """Add the window values of the built-in observable ``obs`` on the
+    record (w, rows, d) to ``acc``, index by index in grid order, as
+    ``_kernel.window`` takes them: a run's norm, or its row, which is also
+    how a user f's values (w, rows, m) are added.  Returns i * B + b of the
+    first non-finite value, at tick i of run b, or -1; the sums are then
+    partial.
+
+    Where the C library loads, one C call takes it all, on a C-ordered
+    copy of the record if it is not one.  Otherwise numpy takes the values,
+    a pair's fine minus coarse, the finite check and ``acc.add``: the same
+    bytes and the same index."""
+    if _window_library() is not None:
+        return _kernel.window(obs, np.ascontiguousarray(record), pair,
+                              acc.s.reshape(-1), acc.c.reshape(-1))
+    vals = _norm(record)[..., None] if obs == _kernel.NORM else record
+    if pair:
+        half = vals.shape[1] // 2
+        vals = vals[:, half:] - vals[:, :half]
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=2))  # i * B + b
+    if bad.size:
+        return int(bad[0])
+    acc.add(vals.reshape(len(vals), acc.s.size))
+    return -1
 
 
 def _value_failure(step: int, run: int) -> NumericalFailureError:
@@ -450,16 +475,6 @@ def _value_failure(step: int, run: int) -> NumericalFailureError:
         f"non-finite observable value at step {step} (run {run}); the "
         f"trajectory left the observable's finite range", step_index=step,
         run_index=run)
-
-
-def _check_values_finite(vals: np.ndarray, first_index: int,
-                         runs: Sequence[int]) -> None:
-    """Raise with the offending grid index and run (``runs[row]``) when
-    observable values blow up."""
-    finite = np.isfinite(vals).all(axis=tuple(range(2, vals.ndim)))
-    if not finite.all():
-        j, row = np.argwhere(~finite)[0]
-        raise _value_failure(first_index + int(j), runs[row])
 
 
 def _workers() -> int:
@@ -728,11 +743,12 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     order, compensated (``_CompensatedSum``), so neither the chunk nor the
     batch width changes a bit.  f sees one record's part of the window at
     a time, at most a chunk of indices: a memory bound.  Averages are (B,)
-    for a scalar observable, (B, m) for a vector one.  Where the C library
-    loads and f is a built-in observable (``f is _norm`` or ``f is
-    _identity``), one C call per record (``_kernel.window``) takes its
-    values, the pair's difference, the finite check and the sums, with the
-    same bytes and the same error as calling f.
+    for a scalar observable, (B, m) for a vector one.  A built-in
+    observable (``f is _norm`` or ``f is _identity``) is not called: its
+    values come from the record.  Each record's window then takes one
+    ``_reduce_window`` call: the values, a pair's difference, the finite
+    check and the sums, in one C call where the library loads, with the
+    same bytes and the same error either way.
 
     Where the level ticks in C (``model._row_map``), its B runs are cut
     into min(``_workers()``, B) contiguous slices, each run by ``_drive``
@@ -755,37 +771,34 @@ def _run_level(model, x0, gamma, tau, t, f, streams, pair):
     n = _slices(model, bsz)
     builtin = (_kernel.NORM if f is _norm
                else _kernel.IDENTITY if f is _identity else None)
-    if builtin is not None and _kernel.lib() is None:
-        builtin = None
 
     def engine(lo, hi, stopped=()):
         """The window sums of rows lo..hi-1 of the level, in one engine
         that ends at its next record once ``stopped`` is non-empty."""
         runs = [st.run_index for st in streams[lo:hi]]
-        acc = (None if builtin is None else _CompensatedSum(
-            (hi - lo,) if builtin == _kernel.NORM else (hi - lo, model.dim)))
+        acc = None
 
         def visit(first, states):
             nonlocal acc
             if stopped:
                 raise _Stopped
             skip = max(k0 - first, 0)
-            if skip < len(states) and builtin is not None:
-                bad = _kernel.window(builtin, states[skip:], pair,
-                                     acc.s.reshape(-1), acc.c.reshape(-1))
-                if bad >= 0:
-                    step, row = divmod(bad, hi - lo)
-                    raise _value_failure(first + skip + step, runs[row])
-            elif skip < len(states):
-                vals = _eval_window(f, states[skip:])
-                if pair:  # fine minus coarse, in place: no third array
-                    half = vals.shape[1] // 2
-                    vals[:, half:] -= vals[:, :half]
-                    vals = vals[:, half:]
-                _check_values_finite(vals, first + skip, runs)
-                if acc is None:
-                    acc = _CompensatedSum(vals.shape[1:])
-                _reduce_window(acc, vals)
+            if skip >= len(states):
+                return
+            record, obs, shape = states[skip:], builtin, (hi - lo,)
+            if builtin is None:  # f's values, summed as the identity's
+                vals = _eval_window(f, record)
+                shape += vals.shape[2:]
+                record = vals.reshape(vals.shape[:2] + (-1,))
+                obs = _kernel.IDENTITY
+            elif builtin == _kernel.IDENTITY:
+                shape += (model.dim,)
+            if acc is None:
+                acc = _CompensatedSum(shape)
+            bad = _reduce_window(acc, obs, record, pair)
+            if bad >= 0:
+                step, row = divmod(bad, hi - lo)
+                raise _value_failure(first + skip + step, runs[row])
 
         _drive(model, x if x.ndim == 1 else x[lo:hi], gamma, k1 - 1, pair,
                streams[lo:hi], runs, visit, width=bsz)

@@ -458,6 +458,27 @@ def test_nonfinite_inputs_are_one_line_errors(argv, expected, capsys):
     assert expected in err
 
 
+@pytest.mark.parametrize("case", ["config-d", "point-file", "run-d"])
+def test_oversized_inputs_are_one_line_errors(case, tmp_path, capsys):
+    # 10**400 overflows a float; d = 10**15 asks for 8 PB at once
+    huge = str(10 ** 400)
+    if case == "config-d":
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"d": %s}' % huge)
+        argv = ["tune", "--config", str(cfg)]
+    elif case == "point-file":
+        point = tmp_path / "p.json"
+        point.write_text("[%s, 0, 0]" % huge)
+        argv = ["run", "--d", "3", "--force", "--x-init", str(point)]
+    else:
+        argv = ["run", "--d", str(10 ** 15)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: too large to compute or hold: ")
+    assert err.count("\n") == 1
+
+
 def test_probe_rejects_unknown_names(capsys):
     code, _, _ = run_cli(["probe", "--probe", "volatility"], capsys)
     assert code == EXIT_USAGE

@@ -1,12 +1,15 @@
-"""The C window pass of the built-in observables (``_kernel.window``).
+"""The window pass of every observable (``sde._reduce_window``).
 
 ``norm_observable()`` and ``identity_observable()`` return ``sde._norm``
-and ``sde._identity``, which the engine knows by identity: where the C
-library loads, one C call per record takes their values, a pair's fine
+and ``sde._identity``, which the engine knows by identity and does not
+call: where the C library loads, one C call per record
+(``_kernel.window``) takes their values from the states, a pair's fine
 minus coarse, the finite check and the compensated sums.  Any other
 observable, a wrapper of a built-in one among them, is called on the
-record's points with numpy.  Here the two give the same bytes, and the same
-error on an overflow.
+record's points, and the same C call sums its values as the identity's.
+Here a built-in observable and its wrapper give the same bytes, a user
+observable gives the same bytes with the C pass and the numpy one, and
+each gives the same error on an overflow.
 """
 
 import contextlib
@@ -28,6 +31,8 @@ from mlangevin import (
     logistic_covariate,
     make_langevin_model,
     norm_observable,
+    run_coupled_level,
+    run_level0,
 )
 from mlangevin.sde import _CompensatedSum
 
@@ -124,6 +129,98 @@ def test_an_overflowing_norm_fails_alike_on_both_paths(pair, tau, workers):
     assert in_c == by_numpy
     assert "non-finite observable value" in in_c[0]
     assert in_c[1:] == ((0, 2) if tau == 0.0 else (14, 3))
+
+
+@contextlib.contextmanager
+def without_library(kind="ou"):
+    """The library read as missing; for the logistic model, whose ``tanh``
+    rounds apart in C, only in the window pass (``sde._window_library``),
+    while the draw and the ticks keep their C calls."""
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "ou":
+            mp.setattr(_kernel, "_lib", None)
+        else:
+            mp.setattr(sde, "_window_library", lambda: None)
+        yield
+
+
+def first(pts):
+    """A scalar user observable whose values are a strided view."""
+    return pts[:, 0]
+
+
+def squares(pts):
+    """A vector user observable, the first two coordinates squared."""
+    return pts[:, :2] ** 2
+
+
+@needs_cc
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["ou", "logistic"]), st.sampled_from([2, 7, 9, 16]),
+       st.booleans(), st.integers(1, 5), st.sampled_from([1, 3, 7, 4096]),
+       st.integers(1, 3), st.sampled_from([first, squares]),
+       st.integers(0, 2 ** 31))
+def test_a_user_observable_sums_the_same_bytes_with_the_library_and_without(
+        kind, d, pair, n_runs, cap, workers, f, seed):
+    model = make_model(kind, d)
+    x0 = wide_start(n_runs, d, seed)
+    with level_setup(cap, workers) as calls:
+        in_c = level(model, x0, f, pair, n_runs, seed)
+        with without_library(kind):
+            by_numpy = level(model, x0, f, pair, n_runs, seed)
+    assert calls != []
+    assert in_c[1] == by_numpy[1]
+    assert in_c[0].shape == by_numpy[0].shape == (
+        (n_runs,) if f is first else (n_runs, 2))
+    assert in_c[0].tobytes() == by_numpy[0].tobytes()
+
+
+@needs_cc
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("pair", [False, True], ids=["chain", "pair"])
+def test_an_overflowing_user_value_fails_alike_on_both_paths(pair, workers):
+    # finite starts whose first coordinate's square overflows: runs 2 and 3
+    model = make_model("ou", 4)
+    x0 = np.ones((5, 4))
+    x0[2] *= 3e154
+    x0[3] *= 1e158
+    with level_setup(4096, workers):
+        in_c = failure(model, x0, squares, pair, 0.0)
+        with without_library():
+            by_numpy = failure(model, x0, squares, pair, 0.0)
+    assert in_c == by_numpy
+    assert "non-finite observable value" in in_c[0]
+    assert in_c[1:] == (0, 2)
+
+
+def read_only(f):
+    """f, its values returned read-only."""
+    def g(pts):
+        vals = f(pts).view()
+        vals.flags.writeable = False
+        return vals
+    return g
+
+
+@pytest.mark.parametrize("library", [True, False], ids=["c", "numpy"])
+@pytest.mark.parametrize("f", [first, squares])
+def test_read_only_values_work_on_a_coupled_level(f, library):
+    model, x0 = make_model("ou", 3), wide_start(2, 3, 4)
+    with contextlib.nullcontext() if library else without_library():
+        got = level(model, x0, read_only(f), True, 2, 5)
+        want = level(model, x0, f, True, 2, 5)
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("library", [True, False], ids=["c", "numpy"])
+@pytest.mark.parametrize("run", [run_level0, run_coupled_level])
+def test_an_empty_observable_returns_empty_arrays(run, library):
+    model = make_model("ou", 3)
+    with contextlib.nullcontext() if library else without_library():
+        avg, steps = run(model, np.ones(3), 0.125, 0.25, 2.0,
+                         lambda pts: pts[:, :0], NoiseStream(1, 1))
+    assert isinstance(avg, np.ndarray) and avg.shape == (0,)
+    assert steps == (16 if run is run_level0 else 24)
 
 
 def record(rows, d, ticks=6, seed=1):
